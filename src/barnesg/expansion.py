@@ -30,10 +30,11 @@ from typing import Optional
 
 from .bernoulli import (
     CONSTANTS,
+    DEFAULT_TABLE,
     barnes_series_coefficient,
     series_coefficient,
 )
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, RangeError
 from .special import log_gamma
 
 __all__ = [
@@ -53,6 +54,13 @@ __all__ = [
 
 MAX_TRUNCATION = 20
 _WEAK_FACTOR = 1e6
+_NEWTON_TOL = 1e-15
+#: Bisection alone narrows a bracket (width <= pi/4) below _NEWTON_TOL in 50 steps.
+_NEWTON_MAX_STEPS = 64
+#: c_n for n = 1 .. 31, every index the Bernoulli table supports; entry 0 is unused.
+_COEFFS = (0.0,) + tuple(
+    series_coefficient(n) for n in range(1, DEFAULT_TABLE.max_index // 2)
+)
 
 
 class BoundKind(enum.Enum):
@@ -87,6 +95,8 @@ class ExpansionResult:
 
 def _check_sector(z: complex) -> complex:
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError("z must be finite")
     if z == 0:
         raise DomainError("z = 0 is outside the expansion domain")
     if z.imag == 0.0 and z.real < 0.0:
@@ -119,7 +129,7 @@ def truncated_log_barnes(z: complex, n_trunc: int) -> complex:
     zinv2 = 1.0 / (z * z)
     zpow = zinv2
     for n in range(1, n_trunc):
-        total += series_coefficient(n) * zpow
+        total += _COEFFS[n] * zpow
         zpow *= zinv2
     return total
 
@@ -166,34 +176,65 @@ def sector_factor(theta: float) -> float:
 
 
 def _first_term_magnitude(z: complex, n_trunc: int) -> float:
-    return abs(series_coefficient(n_trunc)) / abs(z) ** (2 * n_trunc)
+    """|c_N| / |z|^{2N}; RangeError unless it is a finite positive float."""
+    if n_trunc < 1:
+        raise DomainError("n_trunc must be >= 1")
+    if n_trunc >= len(_COEFFS):
+        raise RangeError(f"n_trunc = {n_trunc} lies beyond the Bernoulli table")
+    try:
+        term = abs(_COEFFS[n_trunc]) / abs(z) ** (2 * n_trunc)
+    except (OverflowError, ZeroDivisionError):
+        term = 0.0
+    if not 0.0 < term < math.inf:
+        raise RangeError(
+            f"first omitted term at N = {n_trunc} is outside the float range for z = {z}"
+        )
+    return term
+
+
+def _report(factor: float, term: float, kind: BoundKind,
+            phi_star: Optional[float] = None) -> BoundReport:
+    bound = factor * term
+    if bound == math.inf:
+        raise RangeError(f"{kind.value} bound overflows; z lies too close to the cut")
+    return BoundReport(bound=bound, factor=factor, kind=kind, phi_star=phi_star)
+
+
+def _closed_factor(theta: float, n_trunc: int) -> tuple[float, BoundKind]:
+    """Smaller of the sector and half-angle factors; a tie goes to the sector."""
+    a = abs(theta)
+    if a <= 0.25 * math.pi:
+        return 1.0, BoundKind.SECTOR  # sec^{2N+1}(theta/2) >= 1
+    try:
+        half = (1.0 / math.cos(0.5 * theta)) ** (2 * n_trunc + 1)
+    except OverflowError:
+        half = math.inf
+    if a <= 0.5 * math.pi:
+        sector = min(sector_factor(theta), 0.5 * math.sqrt(math.e * (2 * n_trunc + 2.5)))
+        if sector <= half:
+            return sector, BoundKind.SECTOR
+    return half, BoundKind.HALF_ANGLE
+
+
+def _optimized_factor(theta: float, n_trunc: int) -> tuple[float, float]:
+    """(csc(2(theta - phi*)) sec^{2N+1}(phi*), phi*) for pi/4 < |theta| < pi."""
+    phi = solve_optimal_angle(theta, n_trunc)
+    a_phi = abs(phi)
+    try:
+        factor = 1.0 / (
+            math.sin(2.0 * (abs(theta) - a_phi)) * math.cos(a_phi) ** (2 * n_trunc + 1)
+        )
+    except ZeroDivisionError:
+        factor = math.inf
+    return factor, phi
 
 
 def bound_closed_form(z: complex, n_trunc: int) -> BoundReport:
     """Smaller of the sector and half-angle closed-form bounds on |R_N|."""
     z = _check_sector(z)
-    if n_trunc < 1:
-        raise DomainError("n_trunc must be >= 1")
-    theta = cmath.phase(z)
-    candidates: list[tuple[float, BoundKind]] = []
-    if abs(theta) <= 0.5 * math.pi:
-        if abs(theta) <= 0.25 * math.pi:
-            f = 1.0
-        else:
-            f = min(
-                sector_factor(theta),
-                0.5 * math.sqrt(math.e * (2 * n_trunc + 2.5)),
-            )
-        candidates.append((f, BoundKind.SECTOR))
-    candidates.append(
-        ((1.0 / math.cos(0.5 * theta)) ** (2 * n_trunc + 1), BoundKind.HALF_ANGLE)
-    )
-    factor, kind = min(candidates, key=lambda item: item[0])
-    return BoundReport(
-        bound=factor * _first_term_magnitude(z, n_trunc),
-        factor=factor,
-        kind=kind,
-    )
+    term = _first_term_magnitude(z, n_trunc)
+    factor, kind = _closed_factor(cmath.phase(z), n_trunc)
+    return _report(factor, term, kind)
 
 
 def _bracket(theta: float) -> tuple[float, float]:
@@ -208,45 +249,43 @@ def _bracket(theta: float) -> tuple[float, float]:
 def solve_optimal_angle(theta: float, n_trunc: int) -> float:
     """Minimizing rotation angle phi* for the optimized bound.
 
-    Solves (2N+3) cos(3 phi - 2 theta) = (2N-1) cos(phi - 2 theta) inside the
-    bracket that contains the unique minimizer; bisection then two Newton
-    polishing steps bring the residual below 1e-12.  Odd in theta.
+    Solves h(phi) = (2N+3) cos(3 phi - 2 theta) - (2N-1) cos(phi - 2 theta) = 0
+    inside the bracket that holds the unique minimizer, where h < 0 at the
+    left end and h > 0 at the right end.  Newton's method starts at the
+    bracket midpoint; every iterate replaces the bracket end on its side of
+    the root, and a Newton step that would leave the bracket becomes a
+    bisection step.  The iteration stops once a step moves phi by at most
+    1e-15, after about five steps.  The result is a pure function of
+    (theta, N) and odd in theta.  AccuracyError if h does not change sign
+    across the bracket or the iteration fails to settle.
     """
     if n_trunc < 1:
         raise DomainError("n_trunc must be >= 1")
     a_th = abs(theta)
     if not 0.25 * math.pi < a_th < math.pi:
         raise DomainError("solve_optimal_angle: need pi/4 < |theta| < pi")
-    sign = 1.0 if theta >= 0 else -1.0
-    m = 2 * n_trunc
-
-    def h(phi: float) -> float:
-        return (m + 3) * math.cos(3 * phi - 2 * a_th) - (m - 1) * math.cos(phi - 2 * a_th)
-
+    c3, c1 = 2 * n_trunc + 3, 2 * n_trunc - 1
+    two_th = 2.0 * a_th
     lo, hi = _bracket(a_th)
-    h_lo = h(lo)
-    if h_lo * h(hi) > 0.0:
-        # should not happen (uniqueness inside the bracket); fall back to a scan
-        grid = [lo + (hi - lo) * i / 256 for i in range(257)]
-        for g0, g1 in zip(grid[:-1], grid[1:]):
-            if h(g0) * h(g1) <= 0.0:
-                lo, hi, h_lo = g0, g1, h(g0)
-                break
-        else:
-            raise AccuracyError("no sign change inside the optimal-angle bracket")
-    while hi - lo > 1e-13:
-        mid = 0.5 * (lo + hi)
-        if h_lo * h(mid) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-            h_lo = h(lo)
+    if not (c3 * math.cos(3 * lo - two_th) - c1 * math.cos(lo - two_th)
+            < 0.0 < c3 * math.cos(3 * hi - two_th) - c1 * math.cos(hi - two_th)):
+        raise AccuracyError("no sign change inside the optimal-angle bracket")
     phi = 0.5 * (lo + hi)
-    for _ in range(2):
-        slope = -3 * (m + 3) * math.sin(3 * phi - 2 * a_th) + (m - 1) * math.sin(phi - 2 * a_th)
-        if slope != 0.0:
-            phi -= h(phi) / slope
-    return sign * phi
+    for _ in range(_NEWTON_MAX_STEPS):
+        u, v = 3 * phi - two_th, phi - two_th
+        h = c3 * math.cos(u) - c1 * math.cos(v)
+        if h < 0.0:
+            lo = phi
+        else:
+            hi = phi
+        slope = c1 * math.sin(v) - 3 * c3 * math.sin(u)
+        nxt = phi - h / slope if slope != 0.0 else math.nan
+        if not lo <= nxt <= hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - phi) <= _NEWTON_TOL:
+            return math.copysign(nxt, theta)
+        phi = nxt
+    raise AccuracyError("optimal-angle iteration did not settle")
 
 
 def bound_optimized(z: complex, n_trunc: int) -> BoundReport:
@@ -255,55 +294,61 @@ def bound_optimized(z: complex, n_trunc: int) -> BoundReport:
     theta = cmath.phase(z)
     if not 0.25 * math.pi < abs(theta) < math.pi:
         raise DomainError("bound_optimized: need pi/4 < |arg z| < pi")
-    phi = solve_optimal_angle(theta, n_trunc)
-    a_th, a_phi = abs(theta), abs(phi)
-    factor = 1.0 / (math.sin(2.0 * (a_th - a_phi)) * math.cos(a_phi) ** (2 * n_trunc + 1))
-    return BoundReport(
-        bound=factor * _first_term_magnitude(z, n_trunc),
-        factor=factor,
-        kind=BoundKind.OPTIMIZED,
-        phi_star=phi,
-    )
+    factor, phi = _optimized_factor(theta, n_trunc)
+    return _report(factor, _first_term_magnitude(z, n_trunc), BoundKind.OPTIMIZED, phi)
 
 
 def best_bound(z: complex, n_trunc: int) -> BoundReport:
-    """Smallest certified bound applicable at (z, n_trunc)."""
+    """Smallest certified bound applicable at (z, n_trunc).
+
+    RangeError when the first omitted term or the bound is not a finite
+    positive float (|z| too small or too large for N, or z too near the cut).
+    """
     z = _check_sector(z)
     theta = cmath.phase(z)
+    term = _first_term_magnitude(z, n_trunc)
     if theta == 0.0:
-        return BoundReport(
-            bound=_first_term_magnitude(z, n_trunc),
-            factor=1.0,
-            kind=BoundKind.POSITIVE_AXIS,
-        )
-    report = bound_closed_form(z, n_trunc)
+        return BoundReport(bound=term, factor=1.0, kind=BoundKind.POSITIVE_AXIS)
+    factor, kind = _closed_factor(theta, n_trunc)
+    phi = None
     if 0.25 * math.pi < abs(theta) < math.pi:
-        alt = bound_optimized(z, n_trunc)
-        if alt.bound < report.bound:
-            report = alt
-    return report
+        opt, opt_phi = _optimized_factor(theta, n_trunc)
+        if opt * term < factor * term:
+            factor, kind, phi = opt, BoundKind.OPTIMIZED, opt_phi
+    return _report(factor, term, kind, phi)
 
 
 def certified_eval(z: complex, n_trunc: Optional[int] = None) -> ExpansionResult:
     """Evaluate the truncated expansion with the best certified bound.
 
     When n_trunc is omitted the truncation index minimizing the bound over
-    1..20 is chosen (ties toward smaller N).  Bounds with factor above 1e6
+    1..20 is chosen (ties toward smaller N); an index whose bound is not a
+    finite positive float is skipped, and RangeError is raised when none is
+    left or the value is not finite.  Bounds with factor above 1e6
     (possible only near the cut) are flagged weak rather than suppressed.
     """
     z = _check_sector(z)
     if n_trunc is None:
-        chosen, chosen_report = 1, best_bound(z, 1)
-        for n in range(2, MAX_TRUNCATION + 1):
-            report = best_bound(z, n)
-            if report.bound < chosen_report.bound:
+        chosen, chosen_report = 0, None
+        for n in range(1, MAX_TRUNCATION + 1):
+            try:
+                report = best_bound(z, n)
+            except RangeError:
+                continue
+            if chosen_report is None or report.bound < chosen_report.bound:
                 chosen, chosen_report = n, report
+        if chosen_report is None:
+            raise RangeError(f"no truncation index in 1..{MAX_TRUNCATION} has a "
+                             f"finite bound at z = {z}")
     else:
         if not 1 <= n_trunc <= MAX_TRUNCATION:
             raise DomainError(f"n_trunc must lie in [1, {MAX_TRUNCATION}]")
         chosen, chosen_report = n_trunc, best_bound(z, n_trunc)
+    value = truncated_log_barnes(z, chosen)
+    if not cmath.isfinite(value):
+        raise RangeError(f"the expansion is not finite in binary64 at z = {z}")
     return ExpansionResult(
-        value=truncated_log_barnes(z, chosen),
+        value=value,
         n_trunc=chosen,
         bound=chosen_report.bound,
         bound_kind=chosen_report.kind,

@@ -12,7 +12,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 __all__ = ["gauss_nodes", "integrate_panels", "geometric_breakpoints"]
 
@@ -20,8 +20,7 @@ __all__ = ["gauss_nodes", "integrate_panels", "geometric_breakpoints"]
 @lru_cache(maxsize=8)
 def gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Cached Gauss-Legendre nodes and weights on [-1, 1]."""
-    x, w = roots_legendre(order)
-    return x, w
+    return leggauss(order)
 
 
 def integrate_panels(

@@ -62,6 +62,12 @@ class TestEval:
         res = runner.invoke(main, ["eval", "--z-re", "-3", "--method", "oracle"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("z_re", ["1e-300", "1e200", "inf", "nan"])
+    def test_unrepresentable_z_exits_2(self, runner, z_re):
+        res = runner.invoke(main, ["eval", "--z-re", z_re, "--method", "asym"])
+        assert res.exit_code == 2
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+
     def test_missing_z_exit(self, runner):
         res = runner.invoke(main, ["eval", "--method", "oracle"])
         assert res.exit_code == 2

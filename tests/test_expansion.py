@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from barnesg import (
     BoundKind,
     DomainError,
+    RangeError,
     barnes_style_series,
     bernoulli_number,
     best_bound,
@@ -22,8 +24,45 @@ from barnesg import (
     solve_optimal_angle,
     truncated_log_barnes,
 )
+from barnesg.expansion import MAX_TRUNCATION, _bracket
 
 PI = math.pi
+
+
+def _h(phi, theta, n):
+    """Optimal-angle equation (2N+3) cos(3 phi - 2 theta) - (2N-1) cos(phi - 2 theta)."""
+    return (2 * n + 3) * math.cos(3 * phi - 2 * theta) - (2 * n - 1) * math.cos(phi - 2 * theta)
+
+
+def bisect_optimal_angle(theta, n):
+    """Reference solver: bisection to 1e-13, then two Newton polishing steps."""
+    a_th = abs(theta)
+    lo, hi = _bracket(a_th)
+    h_lo = _h(lo, a_th, n)
+    assert h_lo * _h(hi, a_th, n) <= 0.0
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        if h_lo * _h(mid, a_th, n) <= 0.0:
+            hi = mid
+        else:
+            lo = mid
+            h_lo = _h(lo, a_th, n)
+    phi = 0.5 * (lo + hi)
+    m = 2 * n
+    for _ in range(2):
+        slope = -3 * (m + 3) * math.sin(3 * phi - 2 * a_th) + (m - 1) * math.sin(phi - 2 * a_th)
+        if slope != 0.0:
+            phi -= _h(phi, a_th, n) / slope
+    return math.copysign(phi, theta)
+
+
+# bracket switches at pi/2 and 3 pi/4 (and either side), the ends of the
+# domain to within 1e-9, and an even grid between
+SOLVER_THETAS = sorted(
+    {PI / 4 + 1e-9, PI / 2, 0.75 * PI, PI - 1e-9}
+    | {t + d for t in (PI / 2, 0.75 * PI) for d in (-1e-12, 1e-12)}
+    | set(np.linspace(0.26 * PI, 0.99 * PI, 30).tolist())
+)
 
 
 class TestTruncatedExpansion:
@@ -181,6 +220,18 @@ class TestOptimalAngle:
         with pytest.raises(DomainError):
             solve_optimal_angle(PI, 1)
 
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_newton_matches_reference_bisection(self, n):
+        for theta in SOLVER_THETAS:
+            lo, hi = _bracket(theta)
+            # h changes sign across every bracket, so no fallback scan is needed
+            assert _h(lo, theta, n) < 0.0 < _h(hi, theta, n)
+            phi = solve_optimal_angle(theta, n)
+            assert lo <= phi <= hi
+            assert solve_optimal_angle(-theta, n) == -phi
+            assert abs(phi - bisect_optimal_angle(theta, n)) <= 1e-15
+            assert abs(_h(phi, theta, n)) <= 1e-12
+
 
 class TestOptimizedBound:
     def test_imaginary_axis_factor_value(self):
@@ -250,3 +301,68 @@ class TestCertifiedEval:
             certified_eval(0.0)
         with pytest.raises(DomainError):
             certified_eval(-1.5)
+
+    def test_auto_n_is_the_argmin_of_best_bound(self):
+        rng = random.Random(2535)
+        points = [50.0 * cmath.exp(0.95j * PI), 50.0 * cmath.exp(-0.95j * PI),
+                  2.0 * cmath.exp(0.95j * PI), 2.0 * cmath.exp(-0.95j * PI)]
+        for _ in range(150):
+            r = math.exp(rng.uniform(math.log(2.0), math.log(50.0)))
+            points.append(r * cmath.exp(1j * rng.uniform(-0.95 * PI, 0.95 * PI)))
+        for z in points:
+            reports = [best_bound(z, n) for n in range(1, MAX_TRUNCATION + 1)]
+            n = 1 + min(range(len(reports)), key=lambda i: reports[i].bound)
+            want = reports[n - 1]
+            res = certified_eval(z)
+            assert (res.n_trunc, res.bound, res.bound_kind) == (n, want.bound, want.kind)
+            assert res.value == truncated_log_barnes(z, n)
+            assert res.weak_bound == (want.factor > 1e6)
+
+
+class TestTypedErrors:
+    """Inputs at the edges of binary64 give a finite result or a typed error."""
+
+    def test_tiny_modulus_skips_underflowing_orders(self):
+        # |z|^{40} underflows at N = 20; smaller N still have finite bounds
+        res = certified_eval(1e-9j)
+        assert res.n_trunc < MAX_TRUNCATION
+        assert cmath.isfinite(res.value) and 0.0 < res.bound < math.inf
+        with pytest.raises(RangeError):
+            best_bound(1e-9j, MAX_TRUNCATION)
+
+    @pytest.mark.parametrize("z", [1e-300, 5e-324, 1e200, complex(1e308, 1e308)])
+    def test_no_finite_bound_raises_range_error(self, z):
+        with pytest.raises(RangeError):
+            certified_eval(z)
+
+    def test_huge_modulus(self):
+        with pytest.raises(RangeError):
+            best_bound(1e200, 4)
+        # N = 1 has a finite bound; the value must be finite too, or RangeError
+        try:
+            res = certified_eval(1e150)
+        except RangeError:
+            return
+        assert cmath.isfinite(res.value) and 0.0 < res.bound < math.inf
+
+    def test_bound_overflow_near_the_cut(self):
+        # sec^{2N+1}(theta/2) overflows for large N within 1e-12 of the cut
+        z = -1.0 + 1e-12j
+        with pytest.raises(RangeError):
+            bound_closed_form(z, 20)
+        res = certified_eval(z)
+        assert 0.0 < res.bound < math.inf and res.weak_bound
+
+    @pytest.mark.parametrize("z", [math.inf, -math.inf, complex(1.0, math.nan),
+                                   complex(math.nan, 0.0), complex(3.0, -math.inf)])
+    def test_non_finite_z(self, z):
+        with pytest.raises(DomainError):
+            certified_eval(z)
+        with pytest.raises(DomainError):
+            best_bound(z, 4)
+
+    def test_order_beyond_bernoulli_table(self):
+        with pytest.raises(RangeError):
+            bound_closed_form(3.0, 32)
+        with pytest.raises(DomainError):
+            best_bound(3.0, 0)

@@ -7,12 +7,9 @@ Stokes-multiplier smoothing profile across arg z = +-pi/2.
 """
 
 from .bernoulli import (
-    CONSTANTS,
     EULER_GAMMA,
     LOG_GLAISHER,
     BernoulliTable,
-    Constants,
-    barnes_series_coefficient,
     bernoulli_number,
     bernoulli_poly,
     series_coefficient,
@@ -23,12 +20,12 @@ from .expansion import (
     BoundKind,
     BoundReport,
     ExpansionResult,
-    barnes_style_series,
     best_bound,
     bound_closed_form,
     bound_optimized,
     certified_eval,
     expansion_prefix,
+    family_bounds,
     sector_factor,
     solve_optimal_angle,
     truncated_log_barnes,
@@ -38,12 +35,10 @@ from .oracle import (
     QuadraturePolicy,
     RemainderKernel,
     log_barnes_oracle,
-    remainder_log_kernel,
     remainder_narrow,
     remainder_wide,
 )
 from .special import (
-    LogGammaPolicy,
     c_of_phi,
     dilog,
     erf_small,
@@ -69,13 +64,10 @@ __all__ = [
     "BernoulliTable",
     "BoundKind",
     "BoundReport",
-    "CONSTANTS",
-    "Constants",
     "DomainError",
     "EULER_GAMMA",
     "ExpansionResult",
     "LOG_GLAISHER",
-    "LogGammaPolicy",
     "OracleValue",
     "QuadraturePolicy",
     "RangeError",
@@ -84,8 +76,6 @@ __all__ = [
     "TerminantEval",
     "TerminantMethod",
     "TruncationScheme",
-    "barnes_series_coefficient",
-    "barnes_style_series",
     "bernoulli_number",
     "bernoulli_poly",
     "best_bound",
@@ -99,9 +89,9 @@ __all__ = [
     "exp_improved_report",
     "exp_integral_e1",
     "expansion_prefix",
+    "family_bounds",
     "log_barnes_oracle",
     "log_gamma",
-    "remainder_log_kernel",
     "remainder_narrow",
     "remainder_wide",
     "sector_factor",

@@ -25,15 +25,14 @@ from .errors import DomainError, RangeError
 
 __all__ = [
     "BernoulliTable",
-    "Constants",
-    "CONSTANTS",
+    "EPS",
     "EULER_GAMMA",
     "LOG_GLAISHER",
+    "TWO_PI",
     "DEFAULT_TABLE",
     "bernoulli_number",
     "bernoulli_poly",
     "series_coefficient",
-    "barnes_series_coefficient",
     "zeta_even",
 ]
 
@@ -46,16 +45,8 @@ LOG_GLAISHER = 0.2487544770337843
 
 TWO_PI = 2.0 * math.pi
 
-
-@dataclass(frozen=True)
-class Constants:
-    """Named constants used by the expansion prefix."""
-
-    log_a: float = LOG_GLAISHER
-    euler_gamma: float = EULER_GAMMA
-
-
-CONSTANTS = Constants()
+#: Unit round-off scale of binary64 (machine epsilon), used by the round-off estimates.
+EPS = 2.220446049250313e-16
 
 
 def _generate(max_index: int) -> tuple[float, ...]:
@@ -168,17 +159,6 @@ def series_coefficient(n: int) -> float:
     if n < 1:
         raise DomainError("series coefficient index starts at 1")
     return DEFAULT_TABLE.number(2 * n + 2) / (2 * n * (2 * n + 1) * (2 * n + 2))
-
-
-def barnes_series_coefficient(n: int) -> float:
-    """Coefficient of z^{-2n} in Barnes' composed series: B_{2n+2}/(2n (2n+2)).
-
-    Obtained from series_coefficient by absorbing the standard log-Gamma
-    series; see barnes_style_series.
-    """
-    if n < 1:
-        raise DomainError("series coefficient index starts at 1")
-    return DEFAULT_TABLE.number(2 * n + 2) / (2 * n * (2 * n + 2))
 
 
 def zeta_even(m: int) -> float:

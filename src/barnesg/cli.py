@@ -17,9 +17,8 @@ from typing import Optional
 
 import click
 
-from .bernoulli import series_coefficient
 from .errors import AccuracyError, DomainError, RangeError
-from .expansion import best_bound, bound_optimized, certified_eval, sector_factor
+from .expansion import BoundKind, best_bound, certified_eval, family_bounds
 from .oracle import log_barnes_oracle, remainder_wide
 from .terminant import (
     TerminantMethod,
@@ -173,22 +172,9 @@ def cmd_bounds(z_abs_list, theta_list, theta_pi_list, n_min, n_max, fmt) -> None
                 for n in range(n_min, n_max + 1):
                     oracle = remainder_wide(z, n)
                     abs_rn = abs(oracle.value)
-                    first = abs(series_coefficient(n)) / r ** (2 * n)
-                    b_sector = math.nan
-                    if abs(theta) <= 0.5 * math.pi:
-                        if abs(theta) <= 0.25 * math.pi:
-                            f_sector = 1.0
-                        else:
-                            f_sector = min(
-                                sector_factor(theta),
-                                0.5 * math.sqrt(math.e * (2 * n + 2.5)),
-                            )
-                        b_sector = f_sector * first
-                    b_half = (1.0 / math.cos(0.5 * theta)) ** (2 * n + 1) * first
-                    b_opt = phi = math.nan
-                    if 0.25 * math.pi < abs(theta) < math.pi:
-                        opt = bound_optimized(z, n)
-                        b_opt, phi = opt.bound, opt.phi_star
+                    families = family_bounds(z, n)
+                    sector = families.get(BoundKind.SECTOR)
+                    opt = families.get(BoundKind.OPTIMIZED)
                     best = best_bound(z, n).bound
                     ratio = best / abs_rn if abs_rn > 0 else math.inf
                     if abs_rn > best + 1e-10 + oracle.est_error:
@@ -200,10 +186,10 @@ def cmd_bounds(z_abs_list, theta_list, theta_pi_list, n_min, n_max, fmt) -> None
                             "n": n,
                             "oracle_abs_rn": abs_rn,
                             "oracle_err": oracle.est_error,
-                            "bound_sector": b_sector,
-                            "bound_half_angle": b_half,
-                            "bound_optimized": b_opt,
-                            "phi_star": phi,
+                            "bound_sector": sector.bound if sector else math.nan,
+                            "bound_half_angle": families[BoundKind.HALF_ANGLE].bound,
+                            "bound_optimized": opt.bound if opt else math.nan,
+                            "phi_star": opt.phi_star if opt else math.nan,
                             "best_bound": best,
                             "ratio": ratio,
                         }

@@ -28,12 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .bernoulli import (
-    CONSTANTS,
-    DEFAULT_TABLE,
-    barnes_series_coefficient,
-    series_coefficient,
-)
+from .bernoulli import DEFAULT_TABLE, LOG_GLAISHER, series_coefficient
 from .errors import AccuracyError, DomainError, RangeError
 from .special import log_gamma
 
@@ -43,12 +38,12 @@ __all__ = [
     "ExpansionResult",
     "expansion_prefix",
     "truncated_log_barnes",
-    "barnes_style_series",
     "sector_factor",
     "solve_optimal_angle",
     "bound_closed_form",
     "bound_optimized",
     "best_bound",
+    "family_bounds",
     "certified_eval",
 ]
 
@@ -94,6 +89,7 @@ class ExpansionResult:
 
 
 def _check_sector(z: complex) -> complex:
+    """The slit-plane domain check of every z-route: finite, nonzero, off the cut."""
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError("z must be finite")
@@ -105,14 +101,20 @@ def _check_sector(z: complex) -> complex:
 
 
 def expansion_prefix(z: complex) -> complex:
-    """The N-independent part: z^2/4 + z log Gamma(z+1) - (z(z+1)/2 + 1/12) log z - log A."""
+    """The N-independent part: z^2/4 + z log Gamma(z+1) - (z(z+1)/2 + 1/12) log z - log A.
+
+    RangeError when it is not finite in binary64 (log Gamma fails from |z| ~ 1e15).
+    """
     z = _check_sector(z)
-    return (
+    prefix = (
         0.25 * z * z
         + z * log_gamma(z + 1.0)
         - (0.5 * z * (z + 1.0) + 1.0 / 12.0) * cmath.log(z)
-        - CONSTANTS.log_a
+        - LOG_GLAISHER
     )
+    if not cmath.isfinite(prefix):
+        raise RangeError(f"the expansion prefix is not finite in binary64 at z = {z}")
+    return prefix
 
 
 def truncated_log_barnes(z: complex, n_trunc: int) -> complex:
@@ -130,31 +132,6 @@ def truncated_log_barnes(z: complex, n_trunc: int) -> complex:
     zpow = zinv2
     for n in range(1, n_trunc):
         total += _COEFFS[n] * zpow
-        zpow *= zinv2
-    return total
-
-
-def barnes_style_series(z: complex, n_trunc: int) -> complex:
-    """Barnes' composed form of the truncated expansion.
-
-    Equivalent to substituting the standard log-Gamma series into
-    truncated_log_barnes; the series coefficients become B_{2n+2}/(2n(2n+2)).
-    Evaluated but not certified (no bound family is implemented for it).
-    """
-    z = _check_sector(z)
-    if not 1 <= n_trunc <= MAX_TRUNCATION:
-        raise DomainError(f"n_trunc must lie in [1, {MAX_TRUNCATION}]")
-    total = (
-        -0.75 * z * z
-        + 0.5 * z * math.log(2.0 * math.pi)
-        + (0.5 * z * z - 1.0 / 12.0) * cmath.log(z)
-        + 1.0 / 12.0
-        - CONSTANTS.log_a
-    )
-    zinv2 = 1.0 / (z * z)
-    zpow = zinv2
-    for n in range(1, n_trunc):
-        total += barnes_series_coefficient(n) * zpow
         zpow *= zinv2
     return total
 
@@ -200,17 +177,27 @@ def _report(factor: float, term: float, kind: BoundKind,
     return BoundReport(bound=bound, factor=factor, kind=kind, phi_star=phi_star)
 
 
+def _sector_factor(theta: float, n_trunc: int) -> float:
+    """Sector family factor, for |theta| <= pi/2."""
+    return min(sector_factor(theta), 0.5 * math.sqrt(math.e * (2 * n_trunc + 2.5)))
+
+
+def _half_angle_factor(theta: float, n_trunc: int) -> float:
+    """Half-angle family factor sec^{2N+1}(theta/2), for |theta| < pi; +inf on overflow."""
+    try:
+        return (1.0 / math.cos(0.5 * theta)) ** (2 * n_trunc + 1)
+    except OverflowError:
+        return math.inf
+
+
 def _closed_factor(theta: float, n_trunc: int) -> tuple[float, BoundKind]:
     """Smaller of the sector and half-angle factors; a tie goes to the sector."""
     a = abs(theta)
     if a <= 0.25 * math.pi:
         return 1.0, BoundKind.SECTOR  # sec^{2N+1}(theta/2) >= 1
-    try:
-        half = (1.0 / math.cos(0.5 * theta)) ** (2 * n_trunc + 1)
-    except OverflowError:
-        half = math.inf
+    half = _half_angle_factor(theta, n_trunc)
     if a <= 0.5 * math.pi:
-        sector = min(sector_factor(theta), 0.5 * math.sqrt(math.e * (2 * n_trunc + 2.5)))
+        sector = _sector_factor(theta, n_trunc)
         if sector <= half:
             return sector, BoundKind.SECTOR
     return half, BoundKind.HALF_ANGLE
@@ -291,10 +278,8 @@ def solve_optimal_angle(theta: float, n_trunc: int) -> float:
 def bound_optimized(z: complex, n_trunc: int) -> BoundReport:
     """Bound with the factor minimized over the integration-path rotation angle."""
     z = _check_sector(z)
-    theta = cmath.phase(z)
-    if not 0.25 * math.pi < abs(theta) < math.pi:
-        raise DomainError("bound_optimized: need pi/4 < |arg z| < pi")
-    factor, phi = _optimized_factor(theta, n_trunc)
+    # solve_optimal_angle raises DomainError unless pi/4 < |arg z| < pi
+    factor, phi = _optimized_factor(cmath.phase(z), n_trunc)
     return _report(factor, _first_term_magnitude(z, n_trunc), BoundKind.OPTIMIZED, phi)
 
 
@@ -316,6 +301,29 @@ def best_bound(z: complex, n_trunc: int) -> BoundReport:
         if opt * term < factor * term:
             factor, kind, phi = opt, BoundKind.OPTIMIZED, opt_phi
     return _report(factor, term, kind, phi)
+
+
+def family_bounds(z: complex, n_trunc: int) -> dict[BoundKind, BoundReport]:
+    """The certified bound of every family that applies at (z, n_trunc).
+
+    Keys, in this order: SECTOR (|arg z| <= pi/2), HALF_ANGLE (always) and
+    OPTIMIZED (pi/4 < |arg z| < pi).  best_bound returns the smallest of
+    these bounds.  RangeError as for best_bound, and also when one family's
+    bound overflows.
+    """
+    z = _check_sector(z)
+    theta = cmath.phase(z)
+    a = abs(theta)
+    term = _first_term_magnitude(z, n_trunc)
+    out = {}
+    if a <= 0.5 * math.pi:
+        out[BoundKind.SECTOR] = _report(_sector_factor(theta, n_trunc), term, BoundKind.SECTOR)
+    out[BoundKind.HALF_ANGLE] = _report(_half_angle_factor(theta, n_trunc), term,
+                                        BoundKind.HALF_ANGLE)
+    if 0.25 * math.pi < a < math.pi:
+        factor, phi = _optimized_factor(theta, n_trunc)
+        out[BoundKind.OPTIMIZED] = _report(factor, term, BoundKind.OPTIMIZED, phi)
+    return out
 
 
 def certified_eval(z: complex, n_trunc: Optional[int] = None) -> ExpansionResult:

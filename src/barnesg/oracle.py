@@ -5,9 +5,6 @@ integral representations and serves as ground truth for everything else:
 
   * dilog kernel (|arg z| < pi/2):
         R_N = z^{-2N} (-1)^N/(2 pi^2) int_0^inf t^{2N-1}/(1+(t/z)^2) Li2(e^{-2 pi t}) dt
-  * log kernel (|arg z| < pi/2, nested, cross-check only):
-        R_N = z^{-2N} (-1)^{N+1}/pi int_0^inf (int_0^1 s^{2N-1}/(1+(st/z)^2) ds)
-                                         t^{2N} log(1 - e^{-2 pi t}) dt
   * periodized-Bernoulli kernel (|arg z| < pi):
         R_N = -1/(2N(2N+1)) int_0^inf B_{2N+1}(t - floor t) / (t+z)^{2N} dt
   * symmetrized variant (|arg z| < pi):
@@ -25,14 +22,21 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .bernoulli import DEFAULT_TABLE, series_coefficient
-from .errors import AccuracyError, DomainError
-from .expansion import expansion_prefix
-from .quadrature import gauss_nodes, geometric_breakpoints, integrate_panels
+from .bernoulli import DEFAULT_TABLE, EPS, TWO_PI, series_coefficient
+from .errors import AccuracyError, DomainError, RangeError
+from .expansion import (
+    BoundKind,
+    _check_sector,
+    _first_term_magnitude,
+    _half_angle_factor,
+    _report,
+    expansion_prefix,
+    sector_factor,
+)
+from .quadrature import geometric_breakpoints, integrate_panels
 from .special import _dilog_exp
 
 __all__ = [
@@ -41,12 +45,8 @@ __all__ = [
     "OracleValue",
     "remainder_narrow",
     "remainder_wide",
-    "remainder_log_kernel",
     "log_barnes_oracle",
 ]
-
-_EPS = 2.220446049250313e-16
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,6 @@ DEFAULT_POLICY = QuadraturePolicy()
 class RemainderKernel(enum.Enum):
     """Which integral representation produced an oracle value."""
 
-    LOG_DOUBLE = "log_double"
     DILOG = "dilog"
     PERIODIC = "periodic_bernoulli"
     SYMMETRIZED = "symmetrized_bernoulli"
@@ -88,20 +87,9 @@ class OracleValue:
 
 
 def _check_narrow(z: complex) -> complex:
-    z = complex(z)
-    if z == 0:
-        raise DomainError("z = 0 outside the remainder domain")
+    z = _check_sector(z)
     if abs(cmath.phase(z)) >= 0.5 * math.pi:
         raise DomainError("this kernel requires |arg z| < pi/2 strictly")
-    return z
-
-
-def _check_wide(z: complex) -> complex:
-    z = complex(z)
-    if z == 0:
-        raise DomainError("z = 0 outside the remainder domain")
-    if z.imag == 0.0 and z.real < 0.0:
-        raise DomainError("z on the branch cut arg z = pi")
     return z
 
 
@@ -122,13 +110,6 @@ def _narrow_tail_bound(t_stop: float, n_trunc: int, ell: float) -> float:
     return ell * (math.pi ** 2 / 6.0) * gamma_tail / (2.0 * math.pi ** 2)
 
 
-def _ell(theta: float) -> float:
-    a = abs(theta)
-    if a <= 0.25 * math.pi:
-        return 1.0
-    return abs(1.0 / math.sin(2.0 * theta))
-
-
 def remainder_narrow(
     z: complex, n_trunc: int, policy: QuadraturePolicy = DEFAULT_POLICY
 ) -> OracleValue:
@@ -141,44 +122,19 @@ def remainder_narrow(
     if n_trunc < 1:
         raise DomainError("n_trunc must be >= 1")
     breaks, t_stop = _narrow_breakpoints(policy)
+    k = 2 * n_trunc
+    try:
+        pref = (-1) ** n_trunc / (2.0 * math.pi ** 2 * z ** k)
+        tail = _narrow_tail_bound(t_stop, n_trunc, sector_factor(cmath.phase(z))) / abs(z) ** k
+    except (OverflowError, ZeroDivisionError):
+        raise RangeError(f"z^{k} is outside the float range for z = {z}") from None
 
     def integrand(t: np.ndarray) -> np.ndarray:
         return t ** (2 * n_trunc - 1) / (1.0 + (t / z) ** 2) * _dilog_exp(t)
 
     integral, abs_sum = integrate_panels(integrand, breaks, policy.nodes_per_interval)
-    pref = (-1) ** n_trunc / (2.0 * math.pi ** 2 * z ** (2 * n_trunc))
-    tail = _narrow_tail_bound(t_stop, n_trunc, _ell(cmath.phase(z))) / abs(z) ** (2 * n_trunc)
-    est = tail + 8.0 * _EPS * abs_sum * abs(pref)
+    est = tail + 8.0 * EPS * abs_sum * abs(pref)
     return OracleValue(value=pref * integral, est_error=est, kernel=RemainderKernel.DILOG)
-
-
-def remainder_log_kernel(
-    z: complex, n_trunc: int, policy: QuadraturePolicy = DEFAULT_POLICY
-) -> OracleValue:
-    """R_N(z) by the nested log-kernel quadrature (cross-check path)."""
-    z = _check_narrow(z)
-    if n_trunc < 1:
-        raise DomainError("n_trunc must be >= 1")
-    breaks, t_stop = _narrow_breakpoints(policy)
-    xs, ws = gauss_nodes(policy.nodes_per_interval)
-    s_nodes = 0.5 * (xs + 1.0)
-    s_weights = 0.5 * ws
-    s_pow = s_nodes ** (2 * n_trunc - 1)
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(t, dtype=complex)
-        for i, ti in enumerate(t):
-            if ti <= 0:
-                continue
-            inner = np.sum(s_weights * s_pow / (1.0 + (s_nodes * ti / z) ** 2))
-            out[i] = inner * ti ** (2 * n_trunc) * math.log(-math.expm1(-TWO_PI * ti))
-        return out
-
-    integral, abs_sum = integrate_panels(integrand, breaks, policy.nodes_per_interval)
-    pref = (-1) ** (n_trunc + 1) / (math.pi * z ** (2 * n_trunc))
-    tail = _narrow_tail_bound(t_stop, n_trunc, _ell(cmath.phase(z))) / abs(z) ** (2 * n_trunc)
-    est = tail + 8.0 * _EPS * abs_sum * abs(pref)
-    return OracleValue(value=pref * integral, est_error=est, kernel=RemainderKernel.LOG_DOUBLE)
 
 
 # ----------------------------------------------------------------------
@@ -199,7 +155,10 @@ def _wide_tail_bound(t_stop: float, abs_z: float, sec_half: float, m_eff: int,
         max_kernel = DEFAULT_TABLE.max_abs_poly(2 * m_eff + 1)
         pref = 1.0 / (2 * m_eff * (2 * m_eff + 1))
     integral_tail = (t_stop + abs_z) ** (1 - order) / (order - 1)
-    return pref * max_kernel * sec_half ** order * integral_tail
+    try:
+        return pref * max_kernel * sec_half ** order * integral_tail
+    except OverflowError:  # sec^order(theta/2) near the cut
+        return math.inf
 
 
 def _wide_breakpoints(t_stop: int, z: complex) -> list[float]:
@@ -233,51 +192,36 @@ def remainder_wide(
     the periodized Bernoulli polynomial is evaluated through its Fourier
     series (relative accuracy ~1 ulp at these orders).  The truncation point
     is chosen from the analytic tail bound; if the absolute target is out of
-    reach within max_intervals the target falls back to 1e-4 relative to a
-    bound-based magnitude estimate of R_N, and failing that the promotion
-    index is escalated before reporting an accuracy failure.
+    reach within max_intervals the target falls back to 1e-4 relative to the
+    half-angle bound on |R_N|, and failing that the promotion index is
+    escalated before reporting an accuracy failure.
     """
-    z = _check_wide(z)
-    if n_trunc < 1:
-        raise DomainError("n_trunc must be >= 1")
+    z = _check_sector(z)
     if kernel not in (RemainderKernel.PERIODIC, RemainderKernel.SYMMETRIZED):
         raise DomainError("remainder_wide supports the Bernoulli kernels only")
     symmetrized = kernel is RemainderKernel.SYMMETRIZED
     theta = cmath.phase(z)
     abs_z = abs(z)
     sec_half = 1.0 / math.cos(0.5 * theta)
-    # magnitude estimate of R_N for the relative fallback target
-    rn_est = (
-        abs(series_coefficient(n_trunc))
-        / abs_z ** (2 * n_trunc)
-        * sec_half ** (2 * n_trunc + 1)
-    )
+    # the half-angle bound on |R_N| sets the relative fallback target; it
+    # raises DomainError for N < 1 and RangeError outside the float range
+    rn_est = _report(_half_angle_factor(theta, n_trunc), _first_term_magnitude(z, n_trunc),
+                     BoundKind.HALF_ANGLE).bound
 
-    m_eff = max(n_trunc, 8)
-    t_stop: Optional[int] = None
-    while True:
-        target = policy.tail_tolerance
-        for t in range(2, policy.max_intervals + 1):
-            if _wide_tail_bound(t, abs_z, sec_half, m_eff, symmetrized) <= target:
-                t_stop = t
-                break
-        else:
-            target = 1e-4 * rn_est
-            for t in range(2, policy.max_intervals + 1):
-                if _wide_tail_bound(t, abs_z, sec_half, m_eff, symmetrized) <= target:
-                    t_stop = t
-                    break
-            else:
-                t_stop = None
+    # promotion index: max(N, 8), raised in steps of 2 up to 16 while no
+    # truncation point meets the absolute, then the relative target
+    for m_eff in (*range(max(n_trunc, 8), 16, 2), max(n_trunc, 16)):
+        t_stop = next((t for target in (policy.tail_tolerance, 1e-4 * rn_est)
+                       for t in range(2, policy.max_intervals + 1)
+                       if _wide_tail_bound(t, abs_z, sec_half, m_eff, symmetrized) <= target),
+                      None)
         if t_stop is not None:
             break
-        if m_eff < 16:
-            m_eff = min(16, m_eff + 2)
-        else:
-            raise AccuracyError(
-                "wide-kernel tail cannot reach the tolerance within max_intervals "
-                f"(arg z = {theta:.4f} is too close to the cut)"
-            )
+    else:
+        raise AccuracyError(
+            "wide-kernel tail cannot reach the tolerance within max_intervals "
+            f"(arg z = {theta:.4f} is too close to the cut)"
+        )
     tail = _wide_tail_bound(t_stop, abs_z, sec_half, m_eff, symmetrized)
 
     breaks = _wide_breakpoints(t_stop, z)
@@ -305,7 +249,7 @@ def remainder_wide(
     for n in range(n_trunc, m_eff):
         ladder += series_coefficient(n) * zpow
         zpow *= zinv2
-    est = tail + 8.0 * _EPS * (abs_sum * abs(pref) + abs(ladder))
+    est = tail + 8.0 * EPS * (abs_sum * abs(pref) + abs(ladder))
     return OracleValue(value=ladder + remainder_eff, est_error=est, kernel=kernel)
 
 
@@ -313,8 +257,7 @@ def log_barnes_oracle(
     z: complex, policy: QuadraturePolicy = DEFAULT_POLICY
 ) -> OracleValue:
     """log G(z+1) to quadrature accuracy: truncated expansion plus oracle remainder."""
-    z = _check_wide(z)
-    rem = remainder_wide(z, 1, policy)
+    rem = remainder_wide(z, 1, policy)  # checks z
     value = expansion_prefix(z) + rem.value
-    est = rem.est_error + 8.0 * _EPS * (abs(value) + 1.0)
+    est = rem.est_error + 8.0 * EPS * (abs(value) + 1.0)
     return OracleValue(value=value, est_error=est, kernel=rem.kernel)

@@ -11,16 +11,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .bernoulli import DEFAULT_TABLE, EULER_GAMMA
+from .bernoulli import DEFAULT_TABLE, EPS, EULER_GAMMA, TWO_PI
 from .errors import AccuracyError, DomainError, RangeError
 from .quadrature import gauss_nodes
 
 __all__ = [
-    "LogGammaPolicy",
     "log_gamma",
     "dilog",
     "exp_integral_e1",
@@ -28,48 +26,28 @@ __all__ = [
     "c_of_phi",
 ]
 
-_EPS = 2.220446049250313e-16
-TWO_PI = 2.0 * math.pi
+#: log Gamma shifts z upward until Re z >= 9, then sums 12 Stirling terms
+#: B_{2n}/(2n(2n-1) z^{2n-1}); round-off, not truncation, sets the error.
+_SHIFT_THRESHOLD = 9.0
+_STIRLING_TERMS = 12
 
 
-@dataclass(frozen=True)
-class LogGammaPolicy:
-    """Shift-then-Stirling evaluation policy for log Gamma.
-
-    shift_threshold is the minimum real part before the Stirling tail is
-    applied; stirling_terms the number of B_{2n}/(2n(2n-1) z^{2n-1}) terms.
-    Defaults put round-off, not truncation, in charge of the error.
-    """
-
-    shift_threshold: float = 9.0
-    stirling_terms: int = 12
-
-    def __post_init__(self) -> None:
-        if self.shift_threshold < 8.0:
-            raise DomainError("shift_threshold must be >= 8")
-        if not 4 <= self.stirling_terms <= 20:
-            raise DomainError("stirling_terms must lie in [4, 20]")
-
-
-_DEFAULT_LG = LogGammaPolicy()
-
-
-def log_gamma(z: complex, policy: LogGammaPolicy = _DEFAULT_LG) -> complex:
+def log_gamma(z: complex) -> complex:
     """Principal branch of log Gamma(z) on the plane cut along (-inf, 0].
 
-    Upward recurrence shifts z until Re z clears the policy threshold, then
+    Upward recurrence shifts z until Re z clears the shift threshold, then
     the Stirling series finishes the job.  Relative error is at the
     round-off level (<= 1e-13) for |z| >= 1.
     """
     z = complex(z)
     if z.imag == 0.0 and z.real <= 0.0:
         raise DomainError("log_gamma: pole or branch cut on the non-positive real axis")
-    shift = max(0, math.ceil(policy.shift_threshold - z.real))
+    shift = max(0, math.ceil(_SHIFT_THRESHOLD - z.real))
     zs = z + shift
     out = (zs - 0.5) * cmath.log(zs) - zs + 0.5 * math.log(TWO_PI)
     zs2 = zs * zs
     zpow = zs
-    for n in range(1, policy.stirling_terms + 1):
+    for n in range(1, _STIRLING_TERMS + 1):
         out += DEFAULT_TABLE.number(2 * n) / ((2 * n) * (2 * n - 1) * zpow)
         zpow *= zs2
     for j in range(shift):
@@ -173,9 +151,7 @@ def exp_integral_e1(w: complex) -> complex:
         raise DomainError("E1 has a logarithmic singularity at 0")
     if w.imag == 0.0 and w.real < 0.0:
         raise DomainError("E1: branch cut on the negative real axis")
-    if _use_series(w):
-        return _ein(w) - EULER_GAMMA - cmath.log(w)
-    return _e1_lentz_scaled(w) * cmath.exp(-w)
+    return _e1_continued(w, cmath.phase(w))[0]
 
 
 def _e1_continued(w: complex, arg_w: float) -> tuple[complex, float]:
@@ -190,7 +166,7 @@ def _e1_continued(w: complex, arg_w: float) -> tuple[complex, float]:
         val = _ein(w) - EULER_GAMMA - cmath.log(w)
         # series cancellation grows like e^{|w|(1 + cos arg w)}
         cancel = math.exp(min(42.0, abs(w) * (1.0 + math.cos(cmath.phase(w)))))
-        rel = 4.0 * _EPS * max(4.0, cancel / max(1.0, math.sqrt(abs(w))))
+        rel = 4.0 * EPS * max(4.0, cancel / max(1.0, math.sqrt(abs(w))))
     else:
         val = _e1_lentz_scaled(w) * cmath.exp(-w)
         rel = 1e-12  # continued-fraction plateau near the cut
@@ -232,18 +208,14 @@ def _e1_scaled_continued(w: complex, arg_w: float) -> tuple[complex, float]:
         total += term
         term *= -(j + 1) / w
         j += 1
-        if abs(term) < _EPS * abs(total) or j > abs(w) - 2:
+        if abs(term) < EPS * abs(total) or j > abs(w) - 2:
             break
     ew = cmath.exp(w)  # Re w < 0 here
-    zeta = _c_branch(ph - math.pi) * math.sqrt(0.5 * abs(w))
-    if abs(zeta) > 4.0:
-        switch = 0.5 + 0.5 * math.copysign(1.0, zeta.real)
-    else:
-        switch = 0.5 + 0.5 * erf_small(zeta)
+    switch = 0.5 + 0.5 * _erf_saturated(_c_branch(ph - math.pi) * math.sqrt(0.5 * abs(w)))
     total -= 2j * math.pi * switch * ew
     if windings:
         total -= 2j * math.pi * windings * ew
-    return total, 8 * _EPS + abs(w) ** 1.5 * math.exp(-abs(w))
+    return total, 8 * EPS + abs(w) ** 1.5 * math.exp(-abs(w))
 
 
 # ----------------------------------------------------------------------
@@ -278,6 +250,13 @@ def erf_small(zeta: complex) -> complex:
     vals = np.exp(-(s * zeta) ** 2)
     integral = 0.5 * complex(np.sum(wts * vals)) * zeta
     return 2.0 / math.sqrt(math.pi) * integral
+
+
+def _erf_saturated(zeta: complex) -> complex:
+    """erf(zeta) for |zeta| <= 4, saturated to sign(Re zeta) outside that disc."""
+    if abs(zeta) > 4.0:
+        return complex(math.copysign(1.0, zeta.real))
+    return erf_small(zeta)
 
 
 # ----------------------------------------------------------------------

@@ -36,11 +36,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bernoulli import zeta_even
+from .bernoulli import EPS, TWO_PI, zeta_even
 from .errors import AccuracyError, DomainError, RangeError
-from .expansion import expansion_prefix
+from .expansion import _check_sector, expansion_prefix
 from .quadrature import integrate_panels
-from .special import _c_branch, _e1_scaled_continued, erf_small
+from .special import _c_branch, _e1_scaled_continued, _erf_saturated
 
 __all__ = [
     "TerminantMethod",
@@ -54,8 +54,6 @@ __all__ = [
     "stokes_profile",
 ]
 
-_EPS = 2.220446049250313e-16
-TWO_PI = 2.0 * math.pi
 MAX_ORDER = 171  # Gamma(p) overflows beyond this
 _OPTIMAL_CAP = 40
 
@@ -107,9 +105,9 @@ def _scaled_recurrence(p: int, w: complex, arg_w: float) -> tuple[complex, float
     for m in range(1, p):
         g = (g - w ** (-m)) / (-m)
         fact *= m
-        err_acc += 4.0 * _EPS * abs(g) * fact
+        err_acc += 4.0 * EPS * abs(g) * fact
     value = cmath.exp(1j * math.pi * p) * math.gamma(p) / (2j * math.pi) * g
-    est = err_acc / TWO_PI + 4.0 * _EPS * abs(value)
+    est = err_acc / TWO_PI + 4.0 * EPS * abs(value)
     return value, est
 
 
@@ -131,7 +129,7 @@ def _scaled_quadrature(p: int, w: complex, arg_w: float) -> tuple[complex, float
 
     integral, abs_sum = integrate_panels(integrand, list(breaks))
     value = cmath.exp(1j * math.pi * p) * direction ** (1 - p) * integral / (2j * math.pi)
-    est = 8.0 * _EPS * abs_sum / TWO_PI
+    est = 8.0 * EPS * abs_sum / TWO_PI
     return value, est
 
 
@@ -202,12 +200,8 @@ def terminant_erf_approx(
             raise DomainError("arg w outside the lower erf-form range")
         zeta = -_c_branch(-arg_w - math.pi).conjugate() * scale
         base, sign = -0.5, 0.5
-    if abs(zeta) > 4.0:
-        erf_val = complex(math.copysign(1.0, zeta.real))
-    else:
-        erf_val = erf_small(zeta)
     return TerminantEval(
-        value=base + sign * erf_val,
+        value=base + sign * _erf_saturated(zeta),
         method=TerminantMethod.ERF_ASYMPTOTIC,
         est_error=1.0 / math.sqrt(abs(w)),
     )
@@ -291,7 +285,10 @@ def _algebraic_sum(z: complex, scheme: TruncationScheme) -> complex:
     """
     abs_z = abs(z)
     total = 0.0 + 0.0j
-    zinv2 = 1.0 / (z * z)
+    try:
+        zinv2 = 1.0 / (z * z)
+    except ZeroDivisionError:
+        raise RangeError(f"z^2 underflows to zero at z = {z}") from None
     if scheme.mode == "uniform":
         n_stop = scheme.uniform_n or 0
     else:
@@ -357,14 +354,12 @@ def exp_improved_report(
     z: complex, scheme: TruncationScheme = DEFAULT_SCHEME
 ) -> tuple[complex, float]:
     """Improved evaluation plus an error estimate (terminant k-tail + round-off)."""
-    z = complex(z)
-    if z == 0 or (z.imag == 0.0 and z.real < 0.0):
-        raise DomainError("z must lie in the slit plane |arg z| < pi")
+    z = _check_sector(z)
     total = expansion_prefix(z)
     total -= _algebraic_sum(z, scheme)
     pairs, eval_err, tail = _terminant_pairs(z, scheme)
     total -= pairs
-    est = tail + eval_err + 8.0 * _EPS * abs(total)
+    est = tail + eval_err + 8.0 * EPS * abs(total)
     return total, est
 
 
@@ -400,12 +395,6 @@ class StokesSample:
         return self.erf_prediction / self.limit
 
 
-def _erf_transition(x: float) -> float:
-    if abs(x) > 4.0:
-        return 0.5 + 0.5 * math.copysign(1.0, x)
-    return 0.5 + 0.5 * erf_small(complex(x)).real
-
-
 def stokes_profile(
     abs_z: float, k: int, thetas: Sequence[float]
 ) -> list[StokesSample]:
@@ -435,28 +424,21 @@ def stokes_profile(
     n_k = int(math.floor(math.pi * k * abs_z + 0.5))
     p = 2 * n_k + 1
     rate = math.sqrt(math.pi * k * abs_z)
+    # sign = +1 on the upper line, where w = 2 pi k i z; -1 on the lower, where w = -2 pi k i z
+    sign = 1.0 if upper else -1.0
+    limit = -sign / (2j * math.pi * k * k)
     samples: list[StokesSample] = []
     for theta in thetas:
         z = abs_z * cmath.exp(1j * theta)
-        if upper:
-            w = TWO_PI * k * 1j * z
-            ev = terminant(p, w, arg_w=theta + 0.5 * math.pi,
-                           method=TerminantMethod.GAMMA_RECURRENCE)
-            multiplier = -ev.value / (2j * math.pi * k * k)
-            pred_norm = _erf_transition((theta - 0.5 * math.pi) * rate)
-            limit = -1.0 / (2j * math.pi * k * k)
-        else:
-            w = -TWO_PI * k * 1j * z
-            ev = terminant(p, w, arg_w=theta - 0.5 * math.pi,
-                           method=TerminantMethod.GAMMA_RECURRENCE)
-            multiplier = -ev.value / (2j * math.pi * k * k)
-            pred_norm = _erf_transition(-(theta + 0.5 * math.pi) * rate)
-            limit = 1.0 / (2j * math.pi * k * k)
+        ev = terminant(p, sign * TWO_PI * k * 1j * z, arg_w=theta + sign * 0.5 * math.pi,
+                       method=TerminantMethod.GAMMA_RECURRENCE)
+        x = sign * (theta - sign * 0.5 * math.pi) * rate  # signed distance past the line
+        pred_norm = 0.5 + 0.5 * _erf_saturated(complex(x)).real
         samples.append(
             StokesSample(
                 theta=theta,
                 k=k,
-                multiplier=multiplier,
+                multiplier=-ev.value / (2j * math.pi * k * k),
                 erf_prediction=pred_norm * limit,
             )
         )

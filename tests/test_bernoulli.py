@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 
 from barnesg import (
-    CONSTANTS,
     EULER_GAMMA,
     LOG_GLAISHER,
     BernoulliTable,
     DomainError,
     RangeError,
-    barnes_series_coefficient,
     bernoulli_number,
     bernoulli_poly,
     series_coefficient,
@@ -20,6 +18,7 @@ from barnesg import (
 )
 from barnesg.bernoulli import DEFAULT_TABLE
 from barnesg.quadrature import geometric_breakpoints, integrate_panels
+from test_expansion import barnes_series_coefficient
 
 TWO_PI = 2.0 * math.pi
 
@@ -145,10 +144,6 @@ class TestConstants:
     def test_euler_gamma_digits(self):
         assert abs(EULER_GAMMA - 0.57721566) < 1e-8
         assert EULER_GAMMA == pytest.approx(float(np.euler_gamma), abs=1e-16)
-
-    def test_constants_dataclass(self):
-        assert CONSTANTS.log_a == LOG_GLAISHER
-        assert CONSTANTS.euler_gamma == EULER_GAMMA
 
     def test_zeta_even_values(self):
         assert zeta_even(2) == pytest.approx(math.pi ** 2 / 6.0, rel=1e-15)

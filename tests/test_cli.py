@@ -1,11 +1,13 @@
 """Command-line interface: rows, formats, determinism, exit codes."""
 
+import cmath
 import json
 import math
 
 import pytest
 from click.testing import CliRunner
 
+from barnesg import BoundKind, best_bound, family_bounds
 from barnesg.cli import main
 
 
@@ -103,6 +105,28 @@ class TestBounds:
         )
         assert res.exit_code == 0
         assert len(csv_rows(res.output)) == 1
+
+    def test_columns_are_family_bounds(self, runner):
+        res = runner.invoke(
+            main,
+            ["bounds", "--z-abs", "2,5", "--theta-pi", "-0.8,-0.5,-0.3,0,0.2,0.3,0.5,0.6,0.9",
+             "--n-min", "1", "--n-max", "6", "--format", "json"],
+        )
+        assert res.exit_code == 0
+        rows = json_rows(res.output)
+        assert len(rows) == 2 * 9 * 6
+        for row in rows:
+            z, n = row["z_abs"] * cmath.exp(1j * row["theta"]), row["n"]
+            families = family_bounds(z, n)
+            sector = families.get(BoundKind.SECTOR)
+            opt = families.get(BoundKind.OPTIMIZED)
+            got = (row["bound_sector"], row["bound_half_angle"], row["bound_optimized"],
+                   row["phi_star"], row["best_bound"])
+            want = (sector.bound if sector else math.nan, families[BoundKind.HALF_ANGLE].bound,
+                    opt.bound if opt else math.nan, opt.phi_star if opt else math.nan,
+                    best_bound(z, n).bound)
+            # repr compares bit for bit and treats nan as equal to nan
+            assert [repr(v) for v in got] == [repr(v) for v in want]
 
     def test_inapplicable_bounds_are_nan(self, runner):
         res = runner.invoke(

@@ -8,15 +8,16 @@ import numpy as np
 import pytest
 
 from barnesg import (
+    LOG_GLAISHER,
     BoundKind,
     DomainError,
     RangeError,
-    barnes_style_series,
     bernoulli_number,
     best_bound,
     bound_closed_form,
     bound_optimized,
     certified_eval,
+    family_bounds,
     log_barnes_oracle,
     remainder_narrow,
     sector_factor,
@@ -27,6 +28,33 @@ from barnesg import (
 from barnesg.expansion import MAX_TRUNCATION, _bracket
 
 PI = math.pi
+
+
+def barnes_series_coefficient(n):
+    """Coefficient of z^{-2n} in Barnes' composed series: B_{2n+2}/(2n (2n+2))."""
+    return bernoulli_number(2 * n + 2) / (2 * n * (2 * n + 2))
+
+
+def barnes_style_series(z, n_trunc):
+    """Barnes' composed form of the truncated expansion (uncertified cross-check).
+
+    Equivalent to substituting the standard log-Gamma series into
+    truncated_log_barnes; the series coefficients become B_{2n+2}/(2n(2n+2)).
+    """
+    z = complex(z)
+    total = (
+        -0.75 * z * z
+        + 0.5 * z * math.log(2.0 * math.pi)
+        + (0.5 * z * z - 1.0 / 12.0) * cmath.log(z)
+        + 1.0 / 12.0
+        - LOG_GLAISHER
+    )
+    zinv2 = 1.0 / (z * z)
+    zpow = zinv2
+    for n in range(1, n_trunc):
+        total += barnes_series_coefficient(n) * zpow
+        zpow *= zinv2
+    return total
 
 
 def _h(phi, theta, n):
@@ -180,6 +208,34 @@ class TestClosedFormBounds:
                     ours = min(sector_factor(theta), 0.5 * math.sqrt(math.e * (2 * n + 2.5)))
                 prior = (1.0 / math.cos(theta)) ** (2 * n)
                 assert ours <= prior * (1 + 1e-12)
+
+
+class TestFamilyBounds:
+    """family_bounds holds the one implementation of each family."""
+
+    THETAS = sorted({0.0, PI / 4, PI / 2, 0.75 * PI, PI / 4 + 1e-9, PI / 2 + 1e-9}
+                    | set(np.linspace(-0.95 * PI, 0.95 * PI, 39).tolist()))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 20])
+    def test_bound_functions_read_their_family(self, n):
+        for theta in self.THETAS:
+            z = 3.0 * cmath.exp(1j * theta)
+            families = family_bounds(z, n)
+            a = abs(cmath.phase(z))
+            want = [BoundKind.SECTOR] if a <= PI / 2 else []
+            want += [BoundKind.HALF_ANGLE]
+            want += [BoundKind.OPTIMIZED] if PI / 4 < a else []
+            assert list(families) == want
+            # the smaller factor wins, and min() keeps the first (SECTOR) on a tie
+            closed = [families[k] for k in (BoundKind.SECTOR, BoundKind.HALF_ANGLE)
+                      if k in families]
+            assert bound_closed_form(z, n) == min(closed, key=lambda r: r.factor)
+            if BoundKind.OPTIMIZED in families:
+                assert bound_optimized(z, n) == families[BoundKind.OPTIMIZED]
+            else:
+                with pytest.raises(DomainError):
+                    bound_optimized(z, n)
+            assert best_bound(z, n).bound == min(r.bound for r in families.values())
 
 
 class TestOptimalAngle:

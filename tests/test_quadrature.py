@@ -1,13 +1,16 @@
 """Gauss-Legendre nodes against scipy, and the import footprint of the package."""
 
 import inspect
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import roots_legendre
 
+import barnesg
 from barnesg import QuadraturePolicy
 from barnesg.quadrature import gauss_nodes, integrate_panels
 
@@ -34,5 +37,9 @@ def test_nodes_and_weights_match_scipy(order):
 
 def test_import_does_not_load_scipy():
     code = "import sys, barnesg; sys.exit('scipy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60)
+    # the child must import the same barnesg as this process, from wherever it was found
+    src = str(Path(barnesg.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr

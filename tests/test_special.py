@@ -9,7 +9,6 @@ import scipy.special as sp
 
 from barnesg import (
     DomainError,
-    LogGammaPolicy,
     RangeError,
     c_of_phi,
     dilog,
@@ -56,12 +55,6 @@ class TestLogGamma:
             log_gamma(0.0)
         with pytest.raises(DomainError):
             log_gamma(-2.0)
-
-    def test_policy_validation(self):
-        with pytest.raises(DomainError):
-            LogGammaPolicy(shift_threshold=5.0)
-        with pytest.raises(DomainError):
-            LogGammaPolicy(stirling_terms=2)
 
 
 class TestDilog:

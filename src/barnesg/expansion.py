@@ -100,6 +100,13 @@ def _check_sector(z: complex) -> complex:
     return z
 
 
+def _check_finite(z: complex, *values: complex) -> None:
+    """RangeError unless every value is finite: binary64 overflowed on the way at z."""
+    for v in values:
+        if not cmath.isfinite(v):
+            raise RangeError(f"the result is not finite in binary64 at z = {z}")
+
+
 def expansion_prefix(z: complex) -> complex:
     """The N-independent part: z^2/4 + z log Gamma(z+1) - (z(z+1)/2 + 1/12) log z - log A.
 
@@ -112,8 +119,7 @@ def expansion_prefix(z: complex) -> complex:
         - (0.5 * z * (z + 1.0) + 1.0 / 12.0) * cmath.log(z)
         - LOG_GLAISHER
     )
-    if not cmath.isfinite(prefix):
-        raise RangeError(f"the expansion prefix is not finite in binary64 at z = {z}")
+    _check_finite(z, prefix)
     return prefix
 
 
@@ -353,8 +359,7 @@ def certified_eval(z: complex, n_trunc: Optional[int] = None) -> ExpansionResult
             raise DomainError(f"n_trunc must lie in [1, {MAX_TRUNCATION}]")
         chosen, chosen_report = n_trunc, best_bound(z, n_trunc)
     value = truncated_log_barnes(z, chosen)
-    if not cmath.isfinite(value):
-        raise RangeError(f"the expansion is not finite in binary64 at z = {z}")
+    _check_finite(z, value)
     return ExpansionResult(
         value=value,
         n_trunc=chosen,

@@ -21,7 +21,9 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .bernoulli import DEFAULT_TABLE, EPS, TWO_PI, series_coefficient
 from .errors import AccuracyError, DomainError, RangeError
 from .expansion import (
     BoundKind,
+    _check_finite,
     _check_sector,
     _first_term_magnitude,
     _half_angle_factor,
@@ -93,6 +96,17 @@ def _check_narrow(z: complex) -> complex:
     return z
 
 
+@contextmanager
+def _binary64(z: complex) -> Iterator[None]:
+    """A float overflow, division by zero or invalid result in the block
+    (Python or numpy) raises RangeError, not a RuntimeWarning or a bare error."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except (FloatingPointError, OverflowError, ZeroDivisionError):
+        raise RangeError(f"the remainder kernel leaves the float range at z = {z}") from None
+
+
 def _narrow_breakpoints(policy: QuadraturePolicy) -> tuple[list[float], float]:
     t_stop = max(4.0, math.log(1.0 / policy.tail_tolerance) / TWO_PI + 2.0)
     t_int = int(math.ceil(t_stop))
@@ -123,18 +137,18 @@ def remainder_narrow(
         raise DomainError("n_trunc must be >= 1")
     breaks, t_stop = _narrow_breakpoints(policy)
     k = 2 * n_trunc
-    try:
-        pref = (-1) ** n_trunc / (2.0 * math.pi ** 2 * z ** k)
-        tail = _narrow_tail_bound(t_stop, n_trunc, sector_factor(cmath.phase(z))) / abs(z) ** k
-    except (OverflowError, ZeroDivisionError):
-        raise RangeError(f"z^{k} is outside the float range for z = {z}") from None
 
     def integrand(t: np.ndarray) -> np.ndarray:
         return t ** (2 * n_trunc - 1) / (1.0 + (t / z) ** 2) * _dilog_exp(t)
 
-    integral, abs_sum = integrate_panels(integrand, breaks, policy.nodes_per_interval)
+    with _binary64(z):
+        pref = (-1) ** n_trunc / (2.0 * math.pi ** 2 * z ** k)
+        tail = _narrow_tail_bound(t_stop, n_trunc, sector_factor(cmath.phase(z))) / abs(z) ** k
+        integral, abs_sum = integrate_panels(integrand, breaks, policy.nodes_per_interval)
+        value = pref * integral
     est = tail + 8.0 * EPS * abs_sum * abs(pref)
-    return OracleValue(value=pref * integral, est_error=est, kernel=RemainderKernel.DILOG)
+    _check_finite(z, value, est)
+    return OracleValue(value=value, est_error=est, kernel=RemainderKernel.DILOG)
 
 
 # ----------------------------------------------------------------------
@@ -240,17 +254,20 @@ def remainder_wide(
 
         pref = -1.0 / (2 * m_eff * (2 * m_eff + 1))
 
-    integral, abs_sum = integrate_panels(integrand, breaks, policy.nodes_per_interval)
-    remainder_eff = pref * integral
-    # exact ladder restoration back down to the requested index
-    ladder = 0.0 + 0.0j
-    zinv2 = 1.0 / (z * z)
-    zpow = zinv2 ** n_trunc
-    for n in range(n_trunc, m_eff):
-        ladder += series_coefficient(n) * zpow
-        zpow *= zinv2
+    with _binary64(z):
+        integral, abs_sum = integrate_panels(integrand, breaks, policy.nodes_per_interval)
+        remainder_eff = pref * integral
+        # exact ladder restoration back down to the requested index
+        ladder = 0.0 + 0.0j
+        zinv2 = 1.0 / (z * z)
+        zpow = zinv2 ** n_trunc
+        for n in range(n_trunc, m_eff):
+            ladder += series_coefficient(n) * zpow
+            zpow *= zinv2
+        value = ladder + remainder_eff
     est = tail + 8.0 * EPS * (abs_sum * abs(pref) + abs(ladder))
-    return OracleValue(value=ladder + remainder_eff, est_error=est, kernel=kernel)
+    _check_finite(z, value, est)
+    return OracleValue(value=value, est_error=est, kernel=kernel)
 
 
 def log_barnes_oracle(

@@ -1,5 +1,6 @@
-"""Scalar special-function kernels: log Gamma, dilogarithm, E1, erf, and the
-Stokes-geometry function c(phi).
+"""Special-function kernels: log Gamma, dilogarithm, E1, erf, and the
+Stokes-geometry function c(phi).  All are scalar except the dilogarithm,
+whose kernel evaluates a whole array of quadrature nodes in one pass.
 
 These are the only transcendental building blocks the rest of the library
 needs.  Each has a small validity region chosen for the arguments the
@@ -55,38 +56,53 @@ def log_gamma(z: complex) -> complex:
     return out
 
 
+#: Li2(y) = sum_{n>=1} y^n / n^2 for y <= 1/2: after 47 terms the tail is
+#: below 2^-48 / 48^2 < 2e-18, under half an ulp of Li2(1/2).
+_LI2_INV_SQUARES = tuple(1.0 / (n * n) for n in range(47, 0, -1))
+_PI2_6 = math.pi ** 2 / 6.0
+#: Smallest positive double: keeps log(1 - x) finite at x = 1, where the log x
+#: factor it multiplies is exactly zero.
+_TINY = math.ulp(0.0)
+
+
+def _li2(x: np.ndarray) -> np.ndarray:
+    """Li2 on [0, 1], elementwise: the series in y <= 1/2 by Horner's rule.
+
+    Direct series for x <= 1/2; Euler reflection
+    Li2(x) = pi^2/6 - log x log(1-x) - Li2(1-x) otherwise, with the log
+    product taken as 0 at x = 1.  No argument check, no warnings on [0, 1].
+    1 - x is exact for x >= 1/2, so log(1 - x) needs no log1p.
+    """
+    refl = x > 0.5
+    y = np.where(refl, 1.0 - x, x)
+    acc = np.full_like(y, _LI2_INV_SQUARES[0])
+    for c in _LI2_INV_SQUARES[1:]:
+        acc *= y
+        acc += c
+    series = acc * y
+    logs = np.log(np.maximum(x, 0.5)) * np.log(np.maximum(y, _TINY))
+    return np.where(refl, _PI2_6 - logs - series, series)
+
+
 def dilog(x: float) -> float:
     """Real dilogarithm Li2(x) on [0, 1].
 
-    Direct series for x <= 1/2; Euler reflection otherwise.  Absolute error
-    is below 1e-14 on the whole interval.
+    Direct series for x <= 1/2 and Euler reflection otherwise, both through
+    the vectorised kernel that also serves the remainder quadrature.
+    Li2(0) = 0 and Li2(1) = pi^2/6 exactly; absolute error is below 1e-15 on
+    the whole interval.
     """
     if not 0.0 <= x <= 1.0:
         raise DomainError("dilog: argument must lie in [0, 1]")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return math.pi ** 2 / 6.0
-    if x > 0.5:
-        return math.pi ** 2 / 6.0 - math.log(x) * math.log1p(-x) - dilog(1.0 - x)
-    total = 0.0
-    power = x
-    n = 1
-    while True:
-        term = power / (n * n)
-        total += term
-        n += 1
-        power *= x
-        if power / (n * n) < 1e-17 * total:
-            break
-    return total
+    return float(_li2(np.array(float(x))))
 
 
 def _dilog_exp(t: np.ndarray) -> np.ndarray:
-    """Vectorized Li2(e^{-2 pi t}) for t >= 0 (remainder-kernel helper)."""
-    return np.array(
-        [dilog(math.exp(-TWO_PI * ti)) if ti > 0 else math.pi ** 2 / 6.0 for ti in t]
-    )
+    """Li2(e^{-2 pi t}) for an array t >= 0 in one vectorised pass.
+
+    The remainder-kernel factor; t = 0 gives pi^2/6 exactly.
+    """
+    return _li2(np.exp(-TWO_PI * t))
 
 
 # ----------------------------------------------------------------------

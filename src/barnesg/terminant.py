@@ -38,7 +38,7 @@ import numpy as np
 
 from .bernoulli import EPS, TWO_PI, zeta_even
 from .errors import AccuracyError, DomainError, RangeError
-from .expansion import _check_sector, expansion_prefix
+from .expansion import _check_finite, _check_sector, expansion_prefix
 from .quadrature import integrate_panels
 from .special import _c_branch, _e1_scaled_continued, _erf_saturated
 
@@ -127,7 +127,7 @@ def _scaled_quadrature(p: int, w: complex, arg_w: float) -> tuple[complex, float
             log_mag = (p - 1) * np.log(np.maximum(s, 1e-300)) - abs_w * s
         return np.exp(log_mag) / (direction + s)
 
-    integral, abs_sum = integrate_panels(integrand, list(breaks))
+    integral, abs_sum = integrate_panels(integrand, breaks)
     value = cmath.exp(1j * math.pi * p) * direction ** (1 - p) * integral / (2j * math.pi)
     est = 8.0 * EPS * abs_sum / TWO_PI
     return value, est
@@ -360,6 +360,7 @@ def exp_improved_report(
     pairs, eval_err, tail = _terminant_pairs(z, scheme)
     total -= pairs
     est = tail + eval_err + 8.0 * EPS * abs(total)
+    _check_finite(z, total, est)
     return total, est
 
 

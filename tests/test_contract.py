@@ -2,12 +2,14 @@
 
 Each route either returns finite numbers or raises a typed library error.
 z outside the slit plane (non-finite, zero, on the cut) raises DomainError;
-a modulus whose powers leave the binary64 range raises RangeError.
+a modulus whose powers leave the binary64 range raises RangeError, and so
+does a float overflow inside a route, without a RuntimeWarning.
 """
 
 import cmath
 import math
 import numbers
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -43,6 +45,18 @@ OUTSIDE_SLIT_PLANE = [complex(NAN, 0.0), complex(0.0, NAN), complex(INF, 0.0),
                       complex(-2.0, 0.0), complex(-2.0, -0.0)]
 TINY_OR_HUGE = [1e-300, 1e200]
 NEAR_CUT = complex(-1.0, 1e-15)
+# finite moduli at which an intermediate of the route overflows: the terminant
+# recurrence's w^m, the promotion ladder's z^{-2n}, the wide kernel's
+# (t + z)^{2 m_eff}, the narrow prefactor 1/z^{2N}
+OVERFLOW_INSIDE = [
+    ("exp_improved_report", 300 * cmath.exp(0.3j * math.pi)),
+    # polar 1000i; at exactly 1000j every w is real and the value is finite
+    ("exp_improved_report", 1000 * cmath.exp(0.5j * math.pi)),
+    ("log_barnes_oracle", 1e-30 * cmath.exp(0.3j * math.pi)),
+    ("remainder_wide", 1e30),
+    ("remainder_wide", 3e-78),
+    ("remainder_narrow", 1e-78),
+]
 
 
 def _numbers(out):
@@ -70,6 +84,14 @@ def test_modulus_outside_the_float_range_raises_range_error(route, z):
         ROUTES[route](z)
 
 
+@pytest.mark.parametrize("route,z", OVERFLOW_INSIDE, ids=[f"{r}-{z!r}" for r, z in OVERFLOW_INSIDE])
+def test_overflow_inside_a_route_raises_range_error_without_warnings(route, z):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RangeError):
+            ROUTES[route](z)
+
+
 @pytest.mark.parametrize("route", ROUTES)
 def test_near_the_cut_gives_a_typed_error_or_finite_numbers(route):
     try:
@@ -84,6 +106,9 @@ def _eval(method, re, im="0"):
     return ["eval", "--method", method, "--z-re", re, "--z-im", im]
 
 
+CLI_METHOD = {"log_barnes_oracle": "oracle", "exp_improved_report": "hyper"}
+
+
 CLI_CASES = [
     *[(_eval(m, re), 2) for m in ("oracle", "hyper")
       for re in ("nan", "inf", "-inf", "0", "-0.0", "-2", "1e-300", "1e200")],
@@ -93,6 +118,8 @@ CLI_CASES = [
     (_eval("asym", "-1", "1e-15"), 3),
     (_eval("hyper", "-1", "1e-15"), 0),  # a finite value with its estimate
     *[(["bounds", "--z-abs", r], 2) for r in ("nan", "inf", "0", "1e-300", "1e200")],
+    *[(_eval(CLI_METHOD[route], repr(z.real), repr(z.imag)), 2)
+      for route, z in OVERFLOW_INSIDE if route in CLI_METHOD],
     (["bounds", "--z-abs", "1", "--theta", repr(math.pi - 1e-15)], 3),
 ]
 

@@ -3,12 +3,14 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sp
 
 from barnesg import (
     DomainError,
+    QuadraturePolicy,
     RangeError,
     c_of_phi,
     dilog,
@@ -16,7 +18,10 @@ from barnesg import (
     exp_integral_e1,
     log_gamma,
 )
+from barnesg.bernoulli import TWO_PI
+from barnesg.oracle import _narrow_breakpoints
 from barnesg.quadrature import gauss_nodes
+from barnesg.special import _dilog_exp
 
 
 class TestLogGamma:
@@ -91,6 +96,44 @@ class TestDilog:
             dilog(1.5)
         with pytest.raises(DomainError):
             dilog(-0.1)
+
+
+def _narrow_nodes():
+    """Every quadrature node t of the dilog-kernel remainder oracle."""
+    breaks, _ = _narrow_breakpoints(QuadraturePolicy())
+    x, _ = gauss_nodes(QuadraturePolicy().nodes_per_interval)
+    return np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * x
+                           for a, b in zip(breaks[:-1], breaks[1:])])
+
+
+def _li2_ref(x):
+    with mp.workdps(40):
+        return float(mp.polylog(2, mp.mpf(x)))
+
+
+class TestLi2Kernel:
+    """The vectorised Li2 kernel behind dilog and _dilog_exp, against mpmath."""
+
+    EDGES = [2.0 ** -1074, 0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0),
+             1.0 - 2.0 ** -53]
+
+    def test_dilog_exp_on_the_narrow_nodes(self):
+        t = _narrow_nodes()
+        got = _dilog_exp(t)
+        with mp.workdps(40):
+            ref = [float(mp.polylog(2, mp.exp(-2 * mp.pi * mp.mpf(ti)))) for ti in t]
+        assert np.max(np.abs(got - ref)) <= 1e-15
+
+    def test_dilog_on_the_narrow_node_arguments_and_edges(self):
+        xs = [float(x) for x in np.exp(-TWO_PI * _narrow_nodes())] + self.EDGES
+        worst = max(abs(dilog(x) - _li2_ref(x)) for x in xs)
+        assert worst <= 1e-15
+
+    def test_endpoints_are_exact_and_quiet(self, recwarn):
+        assert dilog(0.0) == 0.0
+        assert dilog(1.0) == math.pi ** 2 / 6.0
+        assert _dilog_exp(np.array([0.0]))[0] == math.pi ** 2 / 6.0
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def e1_series_oracle(w):

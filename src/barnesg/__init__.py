@@ -32,7 +32,6 @@ from .expansion import (
 )
 from .oracle import (
     OracleValue,
-    QuadraturePolicy,
     RemainderKernel,
     log_barnes_oracle,
     remainder_narrow,
@@ -69,7 +68,6 @@ __all__ = [
     "ExpansionResult",
     "LOG_GLAISHER",
     "OracleValue",
-    "QuadraturePolicy",
     "RangeError",
     "RemainderKernel",
     "StokesSample",

@@ -16,7 +16,6 @@ artifact's purposes; the table stops at 64.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -48,6 +47,9 @@ TWO_PI = 2.0 * math.pi
 #: Unit round-off scale of binary64 (machine epsilon), used by the round-off estimates.
 EPS = 2.220446049250313e-16
 
+#: Largest index in the Bernoulli table.
+MAX_INDEX = 64
+
 
 def _generate(max_index: int) -> tuple[float, ...]:
     values = [Fraction(0)] * (max_index + 1)
@@ -60,26 +62,20 @@ def _generate(max_index: int) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
-@dataclass(frozen=True)
 class BernoulliTable:
-    """Immutable table of Bernoulli numbers B_0 .. B_{max_index}.
+    """The fixed table of Bernoulli numbers B_0 .. B_64 and the polynomials built on it.
 
     Safe for concurrent reads; all lookups are pure.
     """
 
-    max_index: int = 64
-    values: tuple[float, ...] = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.values is None:
-            object.__setattr__(self, "values", _generate(self.max_index))
+    values: tuple[float, ...] = _generate(MAX_INDEX)
 
     def number(self, n: int) -> float:
         """B_n.  Odd indices beyond 1 are exactly zero."""
         if n < 0:
             raise DomainError("Bernoulli index must be non-negative")
-        if n > self.max_index:
-            raise RangeError(f"Bernoulli index {n} beyond table maximum {self.max_index}")
+        if n > MAX_INDEX:
+            raise RangeError(f"Bernoulli index {n} beyond table maximum {MAX_INDEX}")
         return self.values[n]
 
     def poly(self, n: int, x: float) -> float:
@@ -91,8 +87,8 @@ class BernoulliTable:
         """
         if n < 0:
             raise DomainError("Bernoulli polynomial order must be non-negative")
-        if n > self.max_index:
-            raise RangeError(f"order {n} beyond table maximum {self.max_index}")
+        if n > MAX_INDEX:
+            raise RangeError(f"order {n} beyond table maximum {MAX_INDEX}")
         sign = 1.0
         if 0.5 < x <= 1.0:
             x = 1.0 - x

@@ -96,7 +96,8 @@ def main() -> None:
 @click.option("--z-arg-pi", type=float, default=None, help="arg z in multiples of pi")
 @click.option("--method", type=click.Choice(["asym", "oracle", "hyper"]), required=True)
 @click.option("--n", "n_trunc", type=int, default=None, help="truncation index (asym)")
-@click.option("--k-max", type=int, default=None, help="terminant sum cutoff (hyper)")
+@click.option("--k-max", type=int, default=TruncationScheme().k_max, show_default=True,
+              help="terminant sum cutoff (hyper)")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 def cmd_eval(z_re, z_im, z_abs, z_arg, z_arg_pi, method, n_trunc, k_max, fmt) -> None:
     """Evaluate log G(z+1) by the chosen route."""
@@ -115,7 +116,7 @@ def cmd_eval(z_re, z_im, z_abs, z_arg, z_arg_pi, method, n_trunc, k_max, fmt) ->
             out = log_barnes_oracle(z)
             value, err, err_kind, n_used = out.value, out.est_error, "est_error", 8
         else:
-            scheme = TruncationScheme.optimal(k_max) if k_max else TruncationScheme.optimal()
+            scheme = TruncationScheme.optimal(k_max)
             value, err = exp_improved_report(z, scheme)
             err_kind, n_used = "est_error", scheme.k_max
         _emit(

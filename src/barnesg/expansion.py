@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .bernoulli import DEFAULT_TABLE, LOG_GLAISHER, series_coefficient
+from .bernoulli import LOG_GLAISHER, MAX_INDEX, series_coefficient
 from .errors import AccuracyError, DomainError, RangeError
 from .special import log_gamma
 
@@ -53,9 +53,7 @@ _NEWTON_TOL = 1e-15
 #: Bisection alone narrows a bracket (width <= pi/4) below _NEWTON_TOL in 50 steps.
 _NEWTON_MAX_STEPS = 64
 #: c_n for n = 1 .. 31, every index the Bernoulli table supports; entry 0 is unused.
-_COEFFS = (0.0,) + tuple(
-    series_coefficient(n) for n in range(1, DEFAULT_TABLE.max_index // 2)
-)
+_COEFFS = (0.0,) + tuple(series_coefficient(n) for n in range(1, MAX_INDEX // 2))
 
 
 class BoundKind(enum.Enum):

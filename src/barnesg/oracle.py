@@ -43,7 +43,6 @@ from .quadrature import geometric_breakpoints, integrate_panels
 from .special import _dilog_exp
 
 __all__ = [
-    "QuadraturePolicy",
     "RemainderKernel",
     "OracleValue",
     "remainder_narrow",
@@ -52,24 +51,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadraturePolicy:
-    """Work/accuracy knobs for the remainder quadratures."""
-
-    nodes_per_interval: int = 32
-    tail_tolerance: float = 1e-13
-    max_intervals: int = 64
-
-    def __post_init__(self) -> None:
-        if self.nodes_per_interval < 16:
-            raise DomainError("nodes_per_interval must be >= 16")
-        if self.tail_tolerance > 1e-12:
-            raise DomainError("tail_tolerance must be <= 1e-12")
-        if self.max_intervals < 64:
-            raise DomainError("max_intervals must be >= 64")
-
-
-DEFAULT_POLICY = QuadraturePolicy()
+#: Gauss-Legendre order of every oracle panel.
+_GAUSS_ORDER = 32
+#: Absolute target for the truncated tail of each remainder integral.
+_TAIL_TARGET = 1e-13
+#: Most unit panels the wide kernels may take before widening their target.
+_MAX_INTERVALS = 64
 
 
 class RemainderKernel(enum.Enum):
@@ -107,12 +94,11 @@ def _binary64(z: complex) -> Iterator[None]:
         raise RangeError(f"the remainder kernel leaves the float range at z = {z}") from None
 
 
-def _narrow_breakpoints(policy: QuadraturePolicy) -> tuple[list[float], float]:
-    t_stop = max(4.0, math.log(1.0 / policy.tail_tolerance) / TWO_PI + 2.0)
-    t_int = int(math.ceil(t_stop))
-    pts = geometric_breakpoints()
-    pts.extend(float(m) for m in range(2, t_int + 1))
-    return pts, float(t_int)
+# the dilog kernel decays like e^{-2 pi t}: unit panels up to
+# T = ceil(log(1/target)/(2 pi) + 2), graded toward t = 0 below 1
+_NARROW_T_STOP = float(math.ceil(max(4.0, math.log(1.0 / _TAIL_TARGET) / TWO_PI + 2.0)))
+_NARROW_BREAKS = tuple(geometric_breakpoints()) + tuple(
+    float(m) for m in range(2, int(_NARROW_T_STOP) + 1))
 
 
 def _narrow_tail_bound(t_stop: float, n_trunc: int, ell: float) -> float:
@@ -124,18 +110,15 @@ def _narrow_tail_bound(t_stop: float, n_trunc: int, ell: float) -> float:
     return ell * (math.pi ** 2 / 6.0) * gamma_tail / (2.0 * math.pi ** 2)
 
 
-def remainder_narrow(
-    z: complex, n_trunc: int, policy: QuadraturePolicy = DEFAULT_POLICY
-) -> OracleValue:
+def remainder_narrow(z: complex, n_trunc: int) -> OracleValue:
     """R_N(z) by the dilog-kernel quadrature; |arg z| < pi/2 only.
 
     The Li2(e^{-2 pi t}) factor decays like e^{-2 pi t}, so truncation at
-    T ~ log(1/tol)/(2 pi) + 2 leaves an explicitly bounded tail.
+    T ~ log(1/1e-13)/(2 pi) + 2 leaves an explicitly bounded tail.
     """
     z = _check_narrow(z)
     if n_trunc < 1:
         raise DomainError("n_trunc must be >= 1")
-    breaks, t_stop = _narrow_breakpoints(policy)
     k = 2 * n_trunc
 
     def integrand(t: np.ndarray) -> np.ndarray:
@@ -143,8 +126,9 @@ def remainder_narrow(
 
     with _binary64(z):
         pref = (-1) ** n_trunc / (2.0 * math.pi ** 2 * z ** k)
-        tail = _narrow_tail_bound(t_stop, n_trunc, sector_factor(cmath.phase(z))) / abs(z) ** k
-        integral, abs_sum = integrate_panels(integrand, breaks, policy.nodes_per_interval)
+        ell = sector_factor(cmath.phase(z))
+        tail = _narrow_tail_bound(_NARROW_T_STOP, n_trunc, ell) / abs(z) ** k
+        integral, abs_sum = integrate_panels(integrand, _NARROW_BREAKS, _GAUSS_ORDER)
         value = pref * integral
     est = tail + 8.0 * EPS * abs_sum * abs(pref)
     _check_finite(z, value, est)
@@ -197,7 +181,6 @@ def _wide_breakpoints(t_stop: int, z: complex) -> list[float]:
 def remainder_wide(
     z: complex,
     n_trunc: int,
-    policy: QuadraturePolicy = DEFAULT_POLICY,
     kernel: RemainderKernel = RemainderKernel.PERIODIC,
 ) -> OracleValue:
     """R_N(z) on the full slit plane |arg z| < pi by the Bernoulli kernels.
@@ -206,7 +189,7 @@ def remainder_wide(
     the periodized Bernoulli polynomial is evaluated through its Fourier
     series (relative accuracy ~1 ulp at these orders).  The truncation point
     is chosen from the analytic tail bound; if the absolute target is out of
-    reach within max_intervals the target falls back to 1e-4 relative to the
+    reach within 64 unit panels the target falls back to 1e-4 relative to the
     half-angle bound on |R_N|, and failing that the promotion index is
     escalated before reporting an accuracy failure.
     """
@@ -225,15 +208,15 @@ def remainder_wide(
     # promotion index: max(N, 8), raised in steps of 2 up to 16 while no
     # truncation point meets the absolute, then the relative target
     for m_eff in (*range(max(n_trunc, 8), 16, 2), max(n_trunc, 16)):
-        t_stop = next((t for target in (policy.tail_tolerance, 1e-4 * rn_est)
-                       for t in range(2, policy.max_intervals + 1)
+        t_stop = next((t for target in (_TAIL_TARGET, 1e-4 * rn_est)
+                       for t in range(2, _MAX_INTERVALS + 1)
                        if _wide_tail_bound(t, abs_z, sec_half, m_eff, symmetrized) <= target),
                       None)
         if t_stop is not None:
             break
     else:
         raise AccuracyError(
-            "wide-kernel tail cannot reach the tolerance within max_intervals "
+            f"wide-kernel tail cannot reach the tolerance within {_MAX_INTERVALS} panels "
             f"(arg z = {theta:.4f} is too close to the cut)"
         )
     tail = _wide_tail_bound(t_stop, abs_z, sec_half, m_eff, symmetrized)
@@ -255,7 +238,7 @@ def remainder_wide(
         pref = -1.0 / (2 * m_eff * (2 * m_eff + 1))
 
     with _binary64(z):
-        integral, abs_sum = integrate_panels(integrand, breaks, policy.nodes_per_interval)
+        integral, abs_sum = integrate_panels(integrand, breaks, _GAUSS_ORDER)
         remainder_eff = pref * integral
         # exact ladder restoration back down to the requested index
         ladder = 0.0 + 0.0j
@@ -270,11 +253,9 @@ def remainder_wide(
     return OracleValue(value=value, est_error=est, kernel=kernel)
 
 
-def log_barnes_oracle(
-    z: complex, policy: QuadraturePolicy = DEFAULT_POLICY
-) -> OracleValue:
+def log_barnes_oracle(z: complex) -> OracleValue:
     """log G(z+1) to quadrature accuracy: truncated expansion plus oracle remainder."""
-    rem = remainder_wide(z, 1, policy)  # checks z
+    rem = remainder_wide(z, 1)  # checks z
     value = expansion_prefix(z) + rem.value
     est = rem.est_error + 8.0 * EPS * (abs(value) + 1.0)
     return OracleValue(value=value, est_error=est, kernel=rem.kernel)

@@ -71,20 +71,19 @@ class TerminantEval:
     est_error: float
 
 
-def _normalize_arg(p: int, w: complex, arg_w: Optional[float]) -> tuple[complex, float]:
-    if p < 1 or p > MAX_ORDER:
-        raise RangeError(f"terminant order must lie in [1, {MAX_ORDER}]")
+def _check_branch(w: complex, arg_w: Optional[float]) -> tuple[complex, float]:
+    """w as a finite nonzero complex and its branch angle: arg_w if given (it
+    must equal arg w modulo 2 pi), else the principal phase."""
     w = complex(w)
-    if w == 0:
-        raise DomainError("terminant undefined at w = 0")
+    if w == 0 or not cmath.isfinite(w):
+        raise DomainError(f"terminant needs a finite nonzero w, got {w}")
     if arg_w is None:
-        arg_w = cmath.phase(w)
-    else:
-        windings = (arg_w - cmath.phase(w)) / TWO_PI
-        if abs(windings - round(windings)) > 1e-6:
-            raise DomainError("arg_w must equal arg(w) modulo 2 pi")
-    if not -1.5 * math.pi < arg_w < 1.5 * math.pi:
-        raise DomainError("arg_w must lie in (-3 pi/2, 3 pi/2)")
+        return w, cmath.phase(w)
+    if not math.isfinite(arg_w):
+        raise DomainError(f"arg_w must be finite, got {arg_w}")
+    windings = (arg_w - cmath.phase(w)) / TWO_PI
+    if abs(windings - round(windings)) > 1e-6:
+        raise DomainError("arg_w must equal arg(w) modulo 2 pi")
     return w, arg_w
 
 
@@ -156,7 +155,11 @@ def terminant(
     to cancellation; direct quadrature is available inside |arg w| < pi as an
     independent check.
     """
-    w, arg_w = _normalize_arg(p, w, arg_w)
+    if p < 1 or p > MAX_ORDER:
+        raise RangeError(f"terminant order must lie in [1, {MAX_ORDER}]")
+    w, arg_w = _check_branch(w, arg_w)
+    if not -1.5 * math.pi < arg_w < 1.5 * math.pi:
+        raise DomainError("arg_w must lie in (-3 pi/2, 3 pi/2)")
     if method is None:
         if abs(w) >= 50.0 and abs(p - abs(w)) <= 0.2 * abs(w):
             method = TerminantMethod.ERF_ASYMPTOTIC
@@ -182,11 +185,7 @@ def terminant_erf_approx(
     with saturation to the limiting values when the erf argument leaves the
     small-argument disc.  The error estimate carries the O(|w|^{-1/2}) scale.
     """
-    w = complex(w)
-    if w == 0:
-        raise DomainError("terminant undefined at w = 0")
-    if arg_w is None:
-        arg_w = cmath.phase(w)
+    w, arg_w = _check_branch(w, arg_w)
     if abs(p - abs(w)) > 0.2 * abs(w):
         raise DomainError("erf form requires p within 20% of |w|")
     scale = math.sqrt(0.5 * abs(w))
@@ -215,38 +214,36 @@ def terminant_erf_approx(
 class TruncationScheme:
     """Per-exponential truncation orders N_k for the improved expansion.
 
-    optimal mode: N_k = round(pi k |z|) capped at 40 (near-smallest-term
-    truncation of each inner series); uniform mode: N_k = uniform_n for all
-    k, which reproduces the plain truncated expansion plus its convergent
-    terminant remainder series.  k_max truncates the terminant sum only.
+    optimal (uniform_n is None): N_k = round(pi k |z|) capped at 40
+    (near-smallest-term truncation of each inner series); uniform: N_k =
+    uniform_n for all k, which reproduces the plain truncated expansion plus
+    its convergent terminant remainder series.  k_max truncates the terminant
+    sum only.
     """
 
-    mode: str = "optimal"
     uniform_n: Optional[int] = None
     k_max: int = 5
 
     def __post_init__(self) -> None:
-        if self.mode not in ("optimal", "uniform"):
-            raise DomainError("mode must be 'optimal' or 'uniform'")
         if self.k_max < 1:
             raise DomainError("k_max must be >= 1")
-        if self.mode == "uniform":
-            if self.uniform_n is None or self.uniform_n < 0:
-                raise DomainError("uniform mode requires uniform_n >= 0")
+        if self.uniform_n is not None:
+            if self.uniform_n < 0:
+                raise DomainError("uniform truncation requires uniform_n >= 0")
             if self.uniform_n > 30:
                 raise RangeError("uniform_n beyond 30 exceeds the Bernoulli table")
 
     @classmethod
     def optimal(cls, k_max: int = 5) -> "TruncationScheme":
-        return cls(mode="optimal", k_max=k_max)
+        return cls(k_max=k_max)
 
     @classmethod
     def uniform(cls, n: int, k_max: int = 5) -> "TruncationScheme":
-        return cls(mode="uniform", uniform_n=n, k_max=k_max)
+        return cls(uniform_n=n, k_max=k_max)
 
     def order(self, k: int, abs_z: float) -> int:
-        if self.mode == "uniform":
-            return self.uniform_n  # type: ignore[return-value]
+        if self.uniform_n is not None:
+            return self.uniform_n
         return min(_OPTIMAL_CAP, int(math.floor(math.pi * k * abs_z + 0.5)))
 
 
@@ -289,17 +286,15 @@ def _algebraic_sum(z: complex, scheme: TruncationScheme) -> complex:
         zinv2 = 1.0 / (z * z)
     except ZeroDivisionError:
         raise RangeError(f"z^2 underflows to zero at z = {z}") from None
-    if scheme.mode == "uniform":
-        n_stop = scheme.uniform_n or 0
-    else:
-        n_stop = _OPTIMAL_CAP
+    uniform = scheme.uniform_n is not None
+    n_stop = scheme.uniform_n if uniform else _OPTIMAL_CAP
     two_fact = 2.0  # 2 * (2n+1)! at n = 0
     zpow = zinv2
     for n in range(n_stop):
         exponent = 2 * n + 4
         if exponent > 64:
             break
-        if scheme.mode == "uniform":
+        if uniform:
             k_first = 1
         else:
             # N_k = round(pi k |z|) >= n+1  <=>  k >= (n + 1/2) / (pi |z|)

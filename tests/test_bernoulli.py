@@ -8,7 +8,6 @@ import pytest
 from barnesg import (
     EULER_GAMMA,
     LOG_GLAISHER,
-    BernoulliTable,
     DomainError,
     RangeError,
     bernoulli_number,
@@ -169,11 +168,3 @@ class TestIntegralIdentity:
         lhs = bernoulli_number(2 * n + 2) / ((2 * n + 1) * (2 * n + 2))
         rhs = (-1) ** (n + 1) / math.pi * integral.real
         assert abs(lhs - rhs) < 1e-10
-
-
-class TestCustomTable:
-    def test_small_table(self):
-        table = BernoulliTable(max_index=10)
-        assert table.number(10) == pytest.approx(5.0 / 66.0, rel=1e-14)
-        with pytest.raises(RangeError):
-            table.number(11)

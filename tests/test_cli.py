@@ -70,6 +70,17 @@ class TestEval:
         assert res.exit_code == 2
         assert res.exception is None or isinstance(res.exception, SystemExit)
 
+    @pytest.mark.parametrize("k_max", ["0", "-1"])
+    def test_nonpositive_k_max_exits_2(self, runner, k_max):
+        res = runner.invoke(main, ["eval", "--z-re", "2.5", "--method", "hyper",
+                                   "--k-max", k_max])
+        assert res.exit_code == 2
+
+    def test_default_k_max(self, runner):
+        res = runner.invoke(main, ["eval", "--z-re", "2.5", "--method", "hyper"])
+        assert res.exit_code == 0
+        assert csv_rows(res.output)[0]["n_used"] == "5"
+
     def test_missing_z_exit(self, runner):
         res = runner.invoke(main, ["eval", "--method", "oracle"])
         assert res.exit_code == 2

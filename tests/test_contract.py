@@ -1,9 +1,11 @@
-"""The input contract shared by every z-route and by the CLI.
+"""The input contract shared by every z-route, both terminant forms and the CLI.
 
 Each route either returns finite numbers or raises a typed library error.
 z outside the slit plane (non-finite, zero, on the cut) raises DomainError;
 a modulus whose powers leave the binary64 range raises RangeError, and so
-does a float overflow inside a route, without a RuntimeWarning.
+does a float overflow inside a route, without a RuntimeWarning.  A terminant
+argument w that is zero or not finite, or a branch angle arg_w that is not
+finite or not congruent to arg w, raises DomainError.
 """
 
 import cmath
@@ -25,6 +27,8 @@ from barnesg import (
     log_barnes_oracle,
     remainder_narrow,
     remainder_wide,
+    terminant,
+    terminant_erf_approx,
 )
 from barnesg.cli import main
 
@@ -102,6 +106,20 @@ def test_near_the_cut_gives_a_typed_error_or_finite_numbers(route):
     assert values and all(cmath.isfinite(v) for v in values)
 
 
+TERMINANT_FORMS = {"terminant": terminant, "terminant_erf_approx": terminant_erf_approx}
+# (p, w, arg_w); p sits inside the erf form's window p ~ |w| where w is finite
+OFF_BRANCH = [(60, 60.0, 2.0), (5, 5.0, 2.0), (5, 3.0, NAN), (5, 3.0, INF), (5, 3.0, -INF),
+              (5, INF, None), (5, complex(0.0, -INF), None), (5, complex(NAN, 1.0), None),
+              (5, 0j, None)]
+
+
+@pytest.mark.parametrize("p,w,arg_w", OFF_BRANCH, ids=repr)
+@pytest.mark.parametrize("form", TERMINANT_FORMS)
+def test_terminant_off_its_branch_raises_domain_error(form, p, w, arg_w):
+    with pytest.raises(DomainError):
+        TERMINANT_FORMS[form](p, w, arg_w)
+
+
 def _eval(method, re, im="0"):
     return ["eval", "--method", method, "--z-re", re, "--z-im", im]
 
@@ -121,6 +139,10 @@ CLI_CASES = [
     *[(_eval(CLI_METHOD[route], repr(z.real), repr(z.imag)), 2)
       for route, z in OVERFLOW_INSIDE if route in CLI_METHOD],
     (["bounds", "--z-abs", "1", "--theta", repr(math.pi - 1e-15)], 3),
+    *[(["terminant", "--p", "60", "--w-re", "60", "--w-arg", "2.0", "--method", m], 2)
+      for m in ("erf", "recurrence", "auto")],
+    *[(["terminant", "--p", "5", "--w-re", "3", "--w-arg", a], 2) for a in ("nan", "inf")],
+    (["terminant", "--p", "5", "--w-re", "inf"], 2),
 ]
 
 

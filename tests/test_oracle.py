@@ -9,7 +9,6 @@ import pytest
 from barnesg import (
     AccuracyError,
     DomainError,
-    QuadraturePolicy,
     RemainderKernel,
     bernoulli_number,
     bernoulli_poly,
@@ -20,7 +19,7 @@ from barnesg import (
     series_coefficient,
     truncated_log_barnes,
 )
-from barnesg.oracle import _narrow_breakpoints
+from barnesg import oracle
 from barnesg.quadrature import gauss_nodes, integrate_panels
 
 PI = math.pi
@@ -34,9 +33,7 @@ def remainder_log_kernel(z, n_trunc):
 
     The inner integral is one Gauss rule on [0, 1] for all outer nodes at once.
     """
-    policy = QuadraturePolicy()
-    breaks, _ = _narrow_breakpoints(policy)
-    x, w = gauss_nodes(policy.nodes_per_interval)
+    x, w = gauss_nodes(oracle._GAUSS_ORDER)
     s = 0.5 * (x + 1.0)
     s_weights = 0.5 * w * s ** (2 * n_trunc - 1)
 
@@ -44,7 +41,7 @@ def remainder_log_kernel(z, n_trunc):
         inner = (s_weights / (1.0 + (np.outer(t, s) / z) ** 2)).sum(axis=1)
         return inner * t ** (2 * n_trunc) * np.log(-np.expm1(-2.0 * PI * t))
 
-    integral, _ = integrate_panels(integrand, breaks, policy.nodes_per_interval)
+    integral, _ = integrate_panels(integrand, oracle._NARROW_BREAKS, oracle._GAUSS_ORDER)
     return (-1) ** (n_trunc + 1) / (PI * z ** (2 * n_trunc)) * integral
 
 
@@ -141,21 +138,13 @@ class TestWideKernel:
                     scaled = abs(remainder_wide(z, n).value) * r ** (2 * n)
                     assert scaled <= cap * (1.0 + 1e-6)
 
-    def test_quadrature_self_consistency(self):
-        default = QuadraturePolicy()
-        doubled = QuadraturePolicy(nodes_per_interval=64)
-        for z, n in ((3.0, 1), (2.0 * cmath.exp(0.7j * PI), 2)):
-            a = remainder_wide(z, n, default)
-            b = remainder_wide(z, n, doubled)
+    def test_quadrature_self_consistency(self, monkeypatch):
+        cases = ((3.0, 1), (2.0 * cmath.exp(0.7j * PI), 2))
+        default = [remainder_wide(z, n) for z, n in cases]
+        monkeypatch.setattr(oracle, "_GAUSS_ORDER", 2 * oracle._GAUSS_ORDER)
+        for (z, n), a in zip(cases, default):
+            b = remainder_wide(z, n)
             assert abs(a.value - b.value) < a.est_error
-
-    def test_policy_validation(self):
-        with pytest.raises(DomainError):
-            QuadraturePolicy(nodes_per_interval=8)
-        with pytest.raises(DomainError):
-            QuadraturePolicy(tail_tolerance=1e-10)
-        with pytest.raises(DomainError):
-            QuadraturePolicy(max_intervals=10)
 
     def test_near_cut_accuracy_error(self):
         with pytest.raises(AccuracyError):
@@ -197,4 +186,4 @@ class TestLogBarnesOracle:
 
     def test_est_error_bound(self):
         out = log_barnes_oracle(5.0 * cmath.exp(0.5j * PI))
-        assert out.est_error <= 10 * QuadraturePolicy().tail_tolerance
+        assert out.est_error <= 10 * oracle._TAIL_TARGET

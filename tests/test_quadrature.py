@@ -15,18 +15,17 @@ import pytest
 from scipy.special import roots_legendre
 
 import barnesg
-from barnesg import QuadraturePolicy
 from barnesg.bernoulli import DEFAULT_TABLE
-from barnesg.oracle import _narrow_breakpoints, _wide_breakpoints
+from barnesg.oracle import _GAUSS_ORDER, _NARROW_BREAKS, _wide_breakpoints
 from barnesg.quadrature import _CHUNK_NODES, gauss_nodes, integrate_panels
 from barnesg.special import _dilog_exp
 
 EPS = np.finfo(float).eps
 
-# every order the library asks for: the policy default (remainder oracles),
+# every order the library asks for: the remainder oracles' fixed order,
 # the integrate_panels default (terminant quadrature) and 64 (erf_small)
 ORDERS = sorted({
-    QuadraturePolicy().nodes_per_interval,
+    _GAUSS_ORDER,
     inspect.signature(integrate_panels).parameters["order"].default,
     64,
 })
@@ -68,8 +67,7 @@ def _integrate_panel_by_panel(f, breakpoints, order=32):
 
 def _narrow_case():
     z, n = 2.5 * cmath.exp(0.3j), 3
-    breaks, _ = _narrow_breakpoints(QuadraturePolicy())
-    return (lambda t: t ** (2 * n - 1) / (1.0 + (t / z) ** 2) * _dilog_exp(t)), breaks
+    return (lambda t: t ** (2 * n - 1) / (1.0 + (t / z) ** 2) * _dilog_exp(t)), _NARROW_BREAKS
 
 
 def _wide_case():

@@ -10,7 +10,6 @@ import scipy.special as sp
 
 from barnesg import (
     DomainError,
-    QuadraturePolicy,
     RangeError,
     c_of_phi,
     dilog,
@@ -19,7 +18,7 @@ from barnesg import (
     log_gamma,
 )
 from barnesg.bernoulli import TWO_PI
-from barnesg.oracle import _narrow_breakpoints
+from barnesg.oracle import _GAUSS_ORDER, _NARROW_BREAKS
 from barnesg.quadrature import gauss_nodes
 from barnesg.special import _dilog_exp
 
@@ -100,10 +99,9 @@ class TestDilog:
 
 def _narrow_nodes():
     """Every quadrature node t of the dilog-kernel remainder oracle."""
-    breaks, _ = _narrow_breakpoints(QuadraturePolicy())
-    x, _ = gauss_nodes(QuadraturePolicy().nodes_per_interval)
+    x, _ = gauss_nodes(_GAUSS_ORDER)
     return np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * x
-                           for a, b in zip(breaks[:-1], breaks[1:])])
+                           for a, b in zip(_NARROW_BREAKS[:-1], _NARROW_BREAKS[1:])])
 
 
 def _li2_ref(x):

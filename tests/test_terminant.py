@@ -152,9 +152,7 @@ class TestErfForm:
 class TestTruncationScheme:
     def test_validation(self):
         with pytest.raises(DomainError):
-            TruncationScheme(mode="bogus")
-        with pytest.raises(DomainError):
-            TruncationScheme(mode="uniform")
+            TruncationScheme.uniform(-1)
         with pytest.raises(DomainError):
             TruncationScheme.optimal(k_max=0)
         with pytest.raises(RangeError):

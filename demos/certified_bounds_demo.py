@@ -12,9 +12,9 @@ import cmath
 import math
 
 from barnesg import (
-    bound_closed_form,
-    bound_optimized,
+    BoundKind,
     certified_eval,
+    family_bounds,
     log_barnes_oracle,
     remainder_wide,
 )
@@ -32,9 +32,12 @@ def main() -> None:
         z = r * cmath.exp(1j * theta_over_pi * PI)
         for n in (1, 3, 5):
             oracle = abs(remainder_wide(z, n).value)
-            closed = bound_closed_form(z, n).bound
-            if 0.25 * PI < abs(theta_over_pi * PI) < PI:
-                opt = bound_optimized(z, n).bound
+            families = family_bounds(z, n)
+            # closed form: the smaller of the sector and half-angle bounds
+            closed = min(families[k].bound for k in (BoundKind.SECTOR, BoundKind.HALF_ANGLE)
+                         if k in families)
+            if BoundKind.OPTIMIZED in families:
+                opt = families[BoundKind.OPTIMIZED].bound
                 opt_text = f"{opt:12.3e}"
             else:
                 opt = math.inf

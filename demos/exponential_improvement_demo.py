@@ -13,7 +13,7 @@ import math
 
 from barnesg import (
     TruncationScheme,
-    exp_improved_log_barnes,
+    exp_improved_report,
     log_barnes_oracle,
     truncated_log_barnes,
 )
@@ -32,7 +32,7 @@ def main() -> None:
         print(f"  plain series, best truncation N = {n_best:2d}: error {plain:.3e}"
               f"   (predicted floor e^(-2 pi |z|)/(4 pi) = {floor:.3e})")
         for k_max in (1, 2, 3):
-            improved = exp_improved_log_barnes(z, TruncationScheme.optimal(k_max))
+            improved, _ = exp_improved_report(z, TruncationScheme.optimal(k_max))
             err = abs(improved - oracle.value)
             print(f"  improved, k_max = {k_max}: error {err:.3e}")
         print()

@@ -11,7 +11,6 @@ from .bernoulli import (
     LOG_GLAISHER,
     BernoulliTable,
     bernoulli_number,
-    bernoulli_poly,
     series_coefficient,
     zeta_even,
 )
@@ -21,8 +20,6 @@ from .expansion import (
     BoundReport,
     ExpansionResult,
     best_bound,
-    bound_closed_form,
-    bound_optimized,
     certified_eval,
     expansion_prefix,
     family_bounds,
@@ -38,8 +35,6 @@ from .oracle import (
     remainder_wide,
 )
 from .special import (
-    c_of_phi,
-    dilog,
     erf_small,
     exp_integral_e1,
     log_gamma,
@@ -49,7 +44,6 @@ from .terminant import (
     TerminantEval,
     TerminantMethod,
     TruncationScheme,
-    exp_improved_log_barnes,
     exp_improved_report,
     stokes_profile,
     terminant,
@@ -75,15 +69,9 @@ __all__ = [
     "TerminantMethod",
     "TruncationScheme",
     "bernoulli_number",
-    "bernoulli_poly",
     "best_bound",
-    "bound_closed_form",
-    "bound_optimized",
-    "c_of_phi",
     "certified_eval",
-    "dilog",
     "erf_small",
-    "exp_improved_log_barnes",
     "exp_improved_report",
     "exp_integral_e1",
     "expansion_prefix",

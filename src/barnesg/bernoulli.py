@@ -30,7 +30,6 @@ __all__ = [
     "TWO_PI",
     "DEFAULT_TABLE",
     "bernoulli_number",
-    "bernoulli_poly",
     "series_coefficient",
     "zeta_even",
 ]
@@ -78,42 +77,13 @@ class BernoulliTable:
             raise RangeError(f"Bernoulli index {n} beyond table maximum {MAX_INDEX}")
         return self.values[n]
 
-    def poly(self, n: int, x: float) -> float:
-        """Bernoulli polynomial B_n(x) by the binomial expansion over the table.
-
-        Inside [0, 1] the argument is reflected onto [0, 1/2] through the
-        exact symmetry B_n(x) = (-1)^n B_n(1-x), which keeps the binomial
-        terms small and makes the symmetry hold to the last bit.
-        """
-        if n < 0:
-            raise DomainError("Bernoulli polynomial order must be non-negative")
-        if n > MAX_INDEX:
-            raise RangeError(f"order {n} beyond table maximum {MAX_INDEX}")
-        sign = 1.0
-        if 0.5 < x <= 1.0:
-            x = 1.0 - x
-            sign = (-1.0) ** n
-        # Neumaier-compensated sum of C(n,k) B_k x^{n-k}
-        total = 0.0
-        comp = 0.0
-        xpow = 1.0
-        for k in range(n, -1, -1):
-            term = math.comb(n, k) * self.values[k] * xpow
-            t = total + term
-            if abs(total) >= abs(term):
-                comp += (total - t) + term
-            else:
-                comp += (term - t) + total
-            total = t
-            xpow *= x
-        return sign * (total + comp)
-
     def poly_periodic(self, n: int, t: np.ndarray) -> np.ndarray:
         """Periodized B_n(t - floor(t)) via the Fourier sine/cosine series.
 
-        Relative accuracy is ~1 ulp for n >= 8 where the binomial form loses
-        absolute accuracy to coefficient cancellation; used by the remainder
-        kernels, which promote the index to >= 17.
+        Relative accuracy is ~1 ulp for n >= 8, where the binomial sum
+        sum_k C(n,k) B_k x^{n-k} over the table loses absolute accuracy to
+        coefficient cancellation; used by the remainder kernel, which promotes
+        the index to >= 17.
         """
         if n < 2:
             raise DomainError("periodized evaluation requires n >= 2")
@@ -130,7 +100,14 @@ class BernoulliTable:
         return pref * acc
 
     def max_abs_poly(self, n: int) -> float:
-        """Upper bound for max_{x in [0,1]} |B_n(x)|, from the Fourier series."""
+        """Upper bound for max_{x in [0,1]} |B_n(x)|, for n >= 3.
+
+        The Fourier series gives max |B_n| <= 2 n! zeta(n) / (2 pi)^n, and the
+        factor 1.21 covers zeta(n) <= zeta(3) = 1.202...; DomainError for
+        n < 3, where zeta(n) exceeds it (max |B_2| = 1/6).
+        """
+        if n < 3:
+            raise DomainError("max_abs_poly requires n >= 3")
         return 2.0 * math.factorial(n) / TWO_PI ** n * 1.21
 
 
@@ -140,11 +117,6 @@ DEFAULT_TABLE = BernoulliTable()
 def bernoulli_number(n: int) -> float:
     """Bernoulli number B_n from the default table (first kind, B_1 = -1/2)."""
     return DEFAULT_TABLE.number(n)
-
-
-def bernoulli_poly(n: int, x: float) -> float:
-    """Bernoulli polynomial B_n(x); callers only ever need x in [0, 1]."""
-    return DEFAULT_TABLE.poly(n, x)
 
 
 def series_coefficient(n: int) -> float:

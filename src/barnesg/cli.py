@@ -18,7 +18,7 @@ from typing import Optional
 import click
 
 from .errors import AccuracyError, DomainError, RangeError
-from .expansion import BoundKind, best_bound, certified_eval, family_bounds
+from .expansion import BoundKind, certified_eval, family_bounds
 from .oracle import log_barnes_oracle, remainder_wide
 from .terminant import (
     TerminantMethod,
@@ -176,7 +176,7 @@ def cmd_bounds(z_abs_list, theta_list, theta_pi_list, n_min, n_max, fmt) -> None
                     families = family_bounds(z, n)
                     sector = families.get(BoundKind.SECTOR)
                     opt = families.get(BoundKind.OPTIMIZED)
-                    best = best_bound(z, n).bound
+                    best = min(r.bound for r in families.values())
                     ratio = best / abs_rn if abs_rn > 0 else math.inf
                     if abs_rn > best + 1e-10 + oracle.est_error:
                         violated = True
@@ -248,8 +248,7 @@ def cmd_stokes(z_abs, k, theta_min, theta_max, theta_steps, fmt) -> None:
 @click.option("--w-abs", type=float, default=None)
 @click.option("--w-arg", type=float, default=None,
               help="arg w in radians; may exceed pi to select the continued branch")
-@click.option("--method", type=click.Choice(["recurrence", "quadrature", "erf", "auto"]),
-              default="auto")
+@click.option("--method", type=click.Choice(["recurrence", "erf", "auto"]), default="auto")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 def cmd_terminant(p, w_re, w_im, w_abs, w_arg, method, fmt) -> None:
     """Evaluate the scaled terminant by the chosen path."""
@@ -269,12 +268,7 @@ def cmd_terminant(p, w_re, w_im, w_abs, w_arg, method, fmt) -> None:
         elif method == "auto":
             ev = terminant(p, w, arg_w)
         else:
-            chosen = (
-                TerminantMethod.GAMMA_RECURRENCE
-                if method == "recurrence"
-                else TerminantMethod.DIRECT_QUADRATURE
-            )
-            ev = terminant(p, w, arg_w, method=chosen)
+            ev = terminant(p, w, arg_w, method=TerminantMethod.GAMMA_RECURRENCE)
         _emit(
             [
                 {

@@ -40,8 +40,6 @@ __all__ = [
     "truncated_log_barnes",
     "sector_factor",
     "solve_optimal_angle",
-    "bound_closed_form",
-    "bound_optimized",
     "best_bound",
     "family_bounds",
     "certified_eval",
@@ -125,8 +123,8 @@ def truncated_log_barnes(z: complex, n_trunc: int) -> complex:
     """Expansion of log G(z+1) truncated before the z^{-2 n_trunc} term.
 
     The remainder it omits is exactly R_{n_trunc}(z); see the remainder
-    oracle module for its quadrature evaluation and this module's bound_*
-    functions for certified bounds.
+    oracle module for its quadrature evaluation and family_bounds/best_bound
+    for certified bounds.
     """
     z = _check_sector(z)
     if not 1 <= n_trunc <= MAX_TRUNCATION:
@@ -220,14 +218,6 @@ def _optimized_factor(theta: float, n_trunc: int) -> tuple[float, float]:
     return factor, phi
 
 
-def bound_closed_form(z: complex, n_trunc: int) -> BoundReport:
-    """Smaller of the sector and half-angle closed-form bounds on |R_N|."""
-    z = _check_sector(z)
-    term = _first_term_magnitude(z, n_trunc)
-    factor, kind = _closed_factor(cmath.phase(z), n_trunc)
-    return _report(factor, term, kind)
-
-
 def _bracket(theta: float) -> tuple[float, float]:
     """Root bracket for the optimal rotation angle in the upper half-plane."""
     if theta < 0.5 * math.pi:
@@ -277,14 +267,6 @@ def solve_optimal_angle(theta: float, n_trunc: int) -> float:
             return math.copysign(nxt, theta)
         phi = nxt
     raise AccuracyError("optimal-angle iteration did not settle")
-
-
-def bound_optimized(z: complex, n_trunc: int) -> BoundReport:
-    """Bound with the factor minimized over the integration-path rotation angle."""
-    z = _check_sector(z)
-    # solve_optimal_angle raises DomainError unless pi/4 < |arg z| < pi
-    factor, phi = _optimized_factor(cmath.phase(z), n_trunc)
-    return _report(factor, _first_term_magnitude(z, n_trunc), BoundKind.OPTIMIZED, phi)
 
 
 def best_bound(z: complex, n_trunc: int) -> BoundReport:

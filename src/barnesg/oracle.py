@@ -1,19 +1,19 @@
 """High-accuracy quadrature evaluation of the expansion remainder R_N(z).
 
-Independent of the bound machinery, this module computes R_N(z) from its
+Independent of the bound machinery, this module computes R_N(z) from two
 integral representations and serves as ground truth for everything else:
 
   * dilog kernel (|arg z| < pi/2):
         R_N = z^{-2N} (-1)^N/(2 pi^2) int_0^inf t^{2N-1}/(1+(t/z)^2) Li2(e^{-2 pi t}) dt
   * periodized-Bernoulli kernel (|arg z| < pi):
         R_N = -1/(2N(2N+1)) int_0^inf B_{2N+1}(t - floor t) / (t+z)^{2N} dt
-  * symmetrized variant (|arg z| < pi):
-        R_N = -1/((2N+1)(2N+2)) int_0^inf (B_{2N+2}(t - floor t) - B_{2N+2}) / (t+z)^{2N+1} dt
 
-For the wide-sector kernels the truncation index is promoted internally to
+For the wide-sector kernel the truncation index is promoted internally to
 N_eff >= 8 through the ladder R_N = c_N z^{-2N} + R_{N+1} (restored exactly
 from series coefficients), which turns the t^{-2N} tail into t^{-2 N_eff}
-and keeps the truncation point small.
+and keeps the truncation point small.  The test suite keeps further
+representations (a nested log kernel, a symmetrized Bernoulli kernel) as
+references to compare against.
 """
 
 from __future__ import annotations
@@ -27,9 +27,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .bernoulli import DEFAULT_TABLE, EPS, TWO_PI, series_coefficient
+from .bernoulli import DEFAULT_TABLE, EPS, TWO_PI
 from .errors import AccuracyError, DomainError, RangeError
 from .expansion import (
+    _COEFFS,
     BoundKind,
     _check_finite,
     _check_sector,
@@ -64,7 +65,6 @@ class RemainderKernel(enum.Enum):
 
     DILOG = "dilog"
     PERIODIC = "periodic_bernoulli"
-    SYMMETRIZED = "symmetrized_bernoulli"
 
 
 @dataclass(frozen=True)
@@ -136,22 +136,14 @@ def remainder_narrow(z: complex, n_trunc: int) -> OracleValue:
 
 
 # ----------------------------------------------------------------------
-# Wide-sector kernels
+# Wide-sector kernel
 # ----------------------------------------------------------------------
 
-def _wide_tail_bound(t_stop: float, abs_z: float, sec_half: float, m_eff: int,
-                     symmetrized: bool) -> float:
+def _wide_tail_bound(t_stop: float, abs_z: float, sec_half: float, m_eff: int) -> float:
     """Analytic bound on the neglected tail of the wide-kernel integral."""
-    if symmetrized:
-        order = 2 * m_eff + 1
-        max_kernel = DEFAULT_TABLE.max_abs_poly(2 * m_eff + 2) + abs(
-            DEFAULT_TABLE.number(2 * m_eff + 2)
-        )
-        pref = 1.0 / ((2 * m_eff + 1) * (2 * m_eff + 2))
-    else:
-        order = 2 * m_eff
-        max_kernel = DEFAULT_TABLE.max_abs_poly(2 * m_eff + 1)
-        pref = 1.0 / (2 * m_eff * (2 * m_eff + 1))
+    order = 2 * m_eff
+    max_kernel = DEFAULT_TABLE.max_abs_poly(2 * m_eff + 1)
+    pref = 1.0 / (2 * m_eff * (2 * m_eff + 1))
     integral_tail = (t_stop + abs_z) ** (1 - order) / (order - 1)
     try:
         return pref * max_kernel * sec_half ** order * integral_tail
@@ -178,12 +170,8 @@ def _wide_breakpoints(t_stop: int, z: complex) -> list[float]:
     return pts
 
 
-def remainder_wide(
-    z: complex,
-    n_trunc: int,
-    kernel: RemainderKernel = RemainderKernel.PERIODIC,
-) -> OracleValue:
-    """R_N(z) on the full slit plane |arg z| < pi by the Bernoulli kernels.
+def remainder_wide(z: complex, n_trunc: int) -> OracleValue:
+    """R_N(z) on the full slit plane |arg z| < pi by the periodized-Bernoulli kernel.
 
     The requested index is promoted to N_eff >= 8 via the exact ladder and
     the periodized Bernoulli polynomial is evaluated through its Fourier
@@ -194,9 +182,6 @@ def remainder_wide(
     escalated before reporting an accuracy failure.
     """
     z = _check_sector(z)
-    if kernel not in (RemainderKernel.PERIODIC, RemainderKernel.SYMMETRIZED):
-        raise DomainError("remainder_wide supports the Bernoulli kernels only")
-    symmetrized = kernel is RemainderKernel.SYMMETRIZED
     theta = cmath.phase(z)
     abs_z = abs(z)
     sec_half = 1.0 / math.cos(0.5 * theta)
@@ -210,7 +195,7 @@ def remainder_wide(
     for m_eff in (*range(max(n_trunc, 8), 16, 2), max(n_trunc, 16)):
         t_stop = next((t for target in (_TAIL_TARGET, 1e-4 * rn_est)
                        for t in range(2, _MAX_INTERVALS + 1)
-                       if _wide_tail_bound(t, abs_z, sec_half, m_eff, symmetrized) <= target),
+                       if _wide_tail_bound(t, abs_z, sec_half, m_eff) <= target),
                       None)
         if t_stop is not None:
             break
@@ -219,23 +204,14 @@ def remainder_wide(
             f"wide-kernel tail cannot reach the tolerance within {_MAX_INTERVALS} panels "
             f"(arg z = {theta:.4f} is too close to the cut)"
         )
-    tail = _wide_tail_bound(t_stop, abs_z, sec_half, m_eff, symmetrized)
+    tail = _wide_tail_bound(t_stop, abs_z, sec_half, m_eff)
 
     breaks = _wide_breakpoints(t_stop, z)
-    if symmetrized:
-        const = DEFAULT_TABLE.number(2 * m_eff + 2)
 
-        def integrand(t: np.ndarray) -> np.ndarray:
-            kern = DEFAULT_TABLE.poly_periodic(2 * m_eff + 2, t) - const
-            return kern / (t + z) ** (2 * m_eff + 1)
+    def integrand(t: np.ndarray) -> np.ndarray:
+        return DEFAULT_TABLE.poly_periodic(2 * m_eff + 1, t) / (t + z) ** (2 * m_eff)
 
-        pref = -1.0 / ((2 * m_eff + 1) * (2 * m_eff + 2))
-    else:
-
-        def integrand(t: np.ndarray) -> np.ndarray:
-            return DEFAULT_TABLE.poly_periodic(2 * m_eff + 1, t) / (t + z) ** (2 * m_eff)
-
-        pref = -1.0 / (2 * m_eff * (2 * m_eff + 1))
+    pref = -1.0 / (2 * m_eff * (2 * m_eff + 1))
 
     with _binary64(z):
         integral, abs_sum = integrate_panels(integrand, breaks, _GAUSS_ORDER)
@@ -245,12 +221,12 @@ def remainder_wide(
         zinv2 = 1.0 / (z * z)
         zpow = zinv2 ** n_trunc
         for n in range(n_trunc, m_eff):
-            ladder += series_coefficient(n) * zpow
+            ladder += _COEFFS[n] * zpow
             zpow *= zinv2
         value = ladder + remainder_eff
     est = tail + 8.0 * EPS * (abs_sum * abs(pref) + abs(ladder))
     _check_finite(z, value, est)
-    return OracleValue(value=value, est_error=est, kernel=kernel)
+    return OracleValue(value=value, est_error=est, kernel=RemainderKernel.PERIODIC)
 
 
 def log_barnes_oracle(z: complex) -> OracleValue:

@@ -21,10 +21,8 @@ from .quadrature import gauss_nodes
 
 __all__ = [
     "log_gamma",
-    "dilog",
     "exp_integral_e1",
     "erf_small",
-    "c_of_phi",
 ]
 
 #: log Gamma shifts z upward until Re z >= 9, then sums 12 Stirling terms
@@ -72,6 +70,8 @@ def _li2(x: np.ndarray) -> np.ndarray:
     Li2(x) = pi^2/6 - log x log(1-x) - Li2(1-x) otherwise, with the log
     product taken as 0 at x = 1.  No argument check, no warnings on [0, 1].
     1 - x is exact for x >= 1/2, so log(1 - x) needs no log1p.
+    Li2(0) = 0 and Li2(1) = pi^2/6 exactly; absolute error is below 1e-15
+    on the whole interval.
     """
     refl = x > 0.5
     y = np.where(refl, 1.0 - x, x)
@@ -82,19 +82,6 @@ def _li2(x: np.ndarray) -> np.ndarray:
     series = acc * y
     logs = np.log(np.maximum(x, 0.5)) * np.log(np.maximum(y, _TINY))
     return np.where(refl, _PI2_6 - logs - series, series)
-
-
-def dilog(x: float) -> float:
-    """Real dilogarithm Li2(x) on [0, 1].
-
-    Direct series for x <= 1/2 and Euler reflection otherwise, both through
-    the vectorised kernel that also serves the remainder quadrature.
-    Li2(0) = 0 and Li2(1) = pi^2/6 exactly; absolute error is below 1e-15 on
-    the whole interval.
-    """
-    if not 0.0 <= x <= 1.0:
-        raise DomainError("dilog: argument must lie in [0, 1]")
-    return float(_li2(np.array(float(x))))
 
 
 def _dilog_exp(t: np.ndarray) -> np.ndarray:
@@ -280,20 +267,14 @@ def _erf_saturated(zeta: complex) -> complex:
 # ----------------------------------------------------------------------
 
 def _c_branch(u: float) -> complex:
-    """c on the branch with c ~ u + i u^2/6 near u = 0 (u = phi - pi)."""
+    """The transition-zone variable c(phi), taken at u = phi - pi.
+
+    c^2/2 = 1 + i u - e^{i u}, on the branch with c ~ u + (i/6) u^2 near
+    u = 0; continuous on |u| < pi because the defining value stays in the
+    closed right half-plane, so the principal square root never crosses its
+    cut.
+    """
     if abs(u) < 1e-3:
         return u + 1j * u * u / 6.0 - u ** 3 / 36.0 - 1j * u ** 4 / 270.0
     root = cmath.sqrt(2.0 * (1.0 + 1j * u - cmath.exp(1j * u)))
     return root if u > 0 else -root
-
-
-def c_of_phi(phi: float) -> complex:
-    """The transition-zone variable c(phi) with c^2/2 = 1 + i(phi-pi) - e^{i(phi-pi)}.
-
-    Branch fixed by c(phi) ~ (phi - pi) + (i/6)(phi - pi)^2 near phi = pi;
-    continuous on (0, 2 pi) because the defining value stays in the closed
-    right half-plane, so the principal square root never crosses its cut.
-    """
-    if not 0.0 < phi < 2.0 * math.pi:
-        raise DomainError("c_of_phi: phi must lie in (0, 2 pi)")
-    return _c_branch(phi - math.pi)

@@ -34,12 +34,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .bernoulli import EPS, TWO_PI, zeta_even
 from .errors import AccuracyError, DomainError, RangeError
 from .expansion import _check_finite, _check_sector, expansion_prefix
-from .quadrature import integrate_panels
 from .special import _c_branch, _e1_scaled_continued, _erf_saturated
 
 __all__ = [
@@ -49,7 +46,6 @@ __all__ = [
     "StokesSample",
     "terminant",
     "terminant_erf_approx",
-    "exp_improved_log_barnes",
     "exp_improved_report",
     "stokes_profile",
 ]
@@ -60,7 +56,6 @@ _OPTIMAL_CAP = 40
 
 class TerminantMethod(enum.Enum):
     GAMMA_RECURRENCE = "gamma_recurrence"
-    DIRECT_QUADRATURE = "direct_quadrature"
     ERF_ASYMPTOTIC = "erf_asymptotic"
 
 
@@ -110,28 +105,6 @@ def _scaled_recurrence(p: int, w: complex, arg_w: float) -> tuple[complex, float
     return value, est
 
 
-def _scaled_quadrature(p: int, w: complex, arg_w: float) -> tuple[complex, float]:
-    """T_p(w) e^{w} by quadrature of the defining integral; |arg w| < pi only."""
-    if abs(arg_w) >= math.pi:
-        raise DomainError("direct quadrature requires |arg w| < pi")
-    abs_w = abs(w)
-    direction = cmath.exp(1j * arg_w)
-    span = (p + 40.0 * math.sqrt(p + 1.0) + 60.0) / abs_w
-    panel = min(32.0 / abs_w, max(abs(math.sin(arg_w)), 0.05) / 2.0, span / 8.0)
-    n_panels = int(math.ceil(span / panel))
-    breaks = np.linspace(0.0, span, n_panels + 1)
-
-    def integrand(s: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            log_mag = (p - 1) * np.log(np.maximum(s, 1e-300)) - abs_w * s
-        return np.exp(log_mag) / (direction + s)
-
-    integral, abs_sum = integrate_panels(integrand, breaks)
-    value = cmath.exp(1j * math.pi * p) * direction ** (1 - p) * integral / (2j * math.pi)
-    est = 8.0 * EPS * abs_sum / TWO_PI
-    return value, est
-
-
 def _exp_minus(w: complex) -> complex:
     if -w.real > 709.0:
         raise AccuracyError(
@@ -152,8 +125,7 @@ def terminant(
     arg_w selects the branch (it may exceed +-pi; defaults to the principal
     phase).  The default path is the incomplete-gamma recurrence, switching
     to the erf form when p ~ |w| >= 50 where the recurrence has lost too much
-    to cancellation; direct quadrature is available inside |arg w| < pi as an
-    independent check.
+    to cancellation; method forces one of the two.
     """
     if p < 1 or p > MAX_ORDER:
         raise RangeError(f"terminant order must lie in [1, {MAX_ORDER}]")
@@ -167,10 +139,7 @@ def terminant(
             method = TerminantMethod.GAMMA_RECURRENCE
     if method is TerminantMethod.ERF_ASYMPTOTIC:
         return terminant_erf_approx(p, w, arg_w)
-    if method is TerminantMethod.DIRECT_QUADRATURE:
-        scaled, est = _scaled_quadrature(p, w, arg_w)
-    else:
-        scaled, est = _scaled_recurrence(p, w, arg_w)
+    scaled, est = _scaled_recurrence(p, w, arg_w)
     emw = _exp_minus(w)
     return TerminantEval(value=scaled * emw, method=method, est_error=est * abs(emw))
 
@@ -335,14 +304,6 @@ def _terminant_pairs(
         ratio = 0.5
     tail = last_mag * ratio / (1.0 - ratio)
     return total, eval_err, tail
-
-
-def exp_improved_log_barnes(
-    z: complex, scheme: TruncationScheme = DEFAULT_SCHEME
-) -> complex:
-    """Exponentially improved evaluation of log G(z+1) on |arg z| < pi."""
-    value, _ = exp_improved_report(z, scheme)
-    return value
 
 
 def exp_improved_report(

@@ -19,9 +19,8 @@ from barnesg import (
     TruncationScheme,
     bernoulli_number,
     best_bound,
-    bound_closed_form,
-    bound_optimized,
-    exp_improved_log_barnes,
+    exp_improved_report,
+    family_bounds,
     log_barnes_oracle,
     log_gamma,
     remainder_wide,
@@ -32,6 +31,7 @@ from barnesg import (
     truncated_log_barnes,
 )
 from barnesg.quadrature import geometric_breakpoints, integrate_panels
+from _reference import terminant_quadrature
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -91,10 +91,7 @@ def test_criterion_03_bound_validity():
                 oracle = remainder_wide(z, n)
                 abs_rn = abs(oracle.value)
                 slack = 1e-10 + oracle.est_error
-                bounds = [bound_closed_form(z, n).bound]
-                if 0.25 * PI < abs(theta) < PI:
-                    bounds.append(bound_optimized(z, n).bound)
-                for bound in bounds:
+                for bound in (r.bound for r in family_bounds(z, n).values()):
                     checks += 1
                     min_ratio = min(min_ratio, bound / max(abs_rn, 1e-300))
                     if abs_rn > bound + slack:
@@ -151,12 +148,12 @@ def test_criterion_06_exact_expansion_identity():
         3.0 * cmath.exp(-0.5j * PI),
     ):
         oracle = log_barnes_oracle(z)
-        value = exp_improved_log_barnes(z, uniform)
+        value = exp_improved_report(z, uniform)[0]
         assert abs(value - oracle.value) <= 1e-9 + oracle.est_error, (
             f"z={z}: {abs(value - oracle.value):.3e}"
         )
-    a = exp_improved_log_barnes(2.5, TruncationScheme.optimal(k_max=20))
-    b = exp_improved_log_barnes(2.5, TruncationScheme.uniform(3, k_max=20))
+    a = exp_improved_report(2.5, TruncationScheme.optimal(k_max=20))[0]
+    b = exp_improved_report(2.5, TruncationScheme.uniform(3, k_max=20))[0]
     assert abs(a - b) <= 1e-9, f"scheme dependence {abs(a - b):.3e}"
     report("criterion 6 (expansion identity)", f"scheme gap {abs(a - b):.2e}")
 
@@ -167,7 +164,7 @@ def test_criterion_07_exponential_improvement_on_stokes_line():
     z = 2.5j
     oracle = log_barnes_oracle(z)
     hyper_err = abs(
-        exp_improved_log_barnes(z, TruncationScheme.optimal(5)) - oracle.value
+        exp_improved_report(z, TruncationScheme.optimal(5))[0] - oracle.value
     )
     plain_err = min(
         abs(truncated_log_barnes(z, n) - oracle.value) for n in range(1, 21)
@@ -213,8 +210,8 @@ def test_criterion_09_terminant_dual_path_agreement():
         phase = float(rng.uniform(-0.8, 0.8)) * PI
         w = r * cmath.exp(1j * phase)
         a = terminant(p, w, method=TerminantMethod.GAMMA_RECURRENCE)
-        b = terminant(p, w, method=TerminantMethod.DIRECT_QUADRATURE)
-        worst = max(worst, abs(a.value - b.value))
+        b, _ = terminant_quadrature(p, w)
+        worst = max(worst, abs(a.value - b))
     assert worst <= 1e-9, f"dual-path disagreement {worst:.3e}"
     report("criterion 9 (dual-path terminant)", f"max gap {worst:.2e}")
 

@@ -11,13 +11,13 @@ from barnesg import (
     DomainError,
     RangeError,
     bernoulli_number,
-    bernoulli_poly,
     series_coefficient,
     zeta_even,
 )
 from barnesg.bernoulli import DEFAULT_TABLE
 from barnesg.quadrature import geometric_breakpoints, integrate_panels
 from test_expansion import barnes_series_coefficient
+from _reference import bernoulli_poly
 
 TWO_PI = 2.0 * math.pi
 
@@ -96,10 +96,22 @@ class TestBernoulliPolynomials:
         for n in (9, 10, 13, 17, 18):
             xs = np.array([0.05, 0.3, 0.5, 0.77, 0.99])
             fourier = table.poly_periodic(n, xs)
-            binomial = np.array([table.poly(n, x) for x in xs])
+            binomial = np.array([bernoulli_poly(n, x) for x in xs])
             # absolute scale: both evaluations are exact to rounding on the
             # polynomial's amplitude, which is what matters to the kernels
             assert np.max(np.abs(fourier - binomial)) < 1e-12 * table.max_abs_poly(n)
+
+    def test_max_abs_poly_bounds_the_polynomial(self):
+        xs = np.linspace(0.0, 1.0, 201)
+        for n in range(3, 65):
+            peak = max(abs(bernoulli_poly(n, x)) for x in xs)
+            assert peak <= DEFAULT_TABLE.max_abs_poly(n)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_max_abs_poly_rejects_low_orders(self, n):
+        # zeta(2) = 1.645 exceeds the 1.21 factor: max |B_2| = 1/6 > 0.1226
+        with pytest.raises(DomainError):
+            DEFAULT_TABLE.max_abs_poly(n)
 
     def test_periodic_fourier_periodicity(self):
         table = DEFAULT_TABLE

@@ -9,6 +9,7 @@ from click.testing import CliRunner
 
 from barnesg import BoundKind, best_bound, family_bounds
 from barnesg.cli import main
+from _reference import terminant_quadrature
 
 
 @pytest.fixture
@@ -120,12 +121,13 @@ class TestBounds:
     def test_columns_are_family_bounds(self, runner):
         res = runner.invoke(
             main,
-            ["bounds", "--z-abs", "2,5", "--theta-pi", "-0.8,-0.5,-0.3,0,0.2,0.3,0.5,0.6,0.9",
+            ["bounds", "--z-abs", "2,5", "--theta-pi",
+             "-0.8,-0.5,-0.3,-0.25,0,0.2,0.25,0.3,0.5,0.6,0.75,0.9,0.95",
              "--n-min", "1", "--n-max", "6", "--format", "json"],
         )
         assert res.exit_code == 0
         rows = json_rows(res.output)
-        assert len(rows) == 2 * 9 * 6
+        assert len(rows) == 2 * 13 * 6
         for row in rows:
             z, n = row["z_abs"] * cmath.exp(1j * row["theta"]), row["n"]
             families = family_bounds(z, n)
@@ -179,7 +181,7 @@ class TestStokes:
 
 
 class TestTerminantCommand:
-    def test_quadrature_row(self, runner):
+    def test_quadrature_method_is_rejected(self, runner):
         res = runner.invoke(
             main,
             [
@@ -187,18 +189,13 @@ class TestTerminantCommand:
                 "--w-arg", str(math.pi / 3), "--method", "quadrature",
             ],
         )
-        assert res.exit_code == 0
-        row = csv_rows(res.output)[0]
-        assert row["method"] == "direct_quadrature"
+        assert res.exit_code == 2
 
     def test_paths_agree(self, runner):
         base = ["terminant", "--p", "7", "--w-abs", "10", "--w-arg", str(math.pi / 3)]
         rec = csv_rows(runner.invoke(main, base + ["--method", "recurrence"]).output)[0]
-        quad = csv_rows(runner.invoke(main, base + ["--method", "quadrature"]).output)[0]
-        dv = complex(
-            float(rec["value_re"]) - float(quad["value_re"]),
-            float(rec["value_im"]) - float(quad["value_im"]),
-        )
+        quad, _ = terminant_quadrature(7, 10.0 * cmath.exp(1j * math.pi / 3))
+        dv = complex(float(rec["value_re"]), float(rec["value_im"])) - quad
         assert abs(dv) < 1e-9
 
     def test_continued_branch_flag(self, runner):

@@ -14,8 +14,6 @@ from barnesg import (
     RangeError,
     bernoulli_number,
     best_bound,
-    bound_closed_form,
-    bound_optimized,
     certified_eval,
     family_bounds,
     log_barnes_oracle,
@@ -182,21 +180,23 @@ class TestSectorFactor:
 class TestClosedFormBounds:
     def test_real_axis_factor_one(self):
         z = 4.0
-        report = bound_closed_form(z, 2)
+        report = family_bounds(z, 2)[BoundKind.SECTOR]
         assert report.factor == 1.0
         assert report.kind is BoundKind.SECTOR
         expected = abs(bernoulli_number(6)) / (4 * 5 * 6) / abs(z) ** 4
         assert report.bound == pytest.approx(expected, rel=1e-14)
 
     def test_imaginary_axis_closed_factor(self):
-        report = bound_closed_form(2.0j, 1)
+        report = family_bounds(2.0j, 1)[BoundKind.SECTOR]
         assert report.factor == pytest.approx(0.5 * math.sqrt(math.e * 4.5), rel=1e-13)
 
     def test_both_families_coincide_at_zero_angle(self):
         z = 6.0
-        report = bound_closed_form(z, 3)
+        families = family_bounds(z, 3)
         half_angle = (1.0 / math.cos(0.0)) ** 7 * abs(series_coefficient(3)) / z ** 6
-        assert report.bound == pytest.approx(half_angle, rel=1e-14)
+        assert list(families) == [BoundKind.SECTOR, BoundKind.HALF_ANGLE]
+        for report in families.values():
+            assert report.bound == pytest.approx(half_angle, rel=1e-14)
 
     def test_prior_art_comparison(self):
         # the sector factor never exceeds sec^{2N} theta on |theta| < pi/2
@@ -226,15 +226,6 @@ class TestFamilyBounds:
             want += [BoundKind.HALF_ANGLE]
             want += [BoundKind.OPTIMIZED] if PI / 4 < a else []
             assert list(families) == want
-            # the smaller factor wins, and min() keeps the first (SECTOR) on a tie
-            closed = [families[k] for k in (BoundKind.SECTOR, BoundKind.HALF_ANGLE)
-                      if k in families]
-            assert bound_closed_form(z, n) == min(closed, key=lambda r: r.factor)
-            if BoundKind.OPTIMIZED in families:
-                assert bound_optimized(z, n) == families[BoundKind.OPTIMIZED]
-            else:
-                with pytest.raises(DomainError):
-                    bound_optimized(z, n)
             assert best_bound(z, n).bound == min(r.bound for r in families.values())
 
 
@@ -292,7 +283,7 @@ class TestOptimalAngle:
 class TestOptimizedBound:
     def test_imaginary_axis_factor_value(self):
         # closed-form chain: factor = (1 + 1/(2N+2))^{N+1} sqrt(2N+3) / 2
-        report = bound_optimized(2.5j, 1)
+        report = family_bounds(2.5j, 1)[BoundKind.OPTIMIZED]
         algebraic = 0.5 * (1.0 + 0.25) ** 2 * math.sqrt(5.0)
         assert report.factor == pytest.approx(algebraic, rel=1e-12)
         assert report.phi_star == pytest.approx(math.atan(0.5), abs=1e-13)
@@ -309,14 +300,14 @@ class TestOptimizedBound:
 
     def test_runtime_comparison_with_half_angle(self):
         z = 3.0 * cmath.exp(0.6j * PI)
-        opt = bound_optimized(z, 2)
-        closed = bound_closed_form(z, 2)
+        families = family_bounds(z, 2)
         chosen = best_bound(z, 2)
-        assert chosen.bound == min(opt.bound, closed.bound)
+        assert chosen.bound == min(families[BoundKind.OPTIMIZED].bound,
+                                   families[BoundKind.HALF_ANGLE].bound)
 
     def test_phi_star_recorded_with_sign(self):
-        down = bound_optimized(3.0 * cmath.exp(-0.6j * PI), 2)
-        up = bound_optimized(3.0 * cmath.exp(0.6j * PI), 2)
+        down = family_bounds(3.0 * cmath.exp(-0.6j * PI), 2)[BoundKind.OPTIMIZED]
+        up = family_bounds(3.0 * cmath.exp(0.6j * PI), 2)[BoundKind.OPTIMIZED]
         assert down.phi_star == pytest.approx(-up.phi_star, abs=1e-14)
         assert down.bound == pytest.approx(up.bound, rel=1e-14)
 
@@ -330,9 +321,8 @@ class TestCertifiedEval:
     def test_wide_sector_uses_smaller_bound(self):
         z = 2.0 * cmath.exp(0.8j * PI)
         res = certified_eval(z, 3)
-        closed = bound_closed_form(z, 3)
-        opt = bound_optimized(z, 3)
-        assert res.bound == pytest.approx(min(closed.bound, opt.bound), rel=1e-14)
+        bound = min(r.bound for r in family_bounds(z, 3).values())
+        assert res.bound == pytest.approx(bound, rel=1e-14)
         assert res.bound_kind in (BoundKind.HALF_ANGLE, BoundKind.OPTIMIZED)
 
     def test_chosen_bound_no_worse_than_n1(self):
@@ -405,7 +395,7 @@ class TestTypedErrors:
         # sec^{2N+1}(theta/2) overflows for large N within 1e-12 of the cut
         z = -1.0 + 1e-12j
         with pytest.raises(RangeError):
-            bound_closed_form(z, 20)
+            family_bounds(z, 20)
         res = certified_eval(z)
         assert 0.0 < res.bound < math.inf and res.weak_bound
 
@@ -419,6 +409,6 @@ class TestTypedErrors:
 
     def test_order_beyond_bernoulli_table(self):
         with pytest.raises(RangeError):
-            bound_closed_form(3.0, 32)
+            best_bound(3.0, 32)
         with pytest.raises(DomainError):
             best_bound(3.0, 0)

@@ -11,7 +11,6 @@ from barnesg import (
     DomainError,
     RemainderKernel,
     bernoulli_number,
-    bernoulli_poly,
     log_barnes_oracle,
     log_gamma,
     remainder_narrow,
@@ -21,6 +20,7 @@ from barnesg import (
 )
 from barnesg import oracle
 from barnesg.quadrature import gauss_nodes, integrate_panels
+from _reference import bernoulli_poly, remainder_symmetrized
 
 PI = math.pi
 
@@ -105,14 +105,10 @@ class TestWideKernel:
 
     def test_symmetrized_kernel_agrees(self):
         for z, n in ((3.0, 1), (2.0 * cmath.exp(0.75j * PI), 1), (5.0, 2)):
-            a = remainder_wide(z, n, kernel=RemainderKernel.SYMMETRIZED)
+            a = remainder_symmetrized(z, n)
             b = remainder_wide(z, n)
-            assert a.kernel is RemainderKernel.SYMMETRIZED
-            assert abs(a.value - b.value) < 1e-11
-
-    def test_kernel_restriction(self):
-        with pytest.raises(DomainError):
-            remainder_wide(3.0, 1, kernel=RemainderKernel.DILOG)
+            assert b.kernel is RemainderKernel.PERIODIC
+            assert abs(a - b.value) < 1e-11
 
     def test_representation_agreement_random(self):
         rng = np.random.default_rng(12)

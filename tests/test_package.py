@@ -15,6 +15,23 @@ SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(barnesg.__path__))
 DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
 
 
+EXPORTS = {
+    "AccuracyError", "BernoulliTable", "BoundKind", "BoundReport", "DomainError",
+    "EULER_GAMMA", "ExpansionResult", "LOG_GLAISHER", "OracleValue", "RangeError",
+    "RemainderKernel", "StokesSample", "TerminantEval", "TerminantMethod", "TruncationScheme",
+    "bernoulli_number", "best_bound", "certified_eval", "erf_small", "exp_improved_report",
+    "exp_integral_e1", "expansion_prefix", "family_bounds", "log_barnes_oracle", "log_gamma",
+    "remainder_narrow", "remainder_wide", "sector_factor", "series_coefficient",
+    "solve_optimal_angle", "stokes_profile", "terminant", "terminant_erf_approx",
+    "truncated_log_barnes", "zeta_even",
+}
+
+
+def test_exports_are_the_public_surface():
+    assert len(barnesg.__all__) == len(EXPORTS) == 35
+    assert set(barnesg.__all__) == EXPORTS
+
+
 def test_star_import_resolves():
     namespace: dict = {}
     exec("from barnesg import *", namespace)

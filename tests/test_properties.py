@@ -15,12 +15,12 @@ except ImportError:  # pragma: no cover
 from barnesg import (
     TerminantMethod,
     best_bound,
-    c_of_phi,
     log_gamma,
     remainder_wide,
     sector_factor,
     terminant,
 )
+from barnesg.special import _c_branch
 
 pytestmark = pytest.mark.skipif(not HAS_HYPOTHESIS, reason="hypothesis not installed")
 
@@ -39,7 +39,7 @@ def test_sector_factor_even_and_at_least_one(theta):
 @settings(max_examples=300, deadline=None)
 def test_c_of_phi_satisfies_defining_equation(phi):
     u = phi - PI
-    c = c_of_phi(phi)
+    c = _c_branch(u)
     residual = 0.5 * c * c - (1.0 + 1j * u - cmath.exp(1j * u))
     assert abs(residual) <= 1e-12 * max(1.0, abs(c) ** 2)
 

@@ -22,8 +22,8 @@ from barnesg.special import _dilog_exp
 
 EPS = np.finfo(float).eps
 
-# every order the library asks for: the remainder oracles' fixed order,
-# the integrate_panels default (terminant quadrature) and 64 (erf_small)
+# every order in use: the remainder oracles' fixed order, the integrate_panels
+# default (the reference terminant quadrature) and 64 (erf_small)
 ORDERS = sorted({
     _GAUSS_ORDER,
     inspect.signature(integrate_panels).parameters["order"].default,

@@ -11,8 +11,6 @@ import scipy.special as sp
 from barnesg import (
     DomainError,
     RangeError,
-    c_of_phi,
-    dilog,
     erf_small,
     exp_integral_e1,
     log_gamma,
@@ -20,7 +18,7 @@ from barnesg import (
 from barnesg.bernoulli import TWO_PI
 from barnesg.oracle import _GAUSS_ORDER, _NARROW_BREAKS
 from barnesg.quadrature import gauss_nodes
-from barnesg.special import _dilog_exp
+from barnesg.special import _c_branch, _dilog_exp, _li2
 
 
 class TestLogGamma:
@@ -63,10 +61,10 @@ class TestLogGamma:
 
 class TestDilog:
     def test_at_zero(self):
-        assert dilog(0.0) == 0.0
+        assert _li2(np.array([0.0]))[0] == 0.0
 
     def test_at_one(self):
-        assert dilog(1.0) == pytest.approx(math.pi ** 2 / 6.0, rel=1e-15)
+        assert _li2(np.array([1.0]))[0] == pytest.approx(math.pi ** 2 / 6.0, rel=1e-15)
 
     def test_at_half_series_oracle(self):
         # oracle: sum the defining series directly at x = 1/2 to 1e-15
@@ -75,26 +73,20 @@ class TestDilog:
             total += power / (n * n)
             n += 1
             power *= x
-        assert dilog(0.5) == pytest.approx(total, abs=1e-14)
+        half = _li2(np.array([0.5]))[0]
+        assert half == pytest.approx(total, abs=1e-14)
         closed = math.pi ** 2 / 12.0 - 0.5 * math.log(2.0) ** 2
-        assert dilog(0.5) == pytest.approx(closed, abs=1e-14)
+        assert half == pytest.approx(closed, abs=1e-14)
 
     def test_euler_reflection(self):
-        for x in np.arange(0.1, 0.95, 0.1):
-            lhs = dilog(x) + dilog(1.0 - x)
-            rhs = math.pi ** 2 / 6.0 - math.log(x) * math.log(1.0 - x)
-            assert abs(lhs - rhs) < 1e-12
+        xs = np.arange(0.1, 0.95, 0.1)
+        lhs = _li2(xs) + _li2(1.0 - xs)
+        rhs = math.pi ** 2 / 6.0 - np.log(xs) * np.log(1.0 - xs)
+        assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_against_scipy_spence(self):
         xs = np.linspace(0.001, 0.999, 101)
-        worst = max(abs(dilog(x) - sp.spence(1.0 - x)) for x in xs)
-        assert worst < 5e-15
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            dilog(1.5)
-        with pytest.raises(DomainError):
-            dilog(-0.1)
+        assert np.max(np.abs(_li2(xs) - sp.spence(1.0 - xs))) < 5e-15
 
 
 def _narrow_nodes():
@@ -110,7 +102,7 @@ def _li2_ref(x):
 
 
 class TestLi2Kernel:
-    """The vectorised Li2 kernel behind dilog and _dilog_exp, against mpmath."""
+    """The vectorised Li2 kernel behind _dilog_exp, against mpmath."""
 
     EDGES = [2.0 ** -1074, 0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0),
              1.0 - 2.0 ** -53]
@@ -124,12 +116,12 @@ class TestLi2Kernel:
 
     def test_dilog_on_the_narrow_node_arguments_and_edges(self):
         xs = [float(x) for x in np.exp(-TWO_PI * _narrow_nodes())] + self.EDGES
-        worst = max(abs(dilog(x) - _li2_ref(x)) for x in xs)
+        worst = max(abs(_li2(np.array([x]))[0] - _li2_ref(x)) for x in xs)
         assert worst <= 1e-15
 
     def test_endpoints_are_exact_and_quiet(self, recwarn):
-        assert dilog(0.0) == 0.0
-        assert dilog(1.0) == math.pi ** 2 / 6.0
+        assert _li2(np.array([0.0]))[0] == 0.0
+        assert _li2(np.array([1.0]))[0] == math.pi ** 2 / 6.0
         assert _dilog_exp(np.array([0.0]))[0] == math.pi ** 2 / 6.0
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
@@ -237,35 +229,31 @@ class TestErfSmall:
 
 
 class TestCOfPhi:
+    """c(phi) through its kernel _c_branch(u), u = phi - pi."""
+
     def test_at_pi(self):
-        assert c_of_phi(math.pi) == 0.0
+        assert _c_branch(0.0) == 0.0
 
     def test_two_term_series_value(self):
         # c(pi + 0.1) ~ 0.1 + (i/6) 0.01 from the displayed series
-        got = c_of_phi(math.pi + 0.1)
+        got = _c_branch(0.1)
         assert abs(got - (0.1 + 0.1 ** 2 / 6.0 * 1j)) < 5e-5
 
     def test_defining_residual(self):
         for u in (-0.5, 0.5):
-            c = c_of_phi(math.pi + u)
+            c = _c_branch(u)
             residual = 0.5 * c * c - (1.0 + 1j * u - cmath.exp(1j * u))
             assert abs(residual) <= 1e-14
 
     def test_branch_continuity(self):
         grid = np.arange(math.pi - 1.0, math.pi + 1.0 + 1e-9, 1e-3)
-        vals = [c_of_phi(p) for p in grid]
+        vals = [_c_branch(p - math.pi) for p in grid]
         jumps = [abs(b - a) for a, b in zip(vals[:-1], vals[1:])]
         assert max(jumps) < 5e-3  # ~|c'| * spacing; a sign flip would jump by ~2|c|
 
     def test_odd_reflection(self):
         # c(2 pi - phi) relates to c(phi) by reflection through pi
-        a = c_of_phi(math.pi + 0.4)
-        b = c_of_phi(math.pi - 0.4)
+        a = _c_branch(0.4)
+        b = _c_branch(-0.4)
         assert abs(a.real + b.real) < 1e-12
         assert abs(a.imag - b.imag) < 1e-12
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            c_of_phi(0.0)
-        with pytest.raises(DomainError):
-            c_of_phi(2.0 * math.pi)

@@ -12,9 +12,7 @@ from barnesg import (
     RangeError,
     TerminantMethod,
     TruncationScheme,
-    c_of_phi,
     erf_small,
-    exp_improved_log_barnes,
     exp_improved_report,
     log_barnes_oracle,
     stokes_profile,
@@ -22,19 +20,20 @@ from barnesg import (
     terminant_erf_approx,
     truncated_log_barnes,
 )
+from barnesg.special import _c_branch
+from _reference import terminant_quadrature
 
 PI = math.pi
 REC = TerminantMethod.GAMMA_RECURRENCE
-QUAD = TerminantMethod.DIRECT_QUADRATURE
 
 
 class TestTerminantPaths:
     def test_dual_path_example(self):
         w = 10.0 * cmath.exp(1j * PI / 3)
         a = terminant(7, w, method=REC)
-        b = terminant(7, w, method=QUAD)
-        assert abs(a.value - b.value) < 1e-9
-        assert a.method is REC and b.method is QUAD
+        b, _ = terminant_quadrature(7, w)
+        assert abs(a.value - b) < 1e-9
+        assert a.method is REC
 
     def test_dual_path_randomized_with_floor(self):
         """Agreement within max(1e-9, the recurrence's self-reported floor).
@@ -49,16 +48,17 @@ class TestTerminantPaths:
             ph = float(rng.uniform(-0.8, 0.8)) * PI
             w = r * cmath.exp(1j * ph)
             a = terminant(p, w, method=REC)
-            b = terminant(p, w, method=QUAD)
-            tol = max(1e-9, 5.0 * (a.est_error + b.est_error))
-            assert abs(a.value - b.value) <= tol
+            b, b_err = terminant_quadrature(p, w)
+            tol = max(1e-9, 5.0 * (a.est_error + b_err))
+            assert abs(a.value - b) <= tol
 
     def test_reflection_identity(self):
         # T_p(conj w) = -conj(T_p(w)) for integer p, on both paths
         p, w = 5, 8.0 * cmath.exp(0.4j)
-        for method in (REC, QUAD):
-            a = terminant(p, w.conjugate(), method=method).value
-            b = terminant(p, w, method=method).value
+        for path in (lambda v: terminant(p, v, method=REC).value,
+                     lambda v: terminant_quadrature(p, v)[0]):
+            a = path(w.conjugate())
+            b = path(w)
             assert abs(a + b.conjugate()) < 1e-13
 
     def test_stokes_line_approaches_half(self):
@@ -102,8 +102,6 @@ class TestTerminantPaths:
             terminant(5, 3.0, arg_w=1.6 * PI)
         with pytest.raises(DomainError):
             terminant(5, 3.0, arg_w=0.5)  # inconsistent with arg(w) = 0
-        with pytest.raises(DomainError):
-            terminant(5, -3.0 + 0.0j, method=QUAD)  # quadrature needs |arg w| < pi
 
 
 class TestErfForm:
@@ -118,7 +116,7 @@ class TestErfForm:
         # cancellation floor (e^{-Re w} eps scale), so it is held to its own
         # reported error while the erf form is held to the 0.1 target.
         w = 40.0 * cmath.exp(1j * (PI + 0.3))
-        truth = terminant(41, w, method=QUAD).value + 1.0
+        truth = terminant_quadrature(41, w)[0] + 1.0
         approx = terminant_erf_approx(41, w, arg_w=PI + 0.3)
         recur = terminant(41, w, arg_w=PI + 0.3, method=REC)
         assert abs(approx.value - truth) < 0.1
@@ -131,12 +129,12 @@ class TestErfForm:
         phi = -PI + 0.3
         w = 40.0 * cmath.exp(1j * phi)
         ev = terminant_erf_approx(41, w, arg_w=phi)
-        zeta = -c_of_phi(-phi).conjugate() * math.sqrt(20.0)
+        zeta = -_c_branch(-phi - PI).conjugate() * math.sqrt(20.0)
         expected = -0.5 + 0.5 * (
             erf_small(zeta) if abs(zeta) <= 4 else math.copysign(1.0, zeta.real)
         )
         assert abs(ev.value - expected) < 1e-14
-        truth = terminant(41, w, method=QUAD).value
+        truth = terminant_quadrature(41, w)[0]
         assert abs(ev.value - truth) < 0.1
 
     def test_saturation(self):
@@ -172,11 +170,11 @@ class TestImprovedExpansion:
         # and the terminant sum converges to the remainder
         z = 2.0 * cmath.exp(0.3j * PI)
         oracle = log_barnes_oracle(z)
-        value = exp_improved_log_barnes(z, TruncationScheme.uniform(2, k_max=40))
+        value = exp_improved_report(z, TruncationScheme.uniform(2, k_max=40))[0]
         assert abs(value - oracle.value) < 1e-12
         # k_max = 2 already separates the truncated series from the oracle by
         # only the k >= 3 terminant tail
-        short = exp_improved_log_barnes(z, TruncationScheme.uniform(2, k_max=2))
+        short = exp_improved_report(z, TruncationScheme.uniform(2, k_max=2))[0]
         tail = abs(short - oracle.value)
         plain = abs(truncated_log_barnes(z, 3) - oracle.value)
         assert tail < plain
@@ -195,18 +193,18 @@ class TestImprovedExpansion:
         assert abs(value - oracle.value) <= 1e-9 + est + oracle.est_error
 
     def test_scheme_independence(self):
-        a = exp_improved_log_barnes(2.5, TruncationScheme.optimal(k_max=20))
-        b = exp_improved_log_barnes(2.5, TruncationScheme.uniform(3, k_max=20))
+        a = exp_improved_report(2.5, TruncationScheme.optimal(k_max=20))[0]
+        b = exp_improved_report(2.5, TruncationScheme.uniform(3, k_max=20))[0]
         assert abs(a - b) < 1e-9
 
     def test_real_axis_correction_real(self):
-        value = exp_improved_log_barnes(2.5, TruncationScheme.optimal(3))
+        value = exp_improved_report(2.5, TruncationScheme.optimal(3))[0]
         assert abs(value.imag) < 1e-14
 
     def test_exponential_improvement_on_stokes_line(self):
         z = 2.5j
         oracle = log_barnes_oracle(z)
-        hyper = exp_improved_log_barnes(z, TruncationScheme.optimal(3))
+        hyper = exp_improved_report(z, TruncationScheme.optimal(3))[0]
         plain_best = min(
             abs(truncated_log_barnes(z, n) - oracle.value) for n in range(1, 21)
         )
@@ -220,9 +218,9 @@ class TestImprovedExpansion:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            exp_improved_log_barnes(0.0)
+            exp_improved_report(0.0)
         with pytest.raises(DomainError):
-            exp_improved_log_barnes(-2.0)
+            exp_improved_report(-2.0)
 
 
 class TestStokesProfile:

@@ -4,10 +4,14 @@ The scaled terminant
 
     T_p(w) = e^{i pi p} Gamma(p) / (2 pi i) * Gamma(1 - p, w)
 
-encodes the remainder of an optimally truncated asymptotic series.  For the
-odd integer orders used here it reduces, by the downward incomplete-gamma
-recurrence, to the tail of the asymptotic series of E1 -- which is exactly
-what makes the exponentially improved expansion of log G(z+1) work:
+encodes the remainder of an optimally truncated asymptotic series.  For
+integer p it is, in closed form, the tail of the asymptotic series of E1:
+
+    T_p(w) e^{w} = (S_{p-1}(w) - e^{w} E1(w)) / (2 pi i),
+    S_m(w) = sum_{j<m} (-1)^j j! / w^{j+1},
+
+which is exactly what makes the exponentially improved expansion of
+log G(z+1) work:
 
     log G(z+1) = prefix(z)
                - sum_{k>=1} (2 pi k)^{-2} sum_{n=0}^{N_k-1} (-1)^n 2(2n+1)!/(2 pi k z)^{2n+2}
@@ -34,7 +38,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .bernoulli import EPS, TWO_PI, zeta_even
+from .bernoulli import DEFAULT_TABLE, EPS, TWO_PI, zeta_even
 from .errors import AccuracyError, DomainError, RangeError
 from .expansion import _check_finite, _check_sector, expansion_prefix
 from .special import _c_branch, _e1_scaled_continued, _erf_saturated
@@ -83,25 +87,32 @@ def _check_branch(w: complex, arg_w: Optional[float]) -> tuple[complex, float]:
 
 
 def _scaled_recurrence(p: int, w: complex, arg_w: float) -> tuple[complex, float]:
-    """T_p(w) e^{w} by the downward recurrence, overflow-safe.
+    """T_p(w) e^{w} in closed form, overflow-safe for Re w << 0.
 
-    Works on g_m = e^{w} Gamma(-m, w), for which the recurrence is
-    g_m = (g_{m-1} - w^{-m}) / (-m) with seed g_0 = e^{w} E1(w).  The error
-    estimate combines the seed accuracy with the worst intermediate
-    cancellation accumulated along the recurrence.
+    For integer p, T_p(w) e^{w} = (S_{p-1}(w) - e^{w} E1(w)) / (2 pi i), where
+    S_m(w) = sum_{j<m} (-1)^j j! / w^{j+1} is the truncated asymptotic series
+    of h = e^{w} E1(w); the partial sums are built forward, one multiply per
+    term.  The error estimate is the seed error seed_rel |h| plus 4 eps for
+    every partial difference |h - S_m|, divided by 2 pi, plus 4 eps of the
+    value.
     """
     if arg_w <= -math.pi:
         val, est = _scaled_recurrence(p, w.conjugate(), -arg_w)
         return -val.conjugate(), est
-    g, seed_rel = _e1_scaled_continued(w, arg_w)
-    err_acc = seed_rel * abs(g)
-    fact = 1.0
-    for m in range(1, p):
-        g = (g - w ** (-m)) / (-m)
-        fact *= m
-        err_acc += 4.0 * EPS * abs(g) * fact
-    value = cmath.exp(1j * math.pi * p) * math.gamma(p) / (2j * math.pi) * g
-    est = err_acc / TWO_PI + 4.0 * EPS * abs(value)
+    h, seed_rel = _e1_scaled_continued(w, arg_w)
+    winv = 1.0 / w
+    term = winv
+    partial = 0.0 + 0.0j
+    spread = 0.0
+    try:
+        for m in range(1, p):
+            partial += term
+            spread += abs(h - partial)
+            term *= -m * winv
+    except OverflowError:  # |h - S_m| beyond binary64
+        raise RangeError(f"T_{p}(w) e^w overflows binary64 at w = {w}") from None
+    value = (partial - h) / (2j * math.pi)
+    est = (seed_rel * abs(h) + 4.0 * EPS * spread) / TWO_PI + 4.0 * EPS * abs(value)
     return value, est
 
 
@@ -123,9 +134,10 @@ def terminant(
     """Scaled terminant T_p(w) for positive integer order p.
 
     arg_w selects the branch (it may exceed +-pi; defaults to the principal
-    phase).  The default path is the incomplete-gamma recurrence, switching
-    to the erf form when p ~ |w| >= 50 where the recurrence has lost too much
-    to cancellation; method forces one of the two.
+    phase).  The default path is the closed form of _scaled_recurrence,
+    switching to the erf form when p ~ |w| >= 50 where the closed form has
+    lost too much to cancellation; method forces one of the two.  RangeError
+    when the value or its estimate is not finite in binary64.
     """
     if p < 1 or p > MAX_ORDER:
         raise RangeError(f"terminant order must lie in [1, {MAX_ORDER}]")
@@ -141,7 +153,10 @@ def terminant(
         return terminant_erf_approx(p, w, arg_w)
     scaled, est = _scaled_recurrence(p, w, arg_w)
     emw = _exp_minus(w)
-    return TerminantEval(value=scaled * emw, method=method, est_error=est * abs(emw))
+    value, est = scaled * emw, est * abs(emw)
+    if not (cmath.isfinite(value) and math.isfinite(est)):
+        raise RangeError(f"T_{p}(w) is not finite in binary64 at w = {w}")
+    return TerminantEval(value=value, method=method, est_error=est)
 
 
 def terminant_erf_approx(
@@ -219,25 +234,45 @@ class TruncationScheme:
 DEFAULT_SCHEME = TruncationScheme()
 
 
+def _em_coeffs(s: int) -> tuple[float, ...]:
+    """B_{2j}/(2j)! (s)_{2j-1} for j = 8 down to 1: _zeta_tail's Euler-Maclaurin corrections."""
+    return tuple(
+        DEFAULT_TABLE.number(2 * j) / math.factorial(2 * j)
+        * math.prod(range(s, s + 2 * j - 1))
+        for j in range(8, 0, -1)
+    )
+
+
+# _algebraic_sum asks for the even exponents 4..64
+_EM_COEFFS = {s: _em_coeffs(s) for s in range(4, 66, 2)}
+
+
 def _zeta_tail(exponent: int, k_first: int) -> float:
     """sum_{k >= k_first} k^{-exponent}, accurate relative to its own size.
 
     Subtracting the head from zeta(exponent) is catastrophic once the zeta
-    value rounds to 1; the direct tail sum (plus a midpoint-rule integral
-    remainder) keeps full relative accuracy at any k_first.
+    value rounds to 1.  Instead the terms k < a = k_first + max(8, s/2) are
+    summed directly, and the rest by Euler-Maclaurin:
+
+        sum_{k >= a} k^{-s} = a^{1-s}/(s-1) + a^{-s}/2
+                              + sum_{j=1}^{8} B_{2j}/(2j)! (s)_{2j-1} a^{-s-2j+1} + R,
+
+    with (s)_n the rising factorial.  From a >= s/2 + 2 the corrections fall
+    at least geometrically and R stays below an ulp of the tail; the
+    correctly rounded sum of all the parts is within about one ulp.
     """
     if k_first <= 1:
         return zeta_even(exponent)
-    total = 0.0
-    k = k_first
-    while k < k_first + 600:
-        term = float(k) ** -exponent
-        total += term
-        k += 1
-        if term < 1e-18 * total:
-            break
-    total += (k - 0.5) ** (1 - exponent) / (exponent - 1)
-    return total
+    stop = k_first + max(8, exponent // 2)
+    parts = [float(k) ** -exponent for k in range(k_first, stop)]
+    a = float(stop)
+    ainv2 = 1.0 / (a * a)
+    correction = 0.0
+    for coeff in _EM_COEFFS[exponent]:  # Horner in a^{-2}, from j = 8 down
+        correction = correction * ainv2 + coeff
+    head = a ** (1 - exponent)  # a^{1-s}
+    parts += (head / (exponent - 1), 0.5 * head / a, correction * ainv2 * head)
+    return math.fsum(parts)
 
 
 def _algebraic_sum(z: complex, scheme: TruncationScheme) -> complex:

@@ -5,7 +5,8 @@ z outside the slit plane (non-finite, zero, on the cut) raises DomainError;
 a modulus whose powers leave the binary64 range raises RangeError, and so
 does a float overflow inside a route, without a RuntimeWarning.  A terminant
 argument w that is zero or not finite, or a branch angle arg_w that is not
-finite or not congruent to arg w, raises DomainError.
+finite or not congruent to arg w, raises DomainError; a terminant value or
+estimate that is not finite in binary64 raises RangeError.
 """
 
 import cmath
@@ -13,6 +14,7 @@ import math
 import numbers
 import warnings
 
+import mpmath as mp
 import pytest
 from click.testing import CliRunner
 
@@ -49,18 +51,21 @@ OUTSIDE_SLIT_PLANE = [complex(NAN, 0.0), complex(0.0, NAN), complex(INF, 0.0),
                       complex(-2.0, 0.0), complex(-2.0, -0.0)]
 TINY_OR_HUGE = [1e-300, 1e200]
 NEAR_CUT = complex(-1.0, 1e-15)
-# finite moduli at which an intermediate of the route overflows: the terminant
-# recurrence's w^m, the promotion ladder's z^{-2n}, the wide kernel's
+# finite moduli at which an intermediate of the route overflows: the improved
+# route's z^{-2}, the promotion ladder's z^{-2n}, the wide kernel's
 # (t + z)^{2 m_eff}, the narrow prefactor 1/z^{2N}
 OVERFLOW_INSIDE = [
-    ("exp_improved_report", 300 * cmath.exp(0.3j * math.pi)),
-    # polar 1000i; at exactly 1000j every w is real and the value is finite
-    ("exp_improved_report", 1000 * cmath.exp(0.5j * math.pi)),
+    ("exp_improved_report", 1e-160 * cmath.exp(0.3j * math.pi)),
     ("log_barnes_oracle", 1e-30 * cmath.exp(0.3j * math.pi)),
     ("remainder_wide", 1e30),
     ("remainder_wide", 3e-78),
     ("remainder_narrow", 1e-78),
 ]
+
+
+# large moduli where the improved route stays finite (polar 1000i: at exactly
+# 1000j every w is real)
+IMPROVED_LARGE = [300 * cmath.exp(0.3j * math.pi), 1000 * cmath.exp(0.5j * math.pi)]
 
 
 def _numbers(out):
@@ -96,6 +101,16 @@ def test_overflow_inside_a_route_raises_range_error_without_warnings(route, z):
             ROUTES[route](z)
 
 
+@pytest.mark.parametrize("z", IMPROVED_LARGE, ids=repr)
+def test_improved_route_at_large_modulus_is_within_its_estimate(z):
+    value, est = exp_improved_report(z)
+    assert cmath.isfinite(value) and math.isfinite(est)
+    with mp.workdps(30):
+        diff = mp.mpc(value) - mp.log(mp.barnesg(mp.mpc(z) + 1))
+        diff -= 2j * mp.pi * mp.nint(diff.imag / (2 * mp.pi))  # modulo 2 pi i
+        assert abs(diff) <= est
+
+
 @pytest.mark.parametrize("route", ROUTES)
 def test_near_the_cut_gives_a_typed_error_or_finite_numbers(route):
     try:
@@ -120,6 +135,17 @@ def test_terminant_off_its_branch_raises_domain_error(form, p, w, arg_w):
         TERMINANT_FORMS[form](p, w, arg_w)
 
 
+# the partial sums S_m(w) of T_p(w) leave binary64: at 0.1 they become
+# inf and nan; at 0.306 e^{i pi/4} one of them has finite parts but |.| > 1.8e308
+TERMINANT_OVERFLOW = [(121, 0.1), (140, 0.306 * cmath.exp(0.25j * math.pi))]
+
+
+@pytest.mark.parametrize("p,w", TERMINANT_OVERFLOW, ids=repr)
+def test_terminant_that_overflows_raises_range_error(p, w):
+    with pytest.raises(RangeError):
+        terminant(p, w)
+
+
 def _eval(method, re, im="0"):
     return ["eval", "--method", method, "--z-re", re, "--z-im", im]
 
@@ -138,11 +164,13 @@ CLI_CASES = [
     *[(["bounds", "--z-abs", r], 2) for r in ("nan", "inf", "0", "1e-300", "1e200")],
     *[(_eval(CLI_METHOD[route], repr(z.real), repr(z.imag)), 2)
       for route, z in OVERFLOW_INSIDE if route in CLI_METHOD],
+    *[(_eval("hyper", repr(z.real), repr(z.imag)), 0) for z in IMPROVED_LARGE],
     (["bounds", "--z-abs", "1", "--theta", repr(math.pi - 1e-15)], 3),
     *[(["terminant", "--p", "60", "--w-re", "60", "--w-arg", "2.0", "--method", m], 2)
       for m in ("erf", "recurrence", "auto")],
     *[(["terminant", "--p", "5", "--w-re", "3", "--w-arg", a], 2) for a in ("nan", "inf")],
     (["terminant", "--p", "5", "--w-re", "inf"], 2),
+    (["terminant", "--p", "121", "--w-re", "0.1"], 2),  # TERMINANT_OVERFLOW
 ]
 
 

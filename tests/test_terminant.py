@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -21,6 +22,7 @@ from barnesg import (
     truncated_log_barnes,
 )
 from barnesg.special import _c_branch
+from barnesg.terminant import _zeta_tail
 from _reference import terminant_quadrature
 
 PI = math.pi
@@ -38,7 +40,7 @@ class TestTerminantPaths:
     def test_dual_path_randomized_with_floor(self):
         """Agreement within max(1e-9, the recurrence's self-reported floor).
 
-        Near |arg w| ~ 0.8 pi with |w| ~ 30 the downward recurrence loses
+        Near |arg w| ~ 0.8 pi with |w| ~ 30 the closed form loses
         e^{-Re w} eps to cancellation; est_error reports exactly that.
         """
         rng = np.random.default_rng(17)
@@ -102,6 +104,48 @@ class TestTerminantPaths:
             terminant(5, 3.0, arg_w=1.6 * PI)
         with pytest.raises(DomainError):
             terminant(5, 3.0, arg_w=0.5)  # inconsistent with arg(w) = 0
+
+
+def _terminant_mp(p, w, arg_w):
+    """T_p(w) on the branch arg_w from mpmath's principal Gamma(1-p, w), plus one
+    unit per crossing of the negative axis."""
+    with mp.workdps(40):
+        val = (-1) ** p * mp.factorial(p - 1) / (2j * mp.pi) * mp.gammainc(1 - p, mp.mpc(w))
+        return complex(val) + round((arg_w - cmath.phase(w)) / (2 * PI))
+
+
+class TestTerminantAgainstMpmath:
+    @pytest.mark.parametrize("abs_w", [0.8, 2.0, 5.0, 12.0, 25.0, 40.0, 79.0])
+    def test_near_optimal_order_error_within_estimate(self, abs_w):
+        p = 2 * round(abs_w / 2) + 1
+        for a in (0.5, -0.5, 0.9, -0.9, 0.0, 1.0, 1.1, -1.1, 1.45, -1.45):
+            w = abs_w * cmath.exp(1j * a * PI)
+            ev = terminant(p, w, arg_w=a * PI, method=REC)
+            ref = _terminant_mp(p, w, a * PI)
+            assert abs(ev.value - ref) <= ev.est_error, (p, a)
+
+    def test_top_order_at_one(self):
+        # T_171(1) is nearly imaginary; a rotation by p * 1.2e-16 rad of the
+        # value once put a real part ten times the estimate into it
+        ev = terminant(171, 1.0, method=REC)
+        assert abs(ev.value - _terminant_mp(171, 1.0, 0.0)) <= ev.est_error
+
+
+@pytest.mark.parametrize("s", range(4, 65, 2))
+def test_zeta_tail_within_four_ulp(s):
+    # mpmath's own Hurwitz zeta is off by up to 1e-9 at dps 40-120 for
+    # s >= 40 and K >= 1000, so the reference runs at dps 260.  Up to K = 100
+    # it is zeta(s) minus the head, which cancels at most 130 of those digits.
+    with mp.workdps(260):
+        refs = {}
+        tail = mp.zeta(s)
+        for k in range(1, 101):
+            tail -= mp.mpf(k) ** -s
+            refs[k + 1] = tail
+        refs.update((k, mp.zeta(s, k)) for k in (1000, 10**4, 16_000_000))
+        for k in [*range(2, 61), 100, 1000, 10**4, 16_000_000]:
+            got = _zeta_tail(s, k)
+            assert abs(mp.mpf(got) - refs[k]) <= 4 * math.ulp(float(refs[k])), k
 
 
 class TestErfForm:

@@ -234,13 +234,16 @@ class TruncationScheme:
 DEFAULT_SCHEME = TruncationScheme()
 
 
+_EM_BASE = tuple(DEFAULT_TABLE.number(2 * j) / math.factorial(2 * j) for j in range(1, 9))
+
+
 def _em_coeffs(s: int) -> tuple[float, ...]:
     """B_{2j}/(2j)! (s)_{2j-1} for j = 8 down to 1: _zeta_tail's Euler-Maclaurin corrections."""
-    return tuple(
-        DEFAULT_TABLE.number(2 * j) / math.factorial(2 * j)
-        * math.prod(range(s, s + 2 * j - 1))
-        for j in range(8, 0, -1)
-    )
+    coeffs, rising = [], s
+    for j, base in enumerate(_EM_BASE, start=1):
+        coeffs.append(base * rising)
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+    return tuple(reversed(coeffs))
 
 
 # _algebraic_sum asks for the even exponents 4..64

@@ -11,12 +11,7 @@ Run:  python demos/exponential_improvement_demo.py
 
 import math
 
-from barnesg import (
-    TruncationScheme,
-    exp_improved_report,
-    log_barnes_oracle,
-    truncated_log_barnes,
-)
+from barnesg import exp_improved_report, log_barnes_oracle, truncated_log_barnes
 
 
 def main() -> None:
@@ -32,7 +27,7 @@ def main() -> None:
         print(f"  plain series, best truncation N = {n_best:2d}: error {plain:.3e}"
               f"   (predicted floor e^(-2 pi |z|)/(4 pi) = {floor:.3e})")
         for k_max in (1, 2, 3):
-            improved, _ = exp_improved_report(z, TruncationScheme.optimal(k_max))
+            improved, _ = exp_improved_report(z, k_max)
             err = abs(improved - oracle.value)
             print(f"  improved, k_max = {k_max}: error {err:.3e}")
         print()

@@ -29,7 +29,6 @@ from .expansion import (
 )
 from .oracle import (
     OracleValue,
-    RemainderKernel,
     log_barnes_oracle,
     remainder_narrow,
     remainder_wide,
@@ -43,7 +42,6 @@ from .terminant import (
     StokesSample,
     TerminantEval,
     TerminantMethod,
-    TruncationScheme,
     exp_improved_report,
     stokes_profile,
     terminant,
@@ -63,11 +61,9 @@ __all__ = [
     "LOG_GLAISHER",
     "OracleValue",
     "RangeError",
-    "RemainderKernel",
     "StokesSample",
     "TerminantEval",
     "TerminantMethod",
-    "TruncationScheme",
     "bernoulli_number",
     "best_bound",
     "certified_eval",

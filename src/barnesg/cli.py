@@ -21,8 +21,8 @@ from .errors import AccuracyError, DomainError, RangeError
 from .expansion import BoundKind, certified_eval, family_bounds
 from .oracle import log_barnes_oracle, remainder_wide
 from .terminant import (
+    K_MAX,
     TerminantMethod,
-    TruncationScheme,
     exp_improved_report,
     stokes_profile,
     terminant,
@@ -96,7 +96,7 @@ def main() -> None:
 @click.option("--z-arg-pi", type=float, default=None, help="arg z in multiples of pi")
 @click.option("--method", type=click.Choice(["asym", "oracle", "hyper"]), required=True)
 @click.option("--n", "n_trunc", type=int, default=None, help="truncation index (asym)")
-@click.option("--k-max", type=int, default=TruncationScheme().k_max, show_default=True,
+@click.option("--k-max", type=int, default=K_MAX, show_default=True,
               help="terminant sum cutoff (hyper)")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 def cmd_eval(z_re, z_im, z_abs, z_arg, z_arg_pi, method, n_trunc, k_max, fmt) -> None:
@@ -114,11 +114,10 @@ def cmd_eval(z_re, z_im, z_abs, z_arg, z_arg_pi, method, n_trunc, k_max, fmt) ->
             )
         elif method == "oracle":
             out = log_barnes_oracle(z)
-            value, err, err_kind, n_used = out.value, out.est_error, "est_error", 8
+            value, err, err_kind, n_used = out.value, out.est_error, "est_error", 1
         else:
-            scheme = TruncationScheme.optimal(k_max)
-            value, err = exp_improved_report(z, scheme)
-            err_kind, n_used = "est_error", scheme.k_max
+            value, err = exp_improved_report(z, k_max)
+            err_kind, n_used = "est_error", k_max
         _emit(
             [
                 {

@@ -19,7 +19,6 @@ references to compare against.
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -44,7 +43,6 @@ from .quadrature import geometric_breakpoints, integrate_panels
 from .special import _dilog_exp
 
 __all__ = [
-    "RemainderKernel",
     "OracleValue",
     "remainder_narrow",
     "remainder_wide",
@@ -60,20 +58,12 @@ _TAIL_TARGET = 1e-13
 _MAX_INTERVALS = 64
 
 
-class RemainderKernel(enum.Enum):
-    """Which integral representation produced an oracle value."""
-
-    DILOG = "dilog"
-    PERIODIC = "periodic_bernoulli"
-
-
 @dataclass(frozen=True)
 class OracleValue:
-    """Remainder value with an error estimate and provenance tag."""
+    """Remainder (or log G) value with an error estimate."""
 
     value: complex
     est_error: float
-    kernel: RemainderKernel
 
 
 def _check_narrow(z: complex) -> complex:
@@ -132,7 +122,7 @@ def remainder_narrow(z: complex, n_trunc: int) -> OracleValue:
         value = pref * integral
     est = tail + 8.0 * EPS * abs_sum * abs(pref)
     _check_finite(z, value, est)
-    return OracleValue(value=value, est_error=est, kernel=RemainderKernel.DILOG)
+    return OracleValue(value=value, est_error=est)
 
 
 # ----------------------------------------------------------------------
@@ -226,7 +216,7 @@ def remainder_wide(z: complex, n_trunc: int) -> OracleValue:
         value = ladder + remainder_eff
     est = tail + 8.0 * EPS * (abs_sum * abs(pref) + abs(ladder))
     _check_finite(z, value, est)
-    return OracleValue(value=value, est_error=est, kernel=RemainderKernel.PERIODIC)
+    return OracleValue(value=value, est_error=est)
 
 
 def log_barnes_oracle(z: complex) -> OracleValue:
@@ -234,4 +224,4 @@ def log_barnes_oracle(z: complex) -> OracleValue:
     rem = remainder_wide(z, 1)  # checks z
     value = expansion_prefix(z) + rem.value
     est = rem.est_error + 8.0 * EPS * (abs(value) + 1.0)
-    return OracleValue(value=value, est_error=est, kernel=rem.kernel)
+    return OracleValue(value=value, est_error=est)

@@ -214,8 +214,7 @@ def _e1_scaled_continued(w: complex, arg_w: float) -> tuple[complex, float]:
         if abs(term) < EPS * abs(total) or j > abs(w) - 2:
             break
     ew = cmath.exp(w)  # Re w < 0 here
-    switch = 0.5 + 0.5 * _erf_saturated(_c_branch(ph - math.pi) * math.sqrt(0.5 * abs(w)))
-    total -= 2j * math.pi * switch * ew
+    total -= 2j * math.pi * _erf_switch(ph - math.pi, abs(w)) * ew
     if windings:
         total -= 2j * math.pi * windings * ew
     return total, 8 * EPS + abs(w) ** 1.5 * math.exp(-abs(w))
@@ -260,6 +259,11 @@ def _erf_saturated(zeta: complex) -> complex:
     if abs(zeta) > 4.0:
         return complex(math.copysign(1.0, zeta.real))
     return erf_small(zeta)
+
+
+def _erf_switch(u: float, abs_w: float) -> complex:
+    """Smoothed Stokes switch 1/2 + 1/2 erf(c(phi) sqrt(|w|/2)), taken at u = phi - pi."""
+    return 0.5 + 0.5 * _erf_saturated(_c_branch(u) * math.sqrt(0.5 * abs_w))
 
 
 # ----------------------------------------------------------------------

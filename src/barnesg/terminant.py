@@ -41,12 +41,11 @@ from typing import Optional, Sequence
 from .bernoulli import DEFAULT_TABLE, EPS, TWO_PI, zeta_even
 from .errors import AccuracyError, DomainError, RangeError
 from .expansion import _check_finite, _check_sector, expansion_prefix
-from .special import _c_branch, _e1_scaled_continued, _erf_saturated
+from .special import _c_branch, _e1_scaled_continued, _erf_saturated, _erf_switch
 
 __all__ = [
     "TerminantMethod",
     "TerminantEval",
-    "TruncationScheme",
     "StokesSample",
     "terminant",
     "terminant_erf_approx",
@@ -55,10 +54,15 @@ __all__ = [
 ]
 
 MAX_ORDER = 171  # Gamma(p) overflows beyond this
-_OPTIMAL_CAP = 40
+#: Terminant pairs that exp_improved_report sums unless told otherwise.
+K_MAX = 5
+_ORDER_CAP = 40
 
 
 class TerminantMethod(enum.Enum):
+    """The path that evaluated a terminant: the closed form or the erf form."""
+
+    #: Names the closed form of _scaled_recurrence; the value, which the CLI prints, is kept.
     GAMMA_RECURRENCE = "gamma_recurrence"
     ERF_ASYMPTOTIC = "erf_asymptotic"
 
@@ -172,19 +176,18 @@ def terminant_erf_approx(
     w, arg_w = _check_branch(w, arg_w)
     if abs(p - abs(w)) > 0.2 * abs(w):
         raise DomainError("erf form requires p within 20% of |w|")
-    scale = math.sqrt(0.5 * abs(w))
     if arg_w >= 0.0:
         if not -math.pi + 0.1 <= arg_w <= 3.0 * math.pi - 0.1:
             raise DomainError("arg w outside the upper erf-form range")
-        zeta = _c_branch(arg_w - math.pi) * scale
-        base, sign = 0.5, 0.5
+        value = _erf_switch(arg_w - math.pi, abs(w))
     else:
         if not -3.0 * math.pi + 0.1 <= arg_w <= math.pi - 0.1:
             raise DomainError("arg w outside the lower erf-form range")
-        zeta = -_c_branch(-arg_w - math.pi).conjugate() * scale
-        base, sign = -0.5, 0.5
+        # not -conj(_erf_switch(-arg_w - pi, |w|)): that turns a saturated 0 into -0
+        zeta = -_c_branch(-arg_w - math.pi).conjugate() * math.sqrt(0.5 * abs(w))
+        value = -0.5 + 0.5 * _erf_saturated(zeta)
     return TerminantEval(
-        value=base + sign * _erf_saturated(zeta),
+        value=value,
         method=TerminantMethod.ERF_ASYMPTOTIC,
         est_error=1.0 / math.sqrt(abs(w)),
     )
@@ -194,44 +197,9 @@ def terminant_erf_approx(
 # Exponentially improved expansion
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TruncationScheme:
-    """Per-exponential truncation orders N_k for the improved expansion.
-
-    optimal (uniform_n is None): N_k = round(pi k |z|) capped at 40
-    (near-smallest-term truncation of each inner series); uniform: N_k =
-    uniform_n for all k, which reproduces the plain truncated expansion plus
-    its convergent terminant remainder series.  k_max truncates the terminant
-    sum only.
-    """
-
-    uniform_n: Optional[int] = None
-    k_max: int = 5
-
-    def __post_init__(self) -> None:
-        if self.k_max < 1:
-            raise DomainError("k_max must be >= 1")
-        if self.uniform_n is not None:
-            if self.uniform_n < 0:
-                raise DomainError("uniform truncation requires uniform_n >= 0")
-            if self.uniform_n > 30:
-                raise RangeError("uniform_n beyond 30 exceeds the Bernoulli table")
-
-    @classmethod
-    def optimal(cls, k_max: int = 5) -> "TruncationScheme":
-        return cls(k_max=k_max)
-
-    @classmethod
-    def uniform(cls, n: int, k_max: int = 5) -> "TruncationScheme":
-        return cls(uniform_n=n, k_max=k_max)
-
-    def order(self, k: int, abs_z: float) -> int:
-        if self.uniform_n is not None:
-            return self.uniform_n
-        return min(_OPTIMAL_CAP, int(math.floor(math.pi * k * abs_z + 0.5)))
-
-
-DEFAULT_SCHEME = TruncationScheme()
+def _optimal_order(k: int, abs_z: float) -> int:
+    """N_k = round(pi k |z|) capped at 40: each inner series truncated near its smallest term."""
+    return min(_ORDER_CAP, int(math.floor(math.pi * k * abs_z + 0.5)))
 
 
 _EM_BASE = tuple(DEFAULT_TABLE.number(2 * j) / math.factorial(2 * j) for j in range(1, 9))
@@ -278,7 +246,7 @@ def _zeta_tail(exponent: int, k_first: int) -> float:
     return math.fsum(parts)
 
 
-def _algebraic_sum(z: complex, scheme: TruncationScheme) -> complex:
+def _algebraic_sum(z: complex) -> complex:
     """Complete inner double sum, regrouped over n with zeta partial sums.
 
     The (n, k) term is (-1)^n 2 (2n+1)! / ((2 pi k)^{2n+4} z^{2n+2}); for each
@@ -293,19 +261,14 @@ def _algebraic_sum(z: complex, scheme: TruncationScheme) -> complex:
         zinv2 = 1.0 / (z * z)
     except ZeroDivisionError:
         raise RangeError(f"z^2 underflows to zero at z = {z}") from None
-    uniform = scheme.uniform_n is not None
-    n_stop = scheme.uniform_n if uniform else _OPTIMAL_CAP
     two_fact = 2.0  # 2 * (2n+1)! at n = 0
     zpow = zinv2
-    for n in range(n_stop):
+    for n in range(_ORDER_CAP):
         exponent = 2 * n + 4
         if exponent > 64:
             break
-        if uniform:
-            k_first = 1
-        else:
-            # N_k = round(pi k |z|) >= n+1  <=>  k >= (n + 1/2) / (pi |z|)
-            k_first = max(1, math.ceil((n + 0.5) / (math.pi * abs_z) - 1e-12))
+        # N_k = round(pi k |z|) >= n+1  <=>  k >= (n + 1/2) / (pi |z|)
+        k_first = max(1, math.ceil((n + 0.5) / (math.pi * abs_z) - 1e-12))
         partial = _zeta_tail(exponent, k_first)
         term = (-1) ** n * two_fact / TWO_PI ** exponent * zpow * partial
         total += term
@@ -316,9 +279,7 @@ def _algebraic_sum(z: complex, scheme: TruncationScheme) -> complex:
     return total
 
 
-def _terminant_pairs(
-    z: complex, scheme: TruncationScheme
-) -> tuple[complex, float, float]:
+def _terminant_pairs(z: complex, k_max: int) -> tuple[complex, float, float]:
     """Sum of the k <= k_max terminant pairs, their eval-error, and a k-tail estimate."""
     theta = cmath.phase(z)
     abs_z = abs(z)
@@ -326,9 +287,8 @@ def _terminant_pairs(
     eval_err = 0.0
     last_mag = 0.0
     prev_mag = 0.0
-    for k in range(1, scheme.k_max + 1):
-        n_k = scheme.order(k, abs_z)
-        p = 2 * n_k + 1
+    for k in range(1, k_max + 1):
+        p = 2 * _optimal_order(k, abs_z) + 1
         w_up = TWO_PI * k * 1j * z
         s_up, e_up = _scaled_recurrence(p, w_up, theta + 0.5 * math.pi)
         s_dn, e_dn = _scaled_recurrence(p, -w_up, theta - 0.5 * math.pi)
@@ -344,14 +304,18 @@ def _terminant_pairs(
     return total, eval_err, tail
 
 
-def exp_improved_report(
-    z: complex, scheme: TruncationScheme = DEFAULT_SCHEME
-) -> tuple[complex, float]:
-    """Improved evaluation plus an error estimate (terminant k-tail + round-off)."""
+def exp_improved_report(z: complex, k_max: int = K_MAX) -> tuple[complex, float]:
+    """Improved evaluation plus an error estimate (terminant k-tail + round-off).
+
+    The k-th exponential's inner series is truncated at N_k = round(pi k |z|),
+    capped at 40; k_max >= 1 terminant pairs are summed.
+    """
+    if k_max < 1:
+        raise DomainError("k_max must be >= 1")
     z = _check_sector(z)
     total = expansion_prefix(z)
-    total -= _algebraic_sum(z, scheme)
-    pairs, eval_err, tail = _terminant_pairs(z, scheme)
+    total -= _algebraic_sum(z)
+    pairs, eval_err, tail = _terminant_pairs(z, k_max)
     total -= pairs
     est = tail + eval_err + 8.0 * EPS * abs(total)
     _check_finite(z, total, est)
@@ -401,8 +365,8 @@ def stokes_profile(
     N_k = round(pi k |z|), and the prediction is
     1/2 + 1/2 erf((theta -+ pi/2) sqrt(pi k |z|)) on the corresponding side.
     """
-    if abs_z < 1.5:
-        raise DomainError("stokes_profile requires |z| >= 1.5")
+    if not 1.5 <= abs_z < math.inf:  # false for NaN too
+        raise DomainError(f"stokes_profile requires a finite |z| >= 1.5, got {abs_z}")
     if k < 1:
         raise DomainError("k must be a positive integer")
     thetas = list(thetas)

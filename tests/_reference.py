@@ -5,9 +5,14 @@ Each computes a quantity the library also computes, by another formula:
   * bernoulli_poly -- B_n(x) by the compensated binomial sum over the table,
     the reference for the Fourier form BernoulliTable.poly_periodic;
   * terminant_quadrature -- the scaled terminant by quadrature of its
-    defining integral, the reference for the incomplete-gamma recurrence;
+    defining integral, the reference for the closed form (S_{p-1}(w) -
+    e^{w} E1(w)) / (2 pi i);
   * remainder_symmetrized -- R_N(z) by the symmetrized Bernoulli kernel, the
-    reference for remainder_wide's periodized kernel.
+    reference for remainder_wide's periodized kernel;
+  * improved_uniform -- log G(z+1) by the improved expansion with one order
+    N_k = n for every k, the reference for exp_improved_report's
+    near-optimal orders (the expansion is an identity for every order
+    sequence).
 """
 
 import cmath
@@ -15,10 +20,11 @@ import math
 
 import numpy as np
 
-from barnesg import bernoulli_number, oracle
+from barnesg import bernoulli_number, oracle, truncated_log_barnes
 from barnesg.bernoulli import DEFAULT_TABLE, EPS, TWO_PI
 from barnesg.expansion import _COEFFS
 from barnesg.quadrature import integrate_panels
+from barnesg.terminant import _scaled_recurrence
 
 
 def bernoulli_poly(n, x):
@@ -101,3 +107,24 @@ def remainder_symmetrized(z, n_trunc):
                                    oracle._GAUSS_ORDER)
     ladder = sum(_COEFFS[n] * z ** (-2 * n) for n in range(n_trunc, m))
     return ladder - pref * integral
+
+
+def improved_uniform(z, n, k_max):
+    """The improved expansion of log G(z+1) with N_k = n for every k:
+
+        truncated_log_barnes(z, n+1) - sum_{k<=k_max} (s_up + s_dn) / (2 pi i k^2),
+
+    s_up, s_dn = T_{2n+1}(w) e^{w} at w = +-2 pi k i z, on the branches
+    arg w = arg z +- pi/2.  With one order for every k the algebraic double
+    sum is exactly the series truncated after n terms, and the terminant sum
+    converges to the remainder R_{n+1}(z) as k_max grows.
+    """
+    z = complex(z)
+    theta = cmath.phase(z)
+    pairs = 0.0 + 0.0j
+    for k in range(1, k_max + 1):
+        w_up = TWO_PI * k * 1j * z
+        s_up, _ = _scaled_recurrence(2 * n + 1, w_up, theta + 0.5 * math.pi)
+        s_dn, _ = _scaled_recurrence(2 * n + 1, -w_up, theta - 0.5 * math.pi)
+        pairs += (s_up + s_dn) / (2j * math.pi * k * k)
+    return truncated_log_barnes(z, n + 1) - pairs

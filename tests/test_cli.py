@@ -82,6 +82,12 @@ class TestEval:
         assert res.exit_code == 0
         assert csv_rows(res.output)[0]["n_used"] == "5"
 
+    def test_oracle_n_used_is_one(self, runner):
+        # log_barnes_oracle is the prefix plus the quadrature of R_1
+        res = runner.invoke(main, ["eval", "--z-re", "3", "--method", "oracle"])
+        assert res.exit_code == 0
+        assert csv_rows(res.output)[0]["n_used"] == "1"
+
     def test_missing_z_exit(self, runner):
         res = runner.invoke(main, ["eval", "--method", "oracle"])
         assert res.exit_code == 2

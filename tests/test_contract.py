@@ -1,4 +1,5 @@
-"""The input contract shared by every z-route, both terminant forms and the CLI.
+"""The input contract shared by every z-route, both terminant forms,
+stokes_profile and the CLI.
 
 Each route either returns finite numbers or raises a typed library error.
 z outside the slit plane (non-finite, zero, on the cut) raises DomainError;
@@ -6,7 +7,8 @@ a modulus whose powers leave the binary64 range raises RangeError, and so
 does a float overflow inside a route, without a RuntimeWarning.  A terminant
 argument w that is zero or not finite, or a branch angle arg_w that is not
 finite or not congruent to arg w, raises DomainError; a terminant value or
-estimate that is not finite in binary64 raises RangeError.
+estimate that is not finite in binary64 raises RangeError.  A |z| for
+stokes_profile that is not finite raises DomainError.
 """
 
 import cmath
@@ -29,6 +31,7 @@ from barnesg import (
     log_barnes_oracle,
     remainder_narrow,
     remainder_wide,
+    stokes_profile,
     terminant,
     terminant_erf_approx,
 )
@@ -146,6 +149,12 @@ def test_terminant_that_overflows_raises_range_error(p, w):
         terminant(p, w)
 
 
+@pytest.mark.parametrize("abs_z", [NAN, INF], ids=repr)
+def test_stokes_profile_at_non_finite_modulus_raises_domain_error(abs_z):
+    with pytest.raises(DomainError):
+        stokes_profile(abs_z, 1, [1.57])
+
+
 def _eval(method, re, im="0"):
     return ["eval", "--method", method, "--z-re", re, "--z-im", im]
 
@@ -171,6 +180,8 @@ CLI_CASES = [
     *[(["terminant", "--p", "5", "--w-re", "3", "--w-arg", a], 2) for a in ("nan", "inf")],
     (["terminant", "--p", "5", "--w-re", "inf"], 2),
     (["terminant", "--p", "121", "--w-re", "0.1"], 2),  # TERMINANT_OVERFLOW
+    *[(["stokes", "--z-abs", r, "--theta-min", "1.5", "--theta-max", "1.6", "--theta-steps", "2"], 2)
+      for r in ("nan", "inf")],
 ]
 
 

@@ -1,4 +1,5 @@
-"""The package surface: every exported name resolves, and the demos run."""
+"""The package surface: every exported name resolves, and the demos and the
+README's library quick start run."""
 
 import importlib
 import os
@@ -13,12 +14,13 @@ import barnesg
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(barnesg.__path__))
 DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
+README = Path(__file__).parents[1] / "README.md"
 
 
 EXPORTS = {
     "AccuracyError", "BernoulliTable", "BoundKind", "BoundReport", "DomainError",
     "EULER_GAMMA", "ExpansionResult", "LOG_GLAISHER", "OracleValue", "RangeError",
-    "RemainderKernel", "StokesSample", "TerminantEval", "TerminantMethod", "TruncationScheme",
+    "StokesSample", "TerminantEval", "TerminantMethod",
     "bernoulli_number", "best_bound", "certified_eval", "erf_small", "exp_improved_report",
     "exp_integral_e1", "expansion_prefix", "family_bounds", "log_barnes_oracle", "log_gamma",
     "remainder_narrow", "remainder_wide", "sector_factor", "series_coefficient",
@@ -28,7 +30,7 @@ EXPORTS = {
 
 
 def test_exports_are_the_public_surface():
-    assert len(barnesg.__all__) == len(EXPORTS) == 35
+    assert len(barnesg.__all__) == len(EXPORTS) == 33
     assert set(barnesg.__all__) == EXPORTS
 
 
@@ -62,3 +64,11 @@ def test_demo_runs(demo):
                           timeout=120, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_readme_quick_start_runs():
+    """The README's "Library quick start" block runs against the current API."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md quick start", "exec"), {})

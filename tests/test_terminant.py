@@ -12,7 +12,6 @@ from barnesg import (
     DomainError,
     RangeError,
     TerminantMethod,
-    TruncationScheme,
     erf_small,
     exp_improved_report,
     log_barnes_oracle,
@@ -22,8 +21,8 @@ from barnesg import (
     truncated_log_barnes,
 )
 from barnesg.special import _c_branch
-from barnesg.terminant import _zeta_tail
-from _reference import terminant_quadrature
+from barnesg.terminant import _optimal_order, _zeta_tail
+from _reference import improved_uniform, terminant_quadrature
 
 PI = math.pi
 REC = TerminantMethod.GAMMA_RECURRENCE
@@ -191,21 +190,15 @@ class TestErfForm:
             terminant_erf_approx(5, 30.0 * cmath.exp(1j * PI), arg_w=PI)
 
 
-class TestTruncationScheme:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            TruncationScheme.uniform(-1)
-        with pytest.raises(DomainError):
-            TruncationScheme.optimal(k_max=0)
-        with pytest.raises(RangeError):
-            TruncationScheme.uniform(31)
+class TestTruncationOrders:
+    def test_k_max_validation(self):
+        for k_max in (0, -1):
+            with pytest.raises(DomainError):
+                exp_improved_report(2.0, k_max)
 
     def test_orders(self):
-        opt = TruncationScheme.optimal()
-        assert opt.order(1, 2.5) == 8
-        assert opt.order(5, 4.0) == 40  # capped
-        uni = TruncationScheme.uniform(3, k_max=7)
-        assert uni.order(9, 100.0) == 3
+        assert _optimal_order(1, 2.5) == 8
+        assert _optimal_order(5, 4.0) == 40  # capped
 
 
 class TestImprovedExpansion:
@@ -214,11 +207,11 @@ class TestImprovedExpansion:
         # and the terminant sum converges to the remainder
         z = 2.0 * cmath.exp(0.3j * PI)
         oracle = log_barnes_oracle(z)
-        value = exp_improved_report(z, TruncationScheme.uniform(2, k_max=40))[0]
+        value = improved_uniform(z, 2, k_max=40)
         assert abs(value - oracle.value) < 1e-12
         # k_max = 2 already separates the truncated series from the oracle by
         # only the k >= 3 terminant tail
-        short = exp_improved_report(z, TruncationScheme.uniform(2, k_max=2))[0]
+        short = improved_uniform(z, 2, k_max=2)
         tail = abs(short - oracle.value)
         plain = abs(truncated_log_barnes(z, 3) - oracle.value)
         assert tail < plain
@@ -233,22 +226,22 @@ class TestImprovedExpansion:
     )
     def test_identity_exactness(self, z):
         oracle = log_barnes_oracle(z)
-        value, est = exp_improved_report(z, TruncationScheme.uniform(2, k_max=40))
-        assert abs(value - oracle.value) <= 1e-9 + est + oracle.est_error
+        value = improved_uniform(z, 2, k_max=40)
+        assert abs(value - oracle.value) <= 1e-9 + oracle.est_error
 
     def test_scheme_independence(self):
-        a = exp_improved_report(2.5, TruncationScheme.optimal(k_max=20))[0]
-        b = exp_improved_report(2.5, TruncationScheme.uniform(3, k_max=20))[0]
+        a = exp_improved_report(2.5, k_max=20)[0]
+        b = improved_uniform(2.5, 3, k_max=20)
         assert abs(a - b) < 1e-9
 
     def test_real_axis_correction_real(self):
-        value = exp_improved_report(2.5, TruncationScheme.optimal(3))[0]
+        value = exp_improved_report(2.5, 3)[0]
         assert abs(value.imag) < 1e-14
 
     def test_exponential_improvement_on_stokes_line(self):
         z = 2.5j
         oracle = log_barnes_oracle(z)
-        hyper = exp_improved_report(z, TruncationScheme.optimal(3))[0]
+        hyper = exp_improved_report(z, 3)[0]
         plain_best = min(
             abs(truncated_log_barnes(z, n) - oracle.value) for n in range(1, 21)
         )
@@ -257,7 +250,7 @@ class TestImprovedExpansion:
     def test_report_estimate_covers_error(self):
         z = 2.0 * cmath.exp(0.45j * PI)
         oracle = log_barnes_oracle(z)
-        value, est = exp_improved_report(z, TruncationScheme.optimal(4))
+        value, est = exp_improved_report(z, 4)
         assert abs(value - oracle.value) <= est + oracle.est_error + 1e-12
 
     def test_domain(self):

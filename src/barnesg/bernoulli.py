@@ -1,22 +1,20 @@
 """Bernoulli numbers, Bernoulli polynomials, and associated constants.
 
 Everything downstream (series coefficients, remainder kernels, zeta values
-at even integers) is driven by one table of Bernoulli numbers generated at
-import time by the convolution recurrence
+at even integers) is driven by one table of Bernoulli numbers B_0 .. B_64
+(first kind, B_1 = -1/2), built at import time from the integer tangent
+numbers T_k of Brent and Harvey, "Fast computation of Bernoulli, tangent and
+secant numbers" (2011):
 
-    sum_{k=0}^{n} C(n+1, k) B_k = 0,        B_0 = 1,
+    B_{2k} = (-1)^{k-1} 2k T_k / (4^k (4^k - 1)).
 
-in the first-kind convention (B_1 = -1/2).  The recurrence runs in exact
-rationals and the table stores correctly rounded binary64 values; a pure
-float recurrence would leave ~1e-13 noise in the odd entries, which must be
-exactly zero.  Indices beyond ~60 lose meaning in binary64 for this
-artifact's purposes; the table stops at 64.
+The integer quotient is correctly rounded, so every entry is the correctly
+rounded binary64 value, and the odd entries beyond B_1 are exactly zero.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -51,14 +49,17 @@ MAX_INDEX = 64
 
 
 def _generate(max_index: int) -> tuple[float, ...]:
-    values = [Fraction(0)] * (max_index + 1)
-    values[0] = Fraction(1)
-    for n in range(1, max_index + 1):
-        acc = Fraction(0)
-        for k in range(n):
-            acc += math.comb(n + 1, k) * values[k]
-        values[n] = -acc / (n + 1)
-    return tuple(float(v) for v in values)
+    kmax = max_index // 2
+    tangent = [0, 1] + [0] * (kmax - 1)  # T_1 .. T_kmax, Brent-Harvey in-place recurrence
+    for k in range(2, kmax + 1):
+        tangent[k] = (k - 1) * tangent[k - 1]
+    for k in range(2, kmax + 1):
+        for j in range(k, kmax + 1):
+            tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
+    values = [1.0, -0.5] + [0.0] * (max_index - 1)
+    for k in range(1, kmax + 1):
+        values[2 * k] = (-1) ** (k - 1) * 2 * k * tangent[k] / (4 ** k * (4 ** k - 1))
+    return tuple(values)
 
 
 class BernoulliTable:
@@ -68,14 +69,6 @@ class BernoulliTable:
     """
 
     values: tuple[float, ...] = _generate(MAX_INDEX)
-
-    def number(self, n: int) -> float:
-        """B_n.  Odd indices beyond 1 are exactly zero."""
-        if n < 0:
-            raise DomainError("Bernoulli index must be non-negative")
-        if n > MAX_INDEX:
-            raise RangeError(f"Bernoulli index {n} beyond table maximum {MAX_INDEX}")
-        return self.values[n]
 
     def poly_periodic(self, n: int, t: np.ndarray) -> np.ndarray:
         """Periodized B_n(t - floor(t)) via the Fourier sine/cosine series.
@@ -115,8 +108,12 @@ DEFAULT_TABLE = BernoulliTable()
 
 
 def bernoulli_number(n: int) -> float:
-    """Bernoulli number B_n from the default table (first kind, B_1 = -1/2)."""
-    return DEFAULT_TABLE.number(n)
+    """Bernoulli number B_n (first kind, B_1 = -1/2); odd indices beyond 1 are exactly zero."""
+    if n < 0:
+        raise DomainError("Bernoulli index must be non-negative")
+    if n > MAX_INDEX:
+        raise RangeError(f"Bernoulli index {n} beyond table maximum {MAX_INDEX}")
+    return BernoulliTable.values[n]
 
 
 def series_coefficient(n: int) -> float:
@@ -126,7 +123,7 @@ def series_coefficient(n: int) -> float:
     """
     if n < 1:
         raise DomainError("series coefficient index starts at 1")
-    return DEFAULT_TABLE.number(2 * n + 2) / (2 * n * (2 * n + 1) * (2 * n + 2))
+    return bernoulli_number(2 * n + 2) / (2 * n * (2 * n + 1) * (2 * n + 2))
 
 
 def zeta_even(m: int) -> float:
@@ -134,4 +131,4 @@ def zeta_even(m: int) -> float:
     if m < 2 or m % 2:
         raise DomainError("zeta_even requires a positive even integer")
     j = m // 2
-    return (-1) ** (j + 1) * DEFAULT_TABLE.number(m) * TWO_PI ** m / (2.0 * math.factorial(m))
+    return (-1) ** (j + 1) * bernoulli_number(m) * TWO_PI ** m / (2.0 * math.factorial(m))

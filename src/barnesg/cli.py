@@ -10,14 +10,15 @@ failure.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 import click
 
-from .errors import AccuracyError, DomainError, RangeError
+from .errors import AccuracyError, DomainError
 from .expansion import BoundKind, certified_eval, family_bounds
 from .oracle import log_barnes_oracle, remainder_wide
 from .terminant import (
@@ -71,24 +72,38 @@ def _parse_z(
     raise DomainError("specify z via --z-re/--z-im or --z-abs/--z-arg")
 
 
-def _run(body) -> None:
-    try:
-        body()
-    except (DomainError, RangeError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_DOMAIN)
-    except AccuracyError as exc:
-        click.echo(f"accuracy failure: {exc}", err=True)
-        sys.exit(EXIT_ACCURACY)
-
-
 @click.group()
 @click.version_option(version="0.1.0", prog_name="barnesg")
 def main() -> None:
     """Barnes G-function asymptotics: certified evaluation and diagnostics."""
 
 
-@main.command("eval")
+def _subcommand(name: str) -> Callable[[Callable], click.Command]:
+    """Register the decorated function as subcommand `name`, with --format as
+    its last option.  A ValueError (DomainError, RangeError, a malformed
+    number) exits with 2, an AccuracyError with 3."""
+
+    def register(fn: Callable) -> click.Command:
+        @main.command(name)
+        @functools.wraps(fn)
+        def run(**kwargs) -> None:
+            try:
+                fn(**kwargs)
+            except ValueError as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(EXIT_DOMAIN)
+            except AccuracyError as exc:
+                click.echo(f"accuracy failure: {exc}", err=True)
+                sys.exit(EXIT_ACCURACY)
+
+        run.params.append(click.Option(["--format", "fmt"], type=click.Choice(["csv", "json"]),
+                                       default="csv"))
+        return run
+
+    return register
+
+
+@_subcommand("eval")
 @click.option("--z-re", type=float, default=None, help="Re z")
 @click.option("--z-im", type=float, default=None, help="Im z")
 @click.option("--z-abs", type=float, default=None, help="|z|")
@@ -98,50 +113,40 @@ def main() -> None:
 @click.option("--n", "n_trunc", type=int, default=None, help="truncation index (asym)")
 @click.option("--k-max", type=int, default=K_MAX, show_default=True,
               help="terminant sum cutoff (hyper)")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 def cmd_eval(z_re, z_im, z_abs, z_arg, z_arg_pi, method, n_trunc, k_max, fmt) -> None:
     """Evaluate log G(z+1) by the chosen route."""
-
-    def body() -> None:
-        z = _parse_z(z_re, z_im, z_abs, z_arg, z_arg_pi)
-        if method == "asym":
-            res = certified_eval(z, n_trunc)
-            value, err, err_kind, n_used = (
-                res.value,
-                res.bound,
-                res.bound_kind.value,
-                res.n_trunc,
-            )
-        elif method == "oracle":
-            out = log_barnes_oracle(z)
-            value, err, err_kind, n_used = out.value, out.est_error, "est_error", 1
-        else:
-            value, err = exp_improved_report(z, k_max)
-            err_kind, n_used = "est_error", k_max
-        _emit(
-            [
-                {
-                    "z_re": z.real,
-                    "z_im": z.imag,
-                    "method": method,
-                    "value_re": value.real,
-                    "value_im": value.imag,
-                    "err": err,
-                    "err_kind": err_kind,
-                    "n_used": n_used,
-                }
-            ],
-            fmt,
-        )
-
-    _run(body)
+    z = _parse_z(z_re, z_im, z_abs, z_arg, z_arg_pi)
+    if method == "asym":
+        res = certified_eval(z, n_trunc)
+        value, err, err_kind, n_used = res.value, res.bound, res.bound_kind.value, res.n_trunc
+    elif method == "oracle":
+        out = log_barnes_oracle(z)
+        value, err, err_kind, n_used = out.value, out.est_error, "est_error", 1
+    else:
+        value, err = exp_improved_report(z, k_max)
+        err_kind, n_used = "est_error", k_max
+    _emit(
+        [
+            {
+                "z_re": z.real,
+                "z_im": z.imag,
+                "method": method,
+                "value_re": value.real,
+                "value_im": value.imag,
+                "err": err,
+                "err_kind": err_kind,
+                "n_used": n_used,
+            }
+        ],
+        fmt,
+    )
 
 
 def _parse_floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
-@main.command("bounds")
+@_subcommand("bounds")
 @click.option("--z-abs", "z_abs_list", type=str, required=True,
               help="comma-separated |z| grid, e.g. 2,5,10")
 @click.option("--theta", "theta_list", type=str, default=None,
@@ -150,97 +155,88 @@ def _parse_floats(text: str) -> list[float]:
               help="comma-separated arg z grid in multiples of pi")
 @click.option("--n-min", type=int, default=1)
 @click.option("--n-max", type=int, default=4)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 def cmd_bounds(z_abs_list, theta_list, theta_pi_list, n_min, n_max, fmt) -> None:
     """Sweep certified bounds against the remainder oracle; exit 3 on violation."""
-
-    def body() -> None:
-        radii = _parse_floats(z_abs_list)
-        if theta_pi_list is not None:
-            thetas = [t * math.pi for t in _parse_floats(theta_pi_list)]
-        elif theta_list is not None:
-            thetas = _parse_floats(theta_list)
-        else:
-            thetas = [0.0]
-        if n_min < 1 or n_max < n_min:
-            raise DomainError("need 1 <= n-min <= n-max")
-        rows = []
-        violated = False
-        for r in radii:
-            for theta in thetas:
-                z = r * cmath.exp(1j * theta)
-                for n in range(n_min, n_max + 1):
-                    oracle = remainder_wide(z, n)
-                    abs_rn = abs(oracle.value)
-                    families = family_bounds(z, n)
-                    sector = families.get(BoundKind.SECTOR)
-                    opt = families.get(BoundKind.OPTIMIZED)
-                    best = min(r.bound for r in families.values())
-                    ratio = best / abs_rn if abs_rn > 0 else math.inf
-                    if abs_rn > best + 1e-10 + oracle.est_error:
-                        violated = True
-                    rows.append(
-                        {
-                            "z_abs": r,
-                            "theta": theta,
-                            "n": n,
-                            "oracle_abs_rn": abs_rn,
-                            "oracle_err": oracle.est_error,
-                            "bound_sector": sector.bound if sector else math.nan,
-                            "bound_half_angle": families[BoundKind.HALF_ANGLE].bound,
-                            "bound_optimized": opt.bound if opt else math.nan,
-                            "phi_star": opt.phi_star if opt else math.nan,
-                            "best_bound": best,
-                            "ratio": ratio,
-                        }
-                    )
-        _emit(rows, fmt)
-        if violated:
-            raise AccuracyError("certified bound violated beyond oracle slack")
-
-    _run(body)
+    radii = _parse_floats(z_abs_list)
+    if theta_pi_list is not None:
+        thetas = [t * math.pi for t in _parse_floats(theta_pi_list)]
+    elif theta_list is not None:
+        thetas = _parse_floats(theta_list)
+    else:
+        thetas = [0.0]
+    if n_min < 1 or n_max < n_min:
+        raise DomainError("need 1 <= n-min <= n-max")
+    rows = []
+    violated = False
+    for r in radii:
+        for theta in thetas:
+            z = r * cmath.exp(1j * theta)
+            for n in range(n_min, n_max + 1):
+                oracle = remainder_wide(z, n)
+                abs_rn = abs(oracle.value)
+                families = family_bounds(z, n)
+                sector = families.get(BoundKind.SECTOR)
+                opt = families.get(BoundKind.OPTIMIZED)
+                best = min(r.bound for r in families.values())
+                ratio = best / abs_rn if abs_rn > 0 else math.inf
+                if abs_rn > best + 1e-10 + oracle.est_error:
+                    violated = True
+                rows.append(
+                    {
+                        "z_abs": r,
+                        "theta": theta,
+                        "n": n,
+                        "oracle_abs_rn": abs_rn,
+                        "oracle_err": oracle.est_error,
+                        "bound_sector": sector.bound if sector else math.nan,
+                        "bound_half_angle": families[BoundKind.HALF_ANGLE].bound,
+                        "bound_optimized": opt.bound if opt else math.nan,
+                        "phi_star": opt.phi_star if opt else math.nan,
+                        "best_bound": best,
+                        "ratio": ratio,
+                    }
+                )
+    _emit(rows, fmt)
+    if violated:
+        raise AccuracyError("certified bound violated beyond oracle slack")
 
 
-@main.command("stokes")
+@_subcommand("stokes")
 @click.option("--z-abs", type=float, required=True)
 @click.option("--k", type=int, default=1)
 @click.option("--theta-min", type=float, required=True)
 @click.option("--theta-max", type=float, required=True)
 @click.option("--theta-steps", type=int, required=True)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 def cmd_stokes(z_abs, k, theta_min, theta_max, theta_steps, fmt) -> None:
     """Stokes-multiplier transition profile against the erf smoothing law."""
-
-    def body() -> None:
-        if theta_min > theta_max:
-            raise DomainError("theta-min must not exceed theta-max")
-        if theta_steps < 1:
-            raise DomainError("theta-steps must be >= 1")
-        if theta_steps == 1:
-            thetas = [theta_min]
-        else:
-            step = (theta_max - theta_min) / (theta_steps - 1)
-            thetas = [theta_min + i * step for i in range(theta_steps)]
-        rows = []
-        for s in stokes_profile(z_abs, k, thetas):
-            rows.append(
-                {
-                    "theta": s.theta,
-                    "k": s.k,
-                    "z_abs": z_abs,
-                    "multiplier_re": s.multiplier.real,
-                    "multiplier_im": s.multiplier.imag,
-                    "normalized_re": s.normalized_multiplier.real,
-                    "normalized_im": s.normalized_multiplier.imag,
-                    "erf_prediction": s.normalized_prediction.real,
-                }
-            )
-        _emit(rows, fmt)
-
-    _run(body)
+    if theta_min > theta_max:
+        raise DomainError("theta-min must not exceed theta-max")
+    if theta_steps < 1:
+        raise DomainError("theta-steps must be >= 1")
+    if theta_steps == 1:
+        thetas = [theta_min]
+    else:
+        step = (theta_max - theta_min) / (theta_steps - 1)
+        thetas = [theta_min + i * step for i in range(theta_steps)]
+    rows = []
+    for s in stokes_profile(z_abs, k, thetas):
+        rows.append(
+            {
+                "theta": s.theta,
+                "k": s.k,
+                "z_abs": z_abs,
+                "multiplier_re": s.multiplier.real,
+                "multiplier_im": s.multiplier.imag,
+                "normalized_re": s.normalized_multiplier.real,
+                "normalized_im": s.normalized_multiplier.imag,
+                "erf_prediction": s.normalized_prediction.real,
+                "est_error": s.est_error,
+            }
+        )
+    _emit(rows, fmt)
 
 
-@main.command("terminant")
+@_subcommand("terminant")
 @click.option("--p", type=int, required=True, help="terminant order (positive integer)")
 @click.option("--w-re", type=float, default=None)
 @click.option("--w-im", type=float, default=None)
@@ -248,43 +244,38 @@ def cmd_stokes(z_abs, k, theta_min, theta_max, theta_steps, fmt) -> None:
 @click.option("--w-arg", type=float, default=None,
               help="arg w in radians; may exceed pi to select the continued branch")
 @click.option("--method", type=click.Choice(["recurrence", "erf", "auto"]), default="auto")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 def cmd_terminant(p, w_re, w_im, w_abs, w_arg, method, fmt) -> None:
     """Evaluate the scaled terminant by the chosen path."""
-
-    def body() -> None:
-        if w_abs is not None:
-            arg = w_arg or 0.0
-            w = w_abs * cmath.exp(1j * arg)
-            arg_w: Optional[float] = arg
-        elif w_re is not None:
-            w = complex(w_re, w_im or 0.0)
-            arg_w = w_arg
-        else:
-            raise DomainError("specify w via --w-re/--w-im or --w-abs/--w-arg")
-        if method == "erf":
-            ev = terminant_erf_approx(p, w, arg_w)
-        elif method == "auto":
-            ev = terminant(p, w, arg_w)
-        else:
-            ev = terminant(p, w, arg_w, method=TerminantMethod.GAMMA_RECURRENCE)
-        _emit(
-            [
-                {
-                    "p": p,
-                    "w_re": w.real,
-                    "w_im": w.imag,
-                    "arg_w": arg_w if arg_w is not None else cmath.phase(w),
-                    "method": ev.method.value,
-                    "value_re": ev.value.real,
-                    "value_im": ev.value.imag,
-                    "est_error": ev.est_error,
-                }
-            ],
-            fmt,
-        )
-
-    _run(body)
+    if w_abs is not None:
+        arg = w_arg or 0.0
+        w = w_abs * cmath.exp(1j * arg)
+        arg_w: Optional[float] = arg
+    elif w_re is not None:
+        w = complex(w_re, w_im or 0.0)
+        arg_w = w_arg
+    else:
+        raise DomainError("specify w via --w-re/--w-im or --w-abs/--w-arg")
+    if method == "erf":
+        ev = terminant_erf_approx(p, w, arg_w)
+    elif method == "auto":
+        ev = terminant(p, w, arg_w)
+    else:
+        ev = terminant(p, w, arg_w, method=TerminantMethod.GAMMA_RECURRENCE)
+    _emit(
+        [
+            {
+                "p": p,
+                "w_re": w.real,
+                "w_im": w.imag,
+                "arg_w": arg_w if arg_w is not None else cmath.phase(w),
+                "method": ev.method.value,
+                "value_re": ev.value.real,
+                "value_im": ev.value.imag,
+                "est_error": ev.est_error,
+            }
+        ],
+        fmt,
+    )
 
 
 if __name__ == "__main__":

@@ -205,9 +205,16 @@ def _closed_factor(theta: float, n_trunc: int) -> tuple[float, BoundKind]:
     return half, BoundKind.HALF_ANGLE
 
 
-def _optimized_factor(theta: float, n_trunc: int) -> tuple[float, float]:
-    """(csc(2(theta - phi*)) sec^{2N+1}(phi*), phi*) for pi/4 < |theta| < pi."""
-    phi = solve_optimal_angle(theta, n_trunc)
+def _optimized_factor(theta: float, n_trunc: int) -> tuple[float, Optional[float]]:
+    """(csc(2(theta - phi*)) sec^{2N+1}(phi*), phi*) for pi/4 < |theta| < pi.
+
+    (inf, None) where phi* cannot be solved for, within about 1e-14 of the
+    cut: cos phi* < 1e-14 there, so the factor is astronomically large anyway.
+    """
+    try:
+        phi = solve_optimal_angle(theta, n_trunc)
+    except AccuracyError:
+        return math.inf, None
     a_phi = abs(phi)
     try:
         factor = 1.0 / (

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .bernoulli import DEFAULT_TABLE, EPS, EULER_GAMMA, TWO_PI
+from .bernoulli import EPS, EULER_GAMMA, TWO_PI, bernoulli_number
 from .errors import AccuracyError, DomainError, RangeError
 from .quadrature import gauss_nodes
 
@@ -28,7 +28,7 @@ __all__ = [
 #: log Gamma shifts z upward until Re z >= 9, then sums 12 Stirling terms
 #: B_{2n}/(2n(2n-1) z^{2n-1}); round-off, not truncation, sets the error.
 _SHIFT_THRESHOLD = 9.0
-_STIRLING_TERMS = 12
+_STIRLING = tuple((bernoulli_number(2 * n), (2 * n) * (2 * n - 1)) for n in range(1, 13))
 
 
 def log_gamma(z: complex) -> complex:
@@ -46,8 +46,8 @@ def log_gamma(z: complex) -> complex:
     out = (zs - 0.5) * cmath.log(zs) - zs + 0.5 * math.log(TWO_PI)
     zs2 = zs * zs
     zpow = zs
-    for n in range(1, _STIRLING_TERMS + 1):
-        out += DEFAULT_TABLE.number(2 * n) / ((2 * n) * (2 * n - 1) * zpow)
+    for b2n, denom in _STIRLING:
+        out += b2n / (denom * zpow)
         zpow *= zs2
     for j in range(shift):
         out -= cmath.log(z + j)

@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .bernoulli import DEFAULT_TABLE, EPS, TWO_PI, zeta_even
+from .bernoulli import EPS, MAX_INDEX, TWO_PI, bernoulli_number, zeta_even
 from .errors import AccuracyError, DomainError, RangeError
 from .expansion import _check_finite, _check_sector, expansion_prefix
 from .special import _c_branch, _e1_scaled_continued, _erf_saturated, _erf_switch
@@ -202,7 +202,7 @@ def _optimal_order(k: int, abs_z: float) -> int:
     return min(_ORDER_CAP, int(math.floor(math.pi * k * abs_z + 0.5)))
 
 
-_EM_BASE = tuple(DEFAULT_TABLE.number(2 * j) / math.factorial(2 * j) for j in range(1, 9))
+_EM_BASE = tuple(bernoulli_number(2 * j) / math.factorial(2 * j) for j in range(1, 9))
 
 
 def _em_coeffs(s: int) -> tuple[float, ...]:
@@ -214,8 +214,8 @@ def _em_coeffs(s: int) -> tuple[float, ...]:
     return tuple(reversed(coeffs))
 
 
-# _algebraic_sum asks for the even exponents 4..64
-_EM_COEFFS = {s: _em_coeffs(s) for s in range(4, 66, 2)}
+# _algebraic_sum asks for the even exponents 4 .. MAX_INDEX
+_EM_COEFFS = {s: _em_coeffs(s) for s in range(4, MAX_INDEX + 1, 2)}
 
 
 def _zeta_tail(exponent: int, k_first: int) -> float:
@@ -263,10 +263,8 @@ def _algebraic_sum(z: complex) -> complex:
         raise RangeError(f"z^2 underflows to zero at z = {z}") from None
     two_fact = 2.0  # 2 * (2n+1)! at n = 0
     zpow = zinv2
-    for n in range(_ORDER_CAP):
+    for n in range(MAX_INDEX // 2 - 1):  # exponents 4 .. MAX_INDEX, the Bernoulli table's reach
         exponent = 2 * n + 4
-        if exponent > 64:
-            break
         # N_k = round(pi k |z|) >= n+1  <=>  k >= (n + 1/2) / (pi |z|)
         k_first = max(1, math.ceil((n + 0.5) / (math.pi * abs_z) - 1e-12))
         partial = _zeta_tail(exponent, k_first)
@@ -330,8 +328,10 @@ def exp_improved_report(z: complex, k_max: int = K_MAX) -> tuple[complex, float]
 class StokesSample:
     """One point of a Stokes-switching profile.
 
-    multiplier is the computed coefficient of the switching exponential;
-    erf_prediction the smoothing-law prediction on the same scale.  The
+    multiplier is the computed coefficient of the switching exponential and
+    est_error the terminant's error estimate on the same scale; it exceeds
+    |limit| once 2 pi k |z| passes about 40, where the closed form cancels.
+    erf_prediction is the smoothing-law prediction on the same scale.  The
     normalized values divide by the far-side limit -+ 1/(2 pi i k^2), so they
     run from ~0 to ~1 across the transition.
     """
@@ -340,6 +340,7 @@ class StokesSample:
     k: int
     multiplier: complex
     erf_prediction: complex
+    est_error: float
 
     @property
     def limit(self) -> complex:
@@ -399,6 +400,7 @@ def stokes_profile(
                 k=k,
                 multiplier=-ev.value / (2j * math.pi * k * k),
                 erf_prediction=pred_norm * limit,
+                est_error=ev.est_error / (TWO_PI * k * k),
             )
         )
     return samples

@@ -2,6 +2,8 @@
 
 Each computes a quantity the library also computes, by another formula:
 
+  * bernoulli_exact -- B_n by the convolution recurrence in exact rationals,
+    the reference for the table built from tangent numbers;
   * bernoulli_poly -- B_n(x) by the compensated binomial sum over the table,
     the reference for the Fourier form BernoulliTable.poly_periodic;
   * terminant_quadrature -- the scaled terminant by quadrature of its
@@ -17,6 +19,7 @@ Each computes a quantity the library also computes, by another formula:
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -25,6 +28,17 @@ from barnesg.bernoulli import DEFAULT_TABLE, EPS, TWO_PI
 from barnesg.expansion import _COEFFS
 from barnesg.quadrature import integrate_panels
 from barnesg.terminant import _scaled_recurrence
+
+
+def bernoulli_exact(max_index):
+    """B_0 .. B_max_index as Fractions, first kind (B_1 = -1/2), from
+
+        sum_{k=0}^{n} C(n+1, k) B_k = 0,        B_0 = 1.
+    """
+    values = [Fraction(1)]
+    for n in range(1, max_index + 1):
+        values.append(-sum(math.comb(n + 1, k) * values[k] for k in range(n)) / (n + 1))
+    return values
 
 
 def bernoulli_poly(n, x):
@@ -93,7 +107,7 @@ def remainder_symmetrized(z, n_trunc):
     m = max(n_trunc, 8)
     order = 2 * m + 1
     pref = 1.0 / ((2 * m + 1) * (2 * m + 2))
-    const = DEFAULT_TABLE.number(2 * m + 2)
+    const = bernoulli_number(2 * m + 2)
     amplitude = DEFAULT_TABLE.max_abs_poly(2 * m + 2) + abs(const)
     sec_half = 1.0 / math.cos(0.5 * cmath.phase(z))
     t_stop = next(t for t in range(2, oracle._MAX_INTERVALS + 1)

@@ -17,18 +17,9 @@ from barnesg import (
 from barnesg.bernoulli import DEFAULT_TABLE
 from barnesg.quadrature import geometric_breakpoints, integrate_panels
 from test_expansion import barnes_series_coefficient
-from _reference import bernoulli_poly
+from _reference import bernoulli_exact, bernoulli_poly
 
 TWO_PI = 2.0 * math.pi
-
-
-def brute_force_bernoulli(n_max):
-    """Independent oracle: the defining convolution recurrence, reimplemented."""
-    vals = [0.0] * (n_max + 1)
-    vals[0] = 1.0
-    for n in range(1, n_max + 1):
-        vals[n] = -sum(math.comb(n + 1, k) * vals[k] for k in range(n)) / (n + 1)
-    return vals
 
 
 class TestBernoulliNumbers:
@@ -46,9 +37,15 @@ class TestBernoulliNumbers:
         assert bernoulli_number(3) == 0.0
 
     def test_b4_matches_recurrence_oracle(self):
-        oracle = brute_force_bernoulli(4)[4]
+        oracle = float(bernoulli_exact(4)[4])
         assert oracle == pytest.approx(-1.0 / 30.0, rel=1e-14)
         assert bernoulli_number(4) == pytest.approx(oracle, rel=1e-14)
+
+    def test_every_entry_is_the_correctly_rounded_rational(self):
+        """The tangent-number table equals the exact convolution recurrence, rounded once."""
+        exact = bernoulli_exact(64)
+        assert [bernoulli_number(n) for n in range(65)] == [float(b) for b in exact]
+        assert all(math.copysign(1.0, bernoulli_number(n)) == 1.0 for n in range(3, 65, 2))
 
     def test_sign_alternation(self):
         for n in range(1, 30):
@@ -124,12 +121,12 @@ class TestBernoulliPolynomials:
 class TestSeriesCoefficients:
     def test_first_coefficient(self):
         # oracle: B_4 from the recurrence divided by 2*3*4
-        b4 = brute_force_bernoulli(4)[4]
+        b4 = float(bernoulli_exact(4)[4])
         assert series_coefficient(1) == pytest.approx(b4 / 24.0, rel=1e-14)
         assert series_coefficient(1) == pytest.approx(-1.0 / 720.0, rel=1e-13)
 
     def test_second_coefficient(self):
-        b6 = brute_force_bernoulli(6)[6]
+        b6 = float(bernoulli_exact(6)[6])
         assert b6 == pytest.approx(1.0 / 42.0, rel=1e-13)
         assert series_coefficient(2) == pytest.approx(b6 / 120.0, rel=1e-14)
         assert series_coefficient(2) == pytest.approx(1.0 / 5040.0, rel=1e-13)

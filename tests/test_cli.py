@@ -174,6 +174,7 @@ class TestStokes:
         assert abs(float(first["normalized_re"])) < 0.1
         assert abs(float(mid["normalized_re"]) - 0.5) < 0.05
         assert abs(float(last["normalized_re"]) - 1.0) < 0.1
+        assert all(0.0 < float(row["est_error"]) < 1e-6 for row in rows)
 
     def test_reversed_range_usage_error(self, runner):
         res = runner.invoke(

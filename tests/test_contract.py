@@ -168,7 +168,7 @@ CLI_CASES = [
     (_eval("oracle", "0", "inf"), 2),
     (_eval("hyper", "0", "nan"), 2),
     (_eval("oracle", "-1", "1e-15"), 3),
-    (_eval("asym", "-1", "1e-15"), 3),
+    (_eval("asym", "-1", "1e-15"), 0),  # N = 1 with a weak half-angle bound
     (_eval("hyper", "-1", "1e-15"), 0),  # a finite value with its estimate
     *[(["bounds", "--z-abs", r], 2) for r in ("nan", "inf", "0", "1e-300", "1e200")],
     *[(_eval(CLI_METHOD[route], repr(z.real), repr(z.imag)), 2)

@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -398,6 +399,17 @@ class TestTypedErrors:
             family_bounds(z, 20)
         res = certified_eval(z)
         assert 0.0 < res.bound < math.inf and res.weak_bound
+
+    @pytest.mark.parametrize("z", [3.0 * cmath.exp(1j * (PI - 1e-14)), -1.0 + 1e-15j], ids=repr)
+    def test_auto_n_next_to_the_cut(self, z):
+        # phi* has no solution at N = 20 here; best_bound falls back to the
+        # closed factors, whose overflow at N = 20 the N scan skips
+        res = certified_eval(z)
+        assert cmath.isfinite(res.value) and 0.0 < res.bound < math.inf and res.weak_bound
+        with mp.workdps(30):
+            diff = mp.mpc(res.value) - mp.log(mp.barnesg(mp.mpc(z) + 1))
+            diff -= 2j * mp.pi * mp.nint(diff.imag / (2 * mp.pi))  # modulo 2 pi i
+            assert abs(diff) <= res.bound
 
     @pytest.mark.parametrize("z", [math.inf, -math.inf, complex(1.0, math.nan),
                                    complex(math.nan, 0.0), complex(3.0, -math.inf)])

@@ -54,6 +54,16 @@ def _child_env():
     return {**os.environ, "PYTHONPATH": path}
 
 
+def test_import_leaves_the_cli_and_the_test_oracles_out():
+    """import barnesg loads neither click (the CLI's) nor fractions, scipy or mpmath."""
+    code = ("import sys, barnesg; "
+            "print(sorted({'click', 'fractions', 'scipy', 'mpmath'} & sys.modules.keys()))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_three_demos_found():
     assert len(DEMOS) == 3
 

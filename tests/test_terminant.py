@@ -307,6 +307,15 @@ class TestStokesProfile:
             for s in stokes_profile(2.0, k, thetas):
                 assert abs(s.multiplier) <= 1.5 / (2 * PI * k * k)
 
+    def test_est_error_exposes_the_cancelling_closed_form(self):
+        # past 2 pi k |z| ~ 40 the closed form cancels: the multiplier is off by
+        # about 14 |limit| at (7, 1) and (3.5, 2), and the estimate says so
+        for abs_z, k in ((7.0, 1), (3.5, 2)):
+            sample = stokes_profile(abs_z, k, [PI / 2])[0]
+            assert sample.est_error > abs(sample.limit)
+        sample = stokes_profile(3.0, 1, [PI / 2])[0]
+        assert sample.est_error < 1e-6 * abs(sample.limit)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             stokes_profile(1.0, 1, [PI / 2])

@@ -14,6 +14,7 @@ rounded binary64 value, and the odd entries beyond B_1 are exactly zero.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -71,26 +72,29 @@ class BernoulliTable:
     values: tuple[float, ...] = _generate(MAX_INDEX)
 
     def poly_periodic(self, n: int, t: np.ndarray) -> np.ndarray:
-        """Periodized B_n(t - floor(t)) via the Fourier sine/cosine series.
+        """Periodized B_n(t - floor(t)) via its Fourier series, for n >= 8.
 
-        Relative accuracy is ~1 ulp for n >= 8, where the binomial sum
-        sum_k C(n,k) B_k x^{n-k} over the table loses absolute accuracy to
-        coefficient cancellation; used by the remainder kernel, which promotes
-        the index to >= 17.
+        B_n(x) = -2 n!/(2 pi)^n Re(e^{-i pi n/2} sum_k w^k/k^n), w = e^{2 pi i x},
+        over k = 1..K with K the largest k such that k^{-n} >= 1e-18, summed by
+        Horner's rule in w: one complex exponential per node.  The absolute
+        error is ~1e-14 of the amplitude 2 n!/(2 pi)^n for n >= 8, where the
+        binomial sum over the table loses accuracy to cancellation.  Lower
+        orders raise DomainError: they would need 10^{18/n} terms.  The
+        remainder kernel promotes the index to >= 17.
         """
-        if n < 2:
-            raise DomainError("periodized evaluation requires n >= 2")
-        frac = t - np.floor(t)
+        if n < 8:
+            raise DomainError("periodized evaluation requires n >= 8")
+        terms = 1
+        while (terms + 1) ** -n >= 1e-18:
+            terms += 1
+        w = np.exp(1j * (TWO_PI * (t - np.floor(t))))
+        acc = np.full_like(w, float(terms) ** -n)
+        for k in range(terms - 1, 0, -1):
+            acc *= w
+            acc += float(k) ** -n
+        acc *= w
         pref = -2.0 * math.factorial(n) / TWO_PI ** n
-        acc = np.zeros_like(frac, dtype=float)
-        phase = 0.5 * math.pi * n
-        k = 1
-        while True:
-            acc += np.cos(TWO_PI * k * frac - phase) / float(k) ** n
-            k += 1
-            if k ** -n < 1e-18:
-                break
-        return pref * acc
+        return pref * (acc * cmath.exp(-0.5j * math.pi * n)).real
 
     def max_abs_poly(self, n: int) -> float:
         """Upper bound for max_{x in [0,1]} |B_n(x)|, for n >= 3.

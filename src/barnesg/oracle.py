@@ -11,9 +11,13 @@ integral representations and serves as ground truth for everything else:
 For the wide-sector kernel the truncation index is promoted internally to
 N_eff >= 8 through the ladder R_N = c_N z^{-2N} + R_{N+1} (restored exactly
 from series coefficients), which turns the t^{-2N} tail into t^{-2 N_eff}
-and keeps the truncation point small.  The test suite keeps further
-representations (a nested log kernel, a symmetrized Bernoulli kernel) as
-references to compare against.
+and keeps the truncation point small.  Neither kernel evaluates a
+transcendental per term: the periodized polynomial is one complex exponential
+per node (Horner form of its Fourier series), the wide truncation point is
+solved from its tail bound, and the dilog factor sits at fixed nodes, so it
+is tabulated once on first use.  The test suite keeps further
+representations (a nested log kernel, a symmetrized Bernoulli kernel) and the
+scanned truncation point as references to compare against.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import cmath
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -39,7 +44,7 @@ from .expansion import (
     expansion_prefix,
     sector_factor,
 )
-from .quadrature import geometric_breakpoints, integrate_panels
+from .quadrature import geometric_breakpoints, integrate_panels, panel_nodes
 from .special import _dilog_exp
 
 __all__ = [
@@ -91,6 +96,16 @@ _NARROW_BREAKS = tuple(geometric_breakpoints()) + tuple(
     float(m) for m in range(2, int(_NARROW_T_STOP) + 1))
 
 
+@lru_cache(maxsize=1)
+def _narrow_dilog() -> np.ndarray:
+    """Li2(e^{-2 pi t}) at every node of the narrow kernel, computed on first use.
+
+    The nodes are fixed and fit in one integrate_panels chunk, so the
+    integrand receives exactly these nodes on every call.
+    """
+    return _dilog_exp(panel_nodes(_NARROW_BREAKS, _GAUSS_ORDER))
+
+
 def _narrow_tail_bound(t_stop: float, n_trunc: int, ell: float) -> float:
     """Tail of int_T^inf t^{2N-1} e^{-2 pi t} dt times the kernel prefactors."""
     k = 2 * n_trunc
@@ -104,7 +119,8 @@ def remainder_narrow(z: complex, n_trunc: int) -> OracleValue:
     """R_N(z) by the dilog-kernel quadrature; |arg z| < pi/2 only.
 
     The Li2(e^{-2 pi t}) factor decays like e^{-2 pi t}, so truncation at
-    T ~ log(1/1e-13)/(2 pi) + 2 leaves an explicitly bounded tail.
+    T ~ log(1/1e-13)/(2 pi) + 2 leaves an explicitly bounded tail.  The
+    nodes do not depend on z or N, so that factor is tabulated once.
     """
     z = _check_narrow(z)
     if n_trunc < 1:
@@ -112,7 +128,7 @@ def remainder_narrow(z: complex, n_trunc: int) -> OracleValue:
     k = 2 * n_trunc
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        return t ** (2 * n_trunc - 1) / (1.0 + (t / z) ** 2) * _dilog_exp(t)
+        return t ** (2 * n_trunc - 1) / (1.0 + (t / z) ** 2) * _narrow_dilog()
 
     with _binary64(z):
         pref = (-1) ** n_trunc / (2.0 * math.pi ** 2 * z ** k)
@@ -141,6 +157,31 @@ def _wide_tail_bound(t_stop: float, abs_z: float, sec_half: float, m_eff: int) -
         return math.inf
 
 
+def _wide_t_stop(abs_z: float, sec_half: float, m_eff: int, target: float) -> int | None:
+    """The first t in 2 .. _MAX_INTERVALS with _wide_tail_bound(t) <= target, or None.
+
+    The bound is C (t + |z|)^{1 - 2 m_eff} and falls as t grows, so t is
+    solved from the logarithm of C / target (the power itself overflows) and
+    then settled with the bound's own test, stepping down while the previous
+    t passes or up while this one fails.
+    """
+    order = 2 * m_eff
+    log_c = (math.log(DEFAULT_TABLE.max_abs_poly(order + 1) / (order * (order + 1) * (order - 1)))
+             + order * math.log(sec_half))
+    log_target = math.log(target) if target > 0.0 else -math.inf
+    reach = math.exp(min((log_c - log_target) / (order - 1), 709.0)) - abs_z
+    t = max(2, math.ceil(min(reach, _MAX_INTERVALS)))
+
+    def passes(u: int) -> bool:
+        return _wide_tail_bound(u, abs_z, sec_half, m_eff) <= target
+
+    if passes(t):
+        while t > 2 and passes(t - 1):
+            t -= 1
+        return t
+    return next((u for u in range(t + 1, _MAX_INTERVALS + 1) if passes(u)), None)
+
+
 def _wide_breakpoints(t_stop: int, z: complex) -> list[float]:
     """Unit panels on [0, T], refined near the pole at t = -z when it matters."""
     pole = -z
@@ -165,9 +206,10 @@ def remainder_wide(z: complex, n_trunc: int) -> OracleValue:
 
     The requested index is promoted to N_eff >= 8 via the exact ladder and
     the periodized Bernoulli polynomial is evaluated through its Fourier
-    series (relative accuracy ~1 ulp at these orders).  The truncation point
-    is chosen from the analytic tail bound; if the absolute target is out of
-    reach within 64 unit panels the target falls back to 1e-4 relative to the
+    series in Horner form (absolute error ~1e-14 of its amplitude at these
+    orders).  The truncation point is solved from the analytic tail bound,
+    which is a power of T + |z|; if the absolute target is out of reach
+    within 64 unit panels the target falls back to 1e-4 relative to the
     half-angle bound on |R_N|, and failing that the promotion index is
     escalated before reporting an accuracy failure.
     """
@@ -184,8 +226,7 @@ def remainder_wide(z: complex, n_trunc: int) -> OracleValue:
     # truncation point meets the absolute, then the relative target
     for m_eff in (*range(max(n_trunc, 8), 16, 2), max(n_trunc, 16)):
         t_stop = next((t for target in (_TAIL_TARGET, 1e-4 * rn_est)
-                       for t in range(2, _MAX_INTERVALS + 1)
-                       if _wide_tail_bound(t, abs_z, sec_half, m_eff) <= target),
+                       if (t := _wide_t_stop(abs_z, sec_half, m_eff, target)) is not None),
                       None)
         if t_stop is not None:
             break

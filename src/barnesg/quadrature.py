@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-__all__ = ["gauss_nodes", "integrate_panels", "geometric_breakpoints"]
+__all__ = ["gauss_nodes", "panel_nodes", "integrate_panels", "geometric_breakpoints"]
 
 #: Most nodes handed to one integrand call: 64 kB per complex temporary, however
 #: many panels an integral has (twice that raised the oracle's peak RSS).
@@ -29,6 +29,18 @@ _CHUNK_NODES = 4096
 def gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Cached Gauss-Legendre nodes and weights on [-1, 1]."""
     return leggauss(order)
+
+
+def panel_nodes(breakpoints: Sequence[float], order: int = 32) -> np.ndarray:
+    """The Gauss-Legendre nodes of consecutive panels, flattened in panel order.
+
+    These are the nodes integrate_panels hands to its integrand, bit for bit,
+    for the panels of one chunk.
+    """
+    x, _ = gauss_nodes(order)
+    bp = np.asarray(breakpoints, dtype=float)
+    a, b = bp[:-1], bp[1:]
+    return (0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * x).ravel()
 
 
 def integrate_panels(
@@ -45,18 +57,15 @@ def integrate_panels(
     feeds round-off estimates: the float error of the panel sums is bounded by
     a small multiple of eps times it.
     """
-    x, w = gauss_nodes(order)
+    _, w = gauss_nodes(order)
     bp = np.asarray(breakpoints, dtype=float)
     per_chunk = max(1, _CHUNK_NODES // order)
     total = 0.0 + 0.0j
     abs_sum = 0.0
     for start in range(0, len(bp) - 1, per_chunk):
-        stop = min(start + per_chunk, len(bp) - 1)
-        a, b = bp[start:stop], bp[start + 1:stop + 1]
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        nodes = (mid[:, None] + half[:, None] * x).ravel()
-        wv = w * f(nodes).reshape(len(half), order)
+        chunk = bp[start:min(start + per_chunk, len(bp) - 1) + 1]
+        half = 0.5 * (chunk[1:] - chunk[:-1])
+        wv = w * f(panel_nodes(chunk, order)).reshape(len(half), order)
         for s, m in zip((half * wv.sum(axis=1)).tolist(),
                         (half * np.abs(wv).sum(axis=1)).tolist()):
             total += s

@@ -11,6 +11,8 @@ Each computes a quantity the library also computes, by another formula:
     e^{w} E1(w)) / (2 pi i);
   * remainder_symmetrized -- R_N(z) by the symmetrized Bernoulli kernel, the
     reference for remainder_wide's periodized kernel;
+  * wide_t_stop_scan -- remainder_wide's truncation point by scanning
+    t = 2, 3, ..., the reference for the point solved from the tail bound;
   * improved_uniform -- log G(z+1) by the improved expansion with one order
     N_k = n for every k, the reference for exp_improved_report's
     near-optimal orders (the expansion is an identity for every order
@@ -121,6 +123,12 @@ def remainder_symmetrized(z, n_trunc):
                                    oracle._GAUSS_ORDER)
     ladder = sum(_COEFFS[n] * z ** (-2 * n) for n in range(n_trunc, m))
     return ladder - pref * integral
+
+
+def wide_t_stop_scan(abs_z, sec_half, m_eff, target):
+    """The first t in 2 .. 64 whose wide-kernel tail bound meets target, or None."""
+    return next((t for t in range(2, oracle._MAX_INTERVALS + 1)
+                 if oracle._wide_tail_bound(t, abs_z, sec_half, m_eff) <= target), None)
 
 
 def improved_uniform(z, n, k_max):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -14,8 +15,8 @@ from barnesg import (
     series_coefficient,
     zeta_even,
 )
-from barnesg.bernoulli import DEFAULT_TABLE
-from barnesg.quadrature import geometric_breakpoints, integrate_panels
+from barnesg.bernoulli import DEFAULT_TABLE, EPS
+from barnesg.quadrature import geometric_breakpoints, integrate_panels, panel_nodes
 from test_expansion import barnes_series_coefficient
 from _reference import bernoulli_exact, bernoulli_poly
 
@@ -97,6 +98,21 @@ class TestBernoulliPolynomials:
             # absolute scale: both evaluations are exact to rounding on the
             # polynomial's amplitude, which is what matters to the kernels
             assert np.max(np.abs(fourier - binomial)) < 1e-12 * table.max_abs_poly(n)
+
+    @pytest.mark.parametrize("n", [17, 18, 21, 33, 41])
+    def test_periodic_fourier_matches_mpmath(self, n):
+        """On the Gauss nodes of a first and a far panel, as the wide kernel uses them."""
+        t = np.concatenate([panel_nodes([0.0, 1.0]), panel_nodes([37.0, 38.0])])
+        got = DEFAULT_TABLE.poly_periodic(n, t)
+        with mp.workdps(40):
+            ref = [float(mp.bernpoly(n, mp.mpf(float(x)))) for x in t - np.floor(t)]
+        assert np.max(np.abs(got - ref)) <= 64 * EPS * DEFAULT_TABLE.max_abs_poly(n)
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_periodic_fourier_rejects_low_orders(self, n):
+        # the series would need 10^{18/n} terms: 7.6 s at n = 3
+        with pytest.raises(DomainError):
+            DEFAULT_TABLE.poly_periodic(n, np.array([0.25]))
 
     def test_max_abs_poly_bounds_the_polynomial(self):
         xs = np.linspace(0.0, 1.0, 201)

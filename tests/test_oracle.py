@@ -18,8 +18,9 @@ from barnesg import (
     truncated_log_barnes,
 )
 from barnesg import oracle
-from barnesg.quadrature import gauss_nodes, integrate_panels
-from _reference import bernoulli_poly, remainder_symmetrized
+from barnesg.quadrature import _CHUNK_NODES, gauss_nodes, integrate_panels
+from barnesg.special import _dilog_exp
+from _reference import bernoulli_poly, remainder_symmetrized, wide_t_stop_scan
 
 PI = math.pi
 
@@ -142,6 +143,55 @@ class TestWideKernel:
     def test_near_cut_accuracy_error(self):
         with pytest.raises(AccuracyError):
             remainder_wide(2.0 * cmath.exp(1j * (PI - 1e-4)), 1)
+
+
+class TestWideTailCut:
+    """The truncation point solved from the tail bound is the scan's first passing t."""
+
+    ABS_Z = [1e-20, 1e-8, 1e-3, 0.1, 0.5, 1.0, 2.5, 7.0, 20.0, 33.3, 60.0, 61.5, 63.0,
+             100.0, 1e3, 1e6, 1e10]
+    ARGS = [0.0, 0.5, 1.5, 2.5, 3.0, 3.1, 3.14, PI - 1e-6, PI - 1e-9, PI - 1e-12]
+    TARGETS = [oracle._TAIL_TARGET, 1e-300, 1e300, 5e-324]
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_solved_equals_scan(self, target):
+        for abs_z in self.ABS_Z:
+            for arg in self.ARGS:
+                sec_half = 1.0 / math.cos(0.5 * arg)
+                for m_eff in range(8, 21):
+                    assert (oracle._wide_t_stop(abs_z, sec_half, m_eff, target)
+                            == wide_t_stop_scan(abs_z, sec_half, m_eff, target)), \
+                        (abs_z, arg, m_eff)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    def test_settling_decides_when_the_estimate_is_off(self, monkeypatch, scale):
+        """A bound 1e3 below or above the estimate makes the settling step down or up."""
+        bound = oracle._wide_tail_bound
+        monkeypatch.setattr(oracle, "_wide_tail_bound", lambda *args: scale * bound(*args))
+        for abs_z in self.ABS_Z:
+            for arg in self.ARGS:
+                sec_half = 1.0 / math.cos(0.5 * arg)
+                for m_eff in (8, 13, 20):
+                    assert (oracle._wide_t_stop(abs_z, sec_half, m_eff, oracle._TAIL_TARGET)
+                            == wide_t_stop_scan(abs_z, sec_half, m_eff, oracle._TAIL_TARGET))
+
+
+class TestNarrowDilogTable:
+    def test_narrow_nodes_fit_one_chunk(self):
+        assert (len(oracle._NARROW_BREAKS) - 1) * oracle._GAUSS_ORDER <= _CHUNK_NODES
+
+    def test_table_is_dilog_at_the_integrand_nodes(self):
+        seen = []
+
+        def record(t):
+            seen.append(t.copy())
+            return np.zeros_like(t)
+
+        integrate_panels(record, oracle._NARROW_BREAKS, oracle._GAUSS_ORDER)
+        assert len(seen) == 1
+        table = oracle._narrow_dilog()
+        assert table.shape == seen[0].shape
+        assert np.array_equal(table, _dilog_exp(seen[0]))
 
 
 class TestKernelSignStructure:

@@ -17,7 +17,7 @@ from barnesg import (
 )
 from barnesg.bernoulli import TWO_PI
 from barnesg.oracle import _GAUSS_ORDER, _NARROW_BREAKS
-from barnesg.quadrature import gauss_nodes
+from barnesg.quadrature import gauss_nodes, panel_nodes
 from barnesg.special import _c_branch, _dilog_exp, _li2
 
 
@@ -91,9 +91,7 @@ class TestDilog:
 
 def _narrow_nodes():
     """Every quadrature node t of the dilog-kernel remainder oracle."""
-    x, _ = gauss_nodes(_GAUSS_ORDER)
-    return np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * x
-                           for a, b in zip(_NARROW_BREAKS[:-1], _NARROW_BREAKS[1:])])
+    return panel_nodes(_NARROW_BREAKS, _GAUSS_ORDER)
 
 
 def _li2_ref(x):

@@ -54,22 +54,26 @@ def _emit(rows: list[dict], fmt: str) -> None:
             click.echo(json.dumps(row))
 
 
-def _parse_z(
-    z_re: Optional[float],
-    z_im: Optional[float],
-    z_abs: Optional[float],
-    z_arg: Optional[float],
-    z_arg_pi: Optional[float],
-) -> complex:
-    if z_re is not None:
-        return complex(z_re, z_im or 0.0)
-    if z_abs is not None:
-        if z_arg_pi is not None:
-            arg = z_arg_pi * math.pi
-        else:
-            arg = z_arg or 0.0
-        return z_abs * cmath.exp(1j * arg)
-    raise DomainError("specify z via --z-re/--z-im or --z-abs/--z-arg")
+def _point(name: str, re: Optional[float], im: Optional[float], abs_: Optional[float],
+           arg: Optional[float]) -> tuple[complex, Optional[float]]:
+    """The point given by --{name}-re/--{name}-im or by --{name}-abs/--{name}-arg, and its
+    angle: arg (0 if omitted) in the polar form, the --{name}-arg given (or None) otherwise.
+    DomainError when neither form or both are given."""
+    if abs_ is None:
+        if re is None:
+            raise DomainError(f"specify {name} via --{name}-re/--{name}-im or "
+                              f"--{name}-abs/--{name}-arg")
+        return complex(re, im or 0.0), arg
+    if re is not None or im is not None:
+        raise DomainError(f"give {name} by --{name}-re/--{name}-im or by --{name}-abs, not both")
+    arg = arg or 0.0
+    return abs_ * cmath.exp(1j * arg), arg
+
+
+def _either(name: str, radians: object, pi_multiples: object) -> None:
+    """DomainError when an angle is given both as --{name} and as --{name}-pi."""
+    if radians is not None and pi_multiples is not None:
+        raise DomainError(f"give --{name} or --{name}-pi, not both")
 
 
 @click.group()
@@ -115,7 +119,10 @@ def _subcommand(name: str) -> Callable[[Callable], click.Command]:
               help="terminant sum cutoff (hyper)")
 def cmd_eval(z_re, z_im, z_abs, z_arg, z_arg_pi, method, n_trunc, k_max, fmt) -> None:
     """Evaluate log G(z+1) by the chosen route."""
-    z = _parse_z(z_re, z_im, z_abs, z_arg, z_arg_pi)
+    _either("z-arg", z_arg, z_arg_pi)
+    z, arg = _point("z", z_re, z_im, z_abs, z_arg if z_arg_pi is None else z_arg_pi * math.pi)
+    if z_abs is None and arg is not None:
+        raise DomainError("--z-arg and --z-arg-pi need --z-abs: the routes take no branch of z")
     if method == "asym":
         res = certified_eval(z, n_trunc)
         value, err, err_kind, n_used = res.value, res.bound, res.bound_kind.value, res.n_trunc
@@ -157,6 +164,7 @@ def _parse_floats(text: str) -> list[float]:
 @click.option("--n-max", type=int, default=4)
 def cmd_bounds(z_abs_list, theta_list, theta_pi_list, n_min, n_max, fmt) -> None:
     """Sweep certified bounds against the remainder oracle; exit 3 on violation."""
+    _either("theta", theta_list, theta_pi_list)
     radii = _parse_floats(z_abs_list)
     if theta_pi_list is not None:
         thetas = [t * math.pi for t in _parse_floats(theta_pi_list)]
@@ -246,15 +254,7 @@ def cmd_stokes(z_abs, k, theta_min, theta_max, theta_steps, fmt) -> None:
 @click.option("--method", type=click.Choice(["recurrence", "erf", "auto"]), default="auto")
 def cmd_terminant(p, w_re, w_im, w_abs, w_arg, method, fmt) -> None:
     """Evaluate the scaled terminant by the chosen path."""
-    if w_abs is not None:
-        arg = w_arg or 0.0
-        w = w_abs * cmath.exp(1j * arg)
-        arg_w: Optional[float] = arg
-    elif w_re is not None:
-        w = complex(w_re, w_im or 0.0)
-        arg_w = w_arg
-    else:
-        raise DomainError("specify w via --w-re/--w-im or --w-abs/--w-arg")
+    w, arg_w = _point("w", w_re, w_im, w_abs, w_arg)
     if method == "erf":
         ev = terminant_erf_approx(p, w, arg_w)
     elif method == "auto":
@@ -267,7 +267,7 @@ def cmd_terminant(p, w_re, w_im, w_abs, w_arg, method, fmt) -> None:
                 "p": p,
                 "w_re": w.real,
                 "w_im": w.imag,
-                "arg_w": arg_w if arg_w is not None else cmath.phase(w),
+                "arg_w": arg_w if arg_w is not None else math.atan2(w.imag, w.real),
                 "method": ev.method.value,
                 "value_re": ev.value.real,
                 "value_im": ev.value.imag,

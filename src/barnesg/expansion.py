@@ -30,7 +30,7 @@ from typing import Optional
 
 from .bernoulli import LOG_GLAISHER, MAX_INDEX, series_coefficient
 from .errors import AccuracyError, DomainError, RangeError
-from .special import log_gamma
+from .special import _check_finite, _check_sector, log_gamma
 
 __all__ = [
     "BoundKind",
@@ -84,29 +84,10 @@ class ExpansionResult:
     weak_bound: bool = False
 
 
-def _check_sector(z: complex) -> complex:
-    """The slit-plane domain check of every z-route: finite, nonzero, off the cut."""
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise DomainError("z must be finite")
-    if z == 0:
-        raise DomainError("z = 0 is outside the expansion domain")
-    if z.imag == 0.0 and z.real < 0.0:
-        raise DomainError("z on the branch cut arg z = pi")
-    return z
-
-
-def _check_finite(z: complex, *values: complex) -> None:
-    """RangeError unless every value is finite: binary64 overflowed on the way at z."""
-    for v in values:
-        if not cmath.isfinite(v):
-            raise RangeError(f"the result is not finite in binary64 at z = {z}")
-
-
 def expansion_prefix(z: complex) -> complex:
     """The N-independent part: z^2/4 + z log Gamma(z+1) - (z(z+1)/2 + 1/12) log z - log A.
 
-    RangeError when it is not finite in binary64 (log Gamma fails from |z| ~ 1e15).
+    RangeError when it is not finite in binary64 (log Gamma fails from |z| ~ 2e13).
     """
     z = _check_sector(z)
     prefix = (
@@ -129,10 +110,25 @@ def truncated_log_barnes(z: complex, n_trunc: int) -> complex:
     z = _check_sector(z)
     if not 1 <= n_trunc <= MAX_TRUNCATION:
         raise DomainError(f"n_trunc must lie in [1, {MAX_TRUNCATION}]")
-    total = expansion_prefix(z)
-    zinv2 = 1.0 / (z * z)
-    zpow = zinv2
-    for n in range(1, n_trunc):
+    value = _series(z, 1, n_trunc, expansion_prefix(z))
+    _check_finite(z, value)
+    return value
+
+
+def _series(z: complex, lo: int, hi: int, total: complex = 0j) -> complex:
+    """total + sum_{lo <= n < hi} c_n z^{-2n}, the terms added in order of n.
+
+    An empty sum forms no power of z, so N = 1 stays finite at any modulus;
+    otherwise RangeError when z^{-2} or z^{-2 lo} leaves binary64.
+    """
+    if lo >= hi:
+        return total
+    try:
+        zinv2 = 1.0 / (z * z)
+        zpow = zinv2 ** lo
+    except (ZeroDivisionError, OverflowError):
+        raise RangeError(f"z^-2 leaves the float range at z = {z}") from None
+    for n in range(lo, hi):
         total += _COEFFS[n] * zpow
         zpow *= zinv2
     return total
@@ -145,7 +141,7 @@ def sector_factor(theta: float) -> float:
     take the min with the closed-form alternative.
     """
     a = abs(theta)
-    if a > 0.5 * math.pi:
+    if not a <= 0.5 * math.pi:  # NaN fails too
         raise DomainError("sector_factor: |theta| must be <= pi/2")
     if a <= 0.25 * math.pi:
         return 1.0
@@ -283,7 +279,7 @@ def best_bound(z: complex, n_trunc: int) -> BoundReport:
     positive float (|z| too small or too large for N, or z too near the cut).
     """
     z = _check_sector(z)
-    theta = cmath.phase(z)
+    theta = math.atan2(z.imag, z.real)
     term = _first_term_magnitude(z, n_trunc)
     if theta == 0.0:
         return BoundReport(bound=term, factor=1.0, kind=BoundKind.POSITIVE_AXIS)
@@ -305,7 +301,7 @@ def family_bounds(z: complex, n_trunc: int) -> dict[BoundKind, BoundReport]:
     bound overflows.
     """
     z = _check_sector(z)
-    theta = cmath.phase(z)
+    theta = math.atan2(z.imag, z.real)
     a = abs(theta)
     term = _first_term_magnitude(z, n_trunc)
     out = {}
@@ -345,10 +341,8 @@ def certified_eval(z: complex, n_trunc: Optional[int] = None) -> ExpansionResult
         if not 1 <= n_trunc <= MAX_TRUNCATION:
             raise DomainError(f"n_trunc must lie in [1, {MAX_TRUNCATION}]")
         chosen, chosen_report = n_trunc, best_bound(z, n_trunc)
-    value = truncated_log_barnes(z, chosen)
-    _check_finite(z, value)
     return ExpansionResult(
-        value=value,
+        value=truncated_log_barnes(z, chosen),
         n_trunc=chosen,
         bound=chosen_report.bound,
         bound_kind=chosen_report.kind,

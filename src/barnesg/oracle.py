@@ -22,7 +22,6 @@ scanned truncation point as references to compare against.
 
 from __future__ import annotations
 
-import cmath
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -34,18 +33,16 @@ import numpy as np
 from .bernoulli import DEFAULT_TABLE, EPS, TWO_PI
 from .errors import AccuracyError, DomainError, RangeError
 from .expansion import (
-    _COEFFS,
     BoundKind,
-    _check_finite,
-    _check_sector,
     _first_term_magnitude,
     _half_angle_factor,
     _report,
+    _series,
     expansion_prefix,
     sector_factor,
 )
 from .quadrature import geometric_breakpoints, integrate_panels, panel_nodes
-from .special import _dilog_exp
+from .special import _check_finite, _check_sector, _dilog_exp
 
 __all__ = [
     "OracleValue",
@@ -69,13 +66,6 @@ class OracleValue:
 
     value: complex
     est_error: float
-
-
-def _check_narrow(z: complex) -> complex:
-    z = _check_sector(z)
-    if abs(cmath.phase(z)) >= 0.5 * math.pi:
-        raise DomainError("this kernel requires |arg z| < pi/2 strictly")
-    return z
 
 
 @contextmanager
@@ -122,7 +112,9 @@ def remainder_narrow(z: complex, n_trunc: int) -> OracleValue:
     T ~ log(1/1e-13)/(2 pi) + 2 leaves an explicitly bounded tail.  The
     nodes do not depend on z or N, so that factor is tabulated once.
     """
-    z = _check_narrow(z)
+    z = _check_sector(z)
+    if abs(math.atan2(z.imag, z.real)) >= 0.5 * math.pi:
+        raise DomainError("this kernel requires |arg z| < pi/2 strictly")
     if n_trunc < 1:
         raise DomainError("n_trunc must be >= 1")
     k = 2 * n_trunc
@@ -132,7 +124,7 @@ def remainder_narrow(z: complex, n_trunc: int) -> OracleValue:
 
     with _binary64(z):
         pref = (-1) ** n_trunc / (2.0 * math.pi ** 2 * z ** k)
-        ell = sector_factor(cmath.phase(z))
+        ell = sector_factor(math.atan2(z.imag, z.real))
         tail = _narrow_tail_bound(_NARROW_T_STOP, n_trunc, ell) / abs(z) ** k
         integral, abs_sum = integrate_panels(integrand, _NARROW_BREAKS, _GAUSS_ORDER)
         value = pref * integral
@@ -214,7 +206,7 @@ def remainder_wide(z: complex, n_trunc: int) -> OracleValue:
     escalated before reporting an accuracy failure.
     """
     z = _check_sector(z)
-    theta = cmath.phase(z)
+    theta = math.atan2(z.imag, z.real)
     abs_z = abs(z)
     sec_half = 1.0 / math.cos(0.5 * theta)
     # the half-angle bound on |R_N| sets the relative fallback target; it
@@ -248,12 +240,7 @@ def remainder_wide(z: complex, n_trunc: int) -> OracleValue:
         integral, abs_sum = integrate_panels(integrand, breaks, _GAUSS_ORDER)
         remainder_eff = pref * integral
         # exact ladder restoration back down to the requested index
-        ladder = 0.0 + 0.0j
-        zinv2 = 1.0 / (z * z)
-        zpow = zinv2 ** n_trunc
-        for n in range(n_trunc, m_eff):
-            ladder += _COEFFS[n] * zpow
-            zpow *= zinv2
+        ladder = _series(z, n_trunc, m_eff)
         value = ladder + remainder_eff
     est = tail + 8.0 * EPS * (abs_sum * abs(pref) + abs(ladder))
     _check_finite(z, value, est)

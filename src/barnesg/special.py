@@ -6,6 +6,11 @@ These are the only transcendental building blocks the rest of the library
 needs.  Each has a small validity region chosen for the arguments the
 expansion machinery actually produces, and each is cross-checked in the test
 suite against an independent oracle (series, quadrature, or scipy).
+
+This module also owns the input rules of the package: _check_sector, the
+slit-plane check of every kernel and route, and _check_finite.  The package
+takes arg z as math.atan2(z.imag, z.real): that is cmath.phase without the
+OverflowError cmath.phase raises where arg z underflows to 0 (at 3 + 5e-324i).
 """
 
 from __future__ import annotations
@@ -29,18 +34,54 @@ __all__ = [
 #: B_{2n}/(2n(2n-1) z^{2n-1}); round-off, not truncation, sets the error.
 _SHIFT_THRESHOLD = 9.0
 _STIRLING = tuple((bernoulli_number(2 * n), (2 * n) * (2 * n - 1)) for n in range(1, 13))
+#: Below Re z = _SHIFT_THRESHOLD - _MAX_SHIFT = -55 log Gamma reflects instead of shifting.
+_MAX_SHIFT = 64
+
+
+def _check_sector(z: complex, cut: bool = True) -> complex:
+    """The domain check of every kernel and route: z finite and nonzero, |z| within
+    binary64 (else RangeError) and, unless cut is False, z off the cut arg z = pi."""
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"the argument must be finite, got {z}")
+    if not 0.0 < abs(z.imag) < 1e300:  # |z| can overflow only where |Im z| > 1.8e300
+        if z == 0:
+            raise DomainError("the argument 0 is outside the slit plane")
+        if cut and z.imag == 0.0 and z.real < 0.0:
+            raise DomainError(f"the argument {z} lies on the branch cut arg = pi")
+        if math.hypot(z.real, z.imag) == math.inf:
+            raise RangeError(f"|z| exceeds the float range at z = {z}")
+    return z
+
+
+def _check_finite(z: complex, *values: complex) -> None:
+    """RangeError unless every value is finite: binary64 overflowed on the way at z."""
+    for v in values:
+        if not cmath.isfinite(v):
+            raise RangeError(f"the result is not finite in binary64 at {z}")
 
 
 def log_gamma(z: complex) -> complex:
     """Principal branch of log Gamma(z) on the plane cut along (-inf, 0].
 
     Upward recurrence shifts z until Re z clears the shift threshold, then
-    the Stirling series finishes the job.  Relative error is at the
-    round-off level (<= 1e-13) for |z| >= 1.
+    the Stirling series finishes the job.  Below Re z = -55 the reflection
+    (DLMF 5.5.3) log Gamma(z) = log 2 pi - i pi/2 + i pi z - log(1 - e^{2 pi i z})
+    - log Gamma(1 - z) for Im z > 0, and its conjugate below the axis, replaces
+    the |Re z| shifts.  Relative error is at the round-off level (<= 1e-13)
+    for |z| >= 1.  RangeError when the value is not finite in binary64.
     """
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0:
-        raise DomainError("log_gamma: pole or branch cut on the non-positive real axis")
+    z = _check_sector(z)
+    if z.real < _SHIFT_THRESHOLD - _MAX_SHIFT:
+        upper = z.imag > 0.0
+        u = z if upper else z.conjugate()
+        # 1 - e^{2 pi i u} = -expm1(a + ib), with b reduced mod 2 pi exactly; no cancellation
+        a, b = -TWO_PI * u.imag, TWO_PI * (u.real - round(u.real))
+        one_minus = complex(2.0 * math.sin(0.5 * b) ** 2 - math.expm1(a) * math.cos(b),
+                            -math.exp(a) * math.sin(b))
+        out = (math.log(TWO_PI) - 0.5j * math.pi + 1j * math.pi * u - cmath.log(one_minus)
+               - log_gamma(1.0 - u))
+        return out if upper else out.conjugate()
     shift = max(0, math.ceil(_SHIFT_THRESHOLD - z.real))
     zs = z + shift
     out = (zs - 0.5) * cmath.log(zs) - zs + 0.5 * math.log(TWO_PI)
@@ -51,6 +92,7 @@ def log_gamma(z: complex) -> complex:
         zpow *= zs2
     for j in range(shift):
         out -= cmath.log(z + j)
+    _check_finite(z, out)
     return out
 
 
@@ -136,25 +178,20 @@ def _e1_lentz_scaled(w: complex, itmax: int = 2000) -> complex:
     raise AccuracyError("continued fraction for E1 did not converge")
 
 
-def _use_series(w: complex) -> bool:
-    # The power series is safe where cancellation e^{|w|(1 + cos arg w)} stays
-    # small; that covers small |w| and the whole neighbourhood of the negative
-    # real axis where the continued fraction converges poorly.
-    return abs(w) <= 4.0 or abs(w) * (1.0 + math.cos(cmath.phase(w))) <= 7.0
-
-
 def exp_integral_e1(w: complex) -> complex:
     """Principal-branch exponential integral E1(w) = Gamma(0, w).
 
     Power series in the small/cancellation-free region, modified Lentz
     continued fraction elsewhere; relative error <= 1e-12 for |w| >= 0.1.
+    RangeError when the value is not finite in binary64.
     """
-    w = complex(w)
-    if w == 0:
-        raise DomainError("E1 has a logarithmic singularity at 0")
-    if w.imag == 0.0 and w.real < 0.0:
-        raise DomainError("E1: branch cut on the negative real axis")
-    return _e1_continued(w, cmath.phase(w))[0]
+    w = _check_sector(w)
+    try:
+        value = _e1_continued(w, math.atan2(w.imag, w.real))[0]
+    except OverflowError:  # e^{-w} beyond binary64
+        raise RangeError(f"E1 is not finite in binary64 at {w}") from None
+    _check_finite(w, value)
+    return value
 
 
 def _e1_continued(w: complex, arg_w: float) -> tuple[complex, float]:
@@ -164,11 +201,15 @@ def _e1_continued(w: complex, arg_w: float) -> tuple[complex, float]:
     only shifts the logarithm: each full winding subtracts 2*pi*i.
     """
     w = complex(w)
-    windings = round((arg_w - cmath.phase(w)) / TWO_PI)
-    if _use_series(w):
+    ph = math.atan2(w.imag, w.real)
+    windings = round((arg_w - ph) / TWO_PI)
+    # The power series cancels like e^{|w|(1 + cos arg w)}.  It is safe where that
+    # stays small: small |w| and the whole neighbourhood of the negative real axis,
+    # where the continued fraction converges poorly.
+    spread = abs(w) * (1.0 + math.cos(ph))
+    if abs(w) <= 4.0 or spread <= 7.0:
         val = _ein(w) - EULER_GAMMA - cmath.log(w)
-        # series cancellation grows like e^{|w|(1 + cos arg w)}
-        cancel = math.exp(min(42.0, abs(w) * (1.0 + math.cos(cmath.phase(w)))))
+        cancel = math.exp(min(42.0, spread))
         rel = 4.0 * EPS * max(4.0, cancel / max(1.0, math.sqrt(abs(w))))
     else:
         val = _e1_lentz_scaled(w) * cmath.exp(-w)
@@ -189,7 +230,7 @@ def _e1_scaled_continued(w: complex, arg_w: float) -> tuple[complex, float]:
         combined relative error is O(|w|^{3/2} e^{-|w|}).
     """
     w = complex(w)
-    ph = cmath.phase(w)
+    ph = math.atan2(w.imag, w.real)
     windings = round((arg_w - ph) / TWO_PI)
     if abs(w) <= 32.0:
         val, rel = _e1_continued(w, arg_w)
@@ -211,13 +252,15 @@ def _e1_scaled_continued(w: complex, arg_w: float) -> tuple[complex, float]:
         total += term
         term *= -(j + 1) / w
         j += 1
-        if abs(term) < EPS * abs(total) or j > abs(w) - 2:
+        # <=, not <: EPS |total| underflows to 0 for |w| > 9e307, and a zero term must stop
+        if abs(term) <= EPS * abs(total) or j > abs(w) - 2:
             break
     ew = cmath.exp(w)  # Re w < 0 here
     total -= 2j * math.pi * _erf_switch(ph - math.pi, abs(w)) * ew
     if windings:
         total -= 2j * math.pi * windings * ew
-    return total, 8 * EPS + abs(w) ** 1.5 * math.exp(-abs(w))
+    decay = math.exp(-abs(w))  # 0 from |w| ~ 745; |w|^{3/2} overflows from |w| ~ 1e205
+    return total, 8 * EPS + (abs(w) ** 1.5 * decay if decay else 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -232,8 +275,11 @@ def erf_small(zeta: complex) -> complex:
     absolute where erf is O(1) and ~1 ulp relative where it grows.
     """
     zeta = complex(zeta)
-    a = abs(zeta)
-    if a > 4.0:
+    try:
+        a = abs(zeta)
+    except OverflowError:  # |zeta| beyond binary64
+        a = math.inf
+    if not a <= 4.0:  # NaN fails too
         raise RangeError("erf_small: |zeta| must be <= 4 (callers saturate outside)")
     if a <= 2.5:
         total = zeta

@@ -40,8 +40,15 @@ from typing import Optional, Sequence
 
 from .bernoulli import EPS, MAX_INDEX, TWO_PI, bernoulli_number, zeta_even
 from .errors import AccuracyError, DomainError, RangeError
-from .expansion import _check_finite, _check_sector, expansion_prefix
-from .special import _c_branch, _e1_scaled_continued, _erf_saturated, _erf_switch
+from .expansion import expansion_prefix
+from .special import (
+    _c_branch,
+    _check_finite,
+    _check_sector,
+    _e1_scaled_continued,
+    _erf_saturated,
+    _erf_switch,
+)
 
 __all__ = [
     "TerminantMethod",
@@ -53,7 +60,9 @@ __all__ = [
     "stokes_profile",
 ]
 
-MAX_ORDER = 171  # Gamma(p) overflows beyond this
+#: Largest terminant order: it keeps every j! of S_{p-1}(w) (j <= p - 2) in binary64,
+#: so the terms j!/w^{j+1} stay finite for |w| >= 1.
+MAX_ORDER = 171
 #: Terminant pairs that exp_improved_report sums unless told otherwise.
 K_MAX = 5
 _ORDER_CAP = 40
@@ -75,16 +84,14 @@ class TerminantEval:
 
 
 def _check_branch(w: complex, arg_w: Optional[float]) -> tuple[complex, float]:
-    """w as a finite nonzero complex and its branch angle: arg_w if given (it
-    must equal arg w modulo 2 pi), else the principal phase."""
-    w = complex(w)
-    if w == 0 or not cmath.isfinite(w):
-        raise DomainError(f"terminant needs a finite nonzero w, got {w}")
+    """w through the slit-plane check without the cut, and its branch angle:
+    arg_w if given (it must equal arg w modulo 2 pi), else the principal phase."""
+    w = _check_sector(w, cut=False)
     if arg_w is None:
-        return w, cmath.phase(w)
+        return w, math.atan2(w.imag, w.real)
     if not math.isfinite(arg_w):
         raise DomainError(f"arg_w must be finite, got {arg_w}")
-    windings = (arg_w - cmath.phase(w)) / TWO_PI
+    windings = (arg_w - math.atan2(w.imag, w.real)) / TWO_PI
     if abs(windings - round(windings)) > 1e-6:
         raise DomainError("arg_w must equal arg(w) modulo 2 pi")
     return w, arg_w
@@ -158,8 +165,7 @@ def terminant(
     scaled, est = _scaled_recurrence(p, w, arg_w)
     emw = _exp_minus(w)
     value, est = scaled * emw, est * abs(emw)
-    if not (cmath.isfinite(value) and math.isfinite(est)):
-        raise RangeError(f"T_{p}(w) is not finite in binary64 at w = {w}")
+    _check_finite(w, value, est)
     return TerminantEval(value=value, method=method, est_error=est)
 
 
@@ -279,7 +285,7 @@ def _algebraic_sum(z: complex) -> complex:
 
 def _terminant_pairs(z: complex, k_max: int) -> tuple[complex, float, float]:
     """Sum of the k <= k_max terminant pairs, their eval-error, and a k-tail estimate."""
-    theta = cmath.phase(z)
+    theta = math.atan2(z.imag, z.real)
     abs_z = abs(z)
     total = 0.0 + 0.0j
     eval_err = 0.0
@@ -365,6 +371,7 @@ def stokes_profile(
     switching exponential is evaluated at near-optimal order
     N_k = round(pi k |z|), and the prediction is
     1/2 + 1/2 erf((theta -+ pi/2) sqrt(pi k |z|)) on the corresponding side.
+    RangeError when the order 2 N_k + 1 exceeds MAX_ORDER.
     """
     if not 1.5 <= abs_z < math.inf:  # false for NaN too
         raise DomainError(f"stokes_profile requires a finite |z| >= 1.5, got {abs_z}")
@@ -381,8 +388,11 @@ def stokes_profile(
         raise DomainError(
             "thetas must lie within 1/2 of a Stokes line (pi/2 or -pi/2)"
         )
-    n_k = int(math.floor(math.pi * k * abs_z + 0.5))
-    p = 2 * n_k + 1
+    # p = 2 N_k + 1, N_k = floor(pi k |z| + 1/2) tested as a float before floor can overflow
+    n_k = math.pi * k * abs_z + 0.5
+    if not n_k < 0.5 * (MAX_ORDER + 1):
+        raise RangeError(f"the terminant order at |z| = {abs_z}, k = {k} exceeds {MAX_ORDER}")
+    p = 2 * math.floor(n_k) + 1
     rate = math.sqrt(math.pi * k * abs_z)
     # sign = +1 on the upper line, where w = 2 pi k i z; -1 on the lower, where w = -2 pi k i z
     sign = 1.0 if upper else -1.0

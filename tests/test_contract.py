@@ -1,24 +1,30 @@
-"""The input contract shared by every z-route, both terminant forms,
-stokes_profile and the CLI.
+"""The input contract shared by every z-route, the kernels below them, both
+terminant forms, stokes_profile and the CLI.
 
-Each route either returns finite numbers or raises a typed library error.
+Each call either returns finite numbers or raises a typed library error.
 z outside the slit plane (non-finite, zero, on the cut) raises DomainError;
 a modulus whose powers leave the binary64 range raises RangeError, and so
 does a float overflow inside a route, without a RuntimeWarning.  A terminant
 argument w that is zero or not finite, or a branch angle arg_w that is not
 finite or not congruent to arg w, raises DomainError; a terminant value or
 estimate that is not finite in binary64 raises RangeError.  A |z| for
-stokes_profile that is not finite raises DomainError.
+stokes_profile that is not finite raises DomainError.  A hypothesis property
+checks the contract for every numeric public callable over the whole binary64
+range; fixed rows pin the inputs that once leaked an untyped error or a NaN.
 """
 
 import cmath
 import math
 import numbers
+import signal
+import sys
 import warnings
+from contextlib import contextmanager
 
 import mpmath as mp
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from barnesg import (
     AccuracyError,
@@ -26,14 +32,21 @@ from barnesg import (
     RangeError,
     best_bound,
     certified_eval,
+    erf_small,
     exp_improved_report,
+    exp_integral_e1,
+    expansion_prefix,
     family_bounds,
     log_barnes_oracle,
+    log_gamma,
     remainder_narrow,
     remainder_wide,
+    sector_factor,
+    solve_optimal_angle,
     stokes_profile,
     terminant,
     terminant_erf_approx,
+    truncated_log_barnes,
 )
 from barnesg.cli import main
 
@@ -155,6 +168,156 @@ def test_stokes_profile_at_non_finite_modulus_raises_domain_error(abs_z):
         stokes_profile(abs_z, 1, [1.57])
 
 
+TYPED = (DomainError, RangeError, AccuracyError)
+BIG = sys.float_info.max
+
+# inputs at which a public callable once raised an untyped error, returned NaN
+# or looped without end; each now raises the typed error given
+PROBES = [
+    ("log_gamma(nan)", lambda: log_gamma(NAN), DomainError),
+    ("log_gamma(inf)", lambda: log_gamma(INF), DomainError),
+    ("log_gamma(inf i)", lambda: log_gamma(complex(0.0, INF)), DomainError),
+    ("log_gamma(1e200)", lambda: log_gamma(1e200), RangeError),
+    ("log_gamma(1e16+i)", lambda: log_gamma(1e16 + 1j), RangeError),
+    ("exp_integral_e1(-1e8+i)", lambda: exp_integral_e1(-1e8 + 1j), RangeError),
+    ("exp_integral_e1(-710+100i)", lambda: exp_integral_e1(-710 + 100j), RangeError),
+    ("erf_small(nan)", lambda: erf_small(NAN), RangeError),
+    ("erf_small(max+max i)", lambda: erf_small(complex(BIG, BIG)), RangeError),
+    ("sector_factor(nan)", lambda: sector_factor(NAN), DomainError),
+    ("stokes_profile(1e308)", lambda: stokes_profile(1e308, 1, [1.5]), RangeError),
+    ("terminant(5, -1e300+1e-300i)", lambda: terminant(5, complex(-1e300, 1e-300)), AccuracyError),
+    ("terminant(60, -max)", lambda: terminant(60, -BIG), AccuracyError),
+    ("truncated_log_barnes(1e-300, 3)", lambda: truncated_log_barnes(1e-300, 3), RangeError),
+    ("truncated_log_barnes(5e-324, 3)", lambda: truncated_log_barnes(5e-324, 3), RangeError),
+    ("expansion_prefix(-1e300+1e-300i)", lambda: expansion_prefix(complex(-1e300, 1e-300)),
+     RangeError),
+    ("exp_improved_report(-1e300+1e-300i)",
+     lambda: exp_improved_report(complex(-1e300, 1e-300)), RangeError),
+    ("remainder_wide(max+max i, 1)", lambda: remainder_wide(complex(BIG, BIG), 1), RangeError),
+    ("log_barnes_oracle(max+max i)", lambda: log_barnes_oracle(complex(BIG, BIG)), RangeError),
+]
+
+
+@contextmanager
+def _deadline(seconds):
+    """TimeoutError if the block runs longer than seconds (a loop without end fails, not hangs)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("name,call,error", PROBES, ids=[p[0] for p in PROBES])
+def test_probe_raises_its_typed_error(name, call, error):
+    with _deadline(5.0), pytest.raises(error):
+        call()
+
+
+# arg z, or the arg of a terminant argument +-2 pi k i z, underflows to 0 at
+# these points (cmath.phase raises there); each call returns the value at the
+# nearby axis point to rounding
+UNDERFLOWING_ARG = {
+    "certified_eval": (lambda z: certified_eval(z).value, complex(3.0, 5e-324), 3.0),
+    "remainder_wide": (lambda z: remainder_wide(z, 2).value, complex(3.0, -5e-324), 3.0),
+    "terminant": (lambda z: terminant(5, z).value, complex(3.0, 5e-324), 3.0),
+    "exp_improved_report": (lambda z: exp_improved_report(z)[0], complex(5e-324, 2.0), 2j),
+}
+
+
+@pytest.mark.parametrize("name", UNDERFLOWING_ARG)
+def test_arg_that_underflows_gives_the_axis_value(name):
+    call, z, on_axis = UNDERFLOWING_ARG[name]
+    assert cmath.isclose(call(z), call(on_axis), rel_tol=1e-15)
+
+
+# Re z on both sides of -55, where log_gamma switches from upward shifts to
+# the reflection; the far-left points would take |Re z| shifts without it
+REFLECTION_RE = [-54.5, -55.0, -55.25, -64.5, -65.0, -65.3, -99.75, -1e5 - 0.7, -1e8 + 0.1,
+                 -1e12 - 0.5]
+REFLECTION_IM = [1e-12, -1e-9, 0.3, -1.0, 50.0, -1e3]
+
+
+@pytest.mark.parametrize("re", REFLECTION_RE, ids=repr)
+def test_log_gamma_far_left_matches_mpmath(re):
+    for im in REFLECTION_IM:
+        z = complex(re, im)
+        with _deadline(5.0):
+            value = log_gamma(z)
+        with mp.workdps(40):
+            ref = mp.loggamma(mp.mpc(z))
+            assert abs(mp.mpc(value) - ref) <= 1e-15 * abs(ref), z
+
+
+# the whole binary64 line: NaN, +-inf, +-0, subnormals, huge values, and
+# ordinary floats; points also on the cut and at moderate modulus
+EDGES = [0.0, -0.0, NAN, INF, -INF, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e-160,
+         1e-30, 1e15, 1e200, 1e300, BIG, -BIG, -1.0, -60.5, 1.0]
+REALS = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(EDGES))
+POINTS = st.one_of(
+    st.builds(complex, REALS, REALS),
+    st.builds(lambda r, a: r * cmath.exp(1j * a), st.floats(1e-3, 1e3),
+              st.floats(-math.pi, math.pi)),
+    st.builds(lambda x, s: complex(-abs(x), s), REALS, st.sampled_from([0.0, -0.0])),
+)
+N = st.integers(1, 20)
+ORDERS = st.one_of(st.integers(1, 171), st.integers(-3, 400))
+
+
+@st.composite
+def _terminant_args(draw):
+    w = draw(POINTS)
+    near_branch = st.integers(-1, 1).map(lambda j: math.atan2(w.imag, w.real) + 2 * math.pi * j)
+    return draw(ORDERS), w, draw(st.one_of(st.none(), REALS, near_branch))
+
+
+STOKES_WINDOW = st.floats(0.5 * math.pi - 0.52, 0.5 * math.pi + 0.52).flatmap(
+    lambda t: st.sampled_from([t, -t]))
+CALLABLES = {
+    "certified_eval": (certified_eval, st.tuples(POINTS)),
+    "certified_eval(z, N)": (certified_eval, st.tuples(POINTS, N)),
+    "best_bound": (best_bound, st.tuples(POINTS, N)),
+    "family_bounds": (family_bounds, st.tuples(POINTS, N)),
+    "log_barnes_oracle": (log_barnes_oracle, st.tuples(POINTS)),
+    "remainder_wide": (remainder_wide, st.tuples(POINTS, N)),
+    "remainder_narrow": (remainder_narrow, st.tuples(POINTS, N)),
+    "exp_improved_report": (exp_improved_report, st.tuples(POINTS, st.integers(1, 8))),
+    "log_gamma": (log_gamma, st.tuples(POINTS)),
+    "exp_integral_e1": (exp_integral_e1, st.tuples(POINTS)),
+    "erf_small": (erf_small, st.tuples(POINTS)),
+    "expansion_prefix": (expansion_prefix, st.tuples(POINTS)),
+    "truncated_log_barnes": (truncated_log_barnes, st.tuples(POINTS, N)),
+    "sector_factor": (sector_factor, st.tuples(REALS)),
+    "solve_optimal_angle": (solve_optimal_angle, st.tuples(REALS, N)),
+    "terminant": (terminant, _terminant_args()),
+    "terminant_erf_approx": (terminant_erf_approx, _terminant_args()),
+    "stokes_profile": (stokes_profile, st.tuples(
+        st.one_of(REALS, st.floats(1.5, 40.0)), st.integers(1, 2),
+        st.one_of(st.lists(REALS, min_size=1, max_size=3),
+                  st.lists(STOKES_WINDOW, min_size=1, max_size=3)))),
+}
+
+
+@pytest.mark.parametrize("name", CALLABLES)
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_full_binary64_range_gives_finite_numbers_or_a_typed_error(name, data):
+    call, arguments = CALLABLES[name]
+    args = data.draw(arguments)
+    try:
+        out = call(*args)
+    except TYPED:
+        return
+    values = _numbers(out)
+    assert all(cmath.isfinite(v) for v in values), (args, out)
+
+
 def _eval(method, re, im="0"):
     return ["eval", "--method", method, "--z-re", re, "--z-im", im]
 
@@ -182,6 +345,15 @@ CLI_CASES = [
     (["terminant", "--p", "121", "--w-re", "0.1"], 2),  # TERMINANT_OVERFLOW
     *[(["stokes", "--z-abs", r, "--theta-min", "1.5", "--theta-max", "1.6", "--theta-steps", "2"], 2)
       for r in ("nan", "inf")],
+    # a point or an angle given two ways
+    (["eval", "--method", "asym", "--z-re", "3", "--z-abs", "5", "--z-arg", "1"], 2),
+    (["eval", "--method", "asym", "--z-abs", "5", "--z-arg", "1", "--z-arg-pi", "0.3"], 2),
+    (["bounds", "--z-abs", "3", "--theta", "1", "--theta-pi", "0.3"], 2),
+    (["terminant", "--p", "7", "--w-re", "3", "--w-abs", "5"], 2),
+    (["eval", "--method", "asym", "--z-re", "3", "--z-arg", "1"], 2),
+    # --w-arg selects the continued branch of a w given by --w-re/--w-im
+    (["terminant", "--p", "7", "--w-re", "-3", "--w-im", "-0.1",
+      "--w-arg", repr(cmath.phase(complex(-3, -0.1)) + 2 * math.pi)], 0),
 ]
 
 
@@ -189,4 +361,12 @@ CLI_CASES = [
 def test_cli_exits_with_the_code_of_the_typed_error(args, code):
     res = CliRunner().invoke(main, args)
     assert res.exit_code == code, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(method=st.sampled_from(["asym", "oracle", "hyper"]), re=REALS, im=REALS)
+def test_cli_eval_exits_with_0_2_or_3(method, re, im):
+    res = CliRunner().invoke(main, _eval(method, repr(re), repr(im)))
+    assert res.exit_code in (0, 2, 3), res.output
     assert res.exception is None or isinstance(res.exception, SystemExit)

@@ -13,6 +13,7 @@ import math
 
 from barnesg import (
     BoundKind,
+    best_bound,
     certified_eval,
     family_bounds,
     log_barnes_oracle,
@@ -37,12 +38,10 @@ def main() -> None:
             closed = min(families[k].bound for k in (BoundKind.SECTOR, BoundKind.HALF_ANGLE)
                          if k in families)
             if BoundKind.OPTIMIZED in families:
-                opt = families[BoundKind.OPTIMIZED].bound
-                opt_text = f"{opt:12.3e}"
+                opt_text = f"{families[BoundKind.OPTIMIZED].bound:12.3e}"
             else:
-                opt = math.inf
                 opt_text = f"{'-':>12}"
-            bound = min(closed, opt)
+            bound = best_bound(z, n).bound
             label = f"{r:g} exp({theta_over_pi:g} pi i)"
             print(
                 f"{label:>22} {n:>2} {oracle:14.3e} {closed:12.3e} {opt_text} "

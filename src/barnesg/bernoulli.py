@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, RangeError
+from .errors import DomainError, RangeError, _check_order
 
 __all__ = [
     "BernoulliTable",
@@ -47,6 +47,8 @@ EPS = 2.220446049250313e-16
 
 #: Largest index in the Bernoulli table.
 MAX_INDEX = 64
+MAX_COEFF = MAX_INDEX // 2 - 1  # the largest n of c_n, which reads B_{2n+2}
+MAX_FACTORIAL = 170  # the largest n whose n! is finite in binary64
 
 
 def _generate(max_index: int) -> tuple[float, ...]:
@@ -79,11 +81,10 @@ class BernoulliTable:
         Horner's rule in w: one complex exponential per node.  The absolute
         error is ~1e-14 of the amplitude 2 n!/(2 pi)^n for n >= 8, where the
         binomial sum over the table loses accuracy to cancellation.  Lower
-        orders raise DomainError: they would need 10^{18/n} terms.  The
-        remainder kernel promotes the index to >= 17.
+        orders raise DomainError (they would need 10^{18/n} terms), orders past
+        MAX_FACTORIAL RangeError; the remainder kernel uses orders 17 .. 63.
         """
-        if n < 8:
-            raise DomainError("periodized evaluation requires n >= 8")
+        n = _check_order(n, 8, MAX_FACTORIAL, RangeError)
         terms = 1
         while (terms + 1) ** -n >= 1e-18:
             terms += 1
@@ -101,10 +102,9 @@ class BernoulliTable:
 
         The Fourier series gives max |B_n| <= 2 n! zeta(n) / (2 pi)^n, and the
         factor 1.21 covers zeta(n) <= zeta(3) = 1.202...; DomainError for
-        n < 3, where zeta(n) exceeds it (max |B_2| = 1/6).
+        n < 3, where zeta(n) exceeds it (max |B_2| = 1/6), RangeError past MAX_FACTORIAL.
         """
-        if n < 3:
-            raise DomainError("max_abs_poly requires n >= 3")
+        n = _check_order(n, 3, MAX_FACTORIAL, RangeError)
         return 2.0 * math.factorial(n) / TWO_PI ** n * 1.21
 
 
@@ -113,11 +113,7 @@ DEFAULT_TABLE = BernoulliTable()
 
 def bernoulli_number(n: int) -> float:
     """Bernoulli number B_n (first kind, B_1 = -1/2); odd indices beyond 1 are exactly zero."""
-    if n < 0:
-        raise DomainError("Bernoulli index must be non-negative")
-    if n > MAX_INDEX:
-        raise RangeError(f"Bernoulli index {n} beyond table maximum {MAX_INDEX}")
-    return BernoulliTable.values[n]
+    return BernoulliTable.values[_check_order(n, 0, MAX_INDEX, RangeError)]
 
 
 def series_coefficient(n: int) -> float:
@@ -125,14 +121,14 @@ def series_coefficient(n: int) -> float:
 
     Equals B_{2n+2} / (2n (2n+1) (2n+2)) for n >= 1.
     """
-    if n < 1:
-        raise DomainError("series coefficient index starts at 1")
+    n = _check_order(n, 1, MAX_COEFF, RangeError)
     return bernoulli_number(2 * n + 2) / (2 * n * (2 * n + 1) * (2 * n + 2))
 
 
 def zeta_even(m: int) -> float:
     """Riemann zeta at a positive even integer m, via Bernoulli numbers."""
-    if m < 2 or m % 2:
+    m = _check_order(m, 2, MAX_INDEX, RangeError)
+    if m % 2:
         raise DomainError("zeta_even requires a positive even integer")
     j = m // 2
     return (-1) ** (j + 1) * bernoulli_number(m) * TWO_PI ** m / (2.0 * math.factorial(m))

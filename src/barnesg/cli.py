@@ -18,8 +18,8 @@ from typing import Callable, Optional
 
 import click
 
-from .errors import AccuracyError, DomainError
-from .expansion import BoundKind, certified_eval, family_bounds
+from .errors import AccuracyError, DomainError, _check_order
+from .expansion import BoundKind, best_bound, certified_eval, family_bounds
 from .oracle import log_barnes_oracle, remainder_wide
 from .terminant import (
     K_MAX,
@@ -58,7 +58,7 @@ def _point(name: str, re: Optional[float], im: Optional[float], abs_: Optional[f
            arg: Optional[float]) -> tuple[complex, Optional[float]]:
     """The point given by --{name}-re/--{name}-im or by --{name}-abs/--{name}-arg, and its
     angle: arg (0 if omitted) in the polar form, the --{name}-arg given (or None) otherwise.
-    DomainError when neither form or both are given."""
+    DomainError when neither form or both are given, or when --{name}-abs is not > 0."""
     if abs_ is None:
         if re is None:
             raise DomainError(f"specify {name} via --{name}-re/--{name}-im or "
@@ -66,6 +66,8 @@ def _point(name: str, re: Optional[float], im: Optional[float], abs_: Optional[f
         return complex(re, im or 0.0), arg
     if re is not None or im is not None:
         raise DomainError(f"give {name} by --{name}-re/--{name}-im or by --{name}-abs, not both")
+    if not abs_ > 0.0:  # NaN fails too
+        raise DomainError(f"--{name}-abs must be > 0, got {abs_}")
     arg = arg or 0.0
     return abs_ * cmath.exp(1j * arg), arg
 
@@ -172,20 +174,19 @@ def cmd_bounds(z_abs_list, theta_list, theta_pi_list, n_min, n_max, fmt) -> None
         thetas = _parse_floats(theta_list)
     else:
         thetas = [0.0]
-    if n_min < 1 or n_max < n_min:
-        raise DomainError("need 1 <= n-min <= n-max")
+    _check_order(n_max, _check_order(n_min, 1))  # 1 <= n-min <= n-max
     rows = []
     violated = False
     for r in radii:
         for theta in thetas:
-            z = r * cmath.exp(1j * theta)
+            z, _ = _point("z", None, None, r, theta)
             for n in range(n_min, n_max + 1):
                 oracle = remainder_wide(z, n)
                 abs_rn = abs(oracle.value)
                 families = family_bounds(z, n)
                 sector = families.get(BoundKind.SECTOR)
                 opt = families.get(BoundKind.OPTIMIZED)
-                best = min(r.bound for r in families.values())
+                best = best_bound(z, n).bound
                 ratio = best / abs_rn if abs_rn > 0 else math.inf
                 if abs_rn > best + 1e-10 + oracle.est_error:
                     violated = True
@@ -219,8 +220,7 @@ def cmd_stokes(z_abs, k, theta_min, theta_max, theta_steps, fmt) -> None:
     """Stokes-multiplier transition profile against the erf smoothing law."""
     if theta_min > theta_max:
         raise DomainError("theta-min must not exceed theta-max")
-    if theta_steps < 1:
-        raise DomainError("theta-steps must be >= 1")
+    _check_order(theta_steps, 1)
     if theta_steps == 1:
         thetas = [theta_min]
     else:

@@ -28,9 +28,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .bernoulli import LOG_GLAISHER, MAX_INDEX, series_coefficient
-from .errors import AccuracyError, DomainError, RangeError
-from .special import _check_finite, _check_sector, log_gamma
+from .bernoulli import LOG_GLAISHER, MAX_COEFF, series_coefficient
+from .errors import (AccuracyError, DomainError, RangeError, _check_finite, _check_order,
+                     _check_sector)
+from .special import log_gamma
 
 __all__ = [
     "BoundKind",
@@ -50,8 +51,8 @@ _WEAK_FACTOR = 1e6
 _NEWTON_TOL = 1e-15
 #: Bisection alone narrows a bracket (width <= pi/4) below _NEWTON_TOL in 50 steps.
 _NEWTON_MAX_STEPS = 64
-#: c_n for n = 1 .. 31, every index the Bernoulli table supports; entry 0 is unused.
-_COEFFS = (0.0,) + tuple(series_coefficient(n) for n in range(1, MAX_INDEX // 2))
+#: c_n for n = 1 .. MAX_COEFF = 31, every index the Bernoulli table reaches; entry 0 is unused.
+_COEFFS = (0.0,) + tuple(series_coefficient(n) for n in range(1, MAX_COEFF + 1))
 
 
 class BoundKind(enum.Enum):
@@ -87,7 +88,7 @@ class ExpansionResult:
 def expansion_prefix(z: complex) -> complex:
     """The N-independent part: z^2/4 + z log Gamma(z+1) - (z(z+1)/2 + 1/12) log z - log A.
 
-    RangeError when it is not finite in binary64 (log Gamma fails from |z| ~ 2e13).
+    RangeError when it is not finite in binary64 (from |z| ~ 1e153 on).
     """
     z = _check_sector(z)
     prefix = (
@@ -108,8 +109,7 @@ def truncated_log_barnes(z: complex, n_trunc: int) -> complex:
     for certified bounds.
     """
     z = _check_sector(z)
-    if not 1 <= n_trunc <= MAX_TRUNCATION:
-        raise DomainError(f"n_trunc must lie in [1, {MAX_TRUNCATION}]")
+    n_trunc = _check_order(n_trunc, 1, MAX_TRUNCATION)
     value = _series(z, 1, n_trunc, expansion_prefix(z))
     _check_finite(z, value)
     return value
@@ -151,11 +151,7 @@ def sector_factor(theta: float) -> float:
 
 
 def _first_term_magnitude(z: complex, n_trunc: int) -> float:
-    """|c_N| / |z|^{2N}; RangeError unless it is a finite positive float."""
-    if n_trunc < 1:
-        raise DomainError("n_trunc must be >= 1")
-    if n_trunc >= len(_COEFFS):
-        raise RangeError(f"n_trunc = {n_trunc} lies beyond the Bernoulli table")
+    """|c_N| / |z|^{2N}, 1 <= N <= MAX_COEFF; RangeError unless it is a finite positive float."""
     try:
         term = abs(_COEFFS[n_trunc]) / abs(z) ** (2 * n_trunc)
     except (OverflowError, ZeroDivisionError):
@@ -241,10 +237,9 @@ def solve_optimal_angle(theta: float, n_trunc: int) -> float:
     bisection step.  The iteration stops once a step moves phi by at most
     1e-15, after about five steps.  The result is a pure function of
     (theta, N) and odd in theta.  AccuracyError if h does not change sign
-    across the bracket or the iteration fails to settle.
+    across the bracket or the iteration fails to settle, RangeError for N > 2^53.
     """
-    if n_trunc < 1:
-        raise DomainError("n_trunc must be >= 1")
+    n_trunc = _check_order(n_trunc, 1, 2 ** 53, RangeError)
     a_th = abs(theta)
     if not 0.25 * math.pi < a_th < math.pi:
         raise DomainError("solve_optimal_angle: need pi/4 < |theta| < pi")
@@ -275,10 +270,11 @@ def solve_optimal_angle(theta: float, n_trunc: int) -> float:
 def best_bound(z: complex, n_trunc: int) -> BoundReport:
     """Smallest certified bound applicable at (z, n_trunc).
 
-    RangeError when the first omitted term or the bound is not a finite
-    positive float (|z| too small or too large for N, or z too near the cut).
+    RangeError when N > MAX_COEFF or the first omitted term or the bound is not
+    a finite positive float (|z| too small or too large for N, or z too near the cut).
     """
     z = _check_sector(z)
+    n_trunc = _check_order(n_trunc, 1, MAX_COEFF, RangeError)
     theta = math.atan2(z.imag, z.real)
     term = _first_term_magnitude(z, n_trunc)
     if theta == 0.0:
@@ -301,6 +297,7 @@ def family_bounds(z: complex, n_trunc: int) -> dict[BoundKind, BoundReport]:
     bound overflows.
     """
     z = _check_sector(z)
+    n_trunc = _check_order(n_trunc, 1, MAX_COEFF, RangeError)
     theta = math.atan2(z.imag, z.real)
     a = abs(theta)
     term = _first_term_magnitude(z, n_trunc)
@@ -338,9 +335,8 @@ def certified_eval(z: complex, n_trunc: Optional[int] = None) -> ExpansionResult
             raise RangeError(f"no truncation index in 1..{MAX_TRUNCATION} has a "
                              f"finite bound at z = {z}")
     else:
-        if not 1 <= n_trunc <= MAX_TRUNCATION:
-            raise DomainError(f"n_trunc must lie in [1, {MAX_TRUNCATION}]")
-        chosen, chosen_report = n_trunc, best_bound(z, n_trunc)
+        chosen = _check_order(n_trunc, 1, MAX_TRUNCATION)
+        chosen_report = best_bound(z, chosen)
     return ExpansionResult(
         value=truncated_log_barnes(z, chosen),
         n_trunc=chosen,

@@ -30,8 +30,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .bernoulli import DEFAULT_TABLE, EPS, TWO_PI
-from .errors import AccuracyError, DomainError, RangeError
+from .bernoulli import DEFAULT_TABLE, EPS, MAX_COEFF, TWO_PI
+from .errors import (AccuracyError, DomainError, RangeError, _check_finite, _check_order,
+                     _check_sector)
 from .expansion import (
     BoundKind,
     _first_term_magnitude,
@@ -42,7 +43,7 @@ from .expansion import (
     sector_factor,
 )
 from .quadrature import geometric_breakpoints, integrate_panels, panel_nodes
-from .special import _check_finite, _check_sector, _dilog_exp
+from .special import _dilog_exp
 
 __all__ = [
     "OracleValue",
@@ -115,8 +116,7 @@ def remainder_narrow(z: complex, n_trunc: int) -> OracleValue:
     z = _check_sector(z)
     if abs(math.atan2(z.imag, z.real)) >= 0.5 * math.pi:
         raise DomainError("this kernel requires |arg z| < pi/2 strictly")
-    if n_trunc < 1:
-        raise DomainError("n_trunc must be >= 1")
+    n_trunc = _check_order(n_trunc, 1)
     k = 2 * n_trunc
 
     def integrand(t: np.ndarray) -> np.ndarray:
@@ -206,11 +206,11 @@ def remainder_wide(z: complex, n_trunc: int) -> OracleValue:
     escalated before reporting an accuracy failure.
     """
     z = _check_sector(z)
+    n_trunc = _check_order(n_trunc, 1, MAX_COEFF, RangeError)
     theta = math.atan2(z.imag, z.real)
     abs_z = abs(z)
     sec_half = 1.0 / math.cos(0.5 * theta)
-    # the half-angle bound on |R_N| sets the relative fallback target; it
-    # raises DomainError for N < 1 and RangeError outside the float range
+    # the half-angle bound on |R_N| sets the relative fallback target (RangeError off binary64)
     rn_est = _report(_half_angle_factor(theta, n_trunc), _first_term_magnitude(z, n_trunc),
                      BoundKind.HALF_ANGLE).bound
 

@@ -6,11 +6,6 @@ These are the only transcendental building blocks the rest of the library
 needs.  Each has a small validity region chosen for the arguments the
 expansion machinery actually produces, and each is cross-checked in the test
 suite against an independent oracle (series, quadrature, or scipy).
-
-This module also owns the input rules of the package: _check_sector, the
-slit-plane check of every kernel and route, and _check_finite.  The package
-takes arg z as math.atan2(z.imag, z.real): that is cmath.phase without the
-OverflowError cmath.phase raises where arg z underflows to 0 (at 3 + 5e-324i).
 """
 
 from __future__ import annotations
@@ -21,7 +16,7 @@ import math
 import numpy as np
 
 from .bernoulli import EPS, EULER_GAMMA, TWO_PI, bernoulli_number
-from .errors import AccuracyError, DomainError, RangeError
+from .errors import AccuracyError, RangeError, _check_finite, _check_sector
 from .quadrature import gauss_nodes
 
 __all__ = [
@@ -38,29 +33,6 @@ _STIRLING = tuple((bernoulli_number(2 * n), (2 * n) * (2 * n - 1)) for n in rang
 _MAX_SHIFT = 64
 
 
-def _check_sector(z: complex, cut: bool = True) -> complex:
-    """The domain check of every kernel and route: z finite and nonzero, |z| within
-    binary64 (else RangeError) and, unless cut is False, z off the cut arg z = pi."""
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise DomainError(f"the argument must be finite, got {z}")
-    if not 0.0 < abs(z.imag) < 1e300:  # |z| can overflow only where |Im z| > 1.8e300
-        if z == 0:
-            raise DomainError("the argument 0 is outside the slit plane")
-        if cut and z.imag == 0.0 and z.real < 0.0:
-            raise DomainError(f"the argument {z} lies on the branch cut arg = pi")
-        if math.hypot(z.real, z.imag) == math.inf:
-            raise RangeError(f"|z| exceeds the float range at z = {z}")
-    return z
-
-
-def _check_finite(z: complex, *values: complex) -> None:
-    """RangeError unless every value is finite: binary64 overflowed on the way at z."""
-    for v in values:
-        if not cmath.isfinite(v):
-            raise RangeError(f"the result is not finite in binary64 at {z}")
-
-
 def log_gamma(z: complex) -> complex:
     """Principal branch of log Gamma(z) on the plane cut along (-inf, 0].
 
@@ -69,7 +41,8 @@ def log_gamma(z: complex) -> complex:
     (DLMF 5.5.3) log Gamma(z) = log 2 pi - i pi/2 + i pi z - log(1 - e^{2 pi i z})
     - log Gamma(1 - z) for Im z > 0, and its conjugate below the axis, replaces
     the |Re z| shifts.  Relative error is at the round-off level (<= 1e-13)
-    for |z| >= 1.  RangeError when the value is not finite in binary64.
+    for |z| >= 1, up to |z| ~ 1e305.  RangeError when the value is not finite
+    in binary64.
     """
     z = _check_sector(z)
     if z.real < _SHIFT_THRESHOLD - _MAX_SHIFT:
@@ -87,7 +60,9 @@ def log_gamma(z: complex) -> complex:
     out = (zs - 0.5) * cmath.log(zs) - zs + 0.5 * math.log(TWO_PI)
     zs2 = zs * zs
     zpow = zs
-    for b2n, denom in _STIRLING:
+    # from |z| = 1e13 on every term after the first lies below an ulp of the value,
+    # and the powers z^{2n-1} overflow from |z| ~ 2.5e13: sum the first term only
+    for b2n, denom in _STIRLING if abs(zs) < 1e13 else _STIRLING[:1]:
         out += b2n / (denom * zpow)
         zpow *= zs2
     for j in range(shift):
@@ -183,13 +158,21 @@ def exp_integral_e1(w: complex) -> complex:
 
     Power series in the small/cancellation-free region, modified Lentz
     continued fraction elsewhere; relative error <= 1e-12 for |w| >= 0.1.
-    RangeError when the value is not finite in binary64.
+    Where e^{-w} or the series terms overflow (Re w < -709), E1 is formed as
+    exp(-w + log(e^{w} E1(w))).  RangeError when the value is not finite in
+    binary64.
     """
     w = _check_sector(w)
+    arg_w = math.atan2(w.imag, w.real)
     try:
-        value = _e1_continued(w, math.atan2(w.imag, w.real))[0]
+        value = _e1_continued(w, arg_w)[0]
     except OverflowError:  # e^{-w} beyond binary64
-        raise RangeError(f"E1 is not finite in binary64 at {w}") from None
+        value = complex(math.nan)
+    if not cmath.isfinite(value):  # e^{-w} or the series terms overflowed: E1 may still fit
+        try:
+            value = cmath.exp(cmath.log(_e1_scaled_continued(w, arg_w)[0]) - w)
+        except OverflowError:
+            raise RangeError(f"E1 is not finite in binary64 at {w}") from None
     _check_finite(w, value)
     return value
 

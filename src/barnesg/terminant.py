@@ -39,16 +39,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .bernoulli import EPS, MAX_INDEX, TWO_PI, bernoulli_number, zeta_even
-from .errors import AccuracyError, DomainError, RangeError
+from .errors import (AccuracyError, DomainError, RangeError, _check_finite, _check_order,
+                     _check_sector)
 from .expansion import expansion_prefix
-from .special import (
-    _c_branch,
-    _check_finite,
-    _check_sector,
-    _e1_scaled_continued,
-    _erf_saturated,
-    _erf_switch,
-)
+from .special import _c_branch, _e1_scaled_continued, _erf_saturated, _erf_switch
 
 __all__ = [
     "TerminantMethod",
@@ -148,10 +142,9 @@ def terminant(
     phase).  The default path is the closed form of _scaled_recurrence,
     switching to the erf form when p ~ |w| >= 50 where the closed form has
     lost too much to cancellation; method forces one of the two.  RangeError
-    when the value or its estimate is not finite in binary64.
+    when the value or its estimate is not finite in binary64, or p > MAX_ORDER.
     """
-    if p < 1 or p > MAX_ORDER:
-        raise RangeError(f"terminant order must lie in [1, {MAX_ORDER}]")
+    p = _check_order(p, 1, MAX_ORDER, RangeError)
     w, arg_w = _check_branch(w, arg_w)
     if not -1.5 * math.pi < arg_w < 1.5 * math.pi:
         raise DomainError("arg_w must lie in (-3 pi/2, 3 pi/2)")
@@ -178,7 +171,9 @@ def terminant_erf_approx(
     lower form, for arg w in (-3 pi, pi):  -1/2 + 1/2 erf(-conj(c(-phi)) sqrt(|w|/2)),
     with saturation to the limiting values when the erf argument leaves the
     small-argument disc.  The error estimate carries the O(|w|^{-1/2}) scale.
+    RangeError for p > 2^53, where binary64 no longer holds every integer.
     """
+    p = _check_order(p, 1, 2 ** 53, RangeError)
     w, arg_w = _check_branch(w, arg_w)
     if abs(p - abs(w)) > 0.2 * abs(w):
         raise DomainError("erf form requires p within 20% of |w|")
@@ -314,8 +309,7 @@ def exp_improved_report(z: complex, k_max: int = K_MAX) -> tuple[complex, float]
     The k-th exponential's inner series is truncated at N_k = round(pi k |z|),
     capped at 40; k_max >= 1 terminant pairs are summed.
     """
-    if k_max < 1:
-        raise DomainError("k_max must be >= 1")
+    k_max = _check_order(k_max, 1)
     z = _check_sector(z)
     total = expansion_prefix(z)
     total -= _algebraic_sum(z)
@@ -371,12 +365,11 @@ def stokes_profile(
     switching exponential is evaluated at near-optimal order
     N_k = round(pi k |z|), and the prediction is
     1/2 + 1/2 erf((theta -+ pi/2) sqrt(pi k |z|)) on the corresponding side.
-    RangeError when the order 2 N_k + 1 exceeds MAX_ORDER.
+    RangeError when the order 2 N_k + 1 exceeds MAX_ORDER (so for k > MAX_ORDER).
     """
     if not 1.5 <= abs_z < math.inf:  # false for NaN too
         raise DomainError(f"stokes_profile requires a finite |z| >= 1.5, got {abs_z}")
-    if k < 1:
-        raise DomainError("k must be a positive integer")
+    k = _check_order(k, 1, MAX_ORDER, RangeError)
     thetas = list(thetas)
     if not thetas:
         return []

@@ -8,9 +8,12 @@ does a float overflow inside a route, without a RuntimeWarning.  A terminant
 argument w that is zero or not finite, or a branch angle arg_w that is not
 finite or not congruent to arg w, raises DomainError; a terminant value or
 estimate that is not finite in binary64 raises RangeError.  A |z| for
-stokes_profile that is not finite raises DomainError.  A hypothesis property
-checks the contract for every numeric public callable over the whole binary64
-range; fixed rows pin the inputs that once leaked an untyped error or a NaN.
+stokes_profile that is not finite raises DomainError.  An integer argument
+(an order, index or count) that is not an integer or lies below its least
+value raises DomainError, and one beyond a table or float reach RangeError.
+A hypothesis property checks the contract for every numeric public callable
+over the whole binary64 range and every kind of integer argument; fixed rows
+pin the inputs that once leaked an untyped error, a NaN or a silent result.
 """
 
 import cmath
@@ -22,14 +25,17 @@ import warnings
 from contextlib import contextmanager
 
 import mpmath as mp
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from barnesg import (
     AccuracyError,
+    BernoulliTable,
     DomainError,
     RangeError,
+    bernoulli_number,
     best_bound,
     certified_eval,
     erf_small,
@@ -42,11 +48,13 @@ from barnesg import (
     remainder_narrow,
     remainder_wide,
     sector_factor,
+    series_coefficient,
     solve_optimal_angle,
     stokes_profile,
     terminant,
     terminant_erf_approx,
     truncated_log_barnes,
+    zeta_even,
 )
 from barnesg.cli import main
 
@@ -85,7 +93,9 @@ IMPROVED_LARGE = [300 * cmath.exp(0.3j * math.pi), 1000 * cmath.exp(0.5j * math.
 
 
 def _numbers(out):
-    """Every number inside a route's result (dataclasses, tuples, dicts of reports)."""
+    """Every number inside a route's result (dataclasses, tuples, dicts of reports, arrays)."""
+    if isinstance(out, np.ndarray):
+        return list(out.ravel())
     if isinstance(out, dict):
         out = list(out.values())
     if isinstance(out, (tuple, list)):
@@ -170,6 +180,8 @@ def test_stokes_profile_at_non_finite_modulus_raises_domain_error(abs_z):
 
 TYPED = (DomainError, RangeError, AccuracyError)
 BIG = sys.float_info.max
+HUGE_INT = 10 ** 400
+TABLE = BernoulliTable()
 
 # inputs at which a public callable once raised an untyped error, returned NaN
 # or looped without end; each now raises the typed error given
@@ -177,10 +189,9 @@ PROBES = [
     ("log_gamma(nan)", lambda: log_gamma(NAN), DomainError),
     ("log_gamma(inf)", lambda: log_gamma(INF), DomainError),
     ("log_gamma(inf i)", lambda: log_gamma(complex(0.0, INF)), DomainError),
-    ("log_gamma(1e200)", lambda: log_gamma(1e200), RangeError),
-    ("log_gamma(1e16+i)", lambda: log_gamma(1e16 + 1j), RangeError),
+    ("log_gamma(1e306)", lambda: log_gamma(1e306), RangeError),
     ("exp_integral_e1(-1e8+i)", lambda: exp_integral_e1(-1e8 + 1j), RangeError),
-    ("exp_integral_e1(-710+100i)", lambda: exp_integral_e1(-710 + 100j), RangeError),
+    ("exp_integral_e1(-740+5i)", lambda: exp_integral_e1(-740 + 5j), RangeError),  # |E1| > max
     ("erf_small(nan)", lambda: erf_small(NAN), RangeError),
     ("erf_small(max+max i)", lambda: erf_small(complex(BIG, BIG)), RangeError),
     ("sector_factor(nan)", lambda: sector_factor(NAN), DomainError),
@@ -195,6 +206,28 @@ PROBES = [
      lambda: exp_improved_report(complex(-1e300, 1e-300)), RangeError),
     ("remainder_wide(max+max i, 1)", lambda: remainder_wide(complex(BIG, BIG), 1), RangeError),
     ("log_barnes_oracle(max+max i)", lambda: log_barnes_oracle(complex(BIG, BIG)), RangeError),
+    # an integer argument that is not an integer once leaked TypeError ...
+    ("terminant(7.5, 10i)", lambda: terminant(7.5, 10j), DomainError),
+    ("certified_eval(3, 2.5)", lambda: certified_eval(3, 2.5), DomainError),
+    ("truncated_log_barnes(3, 2.5)", lambda: truncated_log_barnes(3, 2.5), DomainError),
+    ("best_bound(3i, 2.5)", lambda: best_bound(3j, 2.5), DomainError),
+    ("family_bounds(3i, 2.5)", lambda: family_bounds(3j, 2.5), DomainError),
+    ("remainder_wide(2i, 1.5)", lambda: remainder_wide(2j, 1.5), DomainError),
+    ("remainder_narrow(2, 1.5)", lambda: remainder_narrow(2, 1.5), DomainError),
+    ("exp_improved_report(2i, 2.5)", lambda: exp_improved_report(2j, 2.5), DomainError),
+    ("bernoulli_number(2.5)", lambda: bernoulli_number(2.5), DomainError),
+    ("series_coefficient(2.5)", lambda: series_coefficient(2.5), DomainError),
+    ("zeta_even(4.0)", lambda: zeta_even(4.0), DomainError),
+    ("poly_periodic(8.5, t)", lambda: TABLE.poly_periodic(8.5, np.array([0.25])), DomainError),
+    # ... a huge one OverflowError ...
+    ("solve_optimal_angle(2, 10**400)", lambda: solve_optimal_angle(2.0, HUGE_INT), RangeError),
+    ("stokes_profile(3, 10**400)", lambda: stokes_profile(3, HUGE_INT, [1.5]), RangeError),
+    ("terminant_erf_approx(10**400, 60i)", lambda: terminant_erf_approx(HUGE_INT, 60j),
+     RangeError),
+    # ... and a non-integer was taken without complaint
+    ("stokes_profile(3, 1.5)", lambda: stokes_profile(3, 1.5, [1.5]), DomainError),
+    ("solve_optimal_angle(2, 2.5)", lambda: solve_optimal_angle(2.0, 2.5), DomainError),
+    ("terminant_erf_approx(60.5, 60i)", lambda: terminant_erf_approx(60.5, 60j), DomainError),
 ]
 
 
@@ -218,6 +251,33 @@ def _deadline(seconds):
 def test_probe_raises_its_typed_error(name, call, error):
     with _deadline(5.0), pytest.raises(error):
         call()
+
+
+def test_numpy_int_order_gives_plain_numbers():
+    res = certified_eval(3, np.int64(4))
+    assert type(res.n_trunc) is int and type(res.bound) is float
+
+
+# the Stirling powers z^{2n-1} overflow from |z| ~ 2.5e13; log Gamma reaches |z| ~ 1e305
+LOG_GAMMA_HUGE = [1e14, 1e20j, 3e100 * cmath.exp(0.3j), 1e150, 1e153, 1e300j, 1e200, 1e16 + 1j]
+
+
+@pytest.mark.parametrize("z", LOG_GAMMA_HUGE, ids=repr)
+def test_log_gamma_at_huge_modulus_matches_mpmath(z):
+    with mp.workdps(40):
+        ref = mp.loggamma(mp.mpc(z))
+        assert abs(mp.mpc(log_gamma(z)) - ref) <= 1e-15 * abs(ref)
+
+
+# Re w < -709: e^{-w} (or the series terms) overflow, but E1 itself fits in binary64
+E1_LARGE = [-710 + 100j, -715 + 150j, -712 + 60j]
+
+
+@pytest.mark.parametrize("w", E1_LARGE, ids=repr)
+def test_e1_where_e_to_the_minus_w_overflows_matches_mpmath(w):
+    with mp.workdps(30):
+        ref = mp.expint(1, mp.mpc(w))
+        assert abs(mp.mpc(exp_integral_e1(w)) - ref) <= 1e-13 * abs(ref)
 
 
 # arg z, or the arg of a terminant argument +-2 pi k i z, underflows to 0 at
@@ -266,8 +326,17 @@ POINTS = st.one_of(
               st.floats(-math.pi, math.pi)),
     st.builds(lambda x, s: complex(-abs(x), s), REALS, st.sampled_from([0.0, -0.0])),
 )
-N = st.integers(1, 20)
-ORDERS = st.one_of(st.integers(1, 171), st.integers(-3, 400))
+
+
+def _integers(valid, largest=HUGE_INT):
+    """An integer argument (N, p, k, k_max): an int drawn by `valid`, one of 0, -1,
+    -10**400 and `largest`, a float (integral or not, NaN, +-inf), a bool or a numpy int."""
+    return st.one_of(valid, st.sampled_from([0, -1, -HUGE_INT, largest]), valid.map(float),
+                     st.floats(), st.booleans(), valid.map(np.int64))
+
+
+N = _integers(st.integers(1, 20))
+ORDERS = _integers(st.one_of(st.integers(1, 171), st.integers(-3, 400)))
 
 
 @st.composite
@@ -287,7 +356,9 @@ CALLABLES = {
     "log_barnes_oracle": (log_barnes_oracle, st.tuples(POINTS)),
     "remainder_wide": (remainder_wide, st.tuples(POINTS, N)),
     "remainder_narrow": (remainder_narrow, st.tuples(POINTS, N)),
-    "exp_improved_report": (exp_improved_report, st.tuples(POINTS, st.integers(1, 8))),
+    # a huge k_max is work the caller asked for: its ints stay <= 8
+    "exp_improved_report": (exp_improved_report,
+                            st.tuples(POINTS, _integers(st.integers(1, 8), 8))),
     "log_gamma": (log_gamma, st.tuples(POINTS)),
     "exp_integral_e1": (exp_integral_e1, st.tuples(POINTS)),
     "erf_small": (erf_small, st.tuples(POINTS)),
@@ -298,9 +369,18 @@ CALLABLES = {
     "terminant": (terminant, _terminant_args()),
     "terminant_erf_approx": (terminant_erf_approx, _terminant_args()),
     "stokes_profile": (stokes_profile, st.tuples(
-        st.one_of(REALS, st.floats(1.5, 40.0)), st.integers(1, 2),
+        st.one_of(REALS, st.floats(1.5, 40.0)), _integers(st.integers(1, 2)),
         st.one_of(st.lists(REALS, min_size=1, max_size=3),
                   st.lists(STOKES_WINDOW, min_size=1, max_size=3)))),
+    "bernoulli_number": (bernoulli_number, st.tuples(_integers(st.integers(-2, 70)))),
+    "series_coefficient": (series_coefficient, st.tuples(_integers(st.integers(-2, 35)))),
+    "zeta_even": (zeta_even, st.tuples(_integers(st.integers(-2, 70)))),
+    "max_abs_poly": (TABLE.max_abs_poly, st.tuples(_integers(st.integers(0, 200)))),
+    # the nodes t of a quadrature are finite; the order n is the argument under test
+    "poly_periodic": (TABLE.poly_periodic, st.tuples(
+        _integers(st.integers(5, 200)),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                 max_size=3).map(np.array))),
 }
 
 
@@ -351,6 +431,11 @@ CLI_CASES = [
     (["bounds", "--z-abs", "3", "--theta", "1", "--theta-pi", "0.3"], 2),
     (["terminant", "--p", "7", "--w-re", "3", "--w-abs", "5"], 2),
     (["eval", "--method", "asym", "--z-re", "3", "--z-arg", "1"], 2),
+    # a polar modulus that is not > 0: once evaluated at -z or at arg z - pi
+    (["eval", "--method", "asym", "--z-abs", "-2", "--z-arg", "0.5"], 2),
+    (["bounds", "--z-abs", "-2", "--theta", "0.5"], 2),
+    (["bounds", "--z-abs", "2,-2"], 2),
+    (["terminant", "--p", "7", "--w-abs", "-10", "--w-arg", "1"], 2),
     # --w-arg selects the continued branch of a w given by --w-re/--w-im
     (["terminant", "--p", "7", "--w-re", "-3", "--w-im", "-0.1",
       "--w-arg", repr(cmath.phase(complex(-3, -0.1)) + 2 * math.pi)], 0),

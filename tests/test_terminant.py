@@ -95,7 +95,7 @@ class TestTerminantPaths:
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             terminant(5, 0.0)
-        with pytest.raises(RangeError):
+        with pytest.raises(DomainError):  # below the least order, as for every order argument
             terminant(0, 3.0)
         with pytest.raises(RangeError):
             terminant(200, 3.0)

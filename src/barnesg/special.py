@@ -114,16 +114,22 @@ def _dilog_exp(t: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def _ein(w: complex) -> complex:
-    """Entire part: Ein(w) = sum_{k>=1} (-1)^{k+1} w^k / (k k!)."""
+    """Entire part: Ein(w) = sum_{k>=1} (-1)^{k+1} w^k / (k k!).
+
+    Summed until a term past the peak k ~ |w| falls below 1e-18 of the sum,
+    with no fixed cap (near the negative axis the sum needs about
+    |w| + 9 sqrt(|w|) terms), or until a term is not finite; the caller turns
+    that overflow into its log-form fallback.
+    """
     total = 0.0 + 0.0j
     term = 1.0 + 0.0j
     k = 1
     aw = abs(w)
-    while k < 900:
+    while True:
         term *= w / k
         add = term / k if (k % 2) else -term / k
         total += add
-        if abs(add) < 1e-18 * max(1.0, abs(total)) and k > aw:
+        if abs(add) < 1e-18 * max(1.0, abs(total)) and k > aw or not cmath.isfinite(add):
             break
         k += 1
     return total

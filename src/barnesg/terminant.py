@@ -26,12 +26,13 @@ the exponentially small k-tail that is reported as the error estimate.
 Branch bookkeeping: with z in the slit plane the terminant arguments
 w = +-2 pi k i z sweep arg w across +-pi, so the function is evaluated on the
 continued branch.  Crossing arg w = pi upward adds exactly +1 (the residue of
-t^{-p} e^{-t} picked up by the defining contour), and the lower half-plane
-follows from the reflection T_p(conj w) = -conj(T_p(w)) for integer p.
+t^{-p} e^{-t} picked up by the defining contour), crossing -pi downward -1; the
+erf form's lower half is the reflection T_p(conj w) = -conj(T_p(w)), integer p.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import enum
 import math
@@ -42,7 +43,7 @@ from .bernoulli import EPS, MAX_INDEX, TWO_PI, bernoulli_number, zeta_even
 from .errors import (AccuracyError, DomainError, RangeError, _check_finite, _check_order,
                      _check_sector)
 from .expansion import expansion_prefix
-from .special import _c_branch, _e1_scaled_continued, _erf_saturated, _erf_switch
+from .special import _e1_scaled_continued, _erf_switch
 
 __all__ = [
     "TerminantMethod",
@@ -96,14 +97,11 @@ def _scaled_recurrence(p: int, w: complex, arg_w: float) -> tuple[complex, float
 
     For integer p, T_p(w) e^{w} = (S_{p-1}(w) - e^{w} E1(w)) / (2 pi i), where
     S_m(w) = sum_{j<m} (-1)^j j! / w^{j+1} is the truncated asymptotic series
-    of h = e^{w} E1(w); the partial sums are built forward, one multiply per
-    term.  The error estimate is the seed error seed_rel |h| plus 4 eps for
-    every partial difference |h - S_m|, divided by 2 pi, plus 4 eps of the
-    value.
+    of h = e^{w} E1(w) on the branch arg_w, past +-pi too; the partial sums
+    are built forward, one multiply per term.  The error estimate is the seed
+    error seed_rel |h| plus 4 eps for every partial difference |h - S_m|,
+    divided by 2 pi, plus 4 eps of the value.
     """
-    if arg_w <= -math.pi:
-        val, est = _scaled_recurrence(p, w.conjugate(), -arg_w)
-        return -val.conjugate(), est
     h, seed_rel = _e1_scaled_continued(w, arg_w)
     winv = 1.0 / w
     term = winv
@@ -167,26 +165,20 @@ def terminant_erf_approx(
 ) -> TerminantEval:
     """Error-function form of the terminant near optimal order (p ~ |w|).
 
-    Upper form, for arg w in (-pi, 3 pi):   1/2 + 1/2 erf(c(phi) sqrt(|w|/2));
-    lower form, for arg w in (-3 pi, pi):  -1/2 + 1/2 erf(-conj(c(-phi)) sqrt(|w|/2)),
-    with saturation to the limiting values when the erf argument leaves the
-    small-argument disc.  The error estimate carries the O(|w|^{-1/2}) scale.
-    RangeError for p > 2^53, where binary64 no longer holds every integer.
+    For arg w in [0, 3 pi) the Stokes switch 1/2 + 1/2 erf(c(phi) sqrt(|w|/2)),
+    saturated outside the erf's small-argument disc; for arg w in (-3 pi, 0)
+    its mirror -conj at conj w.  The error estimate carries the O(|w|^{-1/2})
+    scale.  RangeError for p > 2^53, where binary64 no longer holds every integer.
     """
     p = _check_order(p, 1, 2 ** 53, RangeError)
     w, arg_w = _check_branch(w, arg_w)
     if abs(p - abs(w)) > 0.2 * abs(w):
         raise DomainError("erf form requires p within 20% of |w|")
-    if arg_w >= 0.0:
-        if not -math.pi + 0.1 <= arg_w <= 3.0 * math.pi - 0.1:
-            raise DomainError("arg w outside the upper erf-form range")
-        value = _erf_switch(arg_w - math.pi, abs(w))
-    else:
-        if not -3.0 * math.pi + 0.1 <= arg_w <= math.pi - 0.1:
-            raise DomainError("arg w outside the lower erf-form range")
-        # not -conj(_erf_switch(-arg_w - pi, |w|)): that turns a saturated 0 into -0
-        zeta = -_c_branch(-arg_w - math.pi).conjugate() * math.sqrt(0.5 * abs(w))
-        value = -0.5 + 0.5 * _erf_saturated(zeta)
+    if not abs(arg_w) <= 3.0 * math.pi - 0.1:
+        raise DomainError("erf form requires |arg w| <= 3 pi - 0.1")
+    value = _erf_switch(abs(arg_w) - math.pi, abs(w))
+    if arg_w < 0.0:
+        value = 0.0 - value.conjugate()  # not -conj: that turns a saturated 0 into -0
     return TerminantEval(
         value=value,
         method=TerminantMethod.ERF_ASYMPTOTIC,
@@ -198,9 +190,14 @@ def terminant_erf_approx(
 # Exponentially improved expansion
 # ----------------------------------------------------------------------
 
-def _optimal_order(k: int, abs_z: float) -> int:
-    """N_k = round(pi k |z|) capped at 40: each inner series truncated near its smallest term."""
-    return min(_ORDER_CAP, int(math.floor(math.pi * k * abs_z + 0.5)))
+def _order_thresholds(abs_z: float, cap: int = _ORDER_CAP) -> list[int]:
+    """The order rule N_k = round(pi k |z|) capped at cap, as thresholds: entry n
+    is the least k >= 1 with pi k |z| >= n + 1/2 (ties, and k within 1e-12
+    below one, round up), and N_k is the number of entries <= k.  The algebraic
+    sum, the terminant pairs and stokes_profile read only this rule, so the
+    improved expansion stays an identity at the ties."""
+    unit = math.pi * abs_z
+    return [math.ceil((n + 0.5) / unit - 1e-12) or 1 for n in range(cap)]  # or 1: k >= 1
 
 
 _EM_BASE = tuple(bernoulli_number(2 * j) / math.factorial(2 * j) for j in range(1, 9))
@@ -247,28 +244,21 @@ def _zeta_tail(exponent: int, k_first: int) -> float:
     return math.fsum(parts)
 
 
-def _algebraic_sum(z: complex) -> complex:
+def _algebraic_sum(zinv2: complex, first_k: list[int]) -> complex:
     """Complete inner double sum, regrouped over n with zeta partial sums.
 
     The (n, k) term is (-1)^n 2 (2n+1)! / ((2 pi k)^{2n+4} z^{2n+2}); for each
-    n the k-sum runs over the k with N_k >= n+1 and equals zeta(2n+4) minus
-    the finitely many excluded leading k.  The double sum is absolutely
-    convergent, so this regrouping changes nothing; it just avoids throwing
-    away the algebraic k-tail when the terminant sum is truncated.
+    n the k-sum runs over the k with N_k > n, k >= first_k[n], and equals
+    zeta(2n+4) minus the finitely many excluded leading k.  The double sum is
+    absolutely convergent, so this regrouping changes nothing; it just avoids
+    throwing away the algebraic k-tail when the terminant sum is truncated.
     """
-    abs_z = abs(z)
     total = 0.0 + 0.0j
-    try:
-        zinv2 = 1.0 / (z * z)
-    except ZeroDivisionError:
-        raise RangeError(f"z^2 underflows to zero at z = {z}") from None
     two_fact = 2.0  # 2 * (2n+1)! at n = 0
     zpow = zinv2
     for n in range(MAX_INDEX // 2 - 1):  # exponents 4 .. MAX_INDEX, the Bernoulli table's reach
         exponent = 2 * n + 4
-        # N_k = round(pi k |z|) >= n+1  <=>  k >= (n + 1/2) / (pi |z|)
-        k_first = max(1, math.ceil((n + 0.5) / (math.pi * abs_z) - 1e-12))
-        partial = _zeta_tail(exponent, k_first)
+        partial = _zeta_tail(exponent, first_k[n])
         term = (-1) ** n * two_fact / TWO_PI ** exponent * zpow * partial
         total += term
         if abs(term) < 1e-22 * max(1.0, abs(total)):
@@ -278,16 +268,15 @@ def _algebraic_sum(z: complex) -> complex:
     return total
 
 
-def _terminant_pairs(z: complex, k_max: int) -> tuple[complex, float, float]:
+def _terminant_pairs(z: complex, first_k: list[int], k_max: int) -> tuple[complex, float, float]:
     """Sum of the k <= k_max terminant pairs, their eval-error, and a k-tail estimate."""
     theta = math.atan2(z.imag, z.real)
-    abs_z = abs(z)
     total = 0.0 + 0.0j
     eval_err = 0.0
     last_mag = 0.0
     prev_mag = 0.0
     for k in range(1, k_max + 1):
-        p = 2 * _optimal_order(k, abs_z) + 1
+        p = 2 * bisect.bisect_right(first_k, k) + 1
         w_up = TWO_PI * k * 1j * z
         s_up, e_up = _scaled_recurrence(p, w_up, theta + 0.5 * math.pi)
         s_dn, e_dn = _scaled_recurrence(p, -w_up, theta - 0.5 * math.pi)
@@ -307,13 +296,18 @@ def exp_improved_report(z: complex, k_max: int = K_MAX) -> tuple[complex, float]
     """Improved evaluation plus an error estimate (terminant k-tail + round-off).
 
     The k-th exponential's inner series is truncated at N_k = round(pi k |z|),
-    capped at 40; k_max >= 1 terminant pairs are summed.
+    capped at 40 (_order_thresholds); k_max >= 1 terminant pairs are summed.
     """
     k_max = _check_order(k_max, 1)
     z = _check_sector(z)
     total = expansion_prefix(z)
-    total -= _algebraic_sum(z)
-    pairs, eval_err, tail = _terminant_pairs(z, k_max)
+    try:
+        zinv2 = 1.0 / (z * z)
+    except ZeroDivisionError:
+        raise RangeError(f"z^2 underflows to zero at z = {z}") from None
+    first_k = _order_thresholds(abs(z))  # after the z^{-2} check, which catches subnormal |z|
+    total -= _algebraic_sum(zinv2, first_k)
+    pairs, eval_err, tail = _terminant_pairs(z, first_k, k_max)
     total -= pairs
     est = tail + eval_err + 8.0 * EPS * abs(total)
     _check_finite(z, total, est)
@@ -363,9 +357,9 @@ def stokes_profile(
     The window must sit inside (pi/2 - 1/2, pi/2 + 1/2) or its mirror image
     in the lower half-plane.  At each angle the terminant of the dominant
     switching exponential is evaluated at near-optimal order
-    N_k = round(pi k |z|), and the prediction is
-    1/2 + 1/2 erf((theta -+ pi/2) sqrt(pi k |z|)) on the corresponding side.
-    RangeError when the order 2 N_k + 1 exceeds MAX_ORDER (so for k > MAX_ORDER).
+    N_k = round(pi k |z|) (the improved route's rule, uncapped), and the
+    prediction is 1/2 + 1/2 erf((theta -+ pi/2) sqrt(pi k |z|)) on the
+    corresponding side.  RangeError when the order 2 N_k + 1 exceeds MAX_ORDER.
     """
     if not 1.5 <= abs_z < math.inf:  # false for NaN too
         raise DomainError(f"stokes_profile requires a finite |z| >= 1.5, got {abs_z}")
@@ -381,11 +375,11 @@ def stokes_profile(
         raise DomainError(
             "thetas must lie within 1/2 of a Stokes line (pi/2 or -pi/2)"
         )
-    # p = 2 N_k + 1, N_k = floor(pi k |z| + 1/2) tested as a float before floor can overflow
-    n_k = math.pi * k * abs_z + 0.5
-    if not n_k < 0.5 * (MAX_ORDER + 1):
+    reach = (MAX_ORDER + 1) // 2  # p = 2 N_k + 1 <= MAX_ORDER while N_k < reach
+    n_k = bisect.bisect_right(_order_thresholds(abs_z, reach), k)
+    if n_k == reach:
         raise RangeError(f"the terminant order at |z| = {abs_z}, k = {k} exceeds {MAX_ORDER}")
-    p = 2 * math.floor(n_k) + 1
+    p = 2 * n_k + 1
     rate = math.sqrt(math.pi * k * abs_z)
     # sign = +1 on the upper line, where w = 2 pi k i z; -1 on the lower, where w = -2 pi k i z
     sign = 1.0 if upper else -1.0
@@ -396,7 +390,7 @@ def stokes_profile(
         ev = terminant(p, sign * TWO_PI * k * 1j * z, arg_w=theta + sign * 0.5 * math.pi,
                        method=TerminantMethod.GAMMA_RECURRENCE)
         x = sign * (theta - sign * 0.5 * math.pi) * rate  # signed distance past the line
-        pred_norm = 0.5 + 0.5 * _erf_saturated(complex(x)).real
+        pred_norm = 0.5 + 0.5 * math.erf(x)
         samples.append(
             StokesSample(
                 theta=theta,

@@ -175,6 +175,14 @@ class TestExpIntegral:
             oracle = cmath.exp(-complex(w)) * total
             assert abs(exp_integral_e1(w) - oracle) <= 1e-12 * abs(oracle)
 
+    @pytest.mark.parametrize("w", [-709.5 + 1j, -700 + 60j], ids=repr)
+    def test_series_near_the_negative_axis_past_the_peak(self, w):
+        # the series terms peak near k = |w|, and the sum needs about
+        # |w| + 9 sqrt(|w|) of them: some 940 here
+        with mp.workdps(30):
+            ref = mp.e1(mp.mpc(w))
+            assert abs(mp.mpc(exp_integral_e1(w)) - ref) <= 1e-13 * abs(ref)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             exp_integral_e1(0.0)

@@ -1,5 +1,6 @@
 """Terminant paths, branch bookkeeping, improved expansion, Stokes profiles."""
 
+import bisect
 import cmath
 import math
 
@@ -21,7 +22,7 @@ from barnesg import (
     truncated_log_barnes,
 )
 from barnesg.special import _c_branch
-from barnesg.terminant import _optimal_order, _zeta_tail
+from barnesg.terminant import _order_thresholds, _zeta_tail
 from _reference import improved_uniform, terminant_quadrature
 
 PI = math.pi
@@ -197,8 +198,9 @@ class TestTruncationOrders:
                 exp_improved_report(2.0, k_max)
 
     def test_orders(self):
-        assert _optimal_order(1, 2.5) == 8
-        assert _optimal_order(5, 4.0) == 40  # capped
+        # N_k is the number of the order rule's thresholds <= k
+        assert bisect.bisect_right(_order_thresholds(2.5), 1) == 8
+        assert bisect.bisect_right(_order_thresholds(4.0), 5) == 40  # capped
 
 
 class TestImprovedExpansion:
@@ -252,6 +254,18 @@ class TestImprovedExpansion:
         oracle = log_barnes_oracle(z)
         value, est = exp_improved_report(z, 4)
         assert abs(value - oracle.value) <= est + oracle.est_error + 1e-12
+
+    @pytest.mark.parametrize("a", [0.3, 0.5])
+    @pytest.mark.parametrize("abs_z", [0.47746482927568595, 1.1140846016432673], ids=repr)
+    def test_estimate_covers_the_error_at_an_order_tie(self, abs_z, a):
+        # |z| is 1.5/pi and 3.5/pi to an ulp, so pi |z| + 1/2 is an integer to rounding;
+        # the algebraic sum and the terminant pairs must round N_1 alike, or the identity breaks
+        z = abs_z * cmath.exp(1j * PI * a)
+        value, est = exp_improved_report(z)
+        with mp.workdps(30):
+            diff = mp.mpc(value) - mp.log(mp.barnesg(mp.mpc(z) + 1))
+            diff -= 2j * mp.pi * mp.nint(diff.imag / (2 * mp.pi))  # modulo 2 pi i
+            assert abs(diff) <= est
 
     def test_domain(self):
         with pytest.raises(DomainError):

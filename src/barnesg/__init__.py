@@ -45,7 +45,6 @@ from .terminant import (
     exp_improved_report,
     stokes_profile,
     terminant,
-    terminant_erf_approx,
 )
 
 __version__ = "0.1.0"
@@ -81,7 +80,6 @@ __all__ = [
     "solve_optimal_angle",
     "stokes_profile",
     "terminant",
-    "terminant_erf_approx",
     "truncated_log_barnes",
     "zeta_even",
 ]

@@ -289,16 +289,12 @@ def erf_small(zeta: complex) -> complex:
     return 2.0 / math.sqrt(math.pi) * integral
 
 
-def _erf_saturated(zeta: complex) -> complex:
-    """erf(zeta) for |zeta| <= 4, saturated to sign(Re zeta) outside that disc."""
-    if abs(zeta) > 4.0:
-        return complex(math.copysign(1.0, zeta.real))
-    return erf_small(zeta)
-
-
 def _erf_switch(u: float, abs_w: float) -> complex:
-    """Smoothed Stokes switch 1/2 + 1/2 erf(c(phi) sqrt(|w|/2)), taken at u = phi - pi."""
-    return 0.5 + 0.5 * _erf_saturated(_c_branch(u) * math.sqrt(0.5 * abs_w))
+    """Smoothed Stokes switch 1/2 + 1/2 erf(zeta), zeta = c(phi) sqrt(|w|/2), taken at
+    u = phi - pi; the erf saturates to sign(Re zeta) outside the disc |zeta| <= 4."""
+    zeta = _c_branch(u) * math.sqrt(0.5 * abs_w)
+    erf = complex(math.copysign(1.0, zeta.real)) if abs(zeta) > 4.0 else erf_small(zeta)
+    return 0.5 + 0.5 * erf
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,10 @@ w = +-2 pi k i z sweep arg w across +-pi, so the function is evaluated on the
 continued branch.  Crossing arg w = pi upward adds exactly +1 (the residue of
 t^{-p} e^{-t} picked up by the defining contour), crossing -pi downward -1; the
 erf form's lower half is the reflection T_p(conj w) = -conj(T_p(w)), integer p.
+
+terminant, the one entry point for T_p(w), returns the closed form or, at
+near-matched order p ~ |w|, the leading erf form, whichever reports the smaller
+error estimate; the improved route reads the closed form directly.
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ __all__ = [
     "TerminantEval",
     "StokesSample",
     "terminant",
-    "terminant_erf_approx",
     "exp_improved_report",
     "stokes_profile",
 ]
@@ -64,7 +67,7 @@ _ORDER_CAP = 40
 
 
 class TerminantMethod(enum.Enum):
-    """The path that evaluated a terminant: the closed form or the erf form."""
+    """The form terminant chose, which TerminantEval.method and the CLI report."""
 
     #: Names the closed form of _scaled_recurrence; the value, which the CLI prints, is kept.
     GAMMA_RECURRENCE = "gamma_recurrence"
@@ -128,62 +131,34 @@ def _exp_minus(w: complex) -> complex:
     return cmath.exp(-w)
 
 
-def terminant(
-    p: int,
-    w: complex,
-    arg_w: Optional[float] = None,
-    method: Optional[TerminantMethod] = None,
-) -> TerminantEval:
+def terminant(p: int, w: complex, arg_w: Optional[float] = None) -> TerminantEval:
     """Scaled terminant T_p(w) for positive integer order p.
 
     arg_w selects the branch (it may exceed +-pi; defaults to the principal
-    phase).  The default path is the closed form of _scaled_recurrence,
-    switching to the erf form when p ~ |w| >= 50 where the closed form has
-    lost too much to cancellation; method forces one of the two.  RangeError
-    when the value or its estimate is not finite in binary64, or p > MAX_ORDER.
+    phase).  The closed form of _scaled_recurrence always runs.  Where
+    |p - |w|| <= sqrt|w| the erf form applies too: the Stokes switch
+    1/2 + 1/2 erf(c(phi) sqrt(|w|/2)) for arg w >= 0 and its mirror -conj at
+    conj w below, with the estimate (1 + |p - |w||)/sqrt|w|.  The form with the
+    smaller estimate is returned; a mismatched order keeps the closed form and
+    its estimate, however large.  RangeError when the closed form is not finite
+    in binary64 and the erf form does not apply, or p > MAX_ORDER.
     """
     p = _check_order(p, 1, MAX_ORDER, RangeError)
     w, arg_w = _check_branch(w, arg_w)
     if not -1.5 * math.pi < arg_w < 1.5 * math.pi:
         raise DomainError("arg_w must lie in (-3 pi/2, 3 pi/2)")
-    if method is None:
-        if abs(w) >= 50.0 and abs(p - abs(w)) <= 0.2 * abs(w):
-            method = TerminantMethod.ERF_ASYMPTOTIC
-        else:
-            method = TerminantMethod.GAMMA_RECURRENCE
-    if method is TerminantMethod.ERF_ASYMPTOTIC:
-        return terminant_erf_approx(p, w, arg_w)
     scaled, est = _scaled_recurrence(p, w, arg_w)
     emw = _exp_minus(w)
     value, est = scaled * emw, est * abs(emw)
+    mismatch = abs(p - abs(w))
+    erf_est = (1.0 + mismatch) / math.sqrt(abs(w))
+    if mismatch <= math.sqrt(abs(w)) and erf_est < est:
+        value = _erf_switch(abs(arg_w) - math.pi, abs(w))
+        if arg_w < 0.0:
+            value = 0.0 - value.conjugate()  # not -conj: that turns a saturated 0 into -0
+        return TerminantEval(value, TerminantMethod.ERF_ASYMPTOTIC, erf_est)
     _check_finite(w, value, est)
-    return TerminantEval(value=value, method=method, est_error=est)
-
-
-def terminant_erf_approx(
-    p: int, w: complex, arg_w: Optional[float] = None
-) -> TerminantEval:
-    """Error-function form of the terminant near optimal order (p ~ |w|).
-
-    For arg w in [0, 3 pi) the Stokes switch 1/2 + 1/2 erf(c(phi) sqrt(|w|/2)),
-    saturated outside the erf's small-argument disc; for arg w in (-3 pi, 0)
-    its mirror -conj at conj w.  The error estimate carries the O(|w|^{-1/2})
-    scale.  RangeError for p > 2^53, where binary64 no longer holds every integer.
-    """
-    p = _check_order(p, 1, 2 ** 53, RangeError)
-    w, arg_w = _check_branch(w, arg_w)
-    if abs(p - abs(w)) > 0.2 * abs(w):
-        raise DomainError("erf form requires p within 20% of |w|")
-    if not abs(arg_w) <= 3.0 * math.pi - 0.1:
-        raise DomainError("erf form requires |arg w| <= 3 pi - 0.1")
-    value = _erf_switch(abs(arg_w) - math.pi, abs(w))
-    if arg_w < 0.0:
-        value = 0.0 - value.conjugate()  # not -conj: that turns a saturated 0 into -0
-    return TerminantEval(
-        value=value,
-        method=TerminantMethod.ERF_ASYMPTOTIC,
-        est_error=1.0 / math.sqrt(abs(w)),
-    )
+    return TerminantEval(value, TerminantMethod.GAMMA_RECURRENCE, est)
 
 
 # ----------------------------------------------------------------------
@@ -323,8 +298,10 @@ class StokesSample:
     """One point of a Stokes-switching profile.
 
     multiplier is the computed coefficient of the switching exponential and
-    est_error the terminant's error estimate on the same scale; it exceeds
-    |limit| once 2 pi k |z| passes about 40, where the closed form cancels.
+    est_error the terminant's error estimate on the same scale.  Once
+    2 pi k |z| passes about 33 the closed form cancels and terminant takes the
+    erf form: multiplier is then the leading-order switch itself, and est_error,
+    a fifth to two fifths of |limit| on the line, says how far to trust it.
     erf_prediction is the smoothing-law prediction on the same scale.  The
     normalized values divide by the far-side limit -+ 1/(2 pi i k^2), so they
     run from ~0 to ~1 across the transition.
@@ -356,7 +333,8 @@ def stokes_profile(
 
     The window must sit inside (pi/2 - 1/2, pi/2 + 1/2) or its mirror image
     in the lower half-plane.  At each angle the terminant of the dominant
-    switching exponential is evaluated at near-optimal order
+    switching exponential is evaluated by terminant, which picks the closed
+    or the erf form by their estimates, at near-optimal order
     N_k = round(pi k |z|) (the improved route's rule, uncapped), and the
     prediction is 1/2 + 1/2 erf((theta -+ pi/2) sqrt(pi k |z|)) on the
     corresponding side.  RangeError when the order 2 N_k + 1 exceeds MAX_ORDER.
@@ -387,8 +365,7 @@ def stokes_profile(
     samples: list[StokesSample] = []
     for theta in thetas:
         z = abs_z * cmath.exp(1j * theta)
-        ev = terminant(p, sign * TWO_PI * k * 1j * z, arg_w=theta + sign * 0.5 * math.pi,
-                       method=TerminantMethod.GAMMA_RECURRENCE)
+        ev = terminant(p, sign * TWO_PI * k * 1j * z, arg_w=theta + sign * 0.5 * math.pi)
         x = sign * (theta - sign * 0.5 * math.pi) * rate  # signed distance past the line
         pred_norm = 0.5 + 0.5 * math.erf(x)
         samples.append(

@@ -207,7 +207,8 @@ def test_criterion_09_terminant_dual_path_agreement():
         r = float(rng.uniform(5.0, 30.0))
         phase = float(rng.uniform(-0.8, 0.8)) * PI
         w = r * cmath.exp(1j * phase)
-        a = terminant(p, w, method=TerminantMethod.GAMMA_RECURRENCE)
+        a = terminant(p, w)
+        assert a.method is TerminantMethod.GAMMA_RECURRENCE
         b, _ = terminant_quadrature(p, w)
         worst = max(worst, abs(a.value - b))
     assert worst <= 1e-9, f"dual-path disagreement {worst:.3e}"

@@ -200,7 +200,8 @@ class TestTerminantCommand:
 
     def test_paths_agree(self, runner):
         base = ["terminant", "--p", "7", "--w-abs", "10", "--w-arg", str(math.pi / 3)]
-        rec = csv_rows(runner.invoke(main, base + ["--method", "recurrence"]).output)[0]
+        rec = csv_rows(runner.invoke(main, base).output)[0]
+        assert rec["method"] == "gamma_recurrence"
         quad, _ = terminant_quadrature(7, 10.0 * cmath.exp(1j * math.pi / 3))
         dv = complex(float(rec["value_re"]), float(rec["value_im"])) - quad
         assert abs(dv) < 1e-9
@@ -210,11 +211,12 @@ class TestTerminantCommand:
             main,
             [
                 "terminant", "--p", "9", "--w-abs", "10",
-                "--w-arg", str(math.pi + 0.2), "--method", "recurrence",
+                "--w-arg", str(math.pi + 0.2),
             ],
         )
         assert res.exit_code == 0
         row = csv_rows(res.output)[0]
+        assert row["method"] == "gamma_recurrence"
         assert float(row["arg_w"]) > math.pi
 
 

@@ -1,5 +1,5 @@
-"""The input contract shared by every z-route, the kernels below them, both
-terminant forms, stokes_profile and the CLI.
+"""The input contract shared by every z-route, the kernels below them, the
+terminant, stokes_profile and the CLI.
 
 Each call either returns finite numbers or raises a typed library error.
 z outside the slit plane (non-finite, zero, on the cut) raises DomainError;
@@ -52,7 +52,6 @@ from barnesg import (
     solve_optimal_angle,
     stokes_profile,
     terminant,
-    terminant_erf_approx,
     truncated_log_barnes,
     zeta_even,
 )
@@ -168,18 +167,17 @@ def test_near_the_cut_gives_a_typed_error_or_finite_numbers(route):
     assert values and all(cmath.isfinite(v) for v in values)
 
 
-TERMINANT_FORMS = {"terminant": terminant, "terminant_erf_approx": terminant_erf_approx}
 # (p, w, arg_w); p sits inside the erf form's window p ~ |w| where w is finite
 OFF_BRANCH = [(60, 60.0, 2.0), (5, 5.0, 2.0), (5, 3.0, NAN), (5, 3.0, INF), (5, 3.0, -INF),
               (5, INF, None), (5, complex(0.0, -INF), None), (5, complex(NAN, 1.0), None),
               (5, 0j, None)]
 
 
-@pytest.mark.parametrize("p,w,arg_w", OFF_BRANCH, ids=repr)
-@pytest.mark.parametrize("form", TERMINANT_FORMS)
-def test_terminant_off_its_branch_raises_domain_error(form, p, w, arg_w):
+@pytest.mark.parametrize("p,w,arg_w", OFF_BRANCH,
+                         ids=["terminant-" + "-".join(map(repr, row)) for row in OFF_BRANCH])
+def test_terminant_off_its_branch_raises_domain_error(p, w, arg_w):
     with _deadline(5.0), pytest.raises(DomainError):
-        TERMINANT_FORMS[form](p, w, arg_w)
+        terminant(p, w, arg_w)
 
 
 # the partial sums S_m(w) of T_p(w) leave binary64: at 0.1 they become
@@ -243,12 +241,11 @@ PROBES = [
     # ... a huge one OverflowError ...
     ("solve_optimal_angle(2, 10**400)", lambda: solve_optimal_angle(2.0, HUGE_INT), RangeError),
     ("stokes_profile(3, 10**400)", lambda: stokes_profile(3, HUGE_INT, [1.5]), RangeError),
-    ("terminant_erf_approx(10**400, 60i)", lambda: terminant_erf_approx(HUGE_INT, 60j),
-     RangeError),
+    ("terminant(10**400, 60i)", lambda: terminant(HUGE_INT, 60j), RangeError),
     # ... and a non-integer was taken without complaint
     ("stokes_profile(3, 1.5)", lambda: stokes_profile(3, 1.5, [1.5]), DomainError),
     ("solve_optimal_angle(2, 2.5)", lambda: solve_optimal_angle(2.0, 2.5), DomainError),
-    ("terminant_erf_approx(60.5, 60i)", lambda: terminant_erf_approx(60.5, 60j), DomainError),
+    ("terminant(60.5, 60i)", lambda: terminant(60.5, 60j), DomainError),
 ]
 
 
@@ -379,7 +376,6 @@ CALLABLES = {
     "sector_factor": (sector_factor, st.tuples(REALS)),
     "solve_optimal_angle": (solve_optimal_angle, st.tuples(REALS, N)),
     "terminant": (terminant, _terminant_args()),
-    "terminant_erf_approx": (terminant_erf_approx, _terminant_args()),
     "stokes_profile": (stokes_profile, st.tuples(
         st.one_of(REALS, st.floats(1.5, 40.0)), _integers(st.integers(1, 2)),
         st.one_of(st.lists(REALS, min_size=1, max_size=3),
@@ -431,8 +427,7 @@ CLI_CASES = [
       for route, z in OVERFLOW_INSIDE if route in CLI_METHOD],
     *[(_eval("hyper", repr(z.real), repr(z.imag)), 0) for z in IMPROVED_LARGE],
     (["bounds", "--z-abs", "1", "--theta", repr(math.pi - 1e-15)], 3),
-    *[(["terminant", "--p", "60", "--w-re", "60", "--w-arg", "2.0", "--method", m], 2)
-      for m in ("erf", "recurrence", "auto")],
+    (["terminant", "--p", "60", "--w-re", "60", "--w-arg", "2.0"], 2),
     *[(["terminant", "--p", "5", "--w-re", "3", "--w-arg", a], 2) for a in ("nan", "inf")],
     (["terminant", "--p", "5", "--w-re", "inf"], 2),
     (["terminant", "--p", "121", "--w-re", "0.1"], 2),  # TERMINANT_OVERFLOW

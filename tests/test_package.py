@@ -24,13 +24,13 @@ EXPORTS = {
     "bernoulli_number", "best_bound", "certified_eval", "erf_small", "exp_improved_report",
     "exp_integral_e1", "expansion_prefix", "family_bounds", "log_barnes_oracle", "log_gamma",
     "remainder_narrow", "remainder_wide", "sector_factor", "series_coefficient",
-    "solve_optimal_angle", "stokes_profile", "terminant", "terminant_erf_approx",
+    "solve_optimal_angle", "stokes_profile", "terminant",
     "truncated_log_barnes", "zeta_even",
 }
 
 
 def test_exports_are_the_public_surface():
-    assert len(barnesg.__all__) == len(EXPORTS) == 33
+    assert len(barnesg.__all__) == len(EXPORTS) == 32
     assert set(barnesg.__all__) == EXPORTS
 
 

@@ -13,7 +13,6 @@ except ImportError:  # pragma: no cover
     HAS_HYPOTHESIS = False
 
 from barnesg import (
-    TerminantMethod,
     best_bound,
     log_gamma,
     remainder_wide,
@@ -64,8 +63,8 @@ def test_log_gamma_conjugate_reflection(r, theta):
 @settings(max_examples=40, deadline=None)
 def test_terminant_reflection(p, r, phase):
     w = r * cmath.exp(1j * phase)
-    a = terminant(p, w.conjugate(), method=TerminantMethod.GAMMA_RECURRENCE)
-    b = terminant(p, w, method=TerminantMethod.GAMMA_RECURRENCE)
+    a = terminant(p, w.conjugate())
+    b = terminant(p, w)
     tol = max(1e-11, 10.0 * (a.est_error + b.est_error))
     assert abs(a.value + b.value.conjugate()) <= tol
 

@@ -18,21 +18,21 @@ from barnesg import (
     log_barnes_oracle,
     stokes_profile,
     terminant,
-    terminant_erf_approx,
     truncated_log_barnes,
 )
-from barnesg.special import _c_branch
+from barnesg.special import _c_branch, _erf_switch
 from barnesg.terminant import _order_thresholds, _zeta_tail
 from _reference import improved_uniform, terminant_quadrature
 
 PI = math.pi
 REC = TerminantMethod.GAMMA_RECURRENCE
+ERF = TerminantMethod.ERF_ASYMPTOTIC
 
 
 class TestTerminantPaths:
     def test_dual_path_example(self):
         w = 10.0 * cmath.exp(1j * PI / 3)
-        a = terminant(7, w, method=REC)
+        a = terminant(7, w)
         b, _ = terminant_quadrature(7, w)
         assert abs(a.value - b) < 1e-9
         assert a.method is REC
@@ -49,7 +49,7 @@ class TestTerminantPaths:
             r = float(rng.uniform(5.0, 30.0))
             ph = float(rng.uniform(-0.8, 0.8)) * PI
             w = r * cmath.exp(1j * ph)
-            a = terminant(p, w, method=REC)
+            a = terminant(p, w)
             b, b_err = terminant_quadrature(p, w)
             tol = max(1e-9, 5.0 * (a.est_error + b_err))
             assert abs(a.value - b) <= tol
@@ -57,7 +57,7 @@ class TestTerminantPaths:
     def test_reflection_identity(self):
         # T_p(conj w) = -conj(T_p(w)) for integer p, on both paths
         p, w = 5, 8.0 * cmath.exp(0.4j)
-        for path in (lambda v: terminant(p, v, method=REC).value,
+        for path in (lambda v: terminant(p, v).value,
                      lambda v: terminant_quadrature(p, v)[0]):
             a = path(w.conjugate())
             b = path(w)
@@ -66,31 +66,31 @@ class TestTerminantPaths:
     def test_stokes_line_approaches_half(self):
         # p ~ |w| on arg w = pi: T - 1/2 is O(|w|^{-1/2}) with small constant
         w = 30.0 * cmath.exp(1j * PI)
-        ev = terminant(31, w, arg_w=PI, method=REC)
+        ev = terminant(31, w, arg_w=PI)
         assert abs(ev.value - 0.5) < 0.15 / math.sqrt(30.0)
 
     def test_continuation_jump_is_one(self):
         # crossing arg w = pi upward adds exactly +1 to the principal value
         for r, du in ((10.0, 0.2), (12.0, 0.45)):
             w = r * cmath.exp(1j * (PI + du))
-            continued = terminant(9, w, arg_w=PI + du, method=REC).value
-            principal = terminant(9, w, method=REC).value
+            continued = terminant(9, w, arg_w=PI + du).value
+            principal = terminant(9, w).value
             assert abs(continued - (principal + 1.0)) < 1e-10
 
     def test_lower_continuation_mirror(self):
         # arg w slightly below -pi mirrors the upper continuation
         r, du = 10.0, 0.25
         w_up = r * cmath.exp(1j * (PI + du))
-        up = terminant(9, w_up, arg_w=PI + du, method=REC).value
-        down = terminant(9, w_up.conjugate(), arg_w=-(PI + du), method=REC).value
+        up = terminant(9, w_up, arg_w=PI + du).value
+        down = terminant(9, w_up.conjugate(), arg_w=-(PI + du)).value
         assert abs(down + up.conjugate()) < 1e-12
 
     def test_auto_prefers_erf_at_large_matched_order(self):
         ev = terminant(61, 60.0 * cmath.exp(1j * PI), arg_w=PI)
-        assert ev.method is TerminantMethod.ERF_ASYMPTOTIC
+        assert ev.method is ERF
 
     def test_est_error_reported(self):
-        ev = terminant(7, 10.0 * cmath.exp(1j * PI / 3), method=REC)
+        ev = terminant(7, 10.0 * cmath.exp(1j * PI / 3))
         assert math.isfinite(ev.est_error) and ev.est_error > 0
 
     def test_domain_errors(self):
@@ -120,14 +120,24 @@ class TestTerminantAgainstMpmath:
         p = 2 * round(abs_w / 2) + 1
         for a in (0.5, -0.5, 0.9, -0.9, 0.0, 1.0, 1.1, -1.1, 1.45, -1.45):
             w = abs_w * cmath.exp(1j * a * PI)
-            ev = terminant(p, w, arg_w=a * PI, method=REC)
+            ev = terminant(p, w, arg_w=a * PI)
             ref = _terminant_mp(p, w, a * PI)
             assert abs(ev.value - ref) <= ev.est_error, (p, a)
+
+    @pytest.mark.parametrize("p,abs_w,a", [(42, 50.0, 1.0), (42, 50.0, -1.0), (48, 50.0, 1.0),
+                                           (47, 55.0, 1.0)])
+    def test_mismatched_order_on_the_cut_within_estimate(self, p, abs_w, a):
+        # the erf form's error grows with |p - |w||: inside the window sqrt|w| its estimate
+        # (1 + |p - |w||)/sqrt|w| covers it (T_48(50 e^{i pi})), outside it the closed form
+        # is kept with its own, large, estimate (T_42, T_47)
+        w = abs_w * cmath.exp(1j * a * PI)
+        ev = terminant(p, w, arg_w=a * PI)
+        assert abs(ev.value - _terminant_mp(p, w, a * PI)) <= ev.est_error
 
     def test_top_order_at_one(self):
         # T_171(1) is nearly imaginary; a rotation by p * 1.2e-16 rad of the
         # value once put a real part ten times the estimate into it
-        ev = terminant(171, 1.0, method=REC)
+        ev = terminant(171, 1.0)
         assert abs(ev.value - _terminant_mp(171, 1.0, 0.0)) <= ev.est_error
 
 
@@ -150,29 +160,29 @@ def test_zeta_tail_within_four_ulp(s):
 
 class TestErfForm:
     def test_exactly_half_on_stokes_line(self):
-        ev = terminant_erf_approx(31, 30.0 * cmath.exp(1j * PI), arg_w=PI)
+        ev = terminant(61, 60.0 * cmath.exp(1j * PI), arg_w=PI)
         assert ev.value == 0.5
-        assert ev.method is TerminantMethod.ERF_ASYMPTOTIC
+        assert ev.method is ERF
 
     def test_against_recurrence_past_the_cut(self):
         # truth past the cut: principal quadrature plus the unit jump.
-        # The recurrence at |w| = 40 with Re w = -38 sits at its binary64
-        # cancellation floor (e^{-Re w} eps scale), so it is held to its own
-        # reported error while the erf form is held to the 0.1 target.
+        # The closed form at |w| = 40 with Re w = -38 sits at its binary64
+        # cancellation floor (e^{-Re w} eps scale), so terminant takes the erf
+        # form there, held to its own estimate; the switch itself meets 0.1.
         w = 40.0 * cmath.exp(1j * (PI + 0.3))
         truth = terminant_quadrature(41, w)[0] + 1.0
-        approx = terminant_erf_approx(41, w, arg_w=PI + 0.3)
-        recur = terminant(41, w, arg_w=PI + 0.3, method=REC)
-        assert abs(approx.value - truth) < 0.1
-        assert abs(recur.value - truth) <= recur.est_error
-        assert abs(approx.value - recur.value) < 0.1 + recur.est_error
+        ev = terminant(41, w, arg_w=PI + 0.3)
+        assert ev.method is ERF
+        assert abs(ev.value - truth) <= ev.est_error
+        assert abs(_erf_switch(0.3, 40.0) - truth) < 0.1
 
     def test_lower_mirror_formula(self):
         # for arg w < 0 the lower form applies:
         # -1/2 + 1/2 erf(-conj(c(-phi)) sqrt(|w|/2))
         phi = -PI + 0.3
         w = 40.0 * cmath.exp(1j * phi)
-        ev = terminant_erf_approx(41, w, arg_w=phi)
+        ev = terminant(41, w, arg_w=phi)
+        assert ev.method is ERF
         zeta = -_c_branch(-phi - PI).conjugate() * math.sqrt(20.0)
         expected = -0.5 + 0.5 * (
             erf_small(zeta) if abs(zeta) <= 4 else math.copysign(1.0, zeta.real)
@@ -183,12 +193,16 @@ class TestErfForm:
 
     def test_saturation(self):
         # far past the transition zone the multiplier has fully switched on
-        ev = terminant_erf_approx(95, 100.0 * cmath.exp(1j * (PI + 0.9)), arg_w=PI + 0.9)
+        ev = terminant(95, 100.0 * cmath.exp(1j * (PI + 0.9)), arg_w=PI + 0.9)
+        assert ev.method is ERF
         assert ev.value == pytest.approx(1.0, abs=1e-12)
 
     def test_order_mismatch_rejected(self):
-        with pytest.raises(DomainError):
-            terminant_erf_approx(5, 30.0 * cmath.exp(1j * PI), arg_w=PI)
+        # p = 5 is far outside the window |p - |w|| <= sqrt|w|: the closed form is kept
+        w = 30.0 * cmath.exp(1j * PI)
+        ev = terminant(5, w, arg_w=PI)
+        assert ev.method is REC
+        assert abs(ev.value - _terminant_mp(5, w, PI)) <= ev.est_error
 
 
 class TestTruncationOrders:
@@ -280,6 +294,7 @@ class TestStokesProfile:
         prof = stokes_profile(3.0, 1, thetas)
         mid = prof[25]
         assert abs(mid.normalized_multiplier - 0.5) < 0.05
+        assert mid.est_error < 1e-6 * abs(mid.limit)  # 2 pi |z| ~ 19: the closed form holds
         assert abs(prof[0].normalized_multiplier) < 0.1
         assert abs(prof[-1].normalized_multiplier - 1.0) < 0.1
 
@@ -321,14 +336,16 @@ class TestStokesProfile:
             for s in stokes_profile(2.0, k, thetas):
                 assert abs(s.multiplier) <= 1.5 / (2 * PI * k * k)
 
-    def test_est_error_exposes_the_cancelling_closed_form(self):
-        # past 2 pi k |z| ~ 40 the closed form cancels: the multiplier is off by
-        # about 14 |limit| at (7, 1) and (3.5, 2), and the estimate says so
-        for abs_z, k in ((7.0, 1), (3.5, 2)):
-            sample = stokes_profile(abs_z, k, [PI / 2])[0]
-            assert sample.est_error > abs(sample.limit)
-        sample = stokes_profile(3.0, 1, [PI / 2])[0]
-        assert sample.est_error < 1e-6 * abs(sample.limit)
+    @pytest.mark.parametrize("abs_z,k", [(7.0, 1), (8.0, 1), (20.0, 1), (3.5, 2)])
+    def test_multiplier_on_the_line_within_estimate(self, abs_z, k):
+        # past 2 pi k |z| ~ 33 the closed form cancels, so terminant takes the erf
+        # form; its estimate stays below |limit| and covers the error against mpmath
+        sample = stokes_profile(abs_z, k, [PI / 2])[0]
+        p = 2 * bisect.bisect_right(_order_thresholds(abs_z, 86), k) + 1
+        w = -2 * PI * k * abs_z + 0j  # w = 2 pi k i z with arg w = pi on the upper line
+        ref = -_terminant_mp(p, w, PI) / (2j * PI * k * k)
+        assert sample.est_error < abs(sample.limit)
+        assert abs(sample.multiplier - ref) <= sample.est_error
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import click
 
-from .errors import AccuracyError, DomainError, _check_order
+from .errors import AccuracyError, DomainError, RangeError, _check_order
 from .expansion import BoundKind, best_bound, certified_eval, family_bounds
 from .oracle import log_barnes_oracle, remainder_wide
 from .terminant import K_MAX, exp_improved_report, stokes_profile, terminant
@@ -26,6 +26,8 @@ from .terminant import K_MAX, exp_improved_report, stokes_profile, terminant
 EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_ACCURACY = 3
+#: Most angles one `stokes` profile may take (the angle list is built in memory).
+MAX_THETA_STEPS = 100_000
 
 
 def _fmt(value: object) -> str:
@@ -213,7 +215,7 @@ def cmd_stokes(z_abs, k, theta_min, theta_max, theta_steps, fmt) -> None:
     """Stokes-multiplier transition profile against the erf smoothing law."""
     if theta_min > theta_max:
         raise DomainError("theta-min must not exceed theta-max")
-    _check_order(theta_steps, 1)
+    _check_order(theta_steps, 1, MAX_THETA_STEPS, RangeError)
     if theta_steps == 1:
         thetas = [theta_min]
     else:

@@ -12,10 +12,12 @@ For the wide-sector kernel the truncation index is promoted internally to
 N_eff >= 8 through the ladder R_N = c_N z^{-2N} + R_{N+1} (restored exactly
 from series coefficients), which turns the t^{-2N} tail into t^{-2 N_eff}
 and keeps the truncation point small.  Neither kernel evaluates a
-transcendental per term: the periodized polynomial is one complex exponential
-per node (Horner form of its Fourier series), the wide truncation point is
-solved from its tail bound, and the dilog factor sits at fixed nodes, so it
-is tabulated once on first use.  The test suite keeps further
+transcendental per term: the periodized polynomial takes the same values on
+every unit panel, so it is tabulated once per order at the Gauss nodes of
+[0, 1] and evaluated (Horner form of its Fourier series) only on the
+sub-panels refined near the pole; the wide truncation point is solved from
+its tail bound; and the dilog factor sits at fixed nodes, so it too is
+tabulated once on first use.  The test suite keeps further
 representations (a nested log kernel, a symmetrized Bernoulli kernel) and the
 scanned truncation point as references to compare against.
 """
@@ -174,18 +176,24 @@ def _wide_t_stop(abs_z: float, sec_half: float, m_eff: int, target: float) -> in
     return next((u for u in range(t + 1, _MAX_INTERVALS + 1) if passes(u)), None)
 
 
+def _pole_gap(pole: complex, a: float, b: float) -> float:
+    """Distance from the pole to the segment [a, b] of the real axis."""
+    if pole.real < a:
+        return abs(complex(a, 0) - pole)
+    if pole.real > b:
+        return abs(complex(b, 0) - pole)
+    return abs(pole.imag)
+
+
 def _wide_breakpoints(t_stop: int, z: complex) -> list[float]:
     """Unit panels on [0, T], refined near the pole at t = -z when it matters."""
     pole = -z
+    if _pole_gap(pole, 0.0, float(t_stop)) >= 0.27:  # no panel is refined
+        return [float(m) for m in range(t_stop + 1)]
     pts: list[float] = [0.0]
     for m in range(t_stop):
         a, b = float(m), float(m + 1)
-        if pole.real < a:
-            dist = abs(complex(a, 0) - pole)
-        elif pole.real > b:
-            dist = abs(complex(b, 0) - pole)
-        else:
-            dist = abs(pole.imag)
+        dist = _pole_gap(pole, a, b)
         # keep sub-panel half-length below ~1.9 x distance to the pole
         splits = 1 if dist >= 0.27 else min(256, int(math.ceil(0.275 / max(dist, 1e-3))))
         for j in range(1, splits + 1):
@@ -193,51 +201,97 @@ def _wide_breakpoints(t_stop: int, z: complex) -> list[float]:
     return pts
 
 
-def remainder_wide(z: complex, n_trunc: int) -> OracleValue:
-    """R_N(z) on the full slit plane |arg z| < pi by the periodized-Bernoulli kernel.
+@lru_cache(maxsize=None)
+def _unit_periodic(n: int, order: int) -> np.ndarray:
+    """B_n(t - floor t) at the Gauss nodes of [0, 1], computed on first use.
 
-    The requested index is promoted to N_eff >= 8 via the exact ladder and
-    the periodized Bernoulli polynomial is evaluated through its Fourier
-    series in Horner form (absolute error ~1e-14 of its amplitude at these
-    orders).  The truncation point is solved from the analytic tail bound,
-    which is a power of T + |z|; if the absolute target is out of reach
-    within 64 unit panels the target falls back to 1e-4 relative to the
-    half-angle bound on |R_N|, and failing that the promotion index is
-    escalated before reporting an accuracy failure.
+    The factor is 1-periodic, so these are its values at the nodes of every
+    unit panel [m, m+1] (up to the rounding of the nodes themselves).
     """
-    z = _check_sector(z)
-    n_trunc = _check_order(n_trunc, 1, MAX_COEFF, RangeError)
+    return DEFAULT_TABLE.poly_periodic(n, panel_nodes([0.0, 1.0], order))
+
+
+def _power(w: np.ndarray, e: int) -> np.ndarray:
+    """w**e for an integer e >= 1 by binary powering: faster than numpy's complex
+    power, and closer to the exact power on the oracle's nodes."""
+    result = None
+    while True:
+        if e & 1:
+            result = w if result is None else result * w
+        e >>= 1
+        if not e:
+            return result
+        w = w * w
+
+
+def _wide_truncation(z: complex, n_trunc: int) -> tuple[int, int, float]:
+    """remainder_wide's promotion index M, truncation point T and tail bound at (z, N).
+
+    M is max(N, 8), raised in steps of 2 up to 16 while no truncation point
+    meets the absolute, then the relative target; AccuracyError if none does.
+    """
     theta = math.atan2(z.imag, z.real)
     abs_z = abs(z)
     sec_half = 1.0 / math.cos(0.5 * theta)
     # the half-angle bound on |R_N| sets the relative fallback target (RangeError off binary64)
     rn_est = _report(_half_angle_factor(theta, n_trunc), _first_term_magnitude(z, n_trunc),
                      BoundKind.HALF_ANGLE).bound
-
-    # promotion index: max(N, 8), raised in steps of 2 up to 16 while no
-    # truncation point meets the absolute, then the relative target
     for m_eff in (*range(max(n_trunc, 8), 16, 2), max(n_trunc, 16)):
         t_stop = next((t for target in (_TAIL_TARGET, 1e-4 * rn_est)
                        if (t := _wide_t_stop(abs_z, sec_half, m_eff, target)) is not None),
                       None)
         if t_stop is not None:
-            break
-    else:
-        raise AccuracyError(
-            f"wide-kernel tail cannot reach the tolerance within {_MAX_INTERVALS} panels "
-            f"(arg z = {theta:.4f} is too close to the cut)"
-        )
-    tail = _wide_tail_bound(t_stop, abs_z, sec_half, m_eff)
+            return m_eff, t_stop, _wide_tail_bound(t_stop, abs_z, sec_half, m_eff)
+    raise AccuracyError(
+        f"wide-kernel tail cannot reach the tolerance within {_MAX_INTERVALS} panels "
+        f"(arg z = {theta:.4f} is too close to the cut)"
+    )
 
+
+def remainder_wide(z: complex, n_trunc: int) -> OracleValue:
+    """R_N(z) on the full slit plane |arg z| < pi by the periodized-Bernoulli kernel.
+
+    The requested index is promoted to N_eff >= 8 via the exact ladder.  On
+    the unit panels the periodized Bernoulli polynomial is read from its
+    table at the Gauss nodes of [0, 1]; on the sub-panels refined near the
+    pole it is evaluated per node through its Fourier series in Horner form
+    (absolute error ~1e-14 of its amplitude at these orders).  The
+    truncation point is solved from the analytic tail bound, which is a
+    power of T + |z|; if the absolute target is out of reach within 64 unit
+    panels the target falls back to 1e-4 relative to the half-angle bound on
+    |R_N|, and failing that the promotion index is escalated before
+    reporting an accuracy failure.
+    """
+    z = _check_sector(z)
+    n_trunc = _check_order(n_trunc, 1, MAX_COEFF, RangeError)
+    m_eff, t_stop, tail = _wide_truncation(z, n_trunc)
+    n_poly, power = 2 * m_eff + 1, 2 * m_eff
+    table = _unit_periodic(n_poly, _GAUSS_ORDER)
+
+    def unit_integrand(t: np.ndarray) -> np.ndarray:
+        return (table / _power(t + z, power).reshape(-1, len(table))).ravel()
+
+    def refined_integrand(t: np.ndarray) -> np.ndarray:
+        return DEFAULT_TABLE.poly_periodic(n_poly, t) / _power(t + z, power)
+
+    # the refined sub-panels, if any, form one run breaks[lo:hi + 1] between
+    # two runs of unit panels
     breaks = _wide_breakpoints(t_stop, z)
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return DEFAULT_TABLE.poly_periodic(2 * m_eff + 1, t) / (t + z) ** (2 * m_eff)
-
-    pref = -1.0 / (2 * m_eff * (2 * m_eff + 1))
+    lo = hi = t_stop
+    if len(breaks) > t_stop + 1:
+        fine = np.flatnonzero(np.diff(breaks) < 1.0)
+        lo, hi = int(fine[0]), int(fine[-1]) + 1
+    runs = ((breaks[:lo + 1], unit_integrand), (breaks[lo:hi + 1], refined_integrand),
+            (breaks[hi:], unit_integrand))
+    pref = -1.0 / (power * n_poly)
 
     with _binary64(z):
-        integral, abs_sum = integrate_panels(integrand, breaks, _GAUSS_ORDER)
+        integral, abs_sum = 0.0j, 0.0
+        for bp, integrand in runs:
+            if len(bp) > 1:
+                part, part_abs = integrate_panels(integrand, bp, _GAUSS_ORDER)
+                integral += part
+                abs_sum += part_abs
         remainder_eff = pref * integral
         # exact ladder restoration back down to the requested index
         ladder = _series(z, n_trunc, m_eff)

@@ -11,6 +11,9 @@ Each computes a quantity the library also computes, by another formula:
     e^{w} E1(w)) / (2 pi i);
   * remainder_symmetrized -- R_N(z) by the symmetrized Bernoulli kernel, the
     reference for remainder_wide's periodized kernel;
+  * remainder_wide_per_node -- R_N(z) by remainder_wide's own panels with
+    the periodized polynomial evaluated at every node and (t+z)^{2M} by **,
+    the reference for its unit-panel table and binary powering;
   * wide_t_stop_scan -- remainder_wide's truncation point by scanning
     t = 2, 3, ..., the reference for the point solved from the tail bound;
   * improved_uniform -- log G(z+1) by the improved expansion with one order
@@ -27,7 +30,7 @@ import numpy as np
 
 from barnesg import bernoulli_number, oracle, truncated_log_barnes
 from barnesg.bernoulli import DEFAULT_TABLE, EPS, TWO_PI
-from barnesg.expansion import _COEFFS
+from barnesg.expansion import _COEFFS, _series
 from barnesg.quadrature import integrate_panels
 from barnesg.terminant import _scaled_recurrence
 
@@ -123,6 +126,24 @@ def remainder_symmetrized(z, n_trunc):
                                    oracle._GAUSS_ORDER)
     ladder = sum(_COEFFS[n] * z ** (-2 * n) for n in range(n_trunc, m))
     return ladder - pref * integral
+
+
+def remainder_wide_per_node(z, n_trunc):
+    """R_N(z) at remainder_wide's promotion index and panels, with the integrand
+
+        B_{2M+1}(t - floor t) / (t+z)^{2M}
+
+    evaluated by poly_periodic at every node and numpy's complex power.
+    """
+    z = complex(z)
+    m_eff, t_stop, _ = oracle._wide_truncation(z, n_trunc)
+
+    def integrand(t):
+        return DEFAULT_TABLE.poly_periodic(2 * m_eff + 1, t) / (t + z) ** (2 * m_eff)
+
+    integral, _ = integrate_panels(integrand, oracle._wide_breakpoints(t_stop, z),
+                                   oracle._GAUSS_ORDER)
+    return _series(z, n_trunc, m_eff) - integral / (2 * m_eff * (2 * m_eff + 1))
 
 
 def wide_t_stop_scan(abs_z, sec_half, m_eff, target):

@@ -55,7 +55,7 @@ from barnesg import (
     truncated_log_barnes,
     zeta_even,
 )
-from barnesg.cli import main
+from barnesg.cli import MAX_THETA_STEPS, main
 
 NAN, INF = math.nan, math.inf
 
@@ -433,6 +433,9 @@ CLI_CASES = [
     (["terminant", "--p", "121", "--w-re", "0.1"], 2),  # TERMINANT_OVERFLOW
     *[(["stokes", "--z-abs", r, "--theta-min", "1.5", "--theta-max", "1.6", "--theta-steps", "2"], 2)
       for r in ("nan", "inf")],
+    # an angle count past the cap exits before the angle list is built
+    *[(["stokes", "--z-abs", "3", "--theta-min", "1.5", "--theta-max", "1.6", "--theta-steps", s], 2)
+      for s in (str(MAX_THETA_STEPS + 1), "1000000000000")],
     # a point or an angle given two ways
     (["eval", "--method", "asym", "--z-re", "3", "--z-abs", "5", "--z-arg", "1"], 2),
     (["eval", "--method", "asym", "--z-abs", "5", "--z-arg", "1", "--z-arg-pi", "0.3"], 2),

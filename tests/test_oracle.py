@@ -18,9 +18,11 @@ from barnesg import (
     truncated_log_barnes,
 )
 from barnesg import oracle
-from barnesg.quadrature import _CHUNK_NODES, gauss_nodes, integrate_panels
+from barnesg.bernoulli import DEFAULT_TABLE, BernoulliTable
+from barnesg.quadrature import _CHUNK_NODES, gauss_nodes, integrate_panels, panel_nodes
 from barnesg.special import _dilog_exp
-from _reference import bernoulli_poly, remainder_symmetrized, wide_t_stop_scan
+from _reference import (bernoulli_poly, remainder_symmetrized, remainder_wide_per_node,
+                        wide_t_stop_scan)
 
 PI = math.pi
 
@@ -192,6 +194,56 @@ class TestNarrowDilogTable:
         table = oracle._narrow_dilog()
         assert table.shape == seen[0].shape
         assert np.array_equal(table, _dilog_exp(seen[0]))
+
+
+class TestWideUnitTable:
+    """remainder_wide reads B_{2M+1}({t}) on unit panels from one table per order."""
+
+    UNREFINED = (2.0 * cmath.exp(0.6j * PI), 1)
+    REFINED = (0.3 * cmath.exp(0.9j * PI), 1)
+    # pole 1e-3 off the axis: 256 sub-panels, more than one integrate_panels chunk
+    CHUNKED = (complex(-0.5, 1e-3), 4)
+
+    @pytest.mark.parametrize("m", [0, 7, 63])
+    def test_table_is_the_periodic_factor_on_every_unit_panel(self, m):
+        """Each node of [m, m+1] is m plus the matching node of [0, 1] up to about
+        ulp(m+1)/2 of rounding; |B_n'| <= 2 pi max_abs_poly(n) prices that
+        shift, and 1e-14 covers poly_periodic's own error."""
+        t = panel_nodes([float(m), float(m + 1)], oracle._GAUSS_ORDER)
+        for n in range(17, 64, 2):
+            table = oracle._unit_periodic(n, oracle._GAUSS_ORDER)
+            tol = DEFAULT_TABLE.max_abs_poly(n) * (1e-14 + PI * math.ulp(m + 1.0))
+            assert np.max(np.abs(table - DEFAULT_TABLE.poly_periodic(n, t))) <= tol, n
+
+    def test_chunked_point_spans_chunks(self):
+        z, n = self.CHUNKED
+        breaks = oracle._wide_breakpoints(oracle._wide_truncation(z, n)[1], z)
+        assert np.sum(np.diff(breaks) < 1.0) * oracle._GAUSS_ORDER > _CHUNK_NODES
+
+    @pytest.mark.parametrize("z,n", [UNREFINED, REFINED, CHUNKED])
+    def test_agrees_with_the_per_node_kernel(self, z, n):
+        got = remainder_wide(z, n)
+        assert abs(got.value - remainder_wide_per_node(z, n)) <= got.est_error
+
+    @pytest.mark.parametrize("z,n", [UNREFINED, REFINED, CHUNKED])
+    def test_poly_periodic_sees_only_the_refined_nodes(self, monkeypatch, z, n):
+        remainder_wide(z, n)  # fills the table
+        seen = []
+        original = BernoulliTable.poly_periodic
+
+        def record(self, order, t):
+            seen.append(t.copy())
+            return original(self, order, t)
+
+        monkeypatch.setattr(BernoulliTable, "poly_periodic", record)
+        remainder_wide(z, n)
+        breaks = oracle._wide_breakpoints(oracle._wide_truncation(z, n)[1], z)
+        fine = [breaks[i:i + 2] for i in np.flatnonzero(np.diff(breaks) < 1.0)]
+        if not fine:
+            assert seen == []
+            return
+        expected = np.concatenate([panel_nodes(bp, oracle._GAUSS_ORDER) for bp in fine])
+        assert np.array_equal(np.concatenate(seen), expected)
 
 
 class TestKernelSignStructure:

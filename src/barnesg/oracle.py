@@ -186,18 +186,27 @@ def _pole_gap(pole: complex, a: float, b: float) -> float:
 
 
 def _wide_breakpoints(t_stop: int, z: complex) -> list[float]:
-    """Unit panels on [0, T], refined near the pole at t = -z when it matters."""
+    """Unit panels on [0, T], refined near the pole at t = -z when it matters.
+
+    Only a panel [m, m+1] within 0.27 of the pole is refined, so only the
+    panels with |m - floor(Re(-z))| <= 2 (one panel's margin on each side)
+    are tested; the unit runs before and after them are built as ranges.
+    """
     pole = -z
     if _pole_gap(pole, 0.0, float(t_stop)) >= 0.27:  # no panel is refined
         return [float(m) for m in range(t_stop + 1)]
-    pts: list[float] = [0.0]
-    for m in range(t_stop):
+    near = math.floor(pole.real)
+    lo = min(max(near - 2, 0), t_stop)
+    hi = max(min(near + 3, t_stop), lo)
+    pts = [float(m) for m in range(lo + 1)]
+    for m in range(lo, hi):
         a, b = float(m), float(m + 1)
         dist = _pole_gap(pole, a, b)
         # keep sub-panel half-length below ~1.9 x distance to the pole
         splits = 1 if dist >= 0.27 else min(256, int(math.ceil(0.275 / max(dist, 1e-3))))
         for j in range(1, splits + 1):
             pts.append(a + (b - a) * j / splits)
+    pts += [float(m) for m in range(hi + 1, t_stop + 1)]
     return pts
 
 

@@ -116,23 +116,36 @@ def _dilog_exp(t: np.ndarray) -> np.ndarray:
 def _ein(w: complex) -> complex:
     """Entire part: Ein(w) = sum_{k>=1} (-1)^{k+1} w^k / (k k!).
 
-    Summed until a term past the peak k ~ |w| falls below 1e-18 of the sum,
-    with no fixed cap (near the negative axis the sum needs about
-    |w| + 9 sqrt(|w|) terms), or until a term is not finite; the caller turns
-    that overflow into its log-form fallback.
+    Summed in two phases split at the peak k ~ |w|, with no fixed cap (near
+    the negative axis the sum needs about |w| + 9 sqrt(|w|) terms):
+
+      * k <= |w|: the terms grow, so the only test is for a term that is not
+        finite; the caller turns that overflow into its log-form fallback;
+      * k > |w|: |w/k| < 1, so the terms only shrink, and the sum stops once
+        a term falls below 1e-18 max(1, |sum|).  A term can turn infinite
+        here only when the peak's modulus already passed binary64 with
+        finite parts; the comparison |term| < inf stops on it.
     """
     total = 0.0 + 0.0j
     term = 1.0 + 0.0j
     k = 1
     aw = abs(w)
-    while True:
+    while k <= aw:  # up to the peak
         term *= w / k
         add = term / k if (k % 2) else -term / k
         total += add
-        if abs(add) < 1e-18 * max(1.0, abs(total)) and k > aw or not cmath.isfinite(add):
-            break
+        if not cmath.isfinite(add):
+            return total
         k += 1
-    return total
+    while True:  # past the peak
+        term *= w / k
+        add = term / k if (k % 2) else -term / k
+        total += add
+        size = abs(add)
+        # size < 1e-18 max(1, |total|) without forming |total| while size < 1e-18
+        if size < 1e-18 or size < 1e-18 * abs(total) or not size < math.inf:
+            return total
+        k += 1
 
 
 def _e1_lentz_scaled(w: complex, itmax: int = 2000) -> complex:

@@ -32,6 +32,10 @@ erf form's lower half is the reflection T_p(conj w) = -conj(T_p(w)), integer p.
 terminant, the one entry point for T_p(w), returns the closed form or, at
 near-matched order p ~ |w|, the leading erf form, whichever reports the smaller
 error estimate; the improved route reads the closed form directly.
+
+The zeta tails of the algebraic sum depend only on an exponent and a first
+index, which take few values over a range of |z|; _zeta_tail memoizes them in
+a bounded table.  Nothing is kept per z.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .bernoulli import EPS, MAX_INDEX, TWO_PI, bernoulli_number, zeta_even
@@ -191,8 +196,14 @@ def _em_coeffs(s: int) -> tuple[float, ...]:
 _EM_COEFFS = {s: _em_coeffs(s) for s in range(4, MAX_INDEX + 1, 2)}
 
 
+@lru_cache(maxsize=4096)
 def _zeta_tail(exponent: int, k_first: int) -> float:
     """sum_{k >= k_first} k^{-exponent}, accurate relative to its own size.
+
+    A pure function of two integers, memoized on first use: k_first =
+    ceil((n + 1/2)/(pi |z|)) takes few values over a range of |z|, so most
+    calls are hits.  The memo is bounded (least recently used pairs go) and
+    keyed by the integers alone, never by z.
 
     Subtracting the head from zeta(exponent) is catastrophic once the zeta
     value rounds to 1.  Instead the terms k < a = k_first + max(8, s/2) are
@@ -219,6 +230,19 @@ def _zeta_tail(exponent: int, k_first: int) -> float:
     return math.fsum(parts)
 
 
+def _algebraic_coeffs() -> tuple[float, ...]:
+    """(-1)^n 2 (2n+1)! / (2 pi)^{2n+4} for the exponents 2n + 4 = 4 .. MAX_INDEX,
+    the Bernoulli table's reach: _algebraic_sum's coefficients."""
+    coeffs, two_fact = [], 2.0  # 2 (2n+1)! at n = 0
+    for n in range(MAX_INDEX // 2 - 1):
+        coeffs.append((-1) ** n * two_fact / TWO_PI ** (2 * n + 4))
+        two_fact *= (2 * n + 2) * (2 * n + 3)
+    return tuple(coeffs)
+
+
+_ALGEBRAIC_COEFFS = _algebraic_coeffs()
+
+
 def _algebraic_sum(zinv2: complex, first_k: list[int]) -> complex:
     """Complete inner double sum, regrouped over n with zeta partial sums.
 
@@ -229,16 +253,13 @@ def _algebraic_sum(zinv2: complex, first_k: list[int]) -> complex:
     throwing away the algebraic k-tail when the terminant sum is truncated.
     """
     total = 0.0 + 0.0j
-    two_fact = 2.0  # 2 * (2n+1)! at n = 0
     zpow = zinv2
-    for n in range(MAX_INDEX // 2 - 1):  # exponents 4 .. MAX_INDEX, the Bernoulli table's reach
-        exponent = 2 * n + 4
-        partial = _zeta_tail(exponent, first_k[n])
-        term = (-1) ** n * two_fact / TWO_PI ** exponent * zpow * partial
+    for n, coeff in enumerate(_ALGEBRAIC_COEFFS):
+        partial = _zeta_tail(2 * n + 4, first_k[n])
+        term = coeff * zpow * partial
         total += term
         if abs(term) < 1e-22 * max(1.0, abs(total)):
             break
-        two_fact *= (2 * n + 2) * (2 * n + 3)
         zpow *= zinv2
     return total
 

@@ -16,6 +16,11 @@ Each computes a quantity the library also computes, by another formula:
     the reference for its unit-panel table and binary powering;
   * wide_t_stop_scan -- remainder_wide's truncation point by scanning
     t = 2, 3, ..., the reference for the point solved from the tail bound;
+  * wide_breakpoints_every_panel -- remainder_wide's breakpoints by testing
+    every unit panel's distance to the pole, the reference for the
+    breakpoints that test only the panels next to it;
+  * ein_one_loop -- Ein(w) by one loop that tests convergence and
+    finiteness at every term, the reference for the loop split at the peak;
   * improved_uniform -- log G(z+1) by the improved expansion with one order
     N_k = n for every k, the reference for exp_improved_report's
     near-optimal orders (the expansion is an identity for every order
@@ -150,6 +155,37 @@ def wide_t_stop_scan(abs_z, sec_half, m_eff, target):
     """The first t in 2 .. 64 whose wide-kernel tail bound meets target, or None."""
     return next((t for t in range(2, oracle._MAX_INTERVALS + 1)
                  if oracle._wide_tail_bound(t, abs_z, sec_half, m_eff) <= target), None)
+
+
+def wide_breakpoints_every_panel(t_stop, z):
+    """Unit panels on [0, T], each split into ceil(0.275/gap) sub-panels (at most
+    256) when its gap to the pole -z is below 0.27."""
+    pole = -z
+    pts = [0.0]
+    for m in range(t_stop):
+        a, b = float(m), float(m + 1)
+        dist = oracle._pole_gap(pole, a, b)
+        splits = 1 if dist >= 0.27 else min(256, int(math.ceil(0.275 / max(dist, 1e-3))))
+        for j in range(1, splits + 1):
+            pts.append(a + (b - a) * j / splits)
+    return pts
+
+
+def ein_one_loop(w):
+    """Ein(w) = sum_{k>=1} (-1)^{k+1} w^k / (k k!), stopped at the first term that
+    is not finite or, past k = |w|, below 1e-18 max(1, |sum|)."""
+    total = 0.0 + 0.0j
+    term = 1.0 + 0.0j
+    k = 1
+    aw = abs(w)
+    while True:
+        term *= w / k
+        add = term / k if (k % 2) else -term / k
+        total += add
+        if abs(add) < 1e-18 * max(1.0, abs(total)) and k > aw or not cmath.isfinite(add):
+            break
+        k += 1
+    return total
 
 
 def improved_uniform(z, n, k_max):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from barnesg.bernoulli import DEFAULT_TABLE, BernoulliTable
 from barnesg.quadrature import _CHUNK_NODES, gauss_nodes, integrate_panels, panel_nodes
 from barnesg.special import _dilog_exp
 from _reference import (bernoulli_poly, remainder_symmetrized, remainder_wide_per_node,
-                        wide_t_stop_scan)
+                        wide_breakpoints_every_panel, wide_t_stop_scan)
 
 PI = math.pi
 
@@ -244,6 +245,28 @@ class TestWideUnitTable:
             return
         expected = np.concatenate([panel_nodes(bp, oracle._GAUSS_ORDER) for bp in fine])
         assert np.array_equal(np.concatenate(seen), expected)
+
+
+def test_breakpoints_equal_the_every_panel_loop():
+    """Testing only the panels next to the pole gives the every-panel loop's
+    breakpoints, also with the pole on a panel end or 0.27 +- 1 ulp away."""
+    rng = random.Random(1619)
+    gaps = [0.27, math.nextafter(0.27, 0.0), math.nextafter(0.27, 1.0)]
+    for _ in range(20_000):
+        t_stop = rng.randint(2, oracle._MAX_INTERVALS)
+        kind = rng.randrange(4)
+        if kind == 0:  # anywhere near [0, T]
+            pole = complex(rng.uniform(-1.5, t_stop + 1.5), rng.uniform(-0.6, 0.6))
+        elif kind == 1:  # on a panel end
+            pole = complex(rng.randint(-1, t_stop + 1), rng.choice([0.0, 1e-4, *gaps, 0.5]))
+        elif kind == 2:  # straight above a panel, 0.27 +- 1 ulp off the axis
+            pole = complex(rng.uniform(0.0, t_stop), rng.choice(gaps) * rng.choice((1, -1)))
+        else:  # beside a panel end on the axis, 0.27 +- 1 ulp away
+            end = rng.randint(0, t_stop)
+            pole = complex(end + rng.choice(gaps) * rng.choice((1, -1)), 0.0)
+        z = -pole
+        assert oracle._wide_breakpoints(t_stop, z) == wide_breakpoints_every_panel(t_stop, z), \
+            (t_stop, z)
 
 
 class TestKernelSignStructure:

@@ -56,15 +56,17 @@ def _child_env():
 
 def test_import_leaves_the_cli_and_the_test_oracles_out():
     """import barnesg loads neither click (the CLI's) nor fractions, scipy or mpmath,
-    and fills neither the Gauss node cache nor the narrow kernel's Li2 table."""
+    and fills neither the Gauss node cache, the narrow kernel's Li2 table nor the
+    zeta-tail memo."""
     code = ("import sys, barnesg; "
             "print(sorted({'click', 'fractions', 'scipy', 'mpmath'} & sys.modules.keys()), "
             "barnesg.quadrature.gauss_nodes.cache_info().currsize, "
-            "barnesg.oracle._narrow_dilog.cache_info().currsize)")
+            "barnesg.oracle._narrow_dilog.cache_info().currsize, "
+            "sys.modules['barnesg.terminant']._zeta_tail.cache_info().currsize)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[] 0 0"
+    assert proc.stdout.strip() == "[] 0 0 0"
 
 
 def test_three_demos_found():

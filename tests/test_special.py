@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 
 import mpmath as mp
 import numpy as np
@@ -15,10 +16,12 @@ from barnesg import (
     exp_integral_e1,
     log_gamma,
 )
+from barnesg import special
 from barnesg.bernoulli import TWO_PI
 from barnesg.oracle import _GAUSS_ORDER, _NARROW_BREAKS
 from barnesg.quadrature import gauss_nodes, panel_nodes
 from barnesg.special import _c_branch, _dilog_exp, _li2
+from _reference import ein_one_loop
 
 
 class TestLogGamma:
@@ -188,6 +191,55 @@ class TestExpIntegral:
             exp_integral_e1(0.0)
         with pytest.raises(DomainError):
             exp_integral_e1(-3.0)
+
+
+class TestEinSplitAtThePeak:
+    """_ein, its loop split at k = |w|, against the one loop that tests both stops."""
+
+    @staticmethod
+    def _grid():
+        rng = random.Random(1618)
+        grid = []
+        for _ in range(2000):
+            r = 1e-3 * 4e4 ** rng.random()  # |w| in [1e-3, 40]
+            grid.append(r * cmath.exp(1j * rng.uniform(-math.pi, math.pi)))
+        for _ in range(1000):  # near the negative axis, where the terms do not alternate
+            r = 1e-3 * 4e4 ** rng.random()
+            gap = 1e-12 * 3e11 ** rng.random()  # pi - |arg w| in [1e-12, 0.3]
+            grid.append(r * cmath.exp(1j * rng.choice((1, -1)) * (math.pi - gap)))
+        for r in (1e-3, 0.5, 1.0, 4.0, 12.0, 31.999, 32.0, 40.0):  # on the axes, signed zeros
+            grid += [complex(r, 0.0), complex(-r, 0.0), complex(-r, -0.0),
+                     complex(0.0, r), complex(-0.0, -r)]
+        # the terms overflow before the peak, or just past it from a finite term
+        # whose modulus passed binary64 (the last two)
+        grid += [-720 + 1j, -720 - 1j, -800 + 1j, -709.5 + 1j, -716 + 3j, -400 + 650j,
+                 -713.4075941478213 - 30.89013695998063j, 26.191585745367814 + 713.5877686818183j]
+        return grid
+
+    def test_repr_identical_to_the_one_loop_sum(self):
+        mismatched = [w for w in self._grid() if repr(special._ein(w)) != repr(ein_one_loop(w))]
+        assert mismatched == []
+
+    @pytest.mark.parametrize("w", [-715 + 1j, -716 + 3j], ids=repr)
+    def test_overflow_still_takes_the_log_form_fallback(self, monkeypatch, w):
+        # the series terms pass binary64 at the peak (|w| > 714), E1 itself does not
+        assert not cmath.isfinite(special._ein(w))
+        scaled = special._e1_scaled_continued
+        calls = []
+
+        def record(*args):
+            calls.append(args)
+            return scaled(*args)
+
+        monkeypatch.setattr(special, "_e1_scaled_continued", record)
+        value = exp_integral_e1(w)
+        assert len(calls) == 1 and cmath.isfinite(value)
+        monkeypatch.setattr(special, "_ein", ein_one_loop)
+        assert repr(exp_integral_e1(w)) == repr(value)
+
+    def test_past_binary64_still_raises(self):
+        with pytest.raises(RangeError):  # |E1(-800 + i)| ~ e^800 / 800
+            exp_integral_e1(-800 + 1j)
 
 
 def erf_path_oracle(zeta, order=48, panels=8):

@@ -2,7 +2,9 @@
 
 import bisect
 import cmath
+import importlib
 import math
+import random
 
 import mpmath as mp
 import numpy as np
@@ -20,9 +22,13 @@ from barnesg import (
     terminant,
     truncated_log_barnes,
 )
+from barnesg import special
 from barnesg.special import _c_branch, _erf_switch
 from barnesg.terminant import _order_thresholds, _zeta_tail
-from _reference import improved_uniform, terminant_quadrature
+from _reference import ein_one_loop, improved_uniform, terminant_quadrature
+
+# the package's `terminant` is the function; the module is reached by name
+terminant_module = importlib.import_module("barnesg.terminant")
 
 PI = math.pi
 REC = TerminantMethod.GAMMA_RECURRENCE
@@ -356,3 +362,68 @@ class TestStokesProfile:
             stokes_profile(3.0, 1, [0.1])  # not near a Stokes line
         with pytest.raises(DomainError):
             stokes_profile(3.0, 1, [PI / 2, -PI / 2])  # mixed windows
+
+
+def _outcome(fn, *args):
+    """repr of fn's value, or the type and message of what it raised."""
+    try:
+        return repr(fn(*args))
+    except (AccuracyError, DomainError, RangeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestMemoizedRoute:
+    """The improved route gives, bit for bit, what it gives with the one-loop Ein
+    and the zeta tails computed afresh on every call."""
+
+    @staticmethod
+    def _points():
+        rng = random.Random(1616)
+        points = [0.1j, 1.5 * cmath.exp(0.9j * PI), 1e-8j]
+        for lo in (1e-150, 0.25):  # the whole range, then the part where the loops run long
+            for _ in range(200):
+                r = lo * (50.0 / lo) ** rng.random()
+                points.append(r * cmath.exp(1j * rng.uniform(-0.95 * PI, 0.95 * PI)))
+        return points
+
+    PROFILES = [(abs_z, k, line) for abs_z in (1.5, 4.0, 20.0, 27.0) for k in (1, 2)
+                for line in (PI / 2, -PI / 2)]
+
+    def _run(self):
+        improved = [_outcome(exp_improved_report, z) for z in self._points()]
+        profiles = [_outcome(stokes_profile, abs_z, k, np.linspace(line - 0.5, line + 0.5, 21))
+                    for abs_z, k, line in self.PROFILES]
+        return improved, profiles
+
+    def test_identical_to_the_one_loop_ein_and_unmemoized_tails(self, monkeypatch):
+        shipped = self._run()
+        warm = self._run()  # every zeta tail now comes from the memo
+        monkeypatch.setattr(special, "_ein", ein_one_loop)
+        monkeypatch.setattr(terminant_module, "_zeta_tail", _zeta_tail.__wrapped__)
+        reference = self._run()
+        assert shipped == reference
+        assert warm == reference
+        assert any("RangeError" in o for o in reference[1])  # |z| = 20, 27 at k = 2
+
+    def test_memo_is_bounded_and_returns_the_computed_tails(self, monkeypatch):
+        fresh = {}
+        returned = []
+
+        def record(exponent, k_first):
+            key = (exponent, k_first)
+            if key not in fresh:
+                fresh[key] = _zeta_tail.__wrapped__(exponent, k_first)
+            value = _zeta_tail(exponent, k_first)
+            returned.append((key, value))
+            return value
+
+        monkeypatch.setattr(terminant_module, "_zeta_tail", record)
+        rng = random.Random(1617)
+        hits = _zeta_tail.cache_info().hits
+        for _ in range(5000):
+            r = 1e-12 * 1e15 ** rng.random()
+            exp_improved_report(r * cmath.exp(1j * rng.uniform(-0.95 * PI, 0.95 * PI)))
+        info = _zeta_tail.cache_info()
+        assert isinstance(info.maxsize, int) and info.currsize <= info.maxsize
+        assert info.hits > hits
+        assert all(repr(value) == repr(fresh[key]) for key, value in returned)

@@ -23,7 +23,6 @@ from .expansion import BoundKind, best_bound, certified_eval, family_bounds
 from .oracle import log_barnes_oracle, remainder_wide
 from .terminant import K_MAX, exp_improved_report, stokes_profile, terminant
 
-EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_ACCURACY = 3
 #: Most angles one `stokes` profile may take (the angle list is built in memory).

@@ -18,6 +18,13 @@ are provided, all of the form (first omitted term magnitude) x factor(theta, N):
 
 On the positive real axis R_N additionally has the sign of the first omitted
 term and is strictly smaller in magnitude.
+
+These bound the mathematical remainder.  certified_eval reports the best of
+them plus _roundoff, a round-off allowance 8 eps sum |part| over the terms its
+binary64 value is summed from; the oracle and improved routes add the same
+rule to their quadrature or terminant estimates.  The allowance is a running
+error estimate, not a proof: it leaves out the error of log Gamma and log
+themselves, and tests/test_honesty.py checks it against mpmath.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .bernoulli import LOG_GLAISHER, MAX_COEFF, series_coefficient
+from .bernoulli import EPS, LOG_GLAISHER, MAX_COEFF, series_coefficient
 from .errors import (AccuracyError, DomainError, RangeError, _check_finite, _check_order,
                      _check_sector)
 from .special import log_gamma
@@ -76,7 +83,12 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class ExpansionResult:
-    """Truncated expansion value together with its certified remainder bound."""
+    """Truncated expansion value together with its error bound.
+
+    bound is the certified truncation bound of bound_kind on |R_N| plus the
+    round-off allowance of value's terms (_roundoff), an estimate that covers
+    |value - log G(z+1)| on the rows of tests/test_honesty.py.
+    """
 
     value: complex
     n_trunc: int
@@ -85,20 +97,31 @@ class ExpansionResult:
     weak_bound: bool = False
 
 
+def _roundoff(*parts: complex) -> float:
+    """8 eps sum |part|, the round-off of a value summed from these parts (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., 3.3); every route adds it to its error.
+
+    Each part is scaled by 8 eps = 2^-49, which is exact, before its modulus is
+    taken, so finite parts give a finite sum even where their moduli overflow.
+    """
+    return sum(abs(8.0 * EPS * part) for part in parts)
+
+
+def _prefix(z: complex) -> tuple[complex, tuple[complex, ...]]:
+    """expansion_prefix of a checked z, and the four terms it is summed from."""
+    terms = (0.25 * z * z, z * log_gamma(z + 1.0),
+             (0.5 * z * (z + 1.0) + 1.0 / 12.0) * cmath.log(z), LOG_GLAISHER)
+    prefix = terms[0] + terms[1] - terms[2] - terms[3]
+    _check_finite(z, prefix)
+    return prefix, terms
+
+
 def expansion_prefix(z: complex) -> complex:
     """The N-independent part: z^2/4 + z log Gamma(z+1) - (z(z+1)/2 + 1/12) log z - log A.
 
     RangeError when it is not finite in binary64 (from |z| ~ 1e153 on).
     """
-    z = _check_sector(z)
-    prefix = (
-        0.25 * z * z
-        + z * log_gamma(z + 1.0)
-        - (0.5 * z * (z + 1.0) + 1.0 / 12.0) * cmath.log(z)
-        - LOG_GLAISHER
-    )
-    _check_finite(z, prefix)
-    return prefix
+    return _prefix(_check_sector(z))[0]
 
 
 def truncated_log_barnes(z: complex, n_trunc: int) -> complex:
@@ -320,6 +343,10 @@ def certified_eval(z: complex, n_trunc: Optional[int] = None) -> ExpansionResult
     finite positive float is skipped, and RangeError is raised when none is
     left or the value is not finite.  Bounds with factor above 1e6
     (possible only near the cut) are flagged weak rather than suppressed.
+    The reported bound is best_bound(z, N).bound plus _roundoff of the
+    prefix's four terms and of the value.  That allowance is an estimate of
+    the binary64 value's round-off; on the benchmark's accuracy pass and on
+    tests/test_honesty.py the bound covers the error against mpmath.
     """
     z = _check_sector(z)
     if n_trunc is None:
@@ -337,10 +364,13 @@ def certified_eval(z: complex, n_trunc: Optional[int] = None) -> ExpansionResult
     else:
         chosen = _check_order(n_trunc, 1, MAX_TRUNCATION)
         chosen_report = best_bound(z, chosen)
+    prefix, terms = _prefix(z)
+    value = _series(z, 1, chosen, prefix)
+    _check_finite(z, value)
     return ExpansionResult(
-        value=truncated_log_barnes(z, chosen),
+        value=value,
         n_trunc=chosen,
-        bound=chosen_report.bound,
+        bound=chosen_report.bound + _roundoff(*terms, value),
         bound_kind=chosen_report.kind,
         weak_bound=chosen_report.factor > _WEAK_FACTOR,
     )

@@ -32,18 +32,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .bernoulli import DEFAULT_TABLE, EPS, MAX_COEFF, TWO_PI
+from .bernoulli import DEFAULT_TABLE, MAX_COEFF, TWO_PI
 from .errors import (AccuracyError, DomainError, RangeError, _check_finite, _check_order,
                      _check_sector)
-from .expansion import (
-    BoundKind,
-    _first_term_magnitude,
-    _half_angle_factor,
-    _report,
-    _series,
-    expansion_prefix,
-    sector_factor,
-)
+from .expansion import (_first_term_magnitude, _half_angle_factor, _prefix, _roundoff, _series,
+                        sector_factor)
 from .quadrature import geometric_breakpoints, integrate_panels, panel_nodes
 from .special import _dilog_exp
 
@@ -130,7 +123,7 @@ def remainder_narrow(z: complex, n_trunc: int) -> OracleValue:
         tail = _narrow_tail_bound(_NARROW_T_STOP, n_trunc, ell) / abs(z) ** k
         integral, abs_sum = integrate_panels(integrand, _NARROW_BREAKS, _GAUSS_ORDER)
         value = pref * integral
-    est = tail + 8.0 * EPS * abs_sum * abs(pref)
+    est = tail + _roundoff(abs_sum * abs(pref))
     _check_finite(z, value, est)
     return OracleValue(value=value, est_error=est)
 
@@ -139,10 +132,11 @@ def remainder_narrow(z: complex, n_trunc: int) -> OracleValue:
 # Wide-sector kernel
 # ----------------------------------------------------------------------
 
-def _wide_tail_bound(t_stop: float, abs_z: float, sec_half: float, m_eff: int) -> float:
-    """Analytic bound on the neglected tail of the wide-kernel integral."""
+def _wide_tail_bound(t_stop: float, abs_z: float, sec_half: float, m_eff: int,
+                     max_kernel: float) -> float:
+    """Analytic bound on the neglected tail of the wide-kernel integral; max_kernel is
+    DEFAULT_TABLE.max_abs_poly(2 m_eff + 1), which the caller forms once per m_eff."""
     order = 2 * m_eff
-    max_kernel = DEFAULT_TABLE.max_abs_poly(2 * m_eff + 1)
     pref = 1.0 / (2 * m_eff * (2 * m_eff + 1))
     integral_tail = (t_stop + abs_z) ** (1 - order) / (order - 1)
     try:
@@ -160,14 +154,15 @@ def _wide_t_stop(abs_z: float, sec_half: float, m_eff: int, target: float) -> in
     t passes or up while this one fails.
     """
     order = 2 * m_eff
-    log_c = (math.log(DEFAULT_TABLE.max_abs_poly(order + 1) / (order * (order + 1) * (order - 1)))
+    max_kernel = DEFAULT_TABLE.max_abs_poly(order + 1)
+    log_c = (math.log(max_kernel / (order * (order + 1) * (order - 1)))
              + order * math.log(sec_half))
     log_target = math.log(target) if target > 0.0 else -math.inf
     reach = math.exp(min((log_c - log_target) / (order - 1), 709.0)) - abs_z
     t = max(2, math.ceil(min(reach, _MAX_INTERVALS)))
 
     def passes(u: int) -> bool:
-        return _wide_tail_bound(u, abs_z, sec_half, m_eff) <= target
+        return _wide_tail_bound(u, abs_z, sec_half, m_eff, max_kernel) <= target
 
     if passes(t):
         while t > 2 and passes(t - 1):
@@ -242,15 +237,18 @@ def _wide_truncation(z: complex, n_trunc: int) -> tuple[int, int, float]:
     theta = math.atan2(z.imag, z.real)
     abs_z = abs(z)
     sec_half = 1.0 / math.cos(0.5 * theta)
-    # the half-angle bound on |R_N| sets the relative fallback target (RangeError off binary64)
-    rn_est = _report(_half_angle_factor(theta, n_trunc), _first_term_magnitude(z, n_trunc),
-                     BoundKind.HALF_ANGLE).bound
+    # the half-angle bound on |R_N| sets the relative fallback target; it is checked even
+    # where the absolute target is met, so off binary64 it raises RangeError either way
+    rn_est = _half_angle_factor(theta, n_trunc) * _first_term_magnitude(z, n_trunc)
+    if rn_est == math.inf:
+        raise RangeError(f"the half-angle bound on R_{n_trunc} overflows at z = {z}")
     for m_eff in (*range(max(n_trunc, 8), 16, 2), max(n_trunc, 16)):
-        t_stop = next((t for target in (_TAIL_TARGET, 1e-4 * rn_est)
-                       if (t := _wide_t_stop(abs_z, sec_half, m_eff, target)) is not None),
-                      None)
+        t_stop = _wide_t_stop(abs_z, sec_half, m_eff, _TAIL_TARGET)
+        if t_stop is None:
+            t_stop = _wide_t_stop(abs_z, sec_half, m_eff, 1e-4 * rn_est)
         if t_stop is not None:
-            return m_eff, t_stop, _wide_tail_bound(t_stop, abs_z, sec_half, m_eff)
+            max_kernel = DEFAULT_TABLE.max_abs_poly(2 * m_eff + 1)
+            return m_eff, t_stop, _wide_tail_bound(t_stop, abs_z, sec_half, m_eff, max_kernel)
     raise AccuracyError(
         f"wide-kernel tail cannot reach the tolerance within {_MAX_INTERVALS} panels "
         f"(arg z = {theta:.4f} is too close to the cut)"
@@ -305,14 +303,19 @@ def remainder_wide(z: complex, n_trunc: int) -> OracleValue:
         # exact ladder restoration back down to the requested index
         ladder = _series(z, n_trunc, m_eff)
         value = ladder + remainder_eff
-    est = tail + 8.0 * EPS * (abs_sum * abs(pref) + abs(ladder))
+    est = tail + _roundoff(abs_sum * abs(pref), ladder)
     _check_finite(z, value, est)
     return OracleValue(value=value, est_error=est)
 
 
 def log_barnes_oracle(z: complex) -> OracleValue:
-    """log G(z+1) to quadrature accuracy: truncated expansion plus oracle remainder."""
-    rem = remainder_wide(z, 1)  # checks z
-    value = expansion_prefix(z) + rem.value
-    est = rem.est_error + 8.0 * EPS * (abs(value) + 1.0)
-    return OracleValue(value=value, est_error=est)
+    """log G(z+1) to quadrature accuracy: truncated expansion plus oracle remainder.
+
+    est_error is remainder_wide's estimate plus _roundoff of the prefix's terms
+    and of the remainder.
+    """
+    z = _check_sector(z)
+    rem = remainder_wide(z, 1)
+    prefix, terms = _prefix(z)
+    return OracleValue(value=prefix + rem.value,
+                       est_error=rem.est_error + _roundoff(*terms, rem.value))

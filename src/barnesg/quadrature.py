@@ -73,10 +73,6 @@ def integrate_panels(
     return np.complex128(total), abs_sum
 
 
-def geometric_breakpoints(stop: float = 1.0, smallest_exp: int = -20) -> list[float]:
-    """[0, 2^smallest_exp, ..., 1/2, stop]: dyadic grading toward t = 0."""
-    pts = [0.0]
-    pts.extend(2.0 ** k for k in range(smallest_exp, 0))
-    if stop > pts[-1]:
-        pts.append(stop)
-    return pts
+def geometric_breakpoints(smallest_exp: int = -20) -> list[float]:
+    """[0, 2^smallest_exp, ..., 1/2, 1]: dyadic grading toward t = 0."""
+    return [0.0] + [2.0 ** k for k in range(smallest_exp, 1)]

@@ -31,6 +31,8 @@ _SHIFT_THRESHOLD = 9.0
 _STIRLING = tuple((bernoulli_number(2 * n), (2 * n) * (2 * n - 1)) for n in range(1, 13))
 #: Below Re z = _SHIFT_THRESHOLD - _MAX_SHIFT = -55 log Gamma reflects instead of shifting.
 _MAX_SHIFT = 64
+#: Step limit of the Lentz iteration for e^{w} E1(w); reaching it raises AccuracyError.
+_LENTZ_MAX_STEPS = 2000
 
 
 def log_gamma(z: complex) -> complex:
@@ -148,14 +150,14 @@ def _ein(w: complex) -> complex:
         k += 1
 
 
-def _e1_lentz_scaled(w: complex, itmax: int = 2000) -> complex:
+def _e1_lentz_scaled(w: complex) -> complex:
     """Modified Lentz iteration for e^{w} E1(w) (the scaled continued fraction)."""
     tiny = 1e-300
     b = w + 1.0
     d = 1.0 / b if b != 0 else complex(1e308)
     c = complex(1e308)
     h = d
-    for i in range(1, itmax):
+    for i in range(1, _LENTZ_MAX_STEPS):
         a = -float(i * i)
         b = b + 2.0
         d = b + a * d

@@ -51,7 +51,7 @@ from typing import Optional, Sequence
 from .bernoulli import EPS, MAX_INDEX, TWO_PI, bernoulli_number, zeta_even
 from .errors import (AccuracyError, DomainError, RangeError, _check_finite, _check_order,
                      _check_sector)
-from .expansion import expansion_prefix
+from .expansion import _prefix, _roundoff
 from .special import _e1_scaled_continued, _erf_switch
 
 __all__ = [
@@ -289,23 +289,26 @@ def _terminant_pairs(z: complex, first_k: list[int], k_max: int) -> tuple[comple
 
 
 def exp_improved_report(z: complex, k_max: int = K_MAX) -> tuple[complex, float]:
-    """Improved evaluation plus an error estimate (terminant k-tail + round-off).
+    """Improved evaluation plus an error estimate.
 
     The k-th exponential's inner series is truncated at N_k = round(pi k |z|),
     capped at 40 (_order_thresholds); k_max >= 1 terminant pairs are summed.
+    The estimate is the terminant k-tail, the pairs' own evaluation error, and
+    _roundoff of the prefix's terms, the algebraic sum and the pairs.
     """
     k_max = _check_order(k_max, 1)
     z = _check_sector(z)
-    total = expansion_prefix(z)
+    total, terms = _prefix(z)
     try:
         zinv2 = 1.0 / (z * z)
     except ZeroDivisionError:
         raise RangeError(f"z^2 underflows to zero at z = {z}") from None
     first_k = _order_thresholds(abs(z))  # after the z^{-2} check, which catches subnormal |z|
-    total -= _algebraic_sum(zinv2, first_k)
+    alg = _algebraic_sum(zinv2, first_k)
+    total -= alg
     pairs, eval_err, tail = _terminant_pairs(z, first_k, k_max)
     total -= pairs
-    est = tail + eval_err + 8.0 * EPS * abs(total)
+    est = tail + eval_err + _roundoff(*terms, alg, pairs)
     _check_finite(z, total, est)
     return total, est
 

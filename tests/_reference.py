@@ -154,7 +154,9 @@ def remainder_wide_per_node(z, n_trunc):
 def wide_t_stop_scan(abs_z, sec_half, m_eff, target):
     """The first t in 2 .. 64 whose wide-kernel tail bound meets target, or None."""
     return next((t for t in range(2, oracle._MAX_INTERVALS + 1)
-                 if oracle._wide_tail_bound(t, abs_z, sec_half, m_eff) <= target), None)
+                 if oracle._wide_tail_bound(t, abs_z, sec_half, m_eff,
+                                            DEFAULT_TABLE.max_abs_poly(2 * m_eff + 1))
+                 <= target), None)
 
 
 def wide_breakpoints_every_panel(t_stop, z):

@@ -56,6 +56,7 @@ from barnesg import (
     zeta_even,
 )
 from barnesg.cli import MAX_THETA_STEPS, main
+from barnesg.expansion import _roundoff
 
 NAN, INF = math.nan, math.inf
 
@@ -154,6 +155,25 @@ def test_improved_route_at_large_modulus_is_within_its_estimate(z):
         diff = mp.mpc(value) - mp.log(mp.barnesg(mp.mpc(z) + 1))
         diff -= 2j * mp.pi * mp.nint(diff.imag / (2 * mp.pi))  # modulo 2 pi i
         assert abs(diff) <= est
+
+
+# just below |z| = 1e153 the prefix is finite while the sum of its terms' moduli
+# is not (on the real axis the terms add up to about 3 times |prefix|); the
+# routes that return a value there must report a finite error with it
+PREFIX_EDGE = [("certified_eval", 6.5e152),
+               ("certified_eval", 6.5e152 * cmath.exp(0.125j * math.pi)),
+               ("exp_improved_report", 6.5e152)]
+
+
+@pytest.mark.parametrize("route,z", PREFIX_EDGE, ids=[f"{r}-{z!r}" for r, z in PREFIX_EDGE])
+def test_round_off_allowance_stays_finite_at_the_prefix_overflow_edge(route, z):
+    with _deadline(5.0):
+        values = _numbers(ROUTES[route](z))
+    assert values and all(cmath.isfinite(v) for v in values)
+
+
+def test_round_off_allowance_of_a_part_whose_modulus_overflows_is_finite():
+    assert math.isfinite(_roundoff(complex(BIG, BIG), -BIG))
 
 
 @pytest.mark.parametrize("route", ROUTES)

@@ -14,11 +14,15 @@ except ImportError:  # pragma: no cover
 
 from barnesg import (
     best_bound,
+    certified_eval,
+    exp_improved_report,
+    log_barnes_oracle,
     log_gamma,
     remainder_wide,
     sector_factor,
     terminant,
 )
+from barnesg.expansion import _prefix, _roundoff
 from barnesg.special import _c_branch
 
 pytestmark = pytest.mark.skipif(not HAS_HYPOTHESIS, reason="hypothesis not installed")
@@ -80,3 +84,27 @@ def test_certified_bound_dominates_oracle(r, theta, n):
     oracle = remainder_wide(z, n)
     bound = best_bound(z, n).bound
     assert abs(oracle.value) <= bound + oracle.est_error + 1e-10
+
+
+@given(
+    st.floats(min_value=-8.0, max_value=4.0),
+    st.floats(min_value=-0.99 * PI, max_value=0.99 * PI),
+)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def test_every_log_g_route_counts_the_prefix_roundoff(log_r, theta):
+    # every route's value starts from the prefix, so its reported error includes
+    # _roundoff of the prefix's terms.  certified_eval's value is summed from those
+    # terms and the series, so its bound is exactly the truncation bound plus
+    # _roundoff(*terms, value).  The improved and oracle routes count the parts of
+    # their own sums, whose moduli can add up to less than |value|, so the floor
+    # _roundoff(*terms, value) for them waits for ROADMAP item 1 B.  No route
+    # raises on this range, except the oracle's AccuracyError near the cut, so the
+    # oracle is asked only up to |arg z| = 0.95 pi.
+    z = 10.0 ** log_r * cmath.exp(1j * theta)
+    terms = _prefix(z)[1]
+    res = certified_eval(z)
+    assert res.bound == best_bound(z, res.n_trunc).bound + _roundoff(*terms, res.value)
+    floor = _roundoff(*terms)
+    assert exp_improved_report(z)[1] >= floor
+    if abs(theta) <= 0.95 * PI:
+        assert log_barnes_oracle(z).est_error >= floor

@@ -4,7 +4,16 @@ The library evaluates log G(z+1) three ways -- truncated asymptotic
 expansion with certified remainder bounds, high-accuracy quadrature oracle,
 and terminant-based exponentially improved expansion -- and exposes the
 Stokes-multiplier smoothing profile across arg z = +-pi/2.
+
+Only the oracle needs numpy, so `import barnesg` loads none: the oracle's
+names, and the submodules `oracle` and `quadrature`, are looked up on first
+use by the module `__getattr__` (PEP 562).  The lookup reads through to
+`barnesg.oracle` on every access and copies none of its names here, so a
+patch of `barnesg.oracle.log_barnes_oracle` shows through
+`barnesg.log_barnes_oracle`, and so does its undo.
 """
+
+from importlib import import_module as _import_module
 
 from .bernoulli import (
     EULER_GAMMA,
@@ -26,12 +35,6 @@ from .expansion import (
     sector_factor,
     solve_optimal_angle,
     truncated_log_barnes,
-)
-from .oracle import (
-    OracleValue,
-    log_barnes_oracle,
-    remainder_narrow,
-    remainder_wide,
 )
 from .special import (
     erf_small,
@@ -83,3 +86,22 @@ __all__ = [
     "truncated_log_barnes",
     "zeta_even",
 ]
+
+
+#: Names resolved on access, each with the submodule that defines it.
+_LAZY = {"OracleValue": "oracle", "log_barnes_oracle": "oracle", "remainder_narrow": "oracle",
+         "remainder_wide": "oracle", "oracle": "oracle", "quadrature": "quadrature"}
+
+
+def __getattr__(name: str):
+    home = _LAZY.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # the import binds the submodule here; reading that binding skips import_module's
+    # module lock on every later access
+    module = globals().get(home) or _import_module(f".{home}", __name__)
+    return module if name == home else getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _LAZY.keys())

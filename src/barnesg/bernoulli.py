@@ -10,16 +10,21 @@ secant numbers" (2011):
 
 The integer quotient is correctly rounded, so every entry is the correctly
 rounded binary64 value, and the odd entries beyond B_1 are exactly zero.
+
+The module imports no numpy: only the array method `poly_periodic`, which
+the oracle alone calls, loads it on its first call.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, RangeError, _check_order
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BernoulliTable",
@@ -84,6 +89,8 @@ class BernoulliTable:
         orders raise DomainError (they would need 10^{18/n} terms), orders past
         MAX_FACTORIAL RangeError; the remainder kernel uses orders 17 .. 63.
         """
+        import numpy as np
+
         n = _check_order(n, 8, MAX_FACTORIAL, RangeError)
         terms = 1
         while (terms + 1) ** -n >= 1e-18:

@@ -20,7 +20,6 @@ import click
 
 from .errors import AccuracyError, DomainError, RangeError, _check_order
 from .expansion import BoundKind, best_bound, certified_eval, family_bounds
-from .oracle import log_barnes_oracle, remainder_wide
 from .terminant import K_MAX, exp_improved_report, stokes_profile, terminant
 
 EXIT_DOMAIN = 2
@@ -123,6 +122,8 @@ def cmd_eval(z_re, z_im, z_abs, z_arg, z_arg_pi, method, n_trunc, k_max, fmt) ->
         res = certified_eval(z, n_trunc)
         value, err, err_kind, n_used = res.value, res.bound, res.bound_kind.value, res.n_trunc
     elif method == "oracle":
+        from .oracle import log_barnes_oracle  # here, not at the top: the oracle loads numpy
+
         out = log_barnes_oracle(z)
         value, err, err_kind, n_used = out.value, out.est_error, "est_error", 1
     else:
@@ -160,6 +161,8 @@ def _parse_floats(text: str) -> list[float]:
 @click.option("--n-max", type=int, default=4)
 def cmd_bounds(z_abs_list, theta_list, theta_pi_list, n_min, n_max, fmt) -> None:
     """Sweep certified bounds against the remainder oracle; exit 3 on violation."""
+    from .oracle import remainder_wide  # here, not at the top: the oracle loads numpy
+
     _either("theta", theta_list, theta_pi_list)
     radii = _parse_floats(z_abs_list)
     if theta_pi_list is not None:

@@ -6,18 +6,23 @@ These are the only transcendental building blocks the rest of the library
 needs.  Each has a small validity region chosen for the arguments the
 expansion machinery actually produces, and each is cross-checked in the test
 suite against an independent oracle (series, quadrature, or scipy).
+
+The module imports no numpy: the oracle's dilogarithm kernel (_li2,
+_dilog_exp) and erf_small's Gauss rule for 2.5 < |zeta| <= 4 import it on
+their first call.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .bernoulli import EPS, EULER_GAMMA, TWO_PI, bernoulli_number
 from .errors import AccuracyError, RangeError, _check_finite, _check_sector
-from .quadrature import gauss_nodes
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "log_gamma",
@@ -92,6 +97,8 @@ def _li2(x: np.ndarray) -> np.ndarray:
     Li2(0) = 0 and Li2(1) = pi^2/6 exactly; absolute error is below 1e-15
     on the whole interval.
     """
+    import numpy as np
+
     refl = x > 0.5
     y = np.where(refl, 1.0 - x, x)
     acc = np.full_like(y, _LI2_INV_SQUARES[0])
@@ -108,6 +115,8 @@ def _dilog_exp(t: np.ndarray) -> np.ndarray:
 
     The remainder-kernel factor; t = 0 gives pi^2/6 exactly.
     """
+    import numpy as np
+
     return _li2(np.exp(-TWO_PI * t))
 
 
@@ -297,6 +306,10 @@ def erf_small(zeta: complex) -> complex:
             if abs(add) < 1e-18:
                 break
         return 2.0 / math.sqrt(math.pi) * total
+    import numpy as np
+
+    from .quadrature import gauss_nodes
+
     x, wts = gauss_nodes(64)
     s = 0.5 * (x + 1.0)
     vals = np.exp(-(s * zeta) ** 2)

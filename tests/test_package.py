@@ -54,19 +54,82 @@ def _child_env():
     return {**os.environ, "PYTHONPATH": path}
 
 
-def test_import_leaves_the_cli_and_the_test_oracles_out():
-    """import barnesg loads neither click (the CLI's) nor fractions, scipy or mpmath,
-    and fills neither the Gauss node cache, the narrow kernel's Li2 table nor the
-    zeta-tail memo."""
-    code = ("import sys, barnesg; "
-            "print(sorted({'click', 'fractions', 'scipy', 'mpmath'} & sys.modules.keys()), "
-            "barnesg.quadrature.gauss_nodes.cache_info().currsize, "
-            "barnesg.oracle._narrow_dilog.cache_info().currsize, "
-            "sys.modules['barnesg.terminant']._zeta_tail.cache_info().currsize)")
+def _run_child(code: str) -> str:
+    """stdout of a fresh interpreter that runs code against this barnesg."""
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[] 0 0 0"
+    return proc.stdout.strip()
+
+
+def test_import_leaves_the_cli_and_the_test_oracles_out():
+    """import barnesg loads neither numpy (the oracle's) nor click (the CLI's) nor
+    fractions, scipy or mpmath, and fills neither the Gauss node cache, the narrow
+    kernel's Li2 table nor the zeta-tail memo."""
+    code = ("import sys, barnesg; "
+            "loaded = sorted({'numpy', 'click', 'fractions', 'scipy', 'mpmath'} "
+            "& sys.modules.keys()); "
+            "print(loaded, barnesg.quadrature.gauss_nodes.cache_info().currsize, "
+            "barnesg.oracle._narrow_dilog.cache_info().currsize, "
+            "sys.modules['barnesg.terminant']._zeta_tail.cache_info().currsize)")
+    assert _run_child(code) == "[] 0 0 0"
+
+
+def test_certified_and_improved_routes_load_no_numpy():
+    """One call of each scalar route and kernel leaves numpy unloaded: only the
+    oracle, poly_periodic and erf_small past |zeta| = 2.5 need it."""
+    code = ("import sys, barnesg as bg; "
+            "bg.certified_eval(5 + 1j); bg.best_bound(5 + 1j, 3); bg.family_bounds(5 + 1j, 3); "
+            "bg.exp_improved_report(3 + 2j); bg.stokes_profile(2.0, 1, [1.3, 1.5, 1.9]); "
+            "bg.terminant(3, 2 + 1j); bg.exp_integral_e1(2 + 1j); bg.log_gamma(3 + 1j); "
+            "bg.erf_small(1 + 1j); "
+            "print('numpy' in sys.modules)")
+    assert _run_child(code) == "False"
+
+
+def test_cli_asym_eval_loads_no_numpy():
+    code = ("import sys; from barnesg.cli import main; "
+            "main(['eval', '--z-abs', '8', '--z-arg', '1.0', '--method', 'asym'], "
+            "standalone_mode=False); "
+            "print('numpy' in sys.modules)")
+    out = _run_child(code).splitlines()
+    assert out[0].startswith("z_re,") and len(out) == 3
+    assert out[-1] == "False"
+
+
+def test_lazy_names_are_listed_and_unknown_names_raise():
+    assert set(barnesg.__all__) | {"oracle", "quadrature"} <= set(dir(barnesg))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(barnesg, "no_such_name")
+
+
+def test_lazy_oracle_names_read_through_a_patch(monkeypatch):
+    """barnesg.log_barnes_oracle is looked up in barnesg.oracle on every access, so it
+    follows a patch there and its undo; the package namespace never binds it."""
+    original = barnesg.oracle.log_barnes_oracle
+    assert barnesg.log_barnes_oracle is original
+    monkeypatch.setattr(barnesg.oracle, "log_barnes_oracle", lambda z: "patched")
+    assert barnesg.log_barnes_oracle(3.0) == "patched"
+    monkeypatch.undo()
+    assert barnesg.log_barnes_oracle is original
+    assert "log_barnes_oracle" not in vars(barnesg)
+
+
+FIRST_CALLS = {
+    "erf_small": "repr(barnesg.erf_small(3 + 0.5j))",
+    "poly_periodic": "repr(barnesg.BernoulliTable().poly_periodic(17, [0.1, 0.5, 2.3]).tolist())",
+}
+
+
+@pytest.mark.parametrize("name", FIRST_CALLS)
+def test_numpy_kernels_called_first_give_the_same_bits(name):
+    """erf_small's Gauss branch and poly_periodic load numpy on their first call, in a
+    fresh interpreter, and give the values they give once numpy is loaded."""
+    expr = FIRST_CALLS[name]
+    code = (f"import sys, barnesg; before = 'numpy' in sys.modules; "
+            f"print(before, {expr}, 'numpy' in sys.modules)")
+    import numpy  # loaded here, so the in-process call below is the "after" one
+    assert _run_child(code) == f"False {eval(expr)} True"
 
 
 def test_three_demos_found():

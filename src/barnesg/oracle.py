@@ -9,17 +9,19 @@ integral representations and serves as ground truth for everything else:
         R_N = -1/(2N(2N+1)) int_0^inf B_{2N+1}(t - floor t) / (t+z)^{2N} dt
 
 For the wide-sector kernel the truncation index is promoted internally to
-N_eff >= 8 through the ladder R_N = c_N z^{-2N} + R_{N+1} (restored exactly
-from series coefficients), which turns the t^{-2N} tail into t^{-2 N_eff}
-and keeps the truncation point small.  Neither kernel evaluates a
-transcendental per term: the periodized polynomial takes the same values on
-every unit panel, so it is tabulated once per order at the Gauss nodes of
-[0, 1] and evaluated (Horner form of its Fourier series) only on the
-sub-panels refined near the pole; the wide truncation point is solved from
-its tail bound; and the dilog factor sits at fixed nodes, so it too is
-tabulated once on first use.  The test suite keeps further
-representations (a nested log kernel, a symmetrized Bernoulli kernel) and the
-scanned truncation point as references to compare against.
+M = N_eff >= 8 through the ladder R_N = c_N z^{-2N} + R_{N+1} (restored
+exactly from series coefficients), which turns the t^{-2N} tail into
+t^{-2M} and keeps the truncation point T small.  So there is one quadrature
+per (z, M, T), shared by every N <= M through the exact ladder; it is
+memoized for a few recent z, and a hit is bit-identical to a miss.
+Neither kernel evaluates a transcendental per term: the periodized
+polynomial takes the same values on every unit panel, so it is tabulated
+once per order at the Gauss nodes of [0, 1] and evaluated (Horner form of
+its Fourier series) only on the sub-panels refined near the pole; the wide
+truncation point is solved from its tail bound; and the dilog factor sits
+at fixed nodes, so it too is tabulated once on first use.  The test suite
+keeps further representations (a nested log kernel, a symmetrized Bernoulli
+kernel) and the scanned truncation point as references to compare against.
 """
 
 from __future__ import annotations
@@ -255,25 +257,18 @@ def _wide_truncation(z: complex, n_trunc: int) -> tuple[int, int, float]:
     )
 
 
-def remainder_wide(z: complex, n_trunc: int) -> OracleValue:
-    """R_N(z) on the full slit plane |arg z| < pi by the periodized-Bernoulli kernel.
+@lru_cache(maxsize=16)
+def _wide_integral(z: complex, signs: tuple[float, float], m_eff: int, t_stop: int,
+                   order: int) -> tuple[complex, float]:
+    """int_0^T B_{2M+1}(t - floor t) / (t+z)^{2M} dt and its sum of moduli, by
+    Gauss-Legendre of this order on every panel.
 
-    The requested index is promoted to N_eff >= 8 via the exact ladder.  On
-    the unit panels the periodized Bernoulli polynomial is read from its
-    table at the Gauss nodes of [0, 1]; on the sub-panels refined near the
-    pole it is evaluated per node through its Fourier series in Horner form
-    (absolute error ~1e-14 of its amplitude at these orders).  The
-    truncation point is solved from the analytic tail bound, which is a
-    power of T + |z|; if the absolute target is out of reach within 64 unit
-    panels the target falls back to 1e-4 relative to the half-angle bound on
-    |R_N|, and failing that the promotion index is escalated before
-    reporting an accuracy failure.
+    Pure in its arguments, so every N <= M at one z shares one quadrature.
+    signs holds the signs of z's parts, because 0.0 == -0.0 hash alike.  Call
+    it inside _binary64(z): a raised error is not memoized.
     """
-    z = _check_sector(z)
-    n_trunc = _check_order(n_trunc, 1, MAX_COEFF, RangeError)
-    m_eff, t_stop, tail = _wide_truncation(z, n_trunc)
     n_poly, power = 2 * m_eff + 1, 2 * m_eff
-    table = _unit_periodic(n_poly, _GAUSS_ORDER)
+    table = _unit_periodic(n_poly, order)
 
     def unit_integrand(t: np.ndarray) -> np.ndarray:
         return (table / _power(t + z, power).reshape(-1, len(table))).ravel()
@@ -290,15 +285,40 @@ def remainder_wide(z: complex, n_trunc: int) -> OracleValue:
         lo, hi = int(fine[0]), int(fine[-1]) + 1
     runs = ((breaks[:lo + 1], unit_integrand), (breaks[lo:hi + 1], refined_integrand),
             (breaks[hi:], unit_integrand))
-    pref = -1.0 / (power * n_poly)
+    integral, abs_sum = 0.0j, 0.0
+    for bp, integrand in runs:
+        if len(bp) > 1:
+            part, part_abs = integrate_panels(integrand, bp, order)
+            integral += part
+            abs_sum += part_abs
+    return integral, abs_sum
+
+
+def remainder_wide(z: complex, n_trunc: int) -> OracleValue:
+    """R_N(z) on the full slit plane |arg z| < pi by the periodized-Bernoulli kernel.
+
+    The requested index is promoted to M = N_eff >= 8, so there is one
+    quadrature per (z, M, T), shared by every N <= M through the exact
+    ladder: repeated calls at one z (as `barnesg bounds` makes) reuse the
+    memoized integral, and a hit is bit-identical to a miss.  On the unit
+    panels the periodized Bernoulli polynomial is read from its table at the
+    Gauss nodes of [0, 1]; on the sub-panels refined near the pole it is
+    evaluated per node through its Fourier series in Horner form (absolute
+    error ~1e-14 of its amplitude at these orders).  The truncation point T
+    is solved from the analytic tail bound, which is a power of T + |z|; if
+    the absolute target is out of reach within 64 unit panels the target
+    falls back to 1e-4 relative to the half-angle bound on |R_N|, and
+    failing that the promotion index is escalated before reporting an
+    accuracy failure.
+    """
+    z = _check_sector(z)
+    n_trunc = _check_order(n_trunc, 1, MAX_COEFF, RangeError)
+    m_eff, t_stop, tail = _wide_truncation(z, n_trunc)
+    pref = -1.0 / (2 * m_eff * (2 * m_eff + 1))
 
     with _binary64(z):
-        integral, abs_sum = 0.0j, 0.0
-        for bp, integrand in runs:
-            if len(bp) > 1:
-                part, part_abs = integrate_panels(integrand, bp, _GAUSS_ORDER)
-                integral += part
-                abs_sum += part_abs
+        signs = (math.copysign(1.0, z.real), math.copysign(1.0, z.imag))
+        integral, abs_sum = _wide_integral(z, signs, m_eff, t_stop, _GAUSS_ORDER)
         remainder_eff = pref * integral
         # exact ladder restoration back down to the requested index
         ladder = _series(z, n_trunc, m_eff)

@@ -9,6 +9,7 @@ from click.testing import CliRunner
 
 from barnesg import BoundKind, best_bound, family_bounds
 from barnesg.cli import main
+from barnesg.oracle import _wide_integral
 from _reference import terminant_quadrature
 
 
@@ -155,6 +156,37 @@ class TestBounds:
         row = csv_rows(res.output)[0]
         assert math.isnan(float(row["bound_sector"]))
         assert not math.isnan(float(row["bound_optimized"]))
+
+    # 1·e^{0.92πi}: the pole t = -z refines a panel, and T is the same for N = 1..4.
+    # The oracle under-reports its error here (ROADMAP item 2), so these bytes pin
+    # the output of the memoized route, not a reference value.
+    REFINED_CSV = (
+        "z_abs,theta,n,oracle_abs_rn,oracle_err,bound_sector,bound_half_angle,"
+        "bound_optimized,phi_star,best_bound,ratio\n"
+        "1,2.8902652413026098,1,0.034954169633578169,3.3352059204447425e-08,nan,"
+        "0.70545411333809815,1.684284101209669,1.3826107569790818,0.70545411333809815,"
+        "20.182259247847067\n"
+        "1,2.8902652413026098,2,0.035334859372146345,3.3352059206914514e-08,nan,"
+        "6.4156142163712602,6.1029093814925224,1.3617886242332256,6.1029093814925224,"
+        "172.71639083706967\n"
+        "1,2.8902652413026098,3,0.035192901340925592,3.3352059206611164e-08,nan,"
+        "204.2094127496068,67.206448249665598,1.3512964740985407,67.206448249665598,"
+        "1909.659212197764\n"
+        "1,2.8902652413026098,4,0.035288448801945142,3.3352059206700248e-08,nan,"
+        "13787.876092932996,1458.8164296538396,1.3449735895670312,1458.8164296538396,"
+        "41339.772055195237\n"
+    )
+
+    def test_orders_at_one_z_share_one_quadrature(self, runner):
+        _wide_integral.cache_clear()
+        res = runner.invoke(
+            main,
+            ["bounds", "--z-abs", "1", "--theta-pi", "0.92", "--n-min", "1", "--n-max", "4"],
+        )
+        assert res.exit_code == 0
+        assert res.output == self.REFINED_CSV
+        info = _wide_integral.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
 
 
 class TestStokes:

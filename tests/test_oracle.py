@@ -10,6 +10,7 @@ import pytest
 from barnesg import (
     AccuracyError,
     DomainError,
+    RangeError,
     bernoulli_number,
     log_barnes_oracle,
     log_gamma,
@@ -237,6 +238,7 @@ class TestWideUnitTable:
             return original(self, order, t)
 
         monkeypatch.setattr(BernoulliTable, "poly_periodic", record)
+        oracle._wide_integral.cache_clear()  # a memo hit would run no quadrature
         remainder_wide(z, n)
         breaks = oracle._wide_breakpoints(oracle._wide_truncation(z, n)[1], z)
         fine = [breaks[i:i + 2] for i in np.flatnonzero(np.diff(breaks) < 1.0)]
@@ -245,6 +247,79 @@ class TestWideUnitTable:
             return
         expected = np.concatenate([panel_nodes(bp, oracle._GAUSS_ORDER) for bp in fine])
         assert np.array_equal(np.concatenate(seen), expected)
+
+
+def _outcome(f, *args):
+    """repr of (value, est_error), or the raised type's name."""
+    try:
+        res = f(*args)
+    except Exception as exc:  # the raised type is the outcome
+        return type(exc).__name__
+    return repr((res.value, res.est_error))
+
+
+class TestWideIntegralMemo:
+    """Every remainder_wide(z, N) with one promoted index shares one memoized
+    quadrature; a hit must give exactly what a fresh quadrature gives."""
+
+    POINTS = [complex(2.0, 0.0), complex(2.0, -0.0), complex(-0.0, 1.5), complex(0.0, 1.5),
+              TestWideUnitTable.UNREFINED[0], TestWideUnitTable.REFINED[0],
+              TestWideUnitTable.CHUNKED[0], 1e-8j, 0.1j,
+              cmath.rect(2.0, PI - 1e-7)]  # AccuracyError below N = 8
+    ORDERS = {"ascending": range(1, 9), "descending": range(8, 0, -1),
+              "interleaved": (1, 8, 2, 7, 3, 6, 4, 5)}
+
+    @staticmethod
+    def calls(z, orders):
+        out = [(log_barnes_oracle, z)]
+        for n in orders:
+            out += [(remainder_wide, z, n), (log_barnes_oracle, z)]
+        return out
+
+    @staticmethod
+    def fresh(f, *args):
+        oracle._wide_integral.cache_clear()
+        return _outcome(f, *args)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("z", POINTS, ids=repr)
+    def test_hits_equal_fresh_calls(self, z, order):
+        calls = self.calls(z, self.ORDERS[order])
+        expected = [self.fresh(*call) for call in calls]
+        oracle._wide_integral.cache_clear()
+        assert [_outcome(*call) for call in calls] == expected
+
+    def test_points_in_turn_equal_fresh_calls(self):
+        """All points in turn, so entries of different z (2 + 0j and 2 - 0j
+        among them) sit in the memo together."""
+        calls = [(remainder_wide, z, n) for n in range(1, 9) for z in self.POINTS]
+        expected = [self.fresh(*call) for call in calls]
+        oracle._wide_integral.cache_clear()
+        assert [_outcome(*call) for call in calls] == expected
+
+    @pytest.mark.parametrize("pair", [(complex(2.0, 0.0), complex(2.0, -0.0)),
+                                      (complex(-0.0, 1.5), complex(0.0, 1.5))], ids=repr)
+    def test_signed_zeros_are_separate_entries(self, pair):
+        oracle._wide_integral.cache_clear()
+        for z in pair:
+            remainder_wide(z, 1)
+        assert oracle._wide_integral.cache_info().misses == 2
+
+    def test_raising_quadrature_raises_again_and_is_not_stored(self):
+        """At z = 1e20 the quadrature itself overflows (t + z)^16."""
+        oracle._wide_integral.cache_clear()
+        for _ in range(2):
+            with pytest.raises(RangeError):
+                remainder_wide(1e20, 1)
+        info = oracle._wide_integral.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 0, 0)
+
+    def test_memo_is_bounded(self):
+        for k in range(40):
+            remainder_wide(complex(2.0 + 0.1 * k, 1.0), 1)
+        info = oracle._wide_integral.cache_info()
+        assert isinstance(info.maxsize, int)
+        assert info.currsize <= info.maxsize
 
 
 def test_breakpoints_equal_the_every_panel_loop():

@@ -65,14 +65,15 @@ def _run_child(code: str) -> str:
 def test_import_leaves_the_cli_and_the_test_oracles_out():
     """import barnesg loads neither numpy (the oracle's) nor click (the CLI's) nor
     fractions, scipy or mpmath, and fills neither the Gauss node cache, the narrow
-    kernel's Li2 table nor the zeta-tail memo."""
+    kernel's Li2 table, the zeta-tail memo nor the wide-integral memo."""
     code = ("import sys, barnesg; "
             "loaded = sorted({'numpy', 'click', 'fractions', 'scipy', 'mpmath'} "
             "& sys.modules.keys()); "
             "print(loaded, barnesg.quadrature.gauss_nodes.cache_info().currsize, "
             "barnesg.oracle._narrow_dilog.cache_info().currsize, "
-            "sys.modules['barnesg.terminant']._zeta_tail.cache_info().currsize)")
-    assert _run_child(code) == "[] 0 0 0"
+            "sys.modules['barnesg.terminant']._zeta_tail.cache_info().currsize, "
+            "barnesg.oracle._wide_integral.cache_info().currsize)")
+    assert _run_child(code) == "[] 0 0 0 0"
 
 
 def test_certified_and_improved_routes_load_no_numpy():

@@ -9,17 +9,16 @@ failure.
 
 from __future__ import annotations
 
+import argparse
 import cmath
-import functools
 import json
 import math
 import sys
-from typing import Callable, Optional
+from typing import Optional
 
-import click
-
+from . import __version__
 from .errors import AccuracyError, DomainError, RangeError, _check_order
-from .expansion import BoundKind, best_bound, certified_eval, family_bounds
+from .expansion import BoundKind, certified_eval, family_bounds
 from .terminant import K_MAX, exp_improved_report, stokes_profile, terminant
 
 EXIT_DOMAIN = 2
@@ -39,12 +38,12 @@ def _emit(rows: list[dict], fmt: str) -> None:
         return
     if fmt == "csv":
         keys = list(rows[0].keys())
-        click.echo(",".join(keys))
+        print(",".join(keys))
         for row in rows:
-            click.echo(",".join(_fmt(row[k]) for k in keys))
+            print(",".join(_fmt(row[k]) for k in keys))
     else:
         for row in rows:
-            click.echo(json.dumps(row))
+            print(json.dumps(row))
 
 
 def _point(name: str, re: Optional[float], im: Optional[float], abs_: Optional[float],
@@ -71,47 +70,6 @@ def _either(name: str, radians: object, pi_multiples: object) -> None:
         raise DomainError(f"give --{name} or --{name}-pi, not both")
 
 
-@click.group()
-@click.version_option(version="0.1.0", prog_name="barnesg")
-def main() -> None:
-    """Barnes G-function asymptotics: certified evaluation and diagnostics."""
-
-
-def _subcommand(name: str) -> Callable[[Callable], click.Command]:
-    """Register the decorated function as subcommand `name`, with --format as
-    its last option.  A ValueError (DomainError, RangeError, a malformed
-    number) exits with 2, an AccuracyError with 3."""
-
-    def register(fn: Callable) -> click.Command:
-        @main.command(name)
-        @functools.wraps(fn)
-        def run(**kwargs) -> None:
-            try:
-                fn(**kwargs)
-            except ValueError as exc:
-                click.echo(f"error: {exc}", err=True)
-                sys.exit(EXIT_DOMAIN)
-            except AccuracyError as exc:
-                click.echo(f"accuracy failure: {exc}", err=True)
-                sys.exit(EXIT_ACCURACY)
-
-        run.params.append(click.Option(["--format", "fmt"], type=click.Choice(["csv", "json"]),
-                                       default="csv"))
-        return run
-
-    return register
-
-
-@_subcommand("eval")
-@click.option("--z-re", type=float, default=None, help="Re z")
-@click.option("--z-im", type=float, default=None, help="Im z")
-@click.option("--z-abs", type=float, default=None, help="|z|")
-@click.option("--z-arg", type=float, default=None, help="arg z in radians")
-@click.option("--z-arg-pi", type=float, default=None, help="arg z in multiples of pi")
-@click.option("--method", type=click.Choice(["asym", "oracle", "hyper"]), required=True)
-@click.option("--n", "n_trunc", type=int, default=None, help="truncation index (asym)")
-@click.option("--k-max", type=int, default=K_MAX, show_default=True,
-              help="terminant sum cutoff (hyper)")
 def cmd_eval(z_re, z_im, z_abs, z_arg, z_arg_pi, method, n_trunc, k_max, fmt) -> None:
     """Evaluate log G(z+1) by the chosen route."""
     _either("z-arg", z_arg, z_arg_pi)
@@ -129,38 +87,16 @@ def cmd_eval(z_re, z_im, z_abs, z_arg, z_arg_pi, method, n_trunc, k_max, fmt) ->
     else:
         value, err = exp_improved_report(z, k_max)
         err_kind, n_used = "est_error", k_max
-    _emit(
-        [
-            {
-                "z_re": z.real,
-                "z_im": z.imag,
-                "method": method,
-                "value_re": value.real,
-                "value_im": value.imag,
-                "err": err,
-                "err_kind": err_kind,
-                "n_used": n_used,
-            }
-        ],
-        fmt,
-    )
+    _emit([dict(z_re=z.real, z_im=z.imag, method=method, value_re=value.real,
+                value_im=value.imag, err=err, err_kind=err_kind, n_used=n_used)], fmt)
 
 
 def _parse_floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
-@_subcommand("bounds")
-@click.option("--z-abs", "z_abs_list", type=str, required=True,
-              help="comma-separated |z| grid, e.g. 2,5,10")
-@click.option("--theta", "theta_list", type=str, default=None,
-              help="comma-separated arg z grid in radians")
-@click.option("--theta-pi", "theta_pi_list", type=str, default=None,
-              help="comma-separated arg z grid in multiples of pi")
-@click.option("--n-min", type=int, default=1)
-@click.option("--n-max", type=int, default=4)
 def cmd_bounds(z_abs_list, theta_list, theta_pi_list, n_min, n_max, fmt) -> None:
-    """Sweep certified bounds against the remainder oracle; exit 3 on violation."""
+    """Sweep certified bounds against the remainder oracle; exit 3 where they disagree."""
     from .oracle import remainder_wide  # here, not at the top: the oracle loads numpy
 
     _either("theta", theta_list, theta_pi_list)
@@ -173,7 +109,7 @@ def cmd_bounds(z_abs_list, theta_list, theta_pi_list, n_min, n_max, fmt) -> None
         thetas = [0.0]
     _check_order(n_max, _check_order(n_min, 1))  # 1 <= n-min <= n-max
     rows = []
-    violated = False
+    disagreement = None
     for r in radii:
         for theta in thetas:
             z, _ = _point("z", None, None, r, theta)
@@ -183,36 +119,24 @@ def cmd_bounds(z_abs_list, theta_list, theta_pi_list, n_min, n_max, fmt) -> None
                 families = family_bounds(z, n)
                 sector = families.get(BoundKind.SECTOR)
                 opt = families.get(BoundKind.OPTIMIZED)
-                best = best_bound(z, n).bound
-                ratio = best / abs_rn if abs_rn > 0 else math.inf
-                if abs_rn > best + oracle.est_error:
-                    violated = True
-                rows.append(
-                    {
-                        "z_abs": r,
-                        "theta": theta,
-                        "n": n,
-                        "oracle_abs_rn": abs_rn,
-                        "oracle_err": oracle.est_error,
-                        "bound_sector": sector.bound if sector else math.nan,
-                        "bound_half_angle": families[BoundKind.HALF_ANGLE].bound,
-                        "bound_optimized": opt.bound if opt else math.nan,
-                        "phi_star": opt.phi_star if opt else math.nan,
-                        "best_bound": best,
-                        "ratio": ratio,
-                    }
-                )
+                best = min(report.bound for report in families.values())
+                if disagreement is None and abs_rn > best + oracle.est_error:
+                    disagreement = (
+                        f"the remainder oracle and the certified bound disagree at z = {z!r}, "
+                        f"N = {n}: oracle |R_N| = {_fmt(abs_rn)} with est_error "
+                        f"{_fmt(oracle.est_error)}, bound {_fmt(best)}")
+                rows.append(dict(
+                    z_abs=r, theta=theta, n=n, oracle_abs_rn=abs_rn, oracle_err=oracle.est_error,
+                    bound_sector=sector.bound if sector else math.nan,
+                    bound_half_angle=families[BoundKind.HALF_ANGLE].bound,
+                    bound_optimized=opt.bound if opt else math.nan,
+                    phi_star=opt.phi_star if opt else math.nan, best_bound=best,
+                    ratio=best / abs_rn if abs_rn > 0 else math.inf))
     _emit(rows, fmt)
-    if violated:
-        raise AccuracyError("certified bound violated beyond oracle slack")
+    if disagreement:
+        raise AccuracyError(disagreement)
 
 
-@_subcommand("stokes")
-@click.option("--z-abs", type=float, required=True)
-@click.option("--k", type=int, default=1)
-@click.option("--theta-min", type=float, required=True)
-@click.option("--theta-max", type=float, required=True)
-@click.option("--theta-steps", type=int, required=True)
 def cmd_stokes(z_abs, k, theta_min, theta_max, theta_steps, fmt) -> None:
     """Stokes-multiplier transition profile against the erf smoothing law."""
     if theta_min > theta_max:
@@ -223,51 +147,101 @@ def cmd_stokes(z_abs, k, theta_min, theta_max, theta_steps, fmt) -> None:
     else:
         step = (theta_max - theta_min) / (theta_steps - 1)
         thetas = [theta_min + i * step for i in range(theta_steps)]
-    rows = []
-    for s in stokes_profile(z_abs, k, thetas):
-        rows.append(
-            {
-                "theta": s.theta,
-                "k": s.k,
-                "z_abs": z_abs,
-                "multiplier_re": s.multiplier.real,
-                "multiplier_im": s.multiplier.imag,
-                "normalized_re": s.normalized_multiplier.real,
-                "normalized_im": s.normalized_multiplier.imag,
-                "erf_prediction": s.normalized_prediction.real,
-                "est_error": s.est_error,
-            }
-        )
-    _emit(rows, fmt)
+    _emit([dict(theta=s.theta, k=s.k, z_abs=z_abs, multiplier_re=s.multiplier.real,
+                multiplier_im=s.multiplier.imag, normalized_re=s.normalized_multiplier.real,
+                normalized_im=s.normalized_multiplier.imag,
+                erf_prediction=s.normalized_prediction.real, est_error=s.est_error)
+           for s in stokes_profile(z_abs, k, thetas)], fmt)
 
 
-@_subcommand("terminant")
-@click.option("--p", type=int, required=True, help="terminant order (positive integer)")
-@click.option("--w-re", type=float, default=None)
-@click.option("--w-im", type=float, default=None)
-@click.option("--w-abs", type=float, default=None)
-@click.option("--w-arg", type=float, default=None,
-              help="arg w in radians; may exceed pi to select the continued branch")
 def cmd_terminant(p, w_re, w_im, w_abs, w_arg, fmt) -> None:
     """Evaluate the scaled terminant; the method column names the form chosen."""
     w, arg_w = _point("w", w_re, w_im, w_abs, w_arg)
     ev = terminant(p, w, arg_w)
-    _emit(
-        [
-            {
-                "p": p,
-                "w_re": w.real,
-                "w_im": w.imag,
-                "arg_w": arg_w if arg_w is not None else math.atan2(w.imag, w.real),
-                "method": ev.method.value,
-                "value_re": ev.value.real,
-                "value_im": ev.value.imag,
-                "est_error": ev.est_error,
-            }
-        ],
-        fmt,
-    )
+    _emit([dict(p=p, w_re=w.real, w_im=w.imag,
+                arg_w=arg_w if arg_w is not None else math.atan2(w.imag, w.real),
+                method=ev.method.value, value_re=ev.value.real, value_im=ev.value.imag,
+                est_error=ev.est_error)], fmt)
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="barnesg", allow_abbrev=False,
+        description="Barnes G-function asymptotics: certified evaluation and diagnostics.")
+    parser.add_argument("--version", action="version", version=f"barnesg, version {__version__}")
+    commands = parser.add_subparsers(required=True, metavar="COMMAND")
+
+    def command(name, run):
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__,
+                                  allow_abbrev=False)
+        sub.set_defaults(run=run)
+        return sub
+
+    ev = command("eval", cmd_eval)
+    ev.add_argument("--z-re", type=float, help="Re z")
+    ev.add_argument("--z-im", type=float, help="Im z")
+    ev.add_argument("--z-abs", type=float, help="|z|")
+    ev.add_argument("--z-arg", type=float, help="arg z in radians")
+    ev.add_argument("--z-arg-pi", type=float, help="arg z in multiples of pi")
+    ev.add_argument("--method", choices=["asym", "oracle", "hyper"], required=True)
+    ev.add_argument("--n", dest="n_trunc", type=int, help="truncation index (asym)")
+    ev.add_argument("--k-max", type=int, default=K_MAX,
+                    help=f"terminant sum cutoff (hyper; default {K_MAX})")
+    bd = command("bounds", cmd_bounds)
+    bd.add_argument("--z-abs", dest="z_abs_list", required=True,
+                    help="comma-separated |z| grid, e.g. 2,5,10")
+    bd.add_argument("--theta", dest="theta_list", help="comma-separated arg z grid in radians")
+    bd.add_argument("--theta-pi", dest="theta_pi_list",
+                    help="comma-separated arg z grid in multiples of pi")
+    bd.add_argument("--n-min", type=int, default=1)
+    bd.add_argument("--n-max", type=int, default=4)
+    st = command("stokes", cmd_stokes)
+    st.add_argument("--z-abs", type=float, required=True)
+    st.add_argument("--k", type=int, default=1)
+    for name in ("--theta-min", "--theta-max"):
+        st.add_argument(name, type=float, required=True)
+    st.add_argument("--theta-steps", type=int, required=True)
+    tm = command("terminant", cmd_terminant)
+    tm.add_argument("--p", type=int, required=True, help="terminant order (positive integer)")
+    for name in ("--w-re", "--w-im", "--w-abs"):
+        tm.add_argument(name, type=float)
+    tm.add_argument("--w-arg", type=float,
+                    help="arg w in radians; may exceed pi to select the continued branch")
+    for sub in (ev, bd, st, tm):
+        sub.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
+    return parser
+
+
+def _joined(argv: list[str]) -> list[str]:
+    """argv with each `--opt value` pair written `--opt=value`: argparse would read a value
+    such as -1e-15, -inf or -0.8,-0.5 as an option.  Every option but --help and --version
+    takes exactly one value, so the pairs are unambiguous."""
+    out: list[str] = []
+    for arg in argv:
+        last = out[-1] if out else ""
+        if last.startswith("--") and "=" not in last and last not in ("--", "--help", "--version"):
+            out[-1] = f"{last}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    """Run one subcommand and return its exit code: 2 for a ValueError (DomainError,
+    RangeError, a malformed number), 3 for an AccuracyError.  A malformed command line
+    makes argparse exit with 2 itself."""
+    args = vars(_parser().parse_args(_joined(sys.argv[1:] if argv is None else argv)))
+    run = args.pop("run")
+    try:
+        run(**args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except AccuracyError as exc:
+        print(f"accuracy failure: {exc}", file=sys.stderr)
+        return EXIT_ACCURACY
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

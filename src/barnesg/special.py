@@ -7,9 +7,8 @@ needs.  Each has a small validity region chosen for the arguments the
 expansion machinery actually produces, and each is cross-checked in the test
 suite against an independent oracle (series, quadrature, or scipy).
 
-The module imports no numpy: the oracle's dilogarithm kernel (_li2,
-_dilog_exp) and erf_small's Gauss rule for 2.5 < |zeta| <= 4 import it on
-their first call.
+The module imports no numpy: only the oracle's dilogarithm kernel (_li2,
+_dilog_exp) needs it, and imports it on its first call.
 """
 
 from __future__ import annotations
@@ -36,7 +35,8 @@ _SHIFT_THRESHOLD = 9.0
 _STIRLING = tuple((bernoulli_number(2 * n), (2 * n) * (2 * n - 1)) for n in range(1, 13))
 #: Below Re z = _SHIFT_THRESHOLD - _MAX_SHIFT = -55 log Gamma reflects instead of shifting.
 _MAX_SHIFT = 64
-#: Step limit of the Lentz iteration for e^{w} E1(w); reaching it raises AccuracyError.
+#: Step limit of the Lentz iterations for e^{w} E1(w) and e^{z^2} erfc(z); reaching it
+#: raises AccuracyError.
 _LENTZ_MAX_STEPS = 2000
 
 
@@ -283,9 +283,11 @@ def _e1_scaled_continued(w: complex, arg_w: float) -> tuple[complex, float]:
 def erf_small(zeta: complex) -> complex:
     """erf(zeta) for |zeta| <= 4.
 
-    Maclaurin series while cancellation is harmless (|zeta| <= 2.5), then a
-    straight-path Gauss rule on the defining integral; accuracy is 1e-12
-    absolute where erf is O(1) and ~1 ulp relative where it grows.
+    Maclaurin series where its cancellation, about e^{2 (Re zeta)^2}, is
+    harmless (|zeta| <= 2.5 or |Re zeta| <= 1.5); elsewhere 1 - erfc(zeta)
+    from Laplace's continued fraction for Re zeta > 1.5 and oddness for
+    Re zeta < -1.5.  Measured against mpmath the error stays below
+    1e-14 max(1, |erf|).
     """
     zeta = complex(zeta)
     try:
@@ -294,7 +296,7 @@ def erf_small(zeta: complex) -> complex:
         a = math.inf
     if not a <= 4.0:  # NaN fails too
         raise RangeError("erf_small: |zeta| must be <= 4 (callers saturate outside)")
-    if a <= 2.5:
+    if a <= 2.5 or abs(zeta.real) <= 1.5:
         total = zeta
         term = zeta
         n = 0
@@ -306,15 +308,28 @@ def erf_small(zeta: complex) -> complex:
             if abs(add) < 1e-18:
                 break
         return 2.0 / math.sqrt(math.pi) * total
-    import numpy as np
+    if zeta.real < 0.0:
+        return -erf_small(-zeta)
+    return 1.0 - cmath.exp(-zeta * zeta) * _erfc_lentz_scaled(zeta) / math.sqrt(math.pi)
 
-    from .quadrature import gauss_nodes
 
-    x, wts = gauss_nodes(64)
-    s = 0.5 * (x + 1.0)
-    vals = np.exp(-(s * zeta) ** 2)
-    integral = 0.5 * complex(np.sum(wts * vals)) * zeta
-    return 2.0 / math.sqrt(math.pi) * integral
+def _erfc_lentz_scaled(z: complex) -> complex:
+    """Modified Lentz iteration for sqrt(pi) e^{z^2} erfc(z), Re z > 0: the even part of
+    Laplace's continued fraction (DLMF 7.9.2), 2z/(2z^2+1 - 1*2/(2z^2+5 - 3*4/(2z^2+9 - ...)))."""
+    b = 2.0 * z * z + 1.0
+    d = 1.0 / b
+    c = complex(1e308)
+    h = d
+    for i in range(1, _LENTZ_MAX_STEPS):
+        a = -float((2 * i - 1) * (2 * i))
+        b = b + 4.0
+        d = 1.0 / (b + a * d)
+        c = b + a / c
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) < 2.0 * EPS:
+            return 2.0 * z * h
+    raise AccuracyError("continued fraction for erfc did not converge")
 
 
 def _erf_switch(u: float, abs_w: float) -> complex:

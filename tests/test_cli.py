@@ -5,17 +5,12 @@ import json
 import math
 
 import pytest
-from click.testing import CliRunner
 
+import barnesg
 from barnesg import BoundKind, best_bound, family_bounds
-from barnesg.cli import main
 from barnesg.oracle import _wide_integral
+from _cli import invoke
 from _reference import terminant_quadrature
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
 
 
 def csv_rows(output):
@@ -29,75 +24,73 @@ def json_rows(output):
 
 
 class TestEval:
-    def test_oracle_anchor(self, runner):
-        res = runner.invoke(main, ["eval", "--z-re", "3", "--method", "oracle"])
+    def test_oracle_anchor(self):
+        res = invoke(["eval", "--z-re", "3", "--method", "oracle"])
         assert res.exit_code == 0
         row = csv_rows(res.output)[0]
         assert abs(float(row["value_re"]) - 0.6931471806) < 1e-9
         assert float(row["err"]) < 1e-10
 
-    def test_asym_positive_axis_source(self, runner):
-        res = runner.invoke(main, ["eval", "--z-re", "10", "--method", "asym"])
+    def test_asym_positive_axis_source(self):
+        res = invoke(["eval", "--z-re", "10", "--method", "asym"])
         assert res.exit_code == 0
         row = csv_rows(res.output)[0]
         assert row["err_kind"] == "positive_axis_sign"
 
-    def test_hyper_matches_oracle(self, runner):
+    def test_hyper_matches_oracle(self):
         args = ["eval", "--z-abs", "2.5", "--z-arg", "1.5707963", "--method"]
         hyper = csv_rows(
-            runner.invoke(main, args + ["hyper", "--k-max", "3"]).output
+            invoke(args + ["hyper", "--k-max", "3"]).output
         )[0]
-        oracle = csv_rows(runner.invoke(main, args + ["oracle"]).output)[0]
+        oracle = csv_rows(invoke(args + ["oracle"]).output)[0]
         dv = complex(
             float(hyper["value_re"]) - float(oracle["value_re"]),
             float(hyper["value_im"]) - float(oracle["value_im"]),
         )
         assert abs(dv) < 1e-8
 
-    def test_arg_pi_flag(self, runner):
-        a = runner.invoke(
-            main,
+    def test_arg_pi_flag(self):
+        a = invoke(
             ["eval", "--z-abs", "2", "--z-arg-pi", "0.5", "--method", "asym"],
         )
         row = csv_rows(a.output)[0]
         assert float(row["z_im"]) == pytest.approx(2.0, rel=1e-15)
 
-    def test_domain_error_exit(self, runner):
-        res = runner.invoke(main, ["eval", "--z-re", "-3", "--method", "oracle"])
+    def test_domain_error_exit(self):
+        res = invoke(["eval", "--z-re", "-3", "--method", "oracle"])
         assert res.exit_code == 2
 
     @pytest.mark.parametrize("z_re", ["1e-300", "1e200", "inf", "nan"])
-    def test_unrepresentable_z_exits_2(self, runner, z_re):
-        res = runner.invoke(main, ["eval", "--z-re", z_re, "--method", "asym"])
+    def test_unrepresentable_z_exits_2(self, z_re):
+        res = invoke(["eval", "--z-re", z_re, "--method", "asym"])
         assert res.exit_code == 2
         assert res.exception is None or isinstance(res.exception, SystemExit)
 
     @pytest.mark.parametrize("k_max", ["0", "-1"])
-    def test_nonpositive_k_max_exits_2(self, runner, k_max):
-        res = runner.invoke(main, ["eval", "--z-re", "2.5", "--method", "hyper",
+    def test_nonpositive_k_max_exits_2(self, k_max):
+        res = invoke(["eval", "--z-re", "2.5", "--method", "hyper",
                                    "--k-max", k_max])
         assert res.exit_code == 2
 
-    def test_default_k_max(self, runner):
-        res = runner.invoke(main, ["eval", "--z-re", "2.5", "--method", "hyper"])
+    def test_default_k_max(self):
+        res = invoke(["eval", "--z-re", "2.5", "--method", "hyper"])
         assert res.exit_code == 0
         assert csv_rows(res.output)[0]["n_used"] == "5"
 
-    def test_oracle_n_used_is_one(self, runner):
+    def test_oracle_n_used_is_one(self):
         # log_barnes_oracle is the prefix plus the quadrature of R_1
-        res = runner.invoke(main, ["eval", "--z-re", "3", "--method", "oracle"])
+        res = invoke(["eval", "--z-re", "3", "--method", "oracle"])
         assert res.exit_code == 0
         assert csv_rows(res.output)[0]["n_used"] == "1"
 
-    def test_missing_z_exit(self, runner):
-        res = runner.invoke(main, ["eval", "--method", "oracle"])
+    def test_missing_z_exit(self):
+        res = invoke(["eval", "--method", "oracle"])
         assert res.exit_code == 2
 
 
 class TestBounds:
-    def test_real_axis_ratios(self, runner):
-        res = runner.invoke(
-            main,
+    def test_real_axis_ratios(self):
+        res = invoke(
             ["bounds", "--z-abs", "5", "--theta", "0", "--n-min", "1", "--n-max", "4"],
         )
         assert res.exit_code == 0
@@ -106,9 +99,8 @@ class TestBounds:
         for row in rows:
             assert float(row["ratio"]) >= 1.0
 
-    def test_imaginary_axis_phi_star(self, runner):
-        res = runner.invoke(
-            main,
+    def test_imaginary_axis_phi_star(self):
+        res = invoke(
             ["bounds", "--z-abs", "5", "--theta-pi", "0.5", "--n-min", "1", "--n-max", "3"],
         )
         rows = csv_rows(res.output)
@@ -117,17 +109,15 @@ class TestBounds:
             expected = math.atan(1.0 / math.sqrt(2 * n + 2))
             assert float(row["phi_star"]) == pytest.approx(expected, abs=1e-12)
 
-    def test_degenerate_grid_single_row(self, runner):
-        res = runner.invoke(
-            main,
+    def test_degenerate_grid_single_row(self):
+        res = invoke(
             ["bounds", "--z-abs", "4", "--theta", "0.3", "--n-min", "2", "--n-max", "2"],
         )
         assert res.exit_code == 0
         assert len(csv_rows(res.output)) == 1
 
-    def test_columns_are_family_bounds(self, runner):
-        res = runner.invoke(
-            main,
+    def test_columns_are_family_bounds(self):
+        res = invoke(
             ["bounds", "--z-abs", "2,5", "--theta-pi",
              "-0.8,-0.5,-0.3,-0.25,0,0.2,0.25,0.3,0.5,0.6,0.75,0.9,0.95",
              "--n-min", "1", "--n-max", "6", "--format", "json"],
@@ -148,9 +138,8 @@ class TestBounds:
             # repr compares bit for bit and treats nan as equal to nan
             assert [repr(v) for v in got] == [repr(v) for v in want]
 
-    def test_inapplicable_bounds_are_nan(self, runner):
-        res = runner.invoke(
-            main,
+    def test_inapplicable_bounds_are_nan(self):
+        res = invoke(
             ["bounds", "--z-abs", "4", "--theta-pi", "0.8", "--n-min", "1", "--n-max", "1"],
         )
         row = csv_rows(res.output)[0]
@@ -177,10 +166,9 @@ class TestBounds:
         "41339.772055195237\n"
     )
 
-    def test_orders_at_one_z_share_one_quadrature(self, runner):
+    def test_orders_at_one_z_share_one_quadrature(self):
         _wide_integral.cache_clear()
-        res = runner.invoke(
-            main,
+        res = invoke(
             ["bounds", "--z-abs", "1", "--theta-pi", "0.92", "--n-min", "1", "--n-max", "4"],
         )
         assert res.exit_code == 0
@@ -189,10 +177,75 @@ class TestBounds:
         assert (info.misses, info.hits) == (1, 3)
 
 
+    def test_disagreement_names_the_point_and_blames_neither_side(self):
+        # 0.3·e^{0.9πi}: the half-angle bound 4.03 holds for R_1 = 0.0715 - 0.0324i
+        # (mpmath), but the refined quadrature returns |R_1| ~ 2.4e8 with est_error 0.25
+        res = invoke(["bounds", "--z-abs", "0.3", "--theta-pi", "0.9",
+                      "--n-min", "1", "--n-max", "4"])
+        assert res.exit_code == 3
+        rows = csv_rows(res.output)
+        assert [row["n"] for row in rows] == ["1", "2", "3", "4"]
+        first = rows[0]
+        assert float(first["oracle_abs_rn"]) > float(first["best_bound"])
+        message = res.stderr
+        assert "remainder oracle and the certified bound disagree" in message
+        assert "N = 1:" in message and "violated" not in message
+        for key in ("oracle_abs_rn", "oracle_err", "best_bound"):
+            assert first[key] in message
+
+
+NEGATIVES = ["-3", "-.5", "-1e-15", "-1E+3", "-inf"]
+NEGATIVE_LISTS = NEGATIVES + ["-0.8,-0.5"]
+#: (a command line complete without the option, every float option, its values)
+FLOAT_OPTIONS = [
+    (["eval", "--method", "asym", "--z-im", "0.5"], "--z-re", NEGATIVES),
+    (["eval", "--method", "asym", "--z-re", "2"], "--z-im", NEGATIVES),
+    (["eval", "--method", "asym", "--z-arg", "0.5"], "--z-abs", NEGATIVES),
+    (["eval", "--method", "asym", "--z-abs", "2"], "--z-arg", NEGATIVES),
+    (["eval", "--method", "asym", "--z-abs", "2"], "--z-arg-pi", NEGATIVES),
+    (["bounds", "--n-min", "1", "--n-max", "1", "--theta", "0.5"], "--z-abs", NEGATIVE_LISTS),
+    (["bounds", "--n-min", "1", "--n-max", "1", "--z-abs", "3"], "--theta", NEGATIVE_LISTS),
+    (["bounds", "--n-min", "1", "--n-max", "1", "--z-abs", "3"], "--theta-pi", NEGATIVE_LISTS),
+    (["stokes", "--theta-min", "-1.9", "--theta-max", "-1.3", "--theta-steps", "3"], "--z-abs",
+     NEGATIVES),
+    # the last value of each angle lies in the lower Stokes window
+    (["stokes", "--z-abs", "3", "--theta-max", "-1.3", "--theta-steps", "3"], "--theta-min",
+     NEGATIVES + ["-1.9e0"]),
+    (["stokes", "--z-abs", "3", "--theta-min", "-1.9", "--theta-steps", "3"], "--theta-max",
+     NEGATIVES + ["-1.3e0"]),
+    (["terminant", "--p", "7", "--w-im", "1"], "--w-re", NEGATIVES),
+    (["terminant", "--p", "7", "--w-re", "2"], "--w-im", NEGATIVES),
+    (["terminant", "--p", "7", "--w-arg", "1"], "--w-abs", NEGATIVES),
+    (["terminant", "--p", "7", "--w-abs", "10"], "--w-arg", NEGATIVES),
+]
+NEGATIVE_CASES = [(base, option, value) for base, option, values in FLOAT_OPTIONS
+                  for value in values]
+
+
+@pytest.mark.parametrize("base,option,value", NEGATIVE_CASES,
+                         ids=[f"{b[0]} {o} {v}" for b, o, v in NEGATIVE_CASES])
+def test_negative_values_parse_in_both_spellings(base, option, value):
+    """`--opt v` and `--opt=v` give the same rows, and neither is a usage error: the
+    value reaches the command, which may still reject it (exit 2, "error: ...")."""
+    apart = invoke(base + [option, value])
+    joined = invoke(base + [f"{option}={value}"])
+    assert apart.exit_code in (0, 2, 3) and apart.exception is None
+    assert "usage" not in apart.stderr.lower(), apart.stderr
+    assert (apart.exit_code, apart.output, apart.stderr) == (
+        joined.exit_code, joined.output, joined.stderr)
+    if apart.exit_code == 0:
+        assert apart.output
+
+
+def test_version_is_the_package_version():
+    res = invoke(["--version"])
+    assert res.exit_code == 0
+    assert res.output == f"barnesg, version {barnesg.__version__}\n"
+
+
 class TestStokes:
-    def test_profile_rises_through_half(self, runner):
-        res = runner.invoke(
-            main,
+    def test_profile_rises_through_half(self):
+        res = invoke(
             [
                 "stokes", "--z-abs", "3", "--k", "1",
                 "--theta-min", "1.0707963", "--theta-max", "2.0707963",
@@ -208,9 +261,8 @@ class TestStokes:
         assert abs(float(last["normalized_re"]) - 1.0) < 0.1
         assert all(0.0 < float(row["est_error"]) < 1e-6 for row in rows)
 
-    def test_reversed_range_usage_error(self, runner):
-        res = runner.invoke(
-            main,
+    def test_reversed_range_usage_error(self):
+        res = invoke(
             [
                 "stokes", "--z-abs", "3", "--k", "1",
                 "--theta-min", "2.0", "--theta-max", "1.0", "--theta-steps", "5",
@@ -220,9 +272,8 @@ class TestStokes:
 
 
 class TestTerminantCommand:
-    def test_quadrature_method_is_rejected(self, runner):
-        res = runner.invoke(
-            main,
+    def test_quadrature_method_is_rejected(self):
+        res = invoke(
             [
                 "terminant", "--p", "7", "--w-abs", "10",
                 "--w-arg", str(math.pi / 3), "--method", "quadrature",
@@ -230,17 +281,16 @@ class TestTerminantCommand:
         )
         assert res.exit_code == 2
 
-    def test_paths_agree(self, runner):
+    def test_paths_agree(self):
         base = ["terminant", "--p", "7", "--w-abs", "10", "--w-arg", str(math.pi / 3)]
-        rec = csv_rows(runner.invoke(main, base).output)[0]
+        rec = csv_rows(invoke(base).output)[0]
         assert rec["method"] == "gamma_recurrence"
         quad, _ = terminant_quadrature(7, 10.0 * cmath.exp(1j * math.pi / 3))
         dv = complex(float(rec["value_re"]), float(rec["value_im"])) - quad
         assert abs(dv) < 1e-9
 
-    def test_continued_branch_flag(self, runner):
-        res = runner.invoke(
-            main,
+    def test_continued_branch_flag(self):
+        res = invoke(
             [
                 "terminant", "--p", "9", "--w-abs", "10",
                 "--w-arg", str(math.pi + 0.2),
@@ -253,33 +303,32 @@ class TestTerminantCommand:
 
 
 class TestOutputContracts:
-    def test_csv_json_identical_values(self, runner):
+    def test_csv_json_identical_values(self):
         base = ["eval", "--z-re", "4", "--z-im", "1", "--method", "asym"]
-        csv_row = csv_rows(runner.invoke(main, base + ["--format", "csv"]).output)[0]
-        json_row = json_rows(runner.invoke(main, base + ["--format", "json"]).output)[0]
+        csv_row = csv_rows(invoke(base + ["--format", "csv"]).output)[0]
+        json_row = json_rows(invoke(base + ["--format", "json"]).output)[0]
         for key, jval in json_row.items():
             if isinstance(jval, float):
                 assert float(csv_row[key]) == jval
             else:
                 assert str(jval) == csv_row[key]
 
-    def test_deterministic_reruns(self, runner):
+    def test_deterministic_reruns(self):
         args = [
             "stokes", "--z-abs", "2", "--k", "1",
             "--theta-min", "1.2", "--theta-max", "1.9", "--theta-steps", "7",
         ]
-        a = runner.invoke(main, args).output
-        b = runner.invoke(main, args).output
+        a = invoke(args).output
+        b = invoke(args).output
         assert a == b
 
-    def test_row_round_trip(self, runner):
+    def test_row_round_trip(self):
         # feed a row's inputs back; 17 significant digits round-trip binary64
-        res = runner.invoke(
-            main, ["eval", "--z-abs", "2.7", "--z-arg", "0.9", "--method", "asym"]
+        res = invoke(
+            ["eval", "--z-abs", "2.7", "--z-arg", "0.9", "--method", "asym"]
         )
         row = csv_rows(res.output)[0]
-        res2 = runner.invoke(
-            main,
+        res2 = invoke(
             [
                 "eval", "--z-re", row["z_re"], "--z-im", row["z_im"],
                 "--method", "asym", "--n", row["n_used"],

@@ -27,7 +27,6 @@ from contextlib import contextmanager
 import mpmath as mp
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from barnesg import (
@@ -55,8 +54,9 @@ from barnesg import (
     truncated_log_barnes,
     zeta_even,
 )
-from barnesg.cli import MAX_THETA_STEPS, main
+from barnesg.cli import MAX_THETA_STEPS
 from barnesg.expansion import _roundoff
+from _cli import invoke
 
 NAN, INF = math.nan, math.inf
 
@@ -476,7 +476,7 @@ CLI_CASES = [
 @pytest.mark.parametrize("args,code", CLI_CASES, ids=[" ".join(a) for a, _ in CLI_CASES])
 def test_cli_exits_with_the_code_of_the_typed_error(args, code):
     with _deadline(5.0):
-        res = CliRunner().invoke(main, args)
+        res = invoke(args)
     assert res.exit_code == code, res.output
     assert res.exception is None or isinstance(res.exception, SystemExit)
 
@@ -485,6 +485,6 @@ def test_cli_exits_with_the_code_of_the_typed_error(args, code):
 @given(method=st.sampled_from(["asym", "oracle", "hyper"]), re=REALS, im=REALS)
 def test_cli_eval_exits_with_0_2_or_3(method, re, im):
     with _deadline(5.0):
-        res = CliRunner().invoke(main, _eval(method, repr(re), repr(im)))
+        res = invoke(_eval(method, repr(re), repr(im)))
     assert res.exit_code in (0, 2, 3), res.output
     assert res.exception is None or isinstance(res.exception, SystemExit)

@@ -63,12 +63,13 @@ def _run_child(code: str) -> str:
 
 
 def test_import_leaves_the_cli_and_the_test_oracles_out():
-    """import barnesg loads neither numpy (the oracle's) nor click (the CLI's) nor
-    fractions, scipy or mpmath, and fills neither the Gauss node cache, the narrow
-    kernel's Li2 table, the zeta-tail memo nor the wide-integral memo."""
-    code = ("import sys, barnesg; "
-            "loaded = sorted({'numpy', 'click', 'fractions', 'scipy', 'mpmath'} "
-            "& sys.modules.keys()); "
+    """import barnesg loads no package outside the standard library (numpy is the
+    oracle's; scipy and mpmath are the tests'), nor fractions, and fills neither the
+    Gauss node cache, the narrow kernel's Li2 table, the zeta-tail memo nor the
+    wide-integral memo."""
+    code = ("import sys; before = set(sys.modules); import barnesg; "
+            "new = {m.partition('.')[0] for m in sys.modules.keys() - before}; "
+            "loaded = sorted((new - sys.stdlib_module_names - {'barnesg'}) | (new & {'fractions'})); "
             "print(loaded, barnesg.quadrature.gauss_nodes.cache_info().currsize, "
             "barnesg.oracle._narrow_dilog.cache_info().currsize, "
             "sys.modules['barnesg.terminant']._zeta_tail.cache_info().currsize, "
@@ -78,7 +79,7 @@ def test_import_leaves_the_cli_and_the_test_oracles_out():
 
 def test_certified_and_improved_routes_load_no_numpy():
     """One call of each scalar route and kernel leaves numpy unloaded: only the
-    oracle, poly_periodic and erf_small past |zeta| = 2.5 need it."""
+    oracle and poly_periodic need it."""
     code = ("import sys, barnesg as bg; "
             "bg.certified_eval(5 + 1j); bg.best_bound(5 + 1j, 3); bg.family_bounds(5 + 1j, 3); "
             "bg.exp_improved_report(3 + 2j); bg.stokes_profile(2.0, 1, [1.3, 1.5, 1.9]); "
@@ -88,14 +89,52 @@ def test_certified_and_improved_routes_load_no_numpy():
     assert _run_child(code) == "False"
 
 
+#: Calls that reach erf_small at 2.5 < |zeta| <= 4, where it once ran a numpy Gauss rule.
+ERF_SHELL_CALLS = (
+    "sp.erf_small(3 + 0.5j)",
+    "sp.erf_small(4j)",
+    "bg.exp_improved_report(1.5 * cmath.exp(1j))",
+    "bg.stokes_profile(5.0, 2, [math.pi / 2 + 0.02 * j for j in range(-25, 26)])",
+)
+
+
+@pytest.mark.parametrize("call", ERF_SHELL_CALLS)
+def test_erf_past_the_series_disc_loads_no_numpy(call):
+    """Each call reaches erf_small with 2.5 < |zeta| <= 4 and leaves numpy unloaded."""
+    code = ("import cmath, math, sys, barnesg as bg, barnesg.special as sp; "
+            "seen = []; erf = sp.erf_small; "
+            "sp.erf_small = lambda zeta: seen.append(abs(zeta)) or erf(zeta); "
+            f"{call}; "
+            "print(any(2.5 < a <= 4.0 for a in seen), 'numpy' in sys.modules)")
+    assert _run_child(code) == "True False"
+
+
 def test_cli_asym_eval_loads_no_numpy():
     code = ("import sys; from barnesg.cli import main; "
-            "main(['eval', '--z-abs', '8', '--z-arg', '1.0', '--method', 'asym'], "
-            "standalone_mode=False); "
+            "main(['eval', '--z-abs', '8', '--z-arg', '1.0', '--method', 'asym']); "
             "print('numpy' in sys.modules)")
     out = _run_child(code).splitlines()
     assert out[0].startswith("z_re,") and len(out) == 3
     assert out[-1] == "False"
+
+
+def test_cli_runs_on_the_standard_library_and_numpy():
+    """All four subcommands exit 0 in an interpreter that can import no package outside
+    the standard library except numpy (which the oracle in `bounds` needs)."""
+    argvs = [["eval", "--z-abs", "3", "--z-arg", "1.0", "--method", "hyper"],
+             ["bounds", "--z-abs", "5", "--theta-pi", "0.5", "--n-min", "1", "--n-max", "2"],
+             ["stokes", "--z-abs", "3", "--theta-min", "1.3", "--theta-max", "1.9",
+              "--theta-steps", "3"],
+             ["terminant", "--p", "7", "--w-abs", "10", "--w-arg", "1.0"]]
+    code = ("import importlib.abc, sys\n"
+            "class Deny(importlib.abc.MetaPathFinder):\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.partition('.')[0] not in {*sys.stdlib_module_names, 'barnesg', 'numpy'}:\n"
+            "            raise ImportError(f'{name} is outside the standard library')\n"
+            "sys.meta_path.insert(0, Deny())\n"
+            "from barnesg.cli import main\n"
+            f"print('codes', [main(argv) for argv in {argvs!r}])")
+    assert _run_child(code).splitlines()[-1] == "codes [0, 0, 0, 0]"
 
 
 def test_lazy_names_are_listed_and_unknown_names_raise():
@@ -116,21 +155,24 @@ def test_lazy_oracle_names_read_through_a_patch(monkeypatch):
     assert "log_barnes_oracle" not in vars(barnesg)
 
 
+#: kernel -> (its first call, whether that call loads numpy)
 FIRST_CALLS = {
-    "erf_small": "repr(barnesg.erf_small(3 + 0.5j))",
-    "poly_periodic": "repr(barnesg.BernoulliTable().poly_periodic(17, [0.1, 0.5, 2.3]).tolist())",
+    "erf_small": ("repr(barnesg.erf_small(3 + 0.5j))", False),
+    "poly_periodic": ("repr(barnesg.BernoulliTable().poly_periodic(17, [0.1, 0.5, 2.3]).tolist())",
+                      True),
 }
 
 
 @pytest.mark.parametrize("name", FIRST_CALLS)
 def test_numpy_kernels_called_first_give_the_same_bits(name):
-    """erf_small's Gauss branch and poly_periodic load numpy on their first call, in a
-    fresh interpreter, and give the values they give once numpy is loaded."""
-    expr = FIRST_CALLS[name]
+    """In a fresh interpreter, poly_periodic loads numpy on its first call and
+    erf_small past |zeta| = 2.5 does not; each gives the value it gives once numpy
+    is loaded."""
+    expr, loads_numpy = FIRST_CALLS[name]
     code = (f"import sys, barnesg; before = 'numpy' in sys.modules; "
             f"print(before, {expr}, 'numpy' in sys.modules)")
     import numpy  # loaded here, so the in-process call below is the "after" one
-    assert _run_child(code) == f"False {eval(expr)} True"
+    assert _run_child(code) == f"False {eval(expr)} {loads_numpy}"
 
 
 def test_three_demos_found():

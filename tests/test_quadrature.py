@@ -23,7 +23,8 @@ from barnesg.special import _dilog_exp
 EPS = np.finfo(float).eps
 
 # every order in use: the remainder oracles' fixed order, the integrate_panels
-# default (the reference terminant quadrature) and 64 (erf_small)
+# default (the reference terminant quadrature) and 64, twice the oracles' order,
+# which tests/test_oracle.py's self-consistency check runs
 ORDERS = sorted({
     _GAUSS_ORDER,
     inspect.signature(integrate_panels).parameters["order"].default,

@@ -285,6 +285,44 @@ class TestErfSmall:
         with pytest.raises(RangeError):
             erf_small(4.5)
 
+    def test_shell_against_mpmath(self):
+        """2.5 <= |zeta| <= 4 on a 41 x 361 polar grid: the series for |Re zeta| <= 1.5,
+        the continued fraction for erfc beyond."""
+        worst = 0.0
+        for i in range(41):
+            r = 2.5 + 1.5 * i / 40
+            for j in range(361):
+                zeta = r * cmath.exp(1j * (-math.pi + j * math.pi / 180))
+                ref = complex(mp.erf(mp.mpc(zeta.real, zeta.imag)))
+                worst = max(worst, abs(erf_small(zeta) - ref) / max(1.0, abs(ref)))
+        assert worst <= 1e-13
+
+    # erf_small on |zeta| <= 2.5, printed by the Maclaurin loop that served this disc
+    # while 2.5 < |zeta| <= 4 still took a 64-node Gauss rule: the disc keeps its bits
+    SERIES_BITS = [
+        (0j, 0j),
+        (1e-300j, 1.1283791670955126e-300j),
+        ((0.1+0j), (0.1124629160182849+0j)),
+        ((-0.3+0.2j), (-0.34123748147213856+0.2085288378827689j)),
+        ((1+0j), (0.8427007929497148+0j)),
+        (1j, 1.6504257587975424j),
+        ((1.2-0.7j), (1.0663700129803377-0.12024336401600978j)),
+        ((-1.9+0.4j), (-1.0010133313322285+0.008290159860182954j)),
+        ((2+1.4j), (0.9713149952686856-0.004019581318358294j)),
+        ((1.5+1.9j), (0.11469904093055215+0.21194451191453295j)),
+        ((-0.8-2.3j), (2.329892691331323+25.55586573797967j)),
+        ((2.5+0j), (0.99959304798256+0j)),
+        ((-2.5+0j), (-0.99959304798256+0j)),
+        (2.5j, 130.39575501324694j),
+        ((1.9121054682112213+1.6105442180942275j), (0.933403902260471+0.03685000467314537j)),
+        ((-1.4712527931383645-2.0212410095489752j), (0.34477321934108823-0.7806547205781174j)),
+        ((1.7674+1.7674j), (0.826069699546215+0.13903422753758432j)),
+    ]
+
+    @pytest.mark.parametrize("zeta,value", SERIES_BITS)
+    def test_series_disc_keeps_its_bits(self, zeta, value):
+        assert repr(erf_small(zeta)) == repr(value)
+
 
 class TestCOfPhi:
     """c(phi) through its kernel _c_branch(u), u = phi - pi."""

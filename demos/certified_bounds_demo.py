@@ -48,7 +48,8 @@ def main() -> None:
                 f"{bound / oracle:7.3f}"
             )
     print()
-    print("automatic truncation choice (bound minimized over N <= 20):")
+    print("automatic truncation choice (bound minimized over N <= 20; where the bound")
+    print("at z is weak, N and the bound belong to w = z + m with Re w >= 12):")
     for z in (10.0, 2.5j, 3.0 * cmath.exp(0.7j * PI)):
         res = certified_eval(z)
         check = log_barnes_oracle(z)

@@ -19,12 +19,22 @@ are provided, all of the form (first omitted term magnitude) x factor(theta, N):
 On the positive real axis R_N additionally has the sign of the first omitted
 term and is strictly smaller in magnitude.
 
+The bounds are sharp where |theta| is small.  Near the cut and at small |z|
+the functional equation log G(z+1) = log G(w+1) - S, w = z + m,
+S = sum_{j=1}^{m} log Gamma(z+j) (_shift), moves a point to Re w >= r0, where
+they are cheap and close to the first omitted term: certified_eval does so
+where its bound at z is weak (r0 = 12), exp_improved_report wherever
+Re z < 2 (r0 = 2).  m is capped at 64; beyond it the route runs at z.
+
 These bound the mathematical remainder.  certified_eval reports the best of
 them plus _roundoff, a round-off allowance 8 eps sum |part| over the terms its
 binary64 value is summed from; the oracle and improved routes add the same
-rule to their quadrature or terminant estimates.  The allowance is a running
-error estimate, not a proof: it leaves out the error of log Gamma and log
-themselves, and tests/test_honesty.py checks it against mpmath.
+rule to their quadrature or terminant estimates.  log_gamma's Stirling tail
+(_STIRLING_TAIL per call) is counted where a route shifts, since log Gamma is
+then most of the value; at z it lies below the allowance of the prefix's terms
+z^2/4 and log A.  The allowance is a running error estimate, not a proof: it
+leaves out the round-off inside log Gamma and log themselves, and
+tests/test_honesty.py checks it against mpmath.
 """
 
 from __future__ import annotations
@@ -38,7 +48,7 @@ from typing import Optional
 from .bernoulli import EPS, LOG_GLAISHER, MAX_COEFF, series_coefficient
 from .errors import (AccuracyError, DomainError, RangeError, _check_finite, _check_order,
                      _check_sector)
-from .special import log_gamma
+from .special import _MAX_SHIFT, _STIRLING_TAIL, log_gamma
 
 __all__ = [
     "BoundKind",
@@ -87,7 +97,9 @@ class ExpansionResult:
 
     bound is the certified truncation bound of bound_kind on |R_N| plus the
     round-off allowance of value's terms (_roundoff), an estimate that covers
-    |value - log G(z+1)| on the rows of tests/test_honesty.py.
+    |value - log G(z+1)| on the rows of tests/test_honesty.py.  Where
+    certified_eval shifts z to w = z + m, n_trunc, bound_kind and weak_bound
+    describe the expansion at w.
     """
 
     value: complex
@@ -335,42 +347,103 @@ def family_bounds(z: complex, n_trunc: int) -> dict[BoundKind, BoundReport]:
     return out
 
 
+def _shift_count(z: complex, r0: float) -> int:
+    """Steps m that move z to Re(z + m) >= r0: 0 where Re z >= r0 already, and
+    where m would pass _MAX_SHIFT, the cap log_gamma shares."""
+    if z.real >= r0:
+        return 0
+    m = math.ceil(r0 - z.real)
+    return m if m <= _MAX_SHIFT else 0
+
+
+def _shift(z: complex, m: int) -> tuple[complex, tuple[complex, ...]]:
+    """S = sum_{j=1}^{m} log Gamma(z+j) = m log Gamma(z+1) + sum_{j=1}^{m-1} (m-j) log(z+j),
+    and the parts it is summed from, for m >= 1.
+
+    log G(z+1) = log G(z+m+1) - S.  log Gamma(z+1) = log Gamma(z) + log z holds with
+    the principal log on the slit plane, so S stays on the analytic branch.
+    """
+    parts = (m * log_gamma(z + 1.0),) + tuple((m - j) * cmath.log(z + j) for j in range(1, m))
+    return sum(parts), parts
+
+
+def _certified_shift(z: complex) -> int:
+    """certified_eval's shift: the m that moves z to Re w >= 12 where the unshifted
+    bound is weak, else 0.  Weak means, without a best_bound call, that the closed
+    factor times the first omitted term at N0 = min(20, ceil(pi |z|)) exceeds
+    1e-15 max(1, |z|^2/2 max(1, log |z|)), about 1e-15 of |log G(z+1)|."""
+    m = _shift_count(z, 12.0)
+    if not m:
+        return 0
+    r = abs(z)
+    n0 = math.ceil(math.pi * r) if math.pi * r < MAX_TRUNCATION else MAX_TRUNCATION
+    try:
+        size = _closed_factor(math.atan2(z.imag, z.real), n0)[0] * _first_term_magnitude(z, n0)
+    except RangeError:  # the term overflows at tiny |z| and underflows at huge |z|
+        return m if r < 1.0 else 0
+    return m if size > 1e-15 * max(1.0, 0.5 * r * r * max(1.0, math.log(r))) else 0
+
+
+def _scan(z: complex) -> tuple[int, BoundReport]:
+    """The N in 1..20 with the smallest best_bound(z, N) (ties toward smaller N), and
+    its report; an N whose bound is not a finite positive float is skipped."""
+    chosen, chosen_report = 0, None
+    for n in range(1, MAX_TRUNCATION + 1):
+        try:
+            report = best_bound(z, n)
+        except RangeError:
+            continue
+        if chosen_report is None or report.bound < chosen_report.bound:
+            chosen, chosen_report = n, report
+    if chosen_report is None:
+        raise RangeError(f"no truncation index in 1..{MAX_TRUNCATION} has a "
+                         f"finite bound at z = {z}")
+    return chosen, chosen_report
+
+
 def certified_eval(z: complex, n_trunc: Optional[int] = None) -> ExpansionResult:
     """Evaluate the truncated expansion with the best certified bound.
 
     When n_trunc is omitted the truncation index minimizing the bound over
     1..20 is chosen (ties toward smaller N); an index whose bound is not a
     finite positive float is skipped, and RangeError is raised when none is
-    left or the value is not finite.  Bounds with factor above 1e6
-    (possible only near the cut) are flagged weak rather than suppressed.
-    The reported bound is best_bound(z, N).bound plus _roundoff of the
-    prefix's four terms and of the value.  That allowance is an estimate of
-    the binary64 value's round-off; on the benchmark's accuracy pass and on
-    tests/test_honesty.py the bound covers the error against mpmath.
+    left or the value is not finite.  Where the bound at z is weak (near the
+    cut or at small |z|; _certified_shift) the expansion and the N scan run
+    at w = z + m with Re w >= 12 and m <= 64, and log G(z+1) = log G(w+1) - S
+    (_shift); n_trunc, bound_kind and weak_bound then describe w.  An explicit
+    n_trunc always evaluates at z.  Bounds with factor above 1e6 (possible
+    only near the cut) are flagged weak rather than suppressed.
+
+    The reported bound is best_bound(w, N).bound plus _roundoff of the
+    prefix's four terms at w and of the value, and where shifted also of S
+    and its parts, plus log_gamma's truncation error _STIRLING_TAIL (|w| + m).
+    The allowance is an estimate of the binary64 value's round-off; it also
+    covers the rounding of w = z + m, whose effect eps |w|^2 log |w| is below
+    that of the term w log Gamma(w+1).  On the benchmark's accuracy pass and
+    on tests/test_honesty.py the bound covers the error against mpmath.
     """
-    z = _check_sector(z)
-    if n_trunc is None:
-        chosen, chosen_report = 0, None
-        for n in range(1, MAX_TRUNCATION + 1):
-            try:
-                report = best_bound(z, n)
-            except RangeError:
-                continue
-            if chosen_report is None or report.bound < chosen_report.bound:
-                chosen, chosen_report = n, report
-        if chosen_report is None:
-            raise RangeError(f"no truncation index in 1..{MAX_TRUNCATION} has a "
-                             f"finite bound at z = {z}")
-    else:
+    w = z = _check_sector(z)
+    m = 0
+    if n_trunc is not None:
         chosen = _check_order(n_trunc, 1, MAX_TRUNCATION)
-        chosen_report = best_bound(z, chosen)
-    prefix, terms = _prefix(z)
-    value = _series(z, 1, chosen, prefix)
+        report = best_bound(z, chosen)
+    else:
+        m = _certified_shift(z)
+        if m:
+            w = z + m
+        chosen, report = _scan(w)
+    prefix, terms = _prefix(w)
+    value = _series(w, 1, chosen, prefix)
+    bound = report.bound + _roundoff(*terms, value)
+    if m:
+        shift, parts = _shift(z, m)
+        value -= shift
+        bound += _roundoff(*parts, shift, value) + _STIRLING_TAIL * (abs(w) + m)
     _check_finite(z, value)
     return ExpansionResult(
         value=value,
         n_trunc=chosen,
-        bound=chosen_report.bound + _roundoff(*terms, value),
-        bound_kind=chosen_report.kind,
-        weak_bound=chosen_report.factor > _WEAK_FACTOR,
+        bound=bound,
+        bound_kind=report.kind,
+        weak_bound=report.factor > _WEAK_FACTOR,
     )

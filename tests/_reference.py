@@ -24,13 +24,16 @@ Each computes a quantity the library also computes, by another formula:
   * improved_uniform -- log G(z+1) by the improved expansion with one order
     N_k = n for every k, the reference for exp_improved_report's
     near-optimal orders (the expansion is an identity for every order
-    sequence).
+    sequence);
+  * log_g_error -- |value - log G(z+1)| against mpmath's barnesg modulo
+    2 pi i, the reference for every log G route.
 """
 
 import cmath
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 
 from barnesg import bernoulli_number, oracle, truncated_log_barnes
@@ -209,3 +212,12 @@ def improved_uniform(z, n, k_max):
         s_dn, _ = _scaled_recurrence(2 * n + 1, -w_up, theta - 0.5 * math.pi)
         pairs += (s_up + s_dn) / (2j * math.pi * k * k)
     return truncated_log_barnes(z, n + 1) - pairs
+
+
+def log_g_error(value, z):
+    """|value - log G(z+1)| modulo 2 pi i, at 30 digits.  The principal logarithm of
+    mpmath's G(z+1) may sit on another branch than the library's analytic log G."""
+    with mp.workdps(30):
+        diff = mp.mpc(value) - mp.log(mp.barnesg(mp.mpc(z) + 1))
+        diff -= 2j * mp.pi * mp.nint(diff.imag / (2 * mp.pi))
+        return float(abs(diff))

@@ -10,7 +10,7 @@ import barnesg
 from barnesg import BoundKind, best_bound, family_bounds
 from barnesg.oracle import _wide_integral
 from _cli import invoke
-from _reference import terminant_quadrature
+from _reference import log_g_error, terminant_quadrature
 
 
 def csv_rows(output):
@@ -60,11 +60,21 @@ class TestEval:
         res = invoke(["eval", "--z-re", "-3", "--method", "oracle"])
         assert res.exit_code == 2
 
-    @pytest.mark.parametrize("z_re", ["1e-300", "1e200", "inf", "nan"])
+    @pytest.mark.parametrize("z_re", ["1e200", "inf", "nan"])
     def test_unrepresentable_z_exits_2(self, z_re):
         res = invoke(["eval", "--z-re", z_re, "--method", "asym"])
         assert res.exit_code == 2
         assert res.exception is None or isinstance(res.exception, SystemExit)
+
+    @pytest.mark.parametrize("z_re", ["1e-300", "5e-324"])
+    @pytest.mark.parametrize("method", ["asym", "hyper"])
+    def test_tiny_z_is_within_its_error_of_mpmath(self, method, z_re):
+        # both routes shift a tiny z and print log G(1+z) ~ 0 with its error
+        res = invoke(["eval", "--z-re", z_re, "--method", method])
+        assert res.exit_code == 0
+        row = csv_rows(res.output)[0]
+        value = complex(float(row["value_re"]), float(row["value_im"]))
+        assert abs(value) < 1e-12 and log_g_error(value, float(z_re)) <= float(row["err"])
 
     @pytest.mark.parametrize("k_max", ["0", "-1"])
     def test_nonpositive_k_max_exits_2(self, k_max):
@@ -323,18 +333,21 @@ class TestOutputContracts:
         assert a == b
 
     def test_row_round_trip(self):
-        # feed a row's inputs back; 17 significant digits round-trip binary64
-        res = invoke(
-            ["eval", "--z-abs", "2.7", "--z-arg", "0.9", "--method", "asym"]
-        )
-        row = csv_rows(res.output)[0]
-        res2 = invoke(
-            [
-                "eval", "--z-re", row["z_re"], "--z-im", row["z_im"],
-                "--method", "asym", "--n", row["n_used"],
-            ],
-        )
-        row2 = csv_rows(res2.output)[0]
-        assert row2["value_re"] == row["value_re"]
-        assert row2["value_im"] == row["value_im"]
-        assert row2["err"] == row["err"]
+        # feed a row's inputs back; 17 significant digits round-trip binary64.
+        # At |z| = 2.7 the automatic N shifts to w = z + 11, and n_used is w's N,
+        # so only the point goes back; at |z| = 27 nothing shifts, and N goes too.
+        for z_abs, with_n in (("2.7", False), ("27", True)):
+            res = invoke(
+                ["eval", "--z-abs", z_abs, "--z-arg", "0.9", "--method", "asym"]
+            )
+            row = csv_rows(res.output)[0]
+            res2 = invoke(
+                [
+                    "eval", "--z-re", row["z_re"], "--z-im", row["z_im"],
+                    "--method", "asym", *(["--n", row["n_used"]] if with_n else []),
+                ],
+            )
+            row2 = csv_rows(res2.output)[0]
+            assert row2["value_re"] == row["value_re"]
+            assert row2["value_im"] == row["value_im"]
+            assert row2["err"] == row["err"]

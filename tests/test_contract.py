@@ -56,6 +56,7 @@ from barnesg import (
 )
 from barnesg.cli import MAX_THETA_STEPS
 from barnesg.expansion import _roundoff
+from _reference import log_g_error
 from _cli import invoke
 
 NAN, INF = math.nan, math.inf
@@ -74,12 +75,16 @@ OUTSIDE_SLIT_PLANE = [complex(NAN, 0.0), complex(0.0, NAN), complex(INF, 0.0),
                       complex(-INF, 0.0), complex(0.0, INF), 0j, complex(-0.0, 0.0),
                       complex(-2.0, 0.0), complex(-2.0, -0.0)]
 TINY_OR_HUGE = [1e-300, 1e200]
+#: The certified and improved routes shift a tiny z to Re w >= 12 or 2 and return
+#: log G(1+z) ~ 0 with its error; every other route raises RangeError there.
+SHIFTED_ROUTES = ("certified_eval", "exp_improved_report")
+MODULUS_OUT_OF_RANGE = [(route, z) for z in TINY_OR_HUGE for route in ROUTES
+                        if not (route in SHIFTED_ROUTES and z < 1.0)]
+TINY = [1e-300, 5e-324, 1e-160 * cmath.exp(0.3j * math.pi)]
 NEAR_CUT = complex(-1.0, 1e-15)
-# finite moduli at which an intermediate of the route overflows: the improved
-# route's z^{-2}, the promotion ladder's z^{-2n}, the wide kernel's
-# (t + z)^{2 m_eff}, the narrow prefactor 1/z^{2N}
+# finite moduli at which an intermediate of the route overflows: the promotion
+# ladder's z^{-2n}, the wide kernel's (t + z)^{2 m_eff}, the narrow prefactor 1/z^{2N}
 OVERFLOW_INSIDE = [
-    ("exp_improved_report", 1e-160 * cmath.exp(0.3j * math.pi)),
     ("log_barnes_oracle", 1e-30 * cmath.exp(0.3j * math.pi)),
     ("remainder_wide", 1e30),
     ("remainder_wide", 3e-78),
@@ -131,11 +136,22 @@ def test_outside_the_slit_plane_raises_domain_error(route, z):
         ROUTES[route](z)
 
 
-@pytest.mark.parametrize("z", TINY_OR_HUGE, ids=repr)
-@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("route,z", MODULUS_OUT_OF_RANGE,
+                         ids=[f"{r}-{z!r}" for r, z in MODULUS_OUT_OF_RANGE])
 def test_modulus_outside_the_float_range_raises_range_error(route, z):
     with _deadline(5.0), pytest.raises(RangeError):
         ROUTES[route](z)
+
+
+@pytest.mark.parametrize("z", TINY, ids=repr)
+@pytest.mark.parametrize("route", SHIFTED_ROUTES)
+def test_tiny_modulus_is_within_its_error_of_mpmath(route, z):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with _deadline(5.0):
+            out = ROUTES[route](z)
+    value, err = (out.value, out.bound) if route == "certified_eval" else out
+    assert abs(value) < 1e-12 and log_g_error(value, z) <= err
 
 
 @pytest.mark.parametrize("route,z", OVERFLOW_INSIDE, ids=[f"{r}-{z!r}" for r, z in OVERFLOW_INSIDE])
@@ -436,11 +452,15 @@ CLI_METHOD = {"log_barnes_oracle": "oracle", "exp_improved_report": "hyper"}
 
 CLI_CASES = [
     *[(_eval(m, re), 2) for m in ("oracle", "hyper")
-      for re in ("nan", "inf", "-inf", "0", "-0.0", "-2", "1e-300", "1e200")],
+      for re in ("nan", "inf", "-inf", "0", "-0.0", "-2", "1e200")],
+    (_eval("oracle", "1e-300"), 2),
+    # the improved route shifts a tiny z and returns log G(1+z) ~ 0
+    *[(_eval("hyper", *parts), 0) for parts in (("1e-300",), ("5e-324",),
+                                               (repr(TINY[2].real), repr(TINY[2].imag)))],
     (_eval("oracle", "0", "inf"), 2),
     (_eval("hyper", "0", "nan"), 2),
     (_eval("oracle", "-1", "1e-15"), 3),
-    (_eval("asym", "-1", "1e-15"), 0),  # N = 1 with a weak half-angle bound
+    (_eval("asym", "-1", "1e-15"), 0),  # shifted to Re w >= 12
     (_eval("hyper", "-1", "1e-15"), 0),  # a finite value with its estimate
     *[(["bounds", "--z-abs", r], 2) for r in ("nan", "inf", "0", "1e-300", "1e200")],
     *[(_eval(CLI_METHOD[route], repr(z.real), repr(z.imag)), 2)

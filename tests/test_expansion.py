@@ -24,7 +24,11 @@ from barnesg import (
     solve_optimal_angle,
     truncated_log_barnes,
 )
-from barnesg.expansion import MAX_TRUNCATION, _bracket, _prefix, _roundoff
+from barnesg import expansion
+from barnesg.expansion import (MAX_TRUNCATION, _bracket, _certified_shift, _prefix, _roundoff,
+                               _scan, _shift)
+from barnesg.special import _STIRLING_TAIL
+from _reference import log_g_error
 
 PI = math.pi
 
@@ -350,39 +354,107 @@ class TestCertifiedEval:
             certified_eval(-1.5)
 
     def test_auto_n_is_the_argmin_of_best_bound(self):
+        # at w = z + m, where certified_eval shifts z (m > 0), else at w = z
         rng = random.Random(2535)
         points = [50.0 * cmath.exp(0.95j * PI), 50.0 * cmath.exp(-0.95j * PI),
                   2.0 * cmath.exp(0.95j * PI), 2.0 * cmath.exp(-0.95j * PI)]
         for _ in range(150):
             r = math.exp(rng.uniform(math.log(2.0), math.log(50.0)))
             points.append(r * cmath.exp(1j * rng.uniform(-0.95 * PI, 0.95 * PI)))
+        shifted = 0
         for z in points:
-            reports = [best_bound(z, n) for n in range(1, MAX_TRUNCATION + 1)]
+            m = _certified_shift(z)
+            w = z + m if m else z
+            reports = [best_bound(w, n) for n in range(1, MAX_TRUNCATION + 1)]
             n = 1 + min(range(len(reports)), key=lambda i: reports[i].bound)
             want = reports[n - 1]
             res = certified_eval(z)
-            # the bound is the truncation bound plus the round-off of the value's terms
-            roundoff = _roundoff(*_prefix(z)[1], res.value)
-            assert (res.n_trunc, res.bound, res.bound_kind) == (n, want.bound + roundoff, want.kind)
-            assert res.value == truncated_log_barnes(z, n)
+            # the bound is the truncation bound plus the round-off of the value's terms,
+            # and where shifted of S's terms and log Gamma's truncation error
+            value = truncated_log_barnes(w, n)
+            bound = want.bound + _roundoff(*_prefix(w)[1], value)
+            if m:
+                shifted += 1
+                s, parts = _shift(z, m)
+                value -= s
+                bound += _roundoff(*parts, s, value) + _STIRLING_TAIL * (abs(w) + m)
+            assert (res.n_trunc, res.bound, res.bound_kind) == (n, bound, want.kind)
+            assert res.value == value
             assert res.weak_bound == (want.factor > 1e6)
+        assert 0 < shifted < len(points)
+
+    def test_shifted_call_scans_once_through_best_bound(self, monkeypatch):
+        # a shifted call still makes one N scan of 20 best_bound calls (at w) and
+        # no second certified_eval call
+        calls = {"best_bound": 0, "certified_eval": 0}
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(expansion, name)):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(expansion, name, counted)
+        for z in (3.0 * cmath.exp(0.95j * PI), -1.0 + 1e-15j, 1e-300):
+            assert _certified_shift(z) > 0
+            calls.update(best_bound=0, certified_eval=0)
+            expansion.certified_eval(z)
+            assert calls == {"best_bound": MAX_TRUNCATION, "certified_eval": 1}
+
+    #: certified_eval(z, N) at points whose automatic N shifts, as printed before the
+    #: shift existed: an explicit N still evaluates at z itself
+    EXPLICIT_N = [
+        (complex(-40, -1), 20, "ExpansionResult(value=(1837.6176384007024-2404.813405890221j), "
+         "n_trunc=20, bound=1.1031171651619252e+18, bound_kind=<BoundKind.OPTIMIZED: "
+         "'optimized_angle'>, weak_bound=True)"),
+        (complex(-7.5, 0.001), 20, "ExpansionResult(value=(12.45484481759355+88.08812067051826j), "
+         "n_trunc=20, bound=3.876905433410816e+142, bound_kind=<BoundKind.OPTIMIZED: "
+         "'optimized_angle'>, weak_bound=True)"),
+        (3.0 * cmath.exp(0.95j * PI), 6, "ExpansionResult(value=(-0.7087579611617367+"
+         "13.500455744313658j), n_trunc=6, bound=3468.3258012111983, bound_kind=<BoundKind."
+         "OPTIMIZED: 'optimized_angle'>, weak_bound=True)"),
+        (2.0 * cmath.exp(-0.95j * PI), 3, "ExpansionResult(value=(-2.03097777710157-"
+         "6.211083609038734j), n_trunc=3, bound=43.559915846402305, bound_kind=<BoundKind."
+         "OPTIMIZED: 'optimized_angle'>, weak_bound=True)"),
+        (complex(-1, 1e-12), 1, "ExpansionResult(value=(-27.629775592962343+1.3089969390235388j), "
+         "n_trunc=1, bound=1.1104068579671991e+34, bound_kind=<BoundKind.HALF_ANGLE: "
+         "'half_angle_sec'>, weak_bound=True)"),
+    ]
+
+    @pytest.mark.parametrize("z,n,text", EXPLICIT_N, ids=[repr(z) for z, _, _ in EXPLICIT_N])
+    def test_explicit_n_keeps_its_unshifted_result(self, z, n, text):
+        assert _certified_shift(z) > 0
+        assert repr(certified_eval(z, n)) == text
 
 
 class TestTypedErrors:
     """Inputs at the edges of binary64 give a finite result or a typed error."""
 
     def test_tiny_modulus_skips_underflowing_orders(self):
-        # |z|^{40} underflows at N = 20; smaller N still have finite bounds
-        res = certified_eval(1e-9j)
-        assert res.n_trunc < MAX_TRUNCATION
-        assert cmath.isfinite(res.value) and 0.0 < res.bound < math.inf
+        # |z|^{40} underflows at N = 20; smaller N still have finite bounds, and the
+        # N scan at z skips the rest.  The automatic N shifts to Re w >= 12 instead.
+        n, report = _scan(1e-9j)
+        assert n < MAX_TRUNCATION and 0.0 < report.bound < math.inf
         with pytest.raises(RangeError):
             best_bound(1e-9j, MAX_TRUNCATION)
+        res = certified_eval(1e-9j)
+        assert log_g_error(res.value, 1e-9j) <= res.bound
 
     @pytest.mark.parametrize("z", [1e-300, 5e-324, 1e200, complex(1e308, 1e308)])
     def test_no_finite_bound_raises_range_error(self, z):
+        # no N has a finite bound at z itself, so every explicit N raises; past
+        # |z| = 1 the automatic N does not shift (Re z >= 12) and raises too
         with pytest.raises(RangeError):
-            certified_eval(z)
+            _scan(z)
+        for n in range(1, MAX_TRUNCATION + 1):
+            with pytest.raises(RangeError):
+                certified_eval(z, n)
+        if abs(z) > 1.0:
+            with pytest.raises(RangeError):
+                certified_eval(z)
+
+    @pytest.mark.parametrize("z", [1e-300, 5e-324])
+    def test_tiny_modulus_shifts_to_log_g_near_zero(self, z):
+        # log G(1+z) ~ z (log 2 pi - 1)/2: the value at w = z + 12 less S
+        res = certified_eval(z)
+        assert abs(res.value) < 1e-12 and log_g_error(res.value, z) <= res.bound
 
     def test_huge_modulus(self):
         with pytest.raises(RangeError):
@@ -395,19 +467,26 @@ class TestTypedErrors:
         assert cmath.isfinite(res.value) and 0.0 < res.bound < math.inf
 
     def test_bound_overflow_near_the_cut(self):
-        # sec^{2N+1}(theta/2) overflows for large N within 1e-12 of the cut
+        # sec^{2N+1}(theta/2) overflows for large N within 1e-12 of the cut; an
+        # explicit N keeps its weak bound at z, the automatic N shifts to Re w >= 12
         z = -1.0 + 1e-12j
         with pytest.raises(RangeError):
             family_bounds(z, 20)
-        res = certified_eval(z)
+        res = certified_eval(z, 1)
         assert 0.0 < res.bound < math.inf and res.weak_bound
+        res = certified_eval(z)
+        assert not res.weak_bound and log_g_error(res.value, z) <= res.bound
 
     @pytest.mark.parametrize("z", [3.0 * cmath.exp(1j * (PI - 1e-14)), -1.0 + 1e-15j], ids=repr)
     def test_auto_n_next_to_the_cut(self, z):
         # phi* has no solution at N = 20 here; best_bound falls back to the
-        # closed factors, whose overflow at N = 20 the N scan skips
+        # closed factors, which overflow at N = 20.  The automatic N shifts to
+        # Re w >= 12, where the bound is neither weak nor large.
+        with pytest.raises(RangeError):
+            best_bound(z, MAX_TRUNCATION)
         res = certified_eval(z)
-        assert cmath.isfinite(res.value) and 0.0 < res.bound < math.inf and res.weak_bound
+        assert _certified_shift(z) > 0 and not res.weak_bound
+        assert cmath.isfinite(res.value) and 0.0 < res.bound < 1e-10
         with mp.workdps(30):
             diff = mp.mpc(res.value) - mp.log(mp.barnesg(mp.mpc(z) + 1))
             diff -= 2j * mp.pi * mp.nint(diff.imag / (2 * mp.pi))  # modulo 2 pi i

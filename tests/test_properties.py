@@ -22,7 +22,7 @@ from barnesg import (
     sector_factor,
     terminant,
 )
-from barnesg.expansion import _prefix, _roundoff
+from barnesg.expansion import _certified_shift, _prefix, _roundoff, _shift_count
 from barnesg.special import _c_branch
 
 pytestmark = pytest.mark.skipif(not HAS_HYPOTHESIS, reason="hypothesis not installed")
@@ -92,19 +92,26 @@ def test_certified_bound_dominates_oracle(r, theta, n):
 )
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 def test_every_log_g_route_counts_the_prefix_roundoff(log_r, theta):
-    # every route's value starts from the prefix, so its reported error includes
-    # _roundoff of the prefix's terms.  certified_eval's value is summed from those
-    # terms and the series, so its bound is exactly the truncation bound plus
-    # _roundoff(*terms, value).  The improved and oracle routes count the parts of
-    # their own sums, whose moduli can add up to less than |value|, so the floor
-    # _roundoff(*terms, value) for them waits for ROADMAP item 1 B.  No route
-    # raises on this range, except the oracle's AccuracyError near the cut, so the
-    # oracle is asked only up to |arg z| = 0.95 pi.
+    # every route's value starts from the prefix at w = z + m, m its shift (0 where
+    # it does not shift), so its reported error includes _roundoff of the prefix's
+    # terms at w and of the value.  certified_eval's unshifted bound is exactly the
+    # truncation bound plus that floor.  The oracle does not shift and counts the
+    # parts of its own sums, whose moduli can add up to less than |value|, so it is
+    # held to _roundoff of the prefix's terms.  No route raises on this range,
+    # except the oracle's AccuracyError near the cut, so the oracle is asked only
+    # up to |arg z| = 0.95 pi.
     z = 10.0 ** log_r * cmath.exp(1j * theta)
-    terms = _prefix(z)[1]
     res = certified_eval(z)
-    assert res.bound == best_bound(z, res.n_trunc).bound + _roundoff(*terms, res.value)
-    floor = _roundoff(*terms)
-    assert exp_improved_report(z)[1] >= floor
+    m = _certified_shift(z)
+    w = z + m if m else z
+    truncation = best_bound(w, res.n_trunc).bound
+    floor = _roundoff(*_prefix(w)[1], res.value)
+    if m:
+        assert res.bound >= truncation + floor
+    else:
+        assert res.bound == truncation + floor
+    m = _shift_count(z, 2.0)
+    value, est = exp_improved_report(z)
+    assert est >= _roundoff(*_prefix(z + m if m else z)[1], value)
     if abs(theta) <= 0.95 * PI:
-        assert log_barnes_oracle(z).est_error >= floor
+        assert log_barnes_oracle(z).est_error >= _roundoff(*_prefix(z)[1])

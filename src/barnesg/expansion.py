@@ -24,7 +24,9 @@ the functional equation log G(z+1) = log G(w+1) - S, w = z + m,
 S = sum_{j=1}^{m} log Gamma(z+j) (_shift), moves a point to Re w >= r0, where
 they are cheap and close to the first omitted term: certified_eval does so
 where its bound at z is weak (r0 = 12), exp_improved_report wherever
-Re z < 2 (r0 = 2).  m is capped at 64; beyond it the route runs at z.
+Re z < 2 (r0 = 2), and the oracle's wide kernel where its pole t = -z lies
+near the path (r0 = 1, with an elementary bracket in place of S).  m is
+capped at 64; beyond it the route runs at z.
 
 These bound the mathematical remainder.  certified_eval reports the best of
 them plus _roundoff, a round-off allowance 8 eps sum |part| over the terms its
@@ -119,10 +121,14 @@ def _roundoff(*parts: complex) -> float:
     return sum(abs(8.0 * EPS * part) for part in parts)
 
 
+def _q(x: complex) -> complex:
+    """x(x+1)/2 + 1/12, the factor of log x in the expansion prefix."""
+    return 0.5 * x * (x + 1.0) + 1.0 / 12.0
+
+
 def _prefix(z: complex) -> tuple[complex, tuple[complex, ...]]:
     """expansion_prefix of a checked z, and the four terms it is summed from."""
-    terms = (0.25 * z * z, z * log_gamma(z + 1.0),
-             (0.5 * z * (z + 1.0) + 1.0 / 12.0) * cmath.log(z), LOG_GLAISHER)
+    terms = (0.25 * z * z, z * log_gamma(z + 1.0), _q(z) * cmath.log(z), LOG_GLAISHER)
     prefix = terms[0] + terms[1] - terms[2] - terms[3]
     _check_finite(z, prefix)
     return prefix, terms

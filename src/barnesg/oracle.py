@@ -8,24 +8,30 @@ integral representations and serves as ground truth for everything else:
   * periodized-Bernoulli kernel (|arg z| < pi):
         R_N = -1/(2N(2N+1)) int_0^inf B_{2N+1}(t - floor t) / (t+z)^{2N} dt
 
-For the wide-sector kernel the truncation index is promoted internally to
-M = N_eff >= 8 through the ladder R_N = c_N z^{-2N} + R_{N+1} (restored
+The wide kernel's integrand has a pole at t = -z.  Where it lies within 0.7
+of the path [0, inf), or the absolute tail target is out of reach at z, the
+kernel integrates at w = z + m with Re w >= 1 (m <= 64) instead, and
+R_N(z) = R_N(w) + E(z, m) + sum_{n<N} c_n (w^{-2n} - z^{-2n}), where the
+bracket E = prefix(w) - prefix(z) - sum_{j=1}^{m} log Gamma(z+j) needs only
+logarithms.  So every panel is a unit panel far enough from the pole, and
+nothing is refined.  The truncation index is promoted internally to
+M = max(N, 8) through the ladder R_N = c_N w^{-2N} + R_{N+1} (restored
 exactly from series coefficients), which turns the t^{-2N} tail into
 t^{-2M} and keeps the truncation point T small.  So there is one quadrature
-per (z, M, T), shared by every N <= M through the exact ladder; it is
-memoized for a few recent z, and a hit is bit-identical to a miss.
-Neither kernel evaluates a transcendental per term: the periodized
+per (w, M, T), shared by every N <= M through the exact ladder; it is
+memoized for a few recent w, and a hit is bit-identical to a miss.
+Neither kernel evaluates a transcendental per node: the periodized
 polynomial takes the same values on every unit panel, so it is tabulated
-once per order at the Gauss nodes of [0, 1] and evaluated (Horner form of
-its Fourier series) only on the sub-panels refined near the pole; the wide
-truncation point is solved from its tail bound; and the dilog factor sits
-at fixed nodes, so it too is tabulated once on first use.  The test suite
-keeps further representations (a nested log kernel, a symmetrized Bernoulli
-kernel) and the scanned truncation point as references to compare against.
+once per order at the Gauss nodes of [0, 1]; the wide truncation point is
+solved from its tail bound; and the dilog factor sits at fixed nodes, so it
+too is tabulated once on first use.  The test suite keeps further
+representations (a nested log kernel, a symmetrized Bernoulli kernel) and
+the scanned truncation point as references to compare against.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -37,10 +43,9 @@ import numpy as np
 from .bernoulli import DEFAULT_TABLE, MAX_COEFF, TWO_PI
 from .errors import (AccuracyError, DomainError, RangeError, _check_finite, _check_order,
                      _check_sector)
-from .expansion import (_first_term_magnitude, _half_angle_factor, _prefix, _roundoff, _series,
-                        sector_factor)
+from .expansion import _prefix, _q, _roundoff, _series, _shift_count, sector_factor
 from .quadrature import geometric_breakpoints, integrate_panels, panel_nodes
-from .special import _dilog_exp
+from .special import _MAX_SHIFT, _dilog_exp
 
 __all__ = [
     "OracleValue",
@@ -54,8 +59,10 @@ __all__ = [
 _GAUSS_ORDER = 32
 #: Absolute target for the truncated tail of each remainder integral.
 _TAIL_TARGET = 1e-13
-#: Most unit panels the wide kernels may take before widening their target.
+#: Most unit panels the wide kernel may take to meet its target.
 _MAX_INTERVALS = 64
+#: The wide kernel shifts where the pole t = -z lies closer than this to [0, inf).
+_POLE_GAP = 0.7
 
 
 @dataclass(frozen=True)
@@ -173,40 +180,6 @@ def _wide_t_stop(abs_z: float, sec_half: float, m_eff: int, target: float) -> in
     return next((u for u in range(t + 1, _MAX_INTERVALS + 1) if passes(u)), None)
 
 
-def _pole_gap(pole: complex, a: float, b: float) -> float:
-    """Distance from the pole to the segment [a, b] of the real axis."""
-    if pole.real < a:
-        return abs(complex(a, 0) - pole)
-    if pole.real > b:
-        return abs(complex(b, 0) - pole)
-    return abs(pole.imag)
-
-
-def _wide_breakpoints(t_stop: int, z: complex) -> list[float]:
-    """Unit panels on [0, T], refined near the pole at t = -z when it matters.
-
-    Only a panel [m, m+1] within 0.27 of the pole is refined, so only the
-    panels with |m - floor(Re(-z))| <= 2 (one panel's margin on each side)
-    are tested; the unit runs before and after them are built as ranges.
-    """
-    pole = -z
-    if _pole_gap(pole, 0.0, float(t_stop)) >= 0.27:  # no panel is refined
-        return [float(m) for m in range(t_stop + 1)]
-    near = math.floor(pole.real)
-    lo = min(max(near - 2, 0), t_stop)
-    hi = max(min(near + 3, t_stop), lo)
-    pts = [float(m) for m in range(lo + 1)]
-    for m in range(lo, hi):
-        a, b = float(m), float(m + 1)
-        dist = _pole_gap(pole, a, b)
-        # keep sub-panel half-length below ~1.9 x distance to the pole
-        splits = 1 if dist >= 0.27 else min(256, int(math.ceil(0.275 / max(dist, 1e-3))))
-        for j in range(1, splits + 1):
-            pts.append(a + (b - a) * j / splits)
-    pts += [float(m) for m in range(hi + 1, t_stop + 1)]
-    return pts
-
-
 @lru_cache(maxsize=None)
 def _unit_periodic(n: int, order: int) -> np.ndarray:
     """B_n(t - floor t) at the Gauss nodes of [0, 1], computed on first use.
@@ -230,100 +203,104 @@ def _power(w: np.ndarray, e: int) -> np.ndarray:
         w = w * w
 
 
-def _wide_truncation(z: complex, n_trunc: int) -> tuple[int, int, float]:
-    """remainder_wide's promotion index M, truncation point T and tail bound at (z, N).
+def _wide_plan(z: complex, m_eff: int) -> tuple[int, int, float]:
+    """remainder_wide's shift m, and its truncation point T and tail bound at w = z + m.
 
-    M is max(N, 8), raised in steps of 2 up to 16 while no truncation point
-    meets the absolute, then the relative target; AccuracyError if none does.
+    m = 0 unless the pole t = -z lies within _POLE_GAP of [0, inf) or the
+    absolute tail target is out of reach at z within _MAX_INTERVALS unit
+    panels; then m moves z to Re w >= 1 (_shift_count, m <= 64).  AccuracyError
+    where the target is out of reach at the point evaluated.
     """
-    theta = math.atan2(z.imag, z.real)
-    abs_z = abs(z)
-    sec_half = 1.0 / math.cos(0.5 * theta)
-    # the half-angle bound on |R_N| sets the relative fallback target; it is checked even
-    # where the absolute target is met, so off binary64 it raises RangeError either way
-    rn_est = _half_angle_factor(theta, n_trunc) * _first_term_magnitude(z, n_trunc)
-    if rn_est == math.inf:
-        raise RangeError(f"the half-angle bound on R_{n_trunc} overflows at z = {z}")
-    for m_eff in (*range(max(n_trunc, 8), 16, 2), max(n_trunc, 16)):
-        t_stop = _wide_t_stop(abs_z, sec_half, m_eff, _TAIL_TARGET)
-        if t_stop is None:
-            t_stop = _wide_t_stop(abs_z, sec_half, m_eff, 1e-4 * rn_est)
-        if t_stop is not None:
-            max_kernel = DEFAULT_TABLE.max_abs_poly(2 * m_eff + 1)
-            return m_eff, t_stop, _wide_tail_bound(t_stop, abs_z, sec_half, m_eff, max_kernel)
-    raise AccuracyError(
-        f"wide-kernel tail cannot reach the tolerance within {_MAX_INTERVALS} panels "
-        f"(arg z = {theta:.4f} is too close to the cut)"
-    )
+    def cut(x: complex) -> tuple[int | None, float]:
+        sec_half = 1.0 / math.cos(0.5 * math.atan2(x.imag, x.real))
+        return _wide_t_stop(abs(x), sec_half, m_eff, _TAIL_TARGET), sec_half
+
+    t_stop, sec_half = cut(z)
+    gap = abs(z.imag) if z.real <= 0.0 else abs(z)
+    m = _shift_count(z, 1.0) if t_stop is None or gap < _POLE_GAP else 0
+    if m:
+        t_stop, sec_half = cut(z + m)
+    if t_stop is None:
+        raise AccuracyError(
+            f"wide-kernel tail cannot reach the tolerance within {_MAX_INTERVALS} panels "
+            f"at z = {z}, and no shift of at most {_MAX_SHIFT} steps moves it to Re w >= 1")
+    max_kernel = DEFAULT_TABLE.max_abs_poly(2 * m_eff + 1)
+    return m, t_stop, _wide_tail_bound(t_stop, abs(z + m), sec_half, m_eff, max_kernel)
+
+
+def _shift_bracket(z: complex, m: int) -> tuple[complex, tuple[complex, ...]]:
+    """E(z, m) = prefix(w) - prefix(z) - S with w = z + m, and the parts it is summed from:
+
+        E = m(2z + m)/4 + sum_{j=1}^{m-1} (z+j) log(z+j) + (w - q(w)) log w + q(z) log z,
+
+    q = expansion._q.  log Gamma and log A cancel between the two prefixes and
+    S = sum_{j=1}^{m} log Gamma(z+j), so E needs only logarithms.
+    """
+    w = z + m
+    parts = ((0.25 * m * (2.0 * z + m),)
+             + tuple((z + j) * cmath.log(z + j) for j in range(1, m))
+             + ((w - _q(w)) * cmath.log(w), _q(z) * cmath.log(z)))
+    return sum(parts), parts
 
 
 @lru_cache(maxsize=16)
-def _wide_integral(z: complex, signs: tuple[float, float], m_eff: int, t_stop: int,
+def _wide_integral(w: complex, signs: tuple[float, float], m_eff: int, t_stop: int,
                    order: int) -> tuple[complex, float]:
-    """int_0^T B_{2M+1}(t - floor t) / (t+z)^{2M} dt and its sum of moduli, by
-    Gauss-Legendre of this order on every panel.
+    """int_0^T B_{2M+1}(t - floor t) / (t+w)^{2M} dt and its sum of moduli, by
+    Gauss-Legendre of this order on the unit panels of [0, T].
 
-    Pure in its arguments, so every N <= M at one z shares one quadrature.
-    signs holds the signs of z's parts, because 0.0 == -0.0 hash alike.  Call
-    it inside _binary64(z): a raised error is not memoized.
+    Pure in its arguments, so every N <= M at one w shares one quadrature.
+    signs holds the signs of w's parts, because 0.0 == -0.0 hash alike.  Call
+    it inside _binary64: a raised error is not memoized.
     """
-    n_poly, power = 2 * m_eff + 1, 2 * m_eff
-    table = _unit_periodic(n_poly, order)
+    table = _unit_periodic(2 * m_eff + 1, order)
 
-    def unit_integrand(t: np.ndarray) -> np.ndarray:
-        return (table / _power(t + z, power).reshape(-1, len(table))).ravel()
+    def integrand(t: np.ndarray) -> np.ndarray:
+        return (table / _power(t + w, 2 * m_eff).reshape(-1, len(table))).ravel()
 
-    def refined_integrand(t: np.ndarray) -> np.ndarray:
-        return DEFAULT_TABLE.poly_periodic(n_poly, t) / _power(t + z, power)
-
-    # the refined sub-panels, if any, form one run breaks[lo:hi + 1] between
-    # two runs of unit panels
-    breaks = _wide_breakpoints(t_stop, z)
-    lo = hi = t_stop
-    if len(breaks) > t_stop + 1:
-        fine = np.flatnonzero(np.diff(breaks) < 1.0)
-        lo, hi = int(fine[0]), int(fine[-1]) + 1
-    runs = ((breaks[:lo + 1], unit_integrand), (breaks[lo:hi + 1], refined_integrand),
-            (breaks[hi:], unit_integrand))
-    integral, abs_sum = 0.0j, 0.0
-    for bp, integrand in runs:
-        if len(bp) > 1:
-            part, part_abs = integrate_panels(integrand, bp, order)
-            integral += part
-            abs_sum += part_abs
-    return integral, abs_sum
+    return integrate_panels(integrand, range(t_stop + 1), order)
 
 
 def remainder_wide(z: complex, n_trunc: int) -> OracleValue:
     """R_N(z) on the full slit plane |arg z| < pi by the periodized-Bernoulli kernel.
 
-    The requested index is promoted to M = N_eff >= 8, so there is one
-    quadrature per (z, M, T), shared by every N <= M through the exact
-    ladder: repeated calls at one z (as `barnesg bounds` makes) reuse the
-    memoized integral, and a hit is bit-identical to a miss.  On the unit
-    panels the periodized Bernoulli polynomial is read from its table at the
-    Gauss nodes of [0, 1]; on the sub-panels refined near the pole it is
-    evaluated per node through its Fourier series in Horner form (absolute
-    error ~1e-14 of its amplitude at these orders).  The truncation point T
-    is solved from the analytic tail bound, which is a power of T + |z|; if
-    the absolute target is out of reach within 64 unit panels the target
-    falls back to 1e-4 relative to the half-angle bound on |R_N|, and
-    failing that the promotion index is escalated before reporting an
-    accuracy failure.
+    Where the pole t = -z lies within 0.7 of the path [0, inf) (gap |Im z|
+    for Re z <= 0, else |z|), or the absolute tail target is out of reach at
+    z within 64 unit panels, the quadrature runs at w = z + m with Re w >= 1
+    (m <= 64), and
+
+        R_N(z) = R_N(w) + E(z, m) + sum_{n<N} c_n (w^{-2n} - z^{-2n}),
+
+    with the elementary bracket E of _shift_bracket.  The index is promoted
+    to M = max(N, 8), so there is one quadrature per (w, M, T), shared by
+    every N <= M through the exact ladder R_N = c_N w^{-2N} + R_{N+1}:
+    repeated calls at one z (as `barnesg bounds` and log_barnes_oracle make)
+    reuse the memoized integral, and a hit is bit-identical to a miss.  Every
+    panel is a unit panel, on which the periodized Bernoulli polynomial is
+    read from its table at the Gauss nodes of [0, 1].  T is solved from the
+    analytic tail bound, which is a power of T + |w|.  est_error is that
+    bound plus _roundoff of the quadrature and ladder, and where shifted of
+    E's parts and the two sums.  AccuracyError where no shift of at most 64
+    reaches the target (Re z < -63 near the cut).
     """
     z = _check_sector(z)
     n_trunc = _check_order(n_trunc, 1, MAX_COEFF, RangeError)
-    m_eff, t_stop, tail = _wide_truncation(z, n_trunc)
+    m_eff = max(n_trunc, 8)
+    m, t_stop, tail = _wide_plan(z, m_eff)
+    w = z + m if m else z  # z + 0 would turn a part -0.0 into +0.0
     pref = -1.0 / (2 * m_eff * (2 * m_eff + 1))
 
     with _binary64(z):
-        signs = (math.copysign(1.0, z.real), math.copysign(1.0, z.imag))
-        integral, abs_sum = _wide_integral(z, signs, m_eff, t_stop, _GAUSS_ORDER)
-        remainder_eff = pref * integral
-        # exact ladder restoration back down to the requested index
-        ladder = _series(z, n_trunc, m_eff)
-        value = ladder + remainder_eff
-    est = tail + _roundoff(abs_sum * abs(pref), ladder)
+        signs = (math.copysign(1.0, w.real), math.copysign(1.0, w.imag))
+        integral, abs_sum = _wide_integral(w, signs, m_eff, t_stop, _GAUSS_ORDER)
+        ladder = _series(w, n_trunc, m_eff)
+        value = ladder + pref * integral
+        est = tail + _roundoff(abs_sum * abs(pref), ladder)
+        if m:
+            bracket, parts = _shift_bracket(z, m)
+            head_w, head_z = _series(w, 1, n_trunc), _series(z, 1, n_trunc)
+            value += bracket + (head_w - head_z)
+            est += _roundoff(*parts, head_w, head_z)
     _check_finite(z, value, est)
     return OracleValue(value=value, est_error=est)
 

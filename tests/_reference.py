@@ -9,16 +9,14 @@ Each computes a quantity the library also computes, by another formula:
   * terminant_quadrature -- the scaled terminant by quadrature of its
     defining integral, the reference for the closed form (S_{p-1}(w) -
     e^{w} E1(w)) / (2 pi i);
-  * remainder_symmetrized -- R_N(z) by the symmetrized Bernoulli kernel, the
-    reference for remainder_wide's periodized kernel;
-  * remainder_wide_per_node -- R_N(z) by remainder_wide's own panels with
-    the periodized polynomial evaluated at every node and (t+z)^{2M} by **,
-    the reference for its unit-panel table and binary powering;
+  * remainder_symmetrized -- R_N(z) by the symmetrized Bernoulli kernel at
+    the point remainder_wide evaluates, the reference for remainder_wide's
+    periodized kernel;
+  * remainder_wide_per_node -- R_N(z) by remainder_wide's own unit panels
+    with the periodized polynomial evaluated at every node and (t+w)^{2M}
+    by **, the reference for its unit-panel table and binary powering;
   * wide_t_stop_scan -- remainder_wide's truncation point by scanning
     t = 2, 3, ..., the reference for the point solved from the tail bound;
-  * wide_breakpoints_every_panel -- remainder_wide's breakpoints by testing
-    every unit panel's distance to the pole, the reference for the
-    breakpoints that test only the panels next to it;
   * ein_one_loop -- Ein(w) by one loop that tests convergence and
     finiteness at every term, the reference for the loop split at the peak;
   * improved_uniform -- log G(z+1) by the improved expansion with one order
@@ -26,7 +24,10 @@ Each computes a quantity the library also computes, by another formula:
     near-optimal orders (the expansion is an identity for every order
     sequence);
   * log_g_error -- |value - log G(z+1)| against mpmath's barnesg modulo
-    2 pi i, the reference for every log G route.
+    2 pi i, the reference for every log G route;
+  * remainder_reference, remainder_error -- R_N(z) as mpmath's log G minus
+    the truncated expansion on the analytic branch, and a value's distance
+    from it, the reference for remainder_wide.
 """
 
 import cmath
@@ -38,7 +39,7 @@ import numpy as np
 
 from barnesg import bernoulli_number, oracle, truncated_log_barnes
 from barnesg.bernoulli import DEFAULT_TABLE, EPS, TWO_PI
-from barnesg.expansion import _COEFFS, _series
+from barnesg.expansion import _series
 from barnesg.quadrature import integrate_panels
 from barnesg.terminant import _scaled_recurrence
 
@@ -107,51 +108,64 @@ def terminant_quadrature(p, w):
     return scaled * emw, 8.0 * EPS * abs_sum / TWO_PI * abs(emw)
 
 
-def remainder_symmetrized(z, n_trunc):
-    """R_N(z) on |arg z| < pi by the symmetrized Bernoulli kernel:
-
-        R_M = -1/((2M+1)(2M+2)) int_0^inf (B_{2M+2}(t - floor t) - B_{2M+2}) / (t+z)^{2M+1} dt
-
-    at M = max(N, 8), brought down to N by the ladder R_N = c_N z^{-2N} + R_{N+1}.
-    The integral stops where the kernel's amplitude bound puts the tail below
-    the oracle's absolute tail target.
-    """
+def _at_shift(z, n_trunc, remainder_at):
+    """R_N(z) from remainder_at(w, M) = R_M(w) at remainder_wide's shifted point w = z + m
+    and promoted index M = max(N, 8): the ladder down to N at w, then back to z
+    by oracle._shift_bracket and the series difference."""
     z = complex(z)
-    m = max(n_trunc, 8)
-    order = 2 * m + 1
-    pref = 1.0 / ((2 * m + 1) * (2 * m + 2))
-    const = bernoulli_number(2 * m + 2)
-    amplitude = DEFAULT_TABLE.max_abs_poly(2 * m + 2) + abs(const)
-    sec_half = 1.0 / math.cos(0.5 * cmath.phase(z))
-    t_stop = next(t for t in range(2, oracle._MAX_INTERVALS + 1)
-                  if pref * amplitude * sec_half ** order * (t + abs(z)) ** (1 - order)
-                  / (order - 1) <= oracle._TAIL_TARGET)
+    m_eff = max(n_trunc, 8)
+    m = oracle._wide_plan(z, m_eff)[0]
+    w = z + m if m else z
+    value = _series(w, n_trunc, m_eff) + remainder_at(w, m_eff)
+    if m:
+        value += oracle._shift_bracket(z, m)[0] + _series(w, 1, n_trunc) - _series(z, 1, n_trunc)
+    return value
 
-    def integrand(t):
-        return (DEFAULT_TABLE.poly_periodic(2 * m + 2, t) - const) / (t + z) ** order
 
-    integral, _ = integrate_panels(integrand, oracle._wide_breakpoints(t_stop, z),
-                                   oracle._GAUSS_ORDER)
-    ladder = sum(_COEFFS[n] * z ** (-2 * n) for n in range(n_trunc, m))
-    return ladder - pref * integral
+def remainder_symmetrized(z, n_trunc):
+    """R_N(z) on |arg z| < pi by the symmetrized Bernoulli kernel at remainder_wide's point w:
+
+        R_M(w) = -1/((2M+1)(2M+2)) int_0^inf (B_{2M+2}(t - floor t) - B_{2M+2}) / (t+w)^{2M+1} dt
+
+    on unit panels, brought to R_N(z) by _at_shift.  The integral stops where the
+    kernel's amplitude bound puts the tail below the oracle's absolute tail target.
+    """
+    def remainder_at(w, m):
+        order = 2 * m + 1
+        pref = 1.0 / ((2 * m + 1) * (2 * m + 2))
+        const = bernoulli_number(2 * m + 2)
+        amplitude = DEFAULT_TABLE.max_abs_poly(2 * m + 2) + abs(const)
+        sec_half = 1.0 / math.cos(0.5 * cmath.phase(w))
+        t_stop = next(t for t in range(2, oracle._MAX_INTERVALS + 1)
+                      if pref * amplitude * sec_half ** order * (t + abs(w)) ** (1 - order)
+                      / (order - 1) <= oracle._TAIL_TARGET)
+
+        def integrand(t):
+            return (DEFAULT_TABLE.poly_periodic(2 * m + 2, t) - const) / (t + w) ** order
+
+        integral, _ = integrate_panels(integrand, range(t_stop + 1), oracle._GAUSS_ORDER)
+        return -pref * integral
+
+    return _at_shift(z, n_trunc, remainder_at)
 
 
 def remainder_wide_per_node(z, n_trunc):
-    """R_N(z) at remainder_wide's promotion index and panels, with the integrand
+    """R_N(z) at remainder_wide's point w, promotion index and unit panels, with the integrand
 
-        B_{2M+1}(t - floor t) / (t+z)^{2M}
+        B_{2M+1}(t - floor t) / (t+w)^{2M}
 
     evaluated by poly_periodic at every node and numpy's complex power.
     """
-    z = complex(z)
-    m_eff, t_stop, _ = oracle._wide_truncation(z, n_trunc)
+    def remainder_at(w, m):
+        t_stop = oracle._wide_plan(w, m)[1]
 
-    def integrand(t):
-        return DEFAULT_TABLE.poly_periodic(2 * m_eff + 1, t) / (t + z) ** (2 * m_eff)
+        def integrand(t):
+            return DEFAULT_TABLE.poly_periodic(2 * m + 1, t) / (t + w) ** (2 * m)
 
-    integral, _ = integrate_panels(integrand, oracle._wide_breakpoints(t_stop, z),
-                                   oracle._GAUSS_ORDER)
-    return _series(z, n_trunc, m_eff) - integral / (2 * m_eff * (2 * m_eff + 1))
+        integral, _ = integrate_panels(integrand, range(t_stop + 1), oracle._GAUSS_ORDER)
+        return -integral / (2 * m * (2 * m + 1))
+
+    return _at_shift(z, n_trunc, remainder_at)
 
 
 def wide_t_stop_scan(abs_z, sec_half, m_eff, target):
@@ -160,20 +174,6 @@ def wide_t_stop_scan(abs_z, sec_half, m_eff, target):
                  if oracle._wide_tail_bound(t, abs_z, sec_half, m_eff,
                                             DEFAULT_TABLE.max_abs_poly(2 * m_eff + 1))
                  <= target), None)
-
-
-def wide_breakpoints_every_panel(t_stop, z):
-    """Unit panels on [0, T], each split into ceil(0.275/gap) sub-panels (at most
-    256) when its gap to the pole -z is below 0.27."""
-    pole = -z
-    pts = [0.0]
-    for m in range(t_stop):
-        a, b = float(m), float(m + 1)
-        dist = oracle._pole_gap(pole, a, b)
-        splits = 1 if dist >= 0.27 else min(256, int(math.ceil(0.275 / max(dist, 1e-3))))
-        for j in range(1, splits + 1):
-            pts.append(a + (b - a) * j / splits)
-    return pts
 
 
 def ein_one_loop(w):
@@ -221,3 +221,26 @@ def log_g_error(value, z):
         diff = mp.mpc(value) - mp.log(mp.barnesg(mp.mpc(z) + 1))
         diff -= 2j * mp.pi * mp.nint(diff.imag / (2 * mp.pi))
         return float(abs(diff))
+
+
+def remainder_reference(z, n_trunc):
+    """R_N(z) = log G(z+1) minus the expansion truncated before z^{-2N}, as an mpc.
+    R_N has no 2 pi i ambiguity, so log G is taken on the analytic branch,
+    z log Gamma(z) + zeta'(-1) - zeta'(-1, z) (Adamchik), at 30 digits beyond the
+    cancellation between it and the expansion."""
+    zm = mp.mpc(z)
+    with mp.workdps(30):
+        cancel = max(abs(zm * mp.log(zm)) ** 2, 1) * abs(zm) ** (2 * n_trunc)
+        dps = 30 + max(0, int(mp.ceil(mp.log10(cancel / abs(mp.bernoulli(2 * n_trunc + 2))))))
+    with mp.workdps(dps):
+        rn = (zm * mp.loggamma(zm) + mp.zeta(-1, 1, 1) - mp.zeta(-1, zm, 1)
+              - zm * zm / 4 - zm * mp.loggamma(zm + 1)
+              + (zm * (zm + 1) / 2 + mp.mpf(1) / 12) * mp.log(zm) + mp.log(mp.glaisher))
+        for n in range(1, n_trunc):
+            rn -= mp.bernoulli(2 * n + 2) / (2 * n * (2 * n + 1) * (2 * n + 2) * zm ** (2 * n))
+        return rn
+
+
+def remainder_error(value, z, n_trunc):
+    """|value - R_N(z)| against remainder_reference."""
+    return float(abs(mp.mpc(value) - remainder_reference(z, n_trunc)))

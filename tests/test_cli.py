@@ -10,7 +10,8 @@ import barnesg
 from barnesg import BoundKind, best_bound, family_bounds
 from barnesg.oracle import _wide_integral
 from _cli import invoke
-from _reference import log_g_error, terminant_quadrature
+from _reference import (log_g_error, remainder_error, remainder_reference,
+                        terminant_quadrature)
 
 
 def csv_rows(output):
@@ -156,24 +157,24 @@ class TestBounds:
         assert math.isnan(float(row["bound_sector"]))
         assert not math.isnan(float(row["bound_optimized"]))
 
-    # 1·e^{0.92πi}: the pole t = -z refines a panel, and T is the same for N = 1..4.
-    # The oracle under-reports its error here (ROADMAP item 2), so these bytes pin
-    # the output of the memoized route, not a reference value.
-    REFINED_CSV = (
+    # 1·e^{0.92πi}: the pole t = -z lies 0.25 from the path, so the oracle runs at
+    # w = z + 2, and T is the same for N = 1..4.  Each oracle_abs_rn is checked
+    # against mpmath in test_shifted_rows_match_mpmath.
+    SHIFTED_CSV = (
         "z_abs,theta,n,oracle_abs_rn,oracle_err,bound_sector,bound_half_angle,"
         "bound_optimized,phi_star,best_bound,ratio\n"
-        "1,2.8902652413026098,1,0.034954169633578169,3.3352059204447425e-08,nan,"
+        "1,2.8902652413026098,1,0.034954295801749483,1.366574502004055e-14,nan,"
         "0.70545411333809815,1.684284101209669,1.3826107569790818,0.70545411333809815,"
-        "20.182259247847067\n"
-        "1,2.8902652413026098,2,0.035334859372146345,3.3352059206914514e-08,nan,"
+        "20.182186399612426\n"
+        "1,2.8902652413026098,2,0.035334979232525217,1.3671163035772179e-14,nan,"
         "6.4156142163712602,6.1029093814925224,1.3617886242332256,6.1029093814925224,"
-        "172.71639083706967\n"
-        "1,2.8902652413026098,3,0.035192901340925592,3.3352059206611164e-08,nan,"
+        "172.71580496288797\n"
+        "1,2.8902652413026098,3,0.035193021861856404,1.3670398657631919e-14,nan,"
         "204.2094127496068,67.206448249665598,1.3512964740985407,67.206448249665598,"
-        "1909.659212197764\n"
-        "1,2.8902652413026098,4,0.035288448801945142,3.3352059206700248e-08,nan,"
+        "1909.6526724380726\n"
+        "1,2.8902652413026098,4,0.035288569195732838,1.3670604150584906e-14,nan,"
         "13787.876092932996,1458.8164296538396,1.3449735895670312,1458.8164296538396,"
-        "41339.772055195237\n"
+        "41339.631016557127\n"
     )
 
     def test_orders_at_one_z_share_one_quadrature(self):
@@ -182,14 +183,33 @@ class TestBounds:
             ["bounds", "--z-abs", "1", "--theta-pi", "0.92", "--n-min", "1", "--n-max", "4"],
         )
         assert res.exit_code == 0
-        assert res.output == self.REFINED_CSV
+        assert res.output == self.SHIFTED_CSV
         info = _wide_integral.cache_info()
         assert (info.misses, info.hits) == (1, 3)
 
+    @pytest.mark.parametrize("z_abs,theta_pi,csv", [("1", "0.92", SHIFTED_CSV),
+                                                    ("0.3", "0.9", None)])
+    def test_shifted_rows_match_mpmath(self, z_abs, theta_pi, csv):
+        """|R_N| against mpmath within the row's own oracle_err.  At 0.3·e^{0.9πi}
+        R_1 = 0.0715 - 0.0324i (mpmath) lies inside the half-angle bound 4.03."""
+        res = invoke(["bounds", "--z-abs", z_abs, "--theta-pi", theta_pi,
+                      "--n-min", "1", "--n-max", "4"])
+        assert res.exit_code == 0
+        assert csv is None or res.output == csv
+        z = float(z_abs) * cmath.exp(1j * float(theta_pi) * math.pi)
+        for row in csv_rows(res.output):
+            n = int(row["n"])
+            error = abs(float(row["oracle_abs_rn"]) - abs(complex(remainder_reference(z, n))))
+            assert error <= float(row["oracle_err"]), n
+        r1 = barnesg.remainder_wide(z, 1)
+        assert remainder_error(r1.value, z, 1) <= r1.est_error
 
-    def test_disagreement_names_the_point_and_blames_neither_side(self):
-        # 0.3·e^{0.9πi}: the half-angle bound 4.03 holds for R_1 = 0.0715 - 0.0324i
-        # (mpmath), but the refined quadrature returns |R_1| ~ 2.4e8 with est_error 0.25
+    def test_disagreement_names_the_point_and_blames_neither_side(self, monkeypatch):
+        """An oracle value 1e8 off (as the unshifted quadrature once returned at
+        0.3·e^{0.9πi}) exceeds the bound plus its est_error."""
+        remainder_wide = barnesg.oracle.remainder_wide
+        monkeypatch.setattr(barnesg.oracle, "remainder_wide", lambda z, n: barnesg.OracleValue(
+            value=remainder_wide(z, n).value + 2.4e8, est_error=0.25))
         res = invoke(["bounds", "--z-abs", "0.3", "--theta-pi", "0.9",
                       "--n-min", "1", "--n-max", "4"])
         assert res.exit_code == 3

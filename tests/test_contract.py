@@ -56,7 +56,7 @@ from barnesg import (
 )
 from barnesg.cli import MAX_THETA_STEPS
 from barnesg.expansion import _roundoff
-from _reference import log_g_error
+from _reference import log_g_error, remainder_error
 from _cli import invoke
 
 NAN, INF = math.nan, math.inf
@@ -75,20 +75,25 @@ OUTSIDE_SLIT_PLANE = [complex(NAN, 0.0), complex(0.0, NAN), complex(INF, 0.0),
                       complex(-INF, 0.0), complex(0.0, INF), 0j, complex(-0.0, 0.0),
                       complex(-2.0, 0.0), complex(-2.0, -0.0)]
 TINY_OR_HUGE = [1e-300, 1e200]
-#: The certified and improved routes shift a tiny z to Re w >= 12 or 2 and return
-#: log G(1+z) ~ 0 with its error; every other route raises RangeError there.
-SHIFTED_ROUTES = ("certified_eval", "exp_improved_report")
+#: The certified, improved and oracle routes shift a tiny z to Re w >= 12, 2 or 1 and
+#: return log G(1+z) ~ 0 with its error; every other route raises RangeError there.
+SHIFTED_ROUTES = ("certified_eval", "exp_improved_report", "log_barnes_oracle")
 MODULUS_OUT_OF_RANGE = [(route, z) for z in TINY_OR_HUGE for route in ROUTES
                         if not (route in SHIFTED_ROUTES and z < 1.0)]
 TINY = [1e-300, 5e-324, 1e-160 * cmath.exp(0.3j * math.pi)]
 NEAR_CUT = complex(-1.0, 1e-15)
-# finite moduli at which an intermediate of the route overflows: the promotion
-# ladder's z^{-2n}, the wide kernel's (t + z)^{2 m_eff}, the narrow prefactor 1/z^{2N}
+# finite moduli at which an intermediate of the route overflows: the wide kernel's
+# (t + z)^{2 m_eff}, the narrow prefactor 1/z^{2N}
 OVERFLOW_INSIDE = [
-    ("log_barnes_oracle", 1e-30 * cmath.exp(0.3j * math.pi)),
     ("remainder_wide", 1e30),
-    ("remainder_wide", 3e-78),
     ("remainder_narrow", 1e-78),
+]
+# small moduli where the oracle's unshifted quadrature once overflowed or went
+# wrong; shifted to Re w >= 1 they give finite values within their error
+ORACLE_SHIFTED = [
+    ("log_barnes_oracle", 1e-30 * cmath.exp(0.3j * math.pi), None),
+    ("remainder_wide", 3e-78, 2),
+    ("remainder_wide", -9.510565162951535e-06 + 3.0901699437494755e-06j, 25),
 ]
 
 
@@ -150,7 +155,8 @@ def test_tiny_modulus_is_within_its_error_of_mpmath(route, z):
         warnings.simplefilter("error", RuntimeWarning)
         with _deadline(5.0):
             out = ROUTES[route](z)
-    value, err = (out.value, out.bound) if route == "certified_eval" else out
+    value, err = out if route == "exp_improved_report" else (
+        out.value, out.bound if route == "certified_eval" else out.est_error)
     assert abs(value) < 1e-12 and log_g_error(value, z) <= err
 
 
@@ -160,6 +166,17 @@ def test_overflow_inside_a_route_raises_range_error_without_warnings(route, z):
         warnings.simplefilter("error", RuntimeWarning)
         with _deadline(5.0), pytest.raises(RangeError):
             ROUTES[route](z)
+
+
+@pytest.mark.parametrize("route,z,n", ORACLE_SHIFTED,
+                         ids=[f"{r}-{z!r}-{n}" for r, z, n in ORACLE_SHIFTED])
+def test_shifted_oracle_at_small_modulus_is_within_its_error_of_mpmath(route, z, n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with _deadline(5.0):
+            out = log_barnes_oracle(z) if n is None else remainder_wide(z, n)
+    error = log_g_error(out.value, z) if n is None else remainder_error(out.value, z, n)
+    assert error <= out.est_error
 
 
 @pytest.mark.parametrize("z", IMPROVED_LARGE, ids=repr)
@@ -453,20 +470,22 @@ CLI_METHOD = {"log_barnes_oracle": "oracle", "exp_improved_report": "hyper"}
 CLI_CASES = [
     *[(_eval(m, re), 2) for m in ("oracle", "hyper")
       for re in ("nan", "inf", "-inf", "0", "-0.0", "-2", "1e200")],
-    (_eval("oracle", "1e-300"), 2),
-    # the improved route shifts a tiny z and returns log G(1+z) ~ 0
+    # the oracle and improved routes shift a tiny z and return log G(1+z) ~ 0
+    (_eval("oracle", "1e-300"), 0),
     *[(_eval("hyper", *parts), 0) for parts in (("1e-300",), ("5e-324",),
                                                (repr(TINY[2].real), repr(TINY[2].imag)))],
+    (_eval("oracle", repr(ORACLE_SHIFTED[0][1].real), repr(ORACLE_SHIFTED[0][1].imag)), 0),
     (_eval("oracle", "0", "inf"), 2),
     (_eval("hyper", "0", "nan"), 2),
-    (_eval("oracle", "-1", "1e-15"), 3),
-    (_eval("asym", "-1", "1e-15"), 0),  # shifted to Re w >= 12
-    (_eval("hyper", "-1", "1e-15"), 0),  # a finite value with its estimate
+    # shifted to Re w >= 1, 12 and 2: a finite value with its error
+    *[(_eval(m, "-1", "1e-15"), 0) for m in ("oracle", "asym", "hyper")],
     *[(["bounds", "--z-abs", r], 2) for r in ("nan", "inf", "0", "1e-300", "1e200")],
     *[(_eval(CLI_METHOD[route], repr(z.real), repr(z.imag)), 2)
       for route, z in OVERFLOW_INSIDE if route in CLI_METHOD],
     *[(_eval("hyper", repr(z.real), repr(z.imag)), 0) for z in IMPROVED_LARGE],
-    (["bounds", "--z-abs", "1", "--theta", repr(math.pi - 1e-15)], 3),
+    # near the cut the oracle shifts to Re w >= 1, but not by more than 64 steps
+    (["bounds", "--z-abs", "1", "--theta", repr(math.pi - 1e-15)], 0),
+    (["bounds", "--z-abs", "70", "--theta", repr(math.pi - 1e-15)], 3),
     (["terminant", "--p", "60", "--w-re", "60", "--w-arg", "2.0"], 2),
     *[(["terminant", "--p", "5", "--w-re", "3", "--w-arg", a], 2) for a in ("nan", "inf")],
     (["terminant", "--p", "5", "--w-re", "inf"], 2),

@@ -7,7 +7,9 @@ logarithm of mpmath's G(z+1) may sit on another branch than the library's
 analytic log G; the branch itself is checked on the rows the certified route
 shifts across the negative axis, against a form with no principal logarithm
 of G.  A route's rows belong here once its report is a bound; there is no
-tolerance.
+tolerance.  remainder_wide's rows for N = 1..4 compare R_N(z) with mpmath's
+log G minus the truncated expansion; near the cut above the oracle's shift
+cap (Re z < -63) the oracle raises AccuracyError instead.
 """
 
 import cmath
@@ -16,9 +18,10 @@ import math
 import mpmath as mp
 import pytest
 
-from barnesg import certified_eval, exp_improved_report
+from barnesg import (AccuracyError, certified_eval, exp_improved_report, log_barnes_oracle,
+                     remainder_wide)
 from barnesg.expansion import _certified_shift
-from _reference import log_g_error
+from _reference import log_g_error, remainder_error
 
 PI = math.pi
 
@@ -39,6 +42,31 @@ def test_certified_bound_covers_the_error(z):
 def test_improved_estimate_covers_the_error(z):
     value, est = exp_improved_report(z)
     assert log_g_error(value, z) <= est
+
+
+@pytest.mark.parametrize("z", ROWS, ids=repr)
+def test_oracle_estimate_covers_the_error(z):
+    res = log_barnes_oracle(z)
+    assert log_g_error(res.value, z) <= res.est_error
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+@pytest.mark.parametrize("z", ROWS, ids=repr)
+def test_wide_remainder_estimate_covers_the_error(z, n):
+    res = remainder_wide(z, n)
+    assert remainder_error(res.value, z, n) <= res.est_error
+
+
+#: Re z < -63 and 0.006 from the cut: the wide kernel's tail target is out of reach
+#: at z, and a shift to Re w >= 1 would take more than 64 steps.
+ABOVE_THE_CAP = 70 * cmath.exp(0.998j * PI)
+
+
+@pytest.mark.parametrize("route", [log_barnes_oracle, lambda z: remainder_wide(z, 1)],
+                         ids=["log_barnes_oracle", "remainder_wide"])
+def test_oracle_above_the_shift_cap_near_the_cut_raises(route):
+    with pytest.raises(AccuracyError):
+        route(ABOVE_THE_CAP)
 
 
 #: Rows the certified route shifts by 14 to 52 steps, past the negative axis's

@@ -2,7 +2,6 @@
 
 import cmath
 import math
-import random
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from barnesg.bernoulli import DEFAULT_TABLE, BernoulliTable
 from barnesg.quadrature import _CHUNK_NODES, gauss_nodes, integrate_panels, panel_nodes
 from barnesg.special import _dilog_exp
 from _reference import (bernoulli_poly, remainder_symmetrized, remainder_wide_per_node,
-                        wide_breakpoints_every_panel, wide_t_stop_scan)
+                        wide_t_stop_scan)
 
 PI = math.pi
 
@@ -145,8 +144,11 @@ class TestWideKernel:
             assert abs(a.value - b.value) < a.est_error
 
     def test_near_cut_accuracy_error(self):
+        """Near the cut the target is out of reach at z; at Re z = -2 the shift to
+        Re w >= 1 reaches it, while at Re z = -70 a shift would pass 64 steps."""
+        assert math.isfinite(remainder_wide(2.0 * cmath.exp(1j * (PI - 1e-4)), 1).est_error)
         with pytest.raises(AccuracyError):
-            remainder_wide(2.0 * cmath.exp(1j * (PI - 1e-4)), 1)
+            remainder_wide(70.0 * cmath.exp(1j * (PI - 1e-4)), 1)
 
 
 class TestWideTailCut:
@@ -201,10 +203,10 @@ class TestNarrowDilogTable:
 class TestWideUnitTable:
     """remainder_wide reads B_{2M+1}({t}) on unit panels from one table per order."""
 
-    UNREFINED = (2.0 * cmath.exp(0.6j * PI), 1)
-    REFINED = (0.3 * cmath.exp(0.9j * PI), 1)
-    # pole 1e-3 off the axis: 256 sub-panels, more than one integrate_panels chunk
-    CHUNKED = (complex(-0.5, 1e-3), 4)
+    UNSHIFTED = (2.0 * cmath.exp(0.6j * PI), 1)
+    # pole -z within 0.7 of [0, inf): the quadrature runs at w = z + 2
+    SHIFTED = (0.3 * cmath.exp(0.9j * PI), 1)
+    SHIFTED_NEAR_POLE = (complex(-0.5, 1e-3), 4)
 
     @pytest.mark.parametrize("m", [0, 7, 63])
     def test_table_is_the_periodic_factor_on_every_unit_panel(self, m):
@@ -217,18 +219,19 @@ class TestWideUnitTable:
             tol = DEFAULT_TABLE.max_abs_poly(n) * (1e-14 + PI * math.ulp(m + 1.0))
             assert np.max(np.abs(table - DEFAULT_TABLE.poly_periodic(n, t))) <= tol, n
 
-    def test_chunked_point_spans_chunks(self):
-        z, n = self.CHUNKED
-        breaks = oracle._wide_breakpoints(oracle._wide_truncation(z, n)[1], z)
-        assert np.sum(np.diff(breaks) < 1.0) * oracle._GAUSS_ORDER > _CHUNK_NODES
+    @pytest.mark.parametrize("z,n,m", [(*UNSHIFTED, 0), (*SHIFTED, 2), (*SHIFTED_NEAR_POLE, 2)])
+    def test_shift_count(self, z, n, m):
+        assert oracle._wide_plan(z, max(n, 8))[0] == m
 
-    @pytest.mark.parametrize("z,n", [UNREFINED, REFINED, CHUNKED])
+    @pytest.mark.parametrize("z,n", [UNSHIFTED, SHIFTED, SHIFTED_NEAR_POLE])
     def test_agrees_with_the_per_node_kernel(self, z, n):
         got = remainder_wide(z, n)
         assert abs(got.value - remainder_wide_per_node(z, n)) <= got.est_error
 
-    @pytest.mark.parametrize("z,n", [UNREFINED, REFINED, CHUNKED])
+    @pytest.mark.parametrize("z,n", [UNSHIFTED, SHIFTED, SHIFTED_NEAR_POLE])
     def test_poly_periodic_sees_only_the_refined_nodes(self, monkeypatch, z, n):
+        """Every panel is a unit panel, so no node is refined: once the table is
+        filled, a fresh quadrature calls poly_periodic on no node at all."""
         remainder_wide(z, n)  # fills the table
         seen = []
         original = BernoulliTable.poly_periodic
@@ -240,13 +243,8 @@ class TestWideUnitTable:
         monkeypatch.setattr(BernoulliTable, "poly_periodic", record)
         oracle._wide_integral.cache_clear()  # a memo hit would run no quadrature
         remainder_wide(z, n)
-        breaks = oracle._wide_breakpoints(oracle._wide_truncation(z, n)[1], z)
-        fine = [breaks[i:i + 2] for i in np.flatnonzero(np.diff(breaks) < 1.0)]
-        if not fine:
-            assert seen == []
-            return
-        expected = np.concatenate([panel_nodes(bp, oracle._GAUSS_ORDER) for bp in fine])
-        assert np.array_equal(np.concatenate(seen), expected)
+        assert oracle._wide_integral.cache_info().misses == 1
+        assert seen == []
 
 
 def _outcome(f, *args):
@@ -263,9 +261,9 @@ class TestWideIntegralMemo:
     quadrature; a hit must give exactly what a fresh quadrature gives."""
 
     POINTS = [complex(2.0, 0.0), complex(2.0, -0.0), complex(-0.0, 1.5), complex(0.0, 1.5),
-              TestWideUnitTable.UNREFINED[0], TestWideUnitTable.REFINED[0],
-              TestWideUnitTable.CHUNKED[0], 1e-8j, 0.1j,
-              cmath.rect(2.0, PI - 1e-7)]  # AccuracyError below N = 8
+              TestWideUnitTable.UNSHIFTED[0], TestWideUnitTable.SHIFTED[0],
+              TestWideUnitTable.SHIFTED_NEAR_POLE[0], 1e-8j, 0.1j, cmath.rect(2.0, PI - 1e-7),
+              cmath.rect(70.0, PI - 1e-7)]  # AccuracyError: the shift would pass 64 steps
     ORDERS = {"ascending": range(1, 9), "descending": range(8, 0, -1),
               "interleaved": (1, 8, 2, 7, 3, 6, 4, 5)}
 
@@ -305,6 +303,16 @@ class TestWideIntegralMemo:
             remainder_wide(z, 1)
         assert oracle._wide_integral.cache_info().misses == 2
 
+    @pytest.mark.parametrize("z", [TestWideUnitTable.UNSHIFTED[0], TestWideUnitTable.SHIFTED[0]],
+                             ids=repr)
+    def test_log_barnes_oracle_shares_the_entry_of_the_first_four_orders(self, z):
+        oracle._wide_integral.cache_clear()
+        log_barnes_oracle(z)
+        for n in range(1, 5):
+            remainder_wide(z, n)
+        info = oracle._wide_integral.cache_info()
+        assert (info.misses, info.hits) == (1, 4)
+
     def test_raising_quadrature_raises_again_and_is_not_stored(self):
         """At z = 1e20 the quadrature itself overflows (t + z)^16."""
         oracle._wide_integral.cache_clear()
@@ -320,28 +328,6 @@ class TestWideIntegralMemo:
         info = oracle._wide_integral.cache_info()
         assert isinstance(info.maxsize, int)
         assert info.currsize <= info.maxsize
-
-
-def test_breakpoints_equal_the_every_panel_loop():
-    """Testing only the panels next to the pole gives the every-panel loop's
-    breakpoints, also with the pole on a panel end or 0.27 +- 1 ulp away."""
-    rng = random.Random(1619)
-    gaps = [0.27, math.nextafter(0.27, 0.0), math.nextafter(0.27, 1.0)]
-    for _ in range(20_000):
-        t_stop = rng.randint(2, oracle._MAX_INTERVALS)
-        kind = rng.randrange(4)
-        if kind == 0:  # anywhere near [0, T]
-            pole = complex(rng.uniform(-1.5, t_stop + 1.5), rng.uniform(-0.6, 0.6))
-        elif kind == 1:  # on a panel end
-            pole = complex(rng.randint(-1, t_stop + 1), rng.choice([0.0, 1e-4, *gaps, 0.5]))
-        elif kind == 2:  # straight above a panel, 0.27 +- 1 ulp off the axis
-            pole = complex(rng.uniform(0.0, t_stop), rng.choice(gaps) * rng.choice((1, -1)))
-        else:  # beside a panel end on the axis, 0.27 +- 1 ulp away
-            end = rng.randint(0, t_stop)
-            pole = complex(end + rng.choice(gaps) * rng.choice((1, -1)), 0.0)
-        z = -pole
-        assert oracle._wide_breakpoints(t_stop, z) == wide_breakpoints_every_panel(t_stop, z), \
-            (t_stop, z)
 
 
 class TestKernelSignStructure:

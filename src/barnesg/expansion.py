@@ -20,22 +20,21 @@ On the positive real axis R_N additionally has the sign of the first omitted
 term and is strictly smaller in magnitude.
 
 The bounds are sharp where |theta| is small.  Near the cut and at small |z|
-the functional equation log G(z+1) = log G(w+1) - S, w = z + m,
-S = sum_{j=1}^{m} log Gamma(z+j) (_shift), moves a point to Re w >= r0, where
-they are cheap and close to the first omitted term: certified_eval does so
-where its bound at z is weak (r0 = 12), exp_improved_report wherever
-Re z < 2 (r0 = 2), and the oracle's wide kernel where its pole t = -z lies
-near the path (r0 = 1, with an elementary bracket in place of S).  m is
-capped at 64; beyond it the route runs at z.
+a shift to w = z + m moves a point to Re w >= r0, where they are cheap and
+close to the first omitted term: certified_eval where its bound at z is weak
+(r0 = 12), exp_improved_report wherever Re z < 2 (r0 = 2), and the oracle's
+wide kernel where its pole t = -z lies near the path (r0 = 1).  All three
+add the expansion at w to prefix(z) plus the elementary bracket E(z, m) of
+_shift_bracket.  m is capped at 64; beyond it the route runs at z.
 
 These bound the mathematical remainder.  certified_eval reports the best of
 them plus _roundoff, a round-off allowance 8 eps sum |part| over the terms its
-binary64 value is summed from; the oracle and improved routes add the same
-rule to their quadrature or terminant estimates.  log_gamma's Stirling tail
-(_STIRLING_TAIL per call) is counted where a route shifts, since log Gamma is
-then most of the value; at z it lies below the allowance of the prefix's terms
-z^2/4 and log A.  The allowance is a running error estimate, not a proof: it
-leaves out the round-off inside log Gamma and log themselves, and
+binary64 value is summed from (the prefix's terms at z, and where shifted
+E's parts); the oracle and improved routes add the same rule to their
+quadrature or terminant estimates.  log Gamma is evaluated once per call, at
+z + 1, and its truncation error lies below the allowance of the prefix's
+terms z^2/4 and log A.  The allowance is a running error estimate, not a
+proof: it leaves out the round-off inside log Gamma and log themselves, and
 tests/test_honesty.py checks it against mpmath.
 """
 
@@ -50,7 +49,7 @@ from typing import Optional
 from .bernoulli import EPS, LOG_GLAISHER, MAX_COEFF, series_coefficient
 from .errors import (AccuracyError, DomainError, RangeError, _check_finite, _check_order,
                      _check_sector)
-from .special import _MAX_SHIFT, _STIRLING_TAIL, log_gamma
+from .special import _MAX_SHIFT, log_gamma
 
 __all__ = [
     "BoundKind",
@@ -355,22 +354,35 @@ def family_bounds(z: complex, n_trunc: int) -> dict[BoundKind, BoundReport]:
 
 def _shift_count(z: complex, r0: float) -> int:
     """Steps m that move z to Re(z + m) >= r0: 0 where Re z >= r0 already, and
-    where m would pass _MAX_SHIFT, the cap log_gamma shares."""
+    where m would pass _MAX_SHIFT = 64, the reach of log_gamma's own recurrence."""
     if z.real >= r0:
         return 0
     m = math.ceil(r0 - z.real)
     return m if m <= _MAX_SHIFT else 0
 
 
-def _shift(z: complex, m: int) -> tuple[complex, tuple[complex, ...]]:
-    """S = sum_{j=1}^{m} log Gamma(z+j) = m log Gamma(z+1) + sum_{j=1}^{m-1} (m-j) log(z+j),
-    and the parts it is summed from, for m >= 1.
+def _shift_bracket(z: complex, m: int) -> tuple[complex, tuple[complex, ...]]:
+    """E(z, m) = prefix(w) - prefix(z) - sum_{j=1}^{m} log Gamma(z+j), w = z + m, m >= 1,
+    and its parts; log G(z+1) = log G(w+1) - sum_j log Gamma(z+j) = prefix(z) + E + the
+    expansion at w.  log Gamma and log A cancel, so E needs only principal logarithms of
+    points of the slit plane, and stays on the analytic branch:
 
-    log G(z+1) = log G(z+m+1) - S.  log Gamma(z+1) = log Gamma(z) + log z holds with
-    the principal log on the slit plane, so S stays on the analytic branch.
+        E = m(2z + m)/4 + sum_{j=1}^{m-1} (z+j) log(z+j) + (w - q(w)) log w + q(z) log z.
     """
-    parts = (m * log_gamma(z + 1.0),) + tuple((m - j) * cmath.log(z + j) for j in range(1, m))
+    w = z + m
+    parts = ((0.25 * m * (2.0 * z + m),)
+             + tuple((z + j) * cmath.log(z + j) for j in range(1, m))
+             + ((w - _q(w)) * cmath.log(w), _q(z) * cmath.log(z)))
     return sum(parts), parts
+
+
+def _shifted_prefix(z: complex, m: int) -> tuple[complex, tuple[complex, ...]]:
+    """prefix(z) + E(z, m) for a checked z (prefix(z) where m = 0), and the terms of both."""
+    prefix, terms = _prefix(z)
+    if not m:
+        return prefix, terms
+    bracket, parts = _shift_bracket(z, m)
+    return prefix + bracket, terms + parts
 
 
 def _certified_shift(z: complex) -> int:
@@ -415,17 +427,17 @@ def certified_eval(z: complex, n_trunc: Optional[int] = None) -> ExpansionResult
     finite positive float is skipped, and RangeError is raised when none is
     left or the value is not finite.  Where the bound at z is weak (near the
     cut or at small |z|; _certified_shift) the expansion and the N scan run
-    at w = z + m with Re w >= 12 and m <= 64, and log G(z+1) = log G(w+1) - S
-    (_shift); n_trunc, bound_kind and weak_bound then describe w.  An explicit
-    n_trunc always evaluates at z.  Bounds with factor above 1e6 (possible
-    only near the cut) are flagged weak rather than suppressed.
+    at w = z + m with Re w >= 12 and m <= 64, and the value is
+    prefix(z) + E(z, m) + sum_{n<N} c_n w^{-2n} (_shift_bracket); n_trunc,
+    bound_kind and weak_bound then describe w.  An explicit n_trunc always
+    evaluates at z.  Bounds with factor above 1e6 (possible only near the
+    cut) are flagged weak rather than suppressed.
 
     The reported bound is best_bound(w, N).bound plus _roundoff of the
-    prefix's four terms at w and of the value, and where shifted also of S
-    and its parts, plus log_gamma's truncation error _STIRLING_TAIL (|w| + m).
+    prefix's four terms at z, of E's parts where shifted, and of the value.
     The allowance is an estimate of the binary64 value's round-off; it also
     covers the rounding of w = z + m, whose effect eps |w|^2 log |w| is below
-    that of the term w log Gamma(w+1).  On the benchmark's accuracy pass and
+    that of E's part (w - q(w)) log w.  On the benchmark's accuracy pass and
     on tests/test_honesty.py the bound covers the error against mpmath.
     """
     w = z = _check_sector(z)
@@ -438,18 +450,13 @@ def certified_eval(z: complex, n_trunc: Optional[int] = None) -> ExpansionResult
         if m:
             w = z + m
         chosen, report = _scan(w)
-    prefix, terms = _prefix(w)
+    prefix, terms = _shifted_prefix(z, m)
     value = _series(w, 1, chosen, prefix)
-    bound = report.bound + _roundoff(*terms, value)
-    if m:
-        shift, parts = _shift(z, m)
-        value -= shift
-        bound += _roundoff(*parts, shift, value) + _STIRLING_TAIL * (abs(w) + m)
     _check_finite(z, value)
     return ExpansionResult(
         value=value,
         n_trunc=chosen,
-        bound=bound,
+        bound=report.bound + _roundoff(*terms, value),
         bound_kind=report.kind,
         weak_bound=report.factor > _WEAK_FACTOR,
     )

@@ -12,14 +12,14 @@ The wide kernel's integrand has a pole at t = -z.  Where it lies within 0.7
 of the path [0, inf), or the absolute tail target is out of reach at z, the
 kernel integrates at w = z + m with Re w >= 1 (m <= 64) instead, and
 R_N(z) = R_N(w) + E(z, m) + sum_{n<N} c_n (w^{-2n} - z^{-2n}), where the
-bracket E = prefix(w) - prefix(z) - sum_{j=1}^{m} log Gamma(z+j) needs only
-logarithms.  So every panel is a unit panel far enough from the pole, and
-nothing is refined.  The truncation index is promoted internally to
-M = max(N, 8) through the ladder R_N = c_N w^{-2N} + R_{N+1} (restored
+bracket E of expansion._shift_bracket, which every log G route shifts by,
+needs only logarithms.  So every panel is a unit panel far enough from the
+pole, and nothing is refined.  The truncation index is promoted internally
+to M = max(N, 8) through the ladder R_N = c_N w^{-2N} + R_{N+1} (restored
 exactly from series coefficients), which turns the t^{-2N} tail into
 t^{-2M} and keeps the truncation point T small.  So there is one quadrature
-per (w, M, T), shared by every N <= M through the exact ladder; it is
-memoized for a few recent w, and a hit is bit-identical to a miss.
+per (z, M), shared by every N <= M; it is memoized with the shift and E for
+a few recent z, and a hit is bit-identical to a miss.
 Neither kernel evaluates a transcendental per node: the periodized
 polynomial takes the same values on every unit panel, so it is tabulated
 once per order at the Gauss nodes of [0, 1]; the wide truncation point is
@@ -31,7 +31,6 @@ the scanned truncation point as references to compare against.
 
 from __future__ import annotations
 
-import cmath
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -43,7 +42,8 @@ import numpy as np
 from .bernoulli import DEFAULT_TABLE, MAX_COEFF, TWO_PI
 from .errors import (AccuracyError, DomainError, RangeError, _check_finite, _check_order,
                      _check_sector)
-from .expansion import _prefix, _q, _roundoff, _series, _shift_count, sector_factor
+from .expansion import (_prefix, _roundoff, _series, _shift_bracket, _shift_count,
+                        sector_factor)
 from .quadrature import geometric_breakpoints, integrate_panels, panel_nodes
 from .special import _MAX_SHIFT, _dilog_exp
 
@@ -203,8 +203,9 @@ def _power(w: np.ndarray, e: int) -> np.ndarray:
         w = w * w
 
 
-def _wide_plan(z: complex, m_eff: int) -> tuple[int, int, float]:
-    """remainder_wide's shift m, and its truncation point T and tail bound at w = z + m.
+def _wide_plan(z: complex, m_eff: int) -> tuple[int, complex, int, float]:
+    """remainder_wide's shift m, the point w = z + m it integrates at, and the
+    truncation point T and tail bound there.
 
     m = 0 unless the pole t = -z lies within _POLE_GAP of [0, inf) or the
     absolute tail target is out of reach at z within _MAX_INTERVALS unit
@@ -218,47 +219,37 @@ def _wide_plan(z: complex, m_eff: int) -> tuple[int, int, float]:
     t_stop, sec_half = cut(z)
     gap = abs(z.imag) if z.real <= 0.0 else abs(z)
     m = _shift_count(z, 1.0) if t_stop is None or gap < _POLE_GAP else 0
+    w = z + m if m else z  # z + 0 would turn a part -0.0 into +0.0
     if m:
-        t_stop, sec_half = cut(z + m)
+        t_stop, sec_half = cut(w)
     if t_stop is None:
         raise AccuracyError(
             f"wide-kernel tail cannot reach the tolerance within {_MAX_INTERVALS} panels "
             f"at z = {z}, and no shift of at most {_MAX_SHIFT} steps moves it to Re w >= 1")
     max_kernel = DEFAULT_TABLE.max_abs_poly(2 * m_eff + 1)
-    return m, t_stop, _wide_tail_bound(t_stop, abs(z + m), sec_half, m_eff, max_kernel)
-
-
-def _shift_bracket(z: complex, m: int) -> tuple[complex, tuple[complex, ...]]:
-    """E(z, m) = prefix(w) - prefix(z) - S with w = z + m, and the parts it is summed from:
-
-        E = m(2z + m)/4 + sum_{j=1}^{m-1} (z+j) log(z+j) + (w - q(w)) log w + q(z) log z,
-
-    q = expansion._q.  log Gamma and log A cancel between the two prefixes and
-    S = sum_{j=1}^{m} log Gamma(z+j), so E needs only logarithms.
-    """
-    w = z + m
-    parts = ((0.25 * m * (2.0 * z + m),)
-             + tuple((z + j) * cmath.log(z + j) for j in range(1, m))
-             + ((w - _q(w)) * cmath.log(w), _q(z) * cmath.log(z)))
-    return sum(parts), parts
+    return m, w, t_stop, _wide_tail_bound(t_stop, abs(w), sec_half, m_eff, max_kernel)
 
 
 @lru_cache(maxsize=16)
-def _wide_integral(w: complex, signs: tuple[float, float], m_eff: int, t_stop: int,
-                   order: int) -> tuple[complex, float]:
-    """int_0^T B_{2M+1}(t - floor t) / (t+w)^{2M} dt and its sum of moduli, by
-    Gauss-Legendre of this order on the unit panels of [0, T].
-
-    Pure in its arguments, so every N <= M at one w shares one quadrature.
-    signs holds the signs of w's parts, because 0.0 == -0.0 hash alike.  Call
-    it inside _binary64: a raised error is not memoized.
+def _wide_integral(z: complex, signs: tuple[float, float], m_eff: int, order: int
+                   ) -> tuple[int, complex, float, complex, float, complex, tuple[complex, ...]]:
+    """remainder_wide's N-independent work at a checked z for M = m_eff: _wide_plan's
+    m, w and tail bound, int_0^T B_{2M+1}(t - floor t) / (t+w)^{2M} dt and its sum of
+    moduli by Gauss-Legendre of this order on the unit panels of [0, T], and E(z, m)
+    with its parts (0 and none where m = 0).  Pure in its arguments, so every N <= M
+    at one z shares one entry; signs holds the signs of z's parts, because 0.0 == -0.0
+    hash alike.  A raised error is not memoized.
     """
+    m, w, t_stop, tail = _wide_plan(z, m_eff)
     table = _unit_periodic(2 * m_eff + 1, order)
 
     def integrand(t: np.ndarray) -> np.ndarray:
         return (table / _power(t + w, 2 * m_eff).reshape(-1, len(table))).ravel()
 
-    return integrate_panels(integrand, range(t_stop + 1), order)
+    with _binary64(z):
+        integral, abs_sum = integrate_panels(integrand, range(t_stop + 1), order)
+        bracket, parts = _shift_bracket(z, m) if m else (0j, ())
+    return m, w, tail, integral, abs_sum, bracket, parts
 
 
 def remainder_wide(z: complex, n_trunc: int) -> OracleValue:
@@ -271,33 +262,31 @@ def remainder_wide(z: complex, n_trunc: int) -> OracleValue:
 
         R_N(z) = R_N(w) + E(z, m) + sum_{n<N} c_n (w^{-2n} - z^{-2n}),
 
-    with the elementary bracket E of _shift_bracket.  The index is promoted
-    to M = max(N, 8), so there is one quadrature per (w, M, T), shared by
-    every N <= M through the exact ladder R_N = c_N w^{-2N} + R_{N+1}:
+    with the elementary bracket E of expansion._shift_bracket.  The index is
+    promoted to M = max(N, 8), so there is one quadrature per (z, M), shared
+    by every N <= M through the exact ladder R_N = c_N w^{-2N} + R_{N+1}:
     repeated calls at one z (as `barnesg bounds` and log_barnes_oracle make)
-    reuse the memoized integral, and a hit is bit-identical to a miss.  Every
-    panel is a unit panel, on which the periodized Bernoulli polynomial is
-    read from its table at the Gauss nodes of [0, 1].  T is solved from the
-    analytic tail bound, which is a power of T + |w|.  est_error is that
-    bound plus _roundoff of the quadrature and ladder, and where shifted of
-    E's parts and the two sums.  AccuracyError where no shift of at most 64
-    reaches the target (Re z < -63 near the cut).
+    reuse the memoized quadrature, shift and bracket (_wide_integral), and a
+    hit is bit-identical to a miss.  Every panel is a unit panel, on which
+    the periodized Bernoulli polynomial is read from its table at the Gauss
+    nodes of [0, 1].  T is solved from the analytic tail bound, which is a
+    power of T + |w|.  est_error is that bound plus _roundoff of the
+    quadrature and ladder, and where shifted of E's parts and the two sums.
+    AccuracyError where no shift of at most 64 reaches the target (Re z < -63
+    near the cut).
     """
     z = _check_sector(z)
     n_trunc = _check_order(n_trunc, 1, MAX_COEFF, RangeError)
     m_eff = max(n_trunc, 8)
-    m, t_stop, tail = _wide_plan(z, m_eff)
-    w = z + m if m else z  # z + 0 would turn a part -0.0 into +0.0
+    m, w, tail, integral, abs_sum, bracket, parts = _wide_integral(
+        z, (math.copysign(1.0, z.real), math.copysign(1.0, z.imag)), m_eff, _GAUSS_ORDER)
     pref = -1.0 / (2 * m_eff * (2 * m_eff + 1))
 
     with _binary64(z):
-        signs = (math.copysign(1.0, w.real), math.copysign(1.0, w.imag))
-        integral, abs_sum = _wide_integral(w, signs, m_eff, t_stop, _GAUSS_ORDER)
         ladder = _series(w, n_trunc, m_eff)
         value = ladder + pref * integral
         est = tail + _roundoff(abs_sum * abs(pref), ladder)
         if m:
-            bracket, parts = _shift_bracket(z, m)
             head_w, head_z = _series(w, 1, n_trunc), _series(z, 1, n_trunc)
             value += bracket + (head_w - head_z)
             est += _roundoff(*parts, head_w, head_z)

@@ -33,10 +33,6 @@ __all__ = [
 #: B_{2n}/(2n(2n-1) z^{2n-1}); round-off, not truncation, sets the error.
 _SHIFT_THRESHOLD = 9.0
 _STIRLING = tuple((bernoulli_number(2 * n), (2 * n) * (2 * n - 1)) for n in range(1, 13))
-#: log_gamma's truncation error, an absolute bound on the Stirling remainder after those
-#: 12 terms at Re z >= 9: the first omitted term is at most 3.1e-21 there, and the
-#: half-angle factor sec^26(arg z / 2) below 2^13 (Nemes, Proc. Roy. Soc. Edinburgh A 145, 2015).
-_STIRLING_TAIL = 3e-17
 #: Below Re z = _SHIFT_THRESHOLD - _MAX_SHIFT = -55 log Gamma reflects instead of shifting.
 _MAX_SHIFT = 64
 #: Step limit of the Lentz iterations for e^{w} E1(w) and e^{z^2} erfc(z); reaching it

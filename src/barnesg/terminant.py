@@ -51,8 +51,8 @@ from typing import Optional, Sequence
 from .bernoulli import EPS, MAX_INDEX, TWO_PI, bernoulli_number, zeta_even
 from .errors import (AccuracyError, DomainError, RangeError, _check_finite, _check_order,
                      _check_sector)
-from .expansion import _prefix, _roundoff, _shift, _shift_count
-from .special import _STIRLING_TAIL, _e1_scaled_continued, _erf_switch
+from .expansion import _roundoff, _shift_count, _shifted_prefix
+from .special import _e1_scaled_continued, _erf_switch
 
 __all__ = [
     "TerminantMethod",
@@ -292,29 +292,25 @@ def exp_improved_report(z: complex, k_max: int = K_MAX) -> tuple[complex, float]
     """Improved evaluation plus an error estimate.
 
     Where Re z < 2 (and m <= 64) the expansion runs at w = z + m with Re w >= 2,
-    and log G(z+1) = log G(w+1) - S (expansion._shift).  At w the k-th
-    exponential's inner series is truncated at N_k = round(pi k |w|), capped
-    at 40 (_order_thresholds); k_max >= 1 terminant pairs are summed.  The
-    estimate is the terminant k-tail, the pairs' own evaluation error, and
-    _roundoff of the prefix's terms at w, the algebraic sum, the pairs and
-    the value at w; where shifted also _roundoff of S, its parts and the
-    value, plus log_gamma's truncation error _STIRLING_TAIL (|w| + m).
+    and the value is prefix(z) + E(z, m) less the algebraic sum and the pairs
+    at w (expansion._shift_bracket).  At w the k-th exponential's inner series
+    is truncated at N_k = round(pi k |w|), capped at 40 (_order_thresholds);
+    k_max >= 1 terminant pairs are summed.  The estimate is the terminant
+    k-tail, the pairs' own evaluation error, and _roundoff of the prefix's
+    terms at z, E's parts where shifted, the algebraic sum, the pairs and the
+    value.
     """
     k_max = _check_order(k_max, 1)
     z = _check_sector(z)
     m = _shift_count(z, 2.0)
     w = z + m if m else z  # z + 0 would turn an imaginary part -0.0 into 0.0
-    total, terms = _prefix(w)
+    total, terms = _shifted_prefix(z, m)
     first_k = _order_thresholds(abs(w))  # |w| >= 2: Re w >= 2, or Re w < -62 unshifted
     alg = _algebraic_sum(1.0 / (w * w), first_k)
     total -= alg
     pairs, eval_err, tail = _terminant_pairs(w, first_k, k_max)
     total -= pairs
     est = tail + eval_err + _roundoff(*terms, alg, pairs, total)
-    if m:
-        shift, parts = _shift(z, m)
-        total -= shift
-        est += _roundoff(*parts, shift, total) + _STIRLING_TAIL * (abs(w) + m)
     _check_finite(z, total, est)
     return total, est
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from barnesg import bernoulli_number, oracle, truncated_log_barnes
 from barnesg.bernoulli import DEFAULT_TABLE, EPS, TWO_PI
-from barnesg.expansion import _series
+from barnesg.expansion import _series, _shift_bracket
 from barnesg.quadrature import integrate_panels
 from barnesg.terminant import _scaled_recurrence
 
@@ -111,14 +111,13 @@ def terminant_quadrature(p, w):
 def _at_shift(z, n_trunc, remainder_at):
     """R_N(z) from remainder_at(w, M) = R_M(w) at remainder_wide's shifted point w = z + m
     and promoted index M = max(N, 8): the ladder down to N at w, then back to z
-    by oracle._shift_bracket and the series difference."""
+    by expansion._shift_bracket and the series difference."""
     z = complex(z)
     m_eff = max(n_trunc, 8)
-    m = oracle._wide_plan(z, m_eff)[0]
-    w = z + m if m else z
+    m, w = oracle._wide_plan(z, m_eff)[:2]
     value = _series(w, n_trunc, m_eff) + remainder_at(w, m_eff)
     if m:
-        value += oracle._shift_bracket(z, m)[0] + _series(w, 1, n_trunc) - _series(z, 1, n_trunc)
+        value += _shift_bracket(z, m)[0] + _series(w, 1, n_trunc) - _series(z, 1, n_trunc)
     return value
 
 
@@ -157,7 +156,7 @@ def remainder_wide_per_node(z, n_trunc):
     evaluated by poly_periodic at every node and numpy's complex power.
     """
     def remainder_at(w, m):
-        t_stop = oracle._wide_plan(w, m)[1]
+        t_stop = oracle._wide_plan(w, m)[2]
 
         def integrand(t):
             return DEFAULT_TABLE.poly_periodic(2 * m + 1, t) / (t + w) ** (2 * m)

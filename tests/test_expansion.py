@@ -16,6 +16,7 @@ from barnesg import (
     bernoulli_number,
     best_bound,
     certified_eval,
+    exp_improved_report,
     family_bounds,
     log_barnes_oracle,
     remainder_narrow,
@@ -26,8 +27,7 @@ from barnesg import (
 )
 from barnesg import expansion
 from barnesg.expansion import (MAX_TRUNCATION, _bracket, _certified_shift, _prefix, _roundoff,
-                               _scan, _shift)
-from barnesg.special import _STIRLING_TAIL
+                               _scan, _series, _shift_bracket, _shift_count)
 from _reference import log_g_error
 
 PI = math.pi
@@ -369,15 +369,18 @@ class TestCertifiedEval:
             n = 1 + min(range(len(reports)), key=lambda i: reports[i].bound)
             want = reports[n - 1]
             res = certified_eval(z)
-            # the bound is the truncation bound plus the round-off of the value's terms,
-            # and where shifted of S's terms and log Gamma's truncation error
-            value = truncated_log_barnes(w, n)
-            bound = want.bound + _roundoff(*_prefix(w)[1], value)
+            # the value is prefix(z), plus the bracket E(z, m) where shifted, plus the
+            # series at w; the bound is the truncation bound at w plus the round-off
+            # of the prefix's terms at z, E's parts and the value
+            prefix, terms = _prefix(z)
             if m:
                 shifted += 1
-                s, parts = _shift(z, m)
-                value -= s
-                bound += _roundoff(*parts, s, value) + _STIRLING_TAIL * (abs(w) + m)
+                bracket, parts = _shift_bracket(z, m)
+                prefix, terms = prefix + bracket, terms + parts
+            value = _series(w, 1, n, prefix)
+            bound = want.bound + _roundoff(*terms, value)
+            if not m:
+                assert value == truncated_log_barnes(z, n)
             assert (res.n_trunc, res.bound, res.bound_kind) == (n, bound, want.kind)
             assert res.value == value
             assert res.weak_bound == (want.factor > 1e6)
@@ -424,6 +427,27 @@ class TestCertifiedEval:
         assert repr(certified_eval(z, n)) == text
 
 
+@pytest.mark.parametrize("route,shift", [(certified_eval, _certified_shift),
+                                         (exp_improved_report, lambda z: _shift_count(z, 2.0))],
+                         ids=["certified_eval", "exp_improved_report"])
+def test_shifted_call_evaluates_log_gamma_once(monkeypatch, route, shift):
+    # the bracket E(z, m) needs only logarithms, so a shifted call evaluates
+    # log Gamma once, at z + 1, as an unshifted one does; Re z > -50 keeps
+    # log_gamma's reflection, which calls it again, out of the count
+    calls = []
+
+    def counted(x, _f=expansion.log_gamma):
+        calls.append(x)
+        return _f(x)
+
+    monkeypatch.setattr(expansion, "log_gamma", counted)
+    for z in (3.0 * cmath.exp(0.95j * PI), -1.0 + 1e-15j, complex(-40, -1), complex(0.1, 0.1)):
+        assert shift(z) > 0
+        calls.clear()
+        route(z)
+        assert calls == [z + 1.0]
+
+
 class TestTypedErrors:
     """Inputs at the edges of binary64 give a finite result or a typed error."""
 
@@ -452,7 +476,7 @@ class TestTypedErrors:
 
     @pytest.mark.parametrize("z", [1e-300, 5e-324])
     def test_tiny_modulus_shifts_to_log_g_near_zero(self, z):
-        # log G(1+z) ~ z (log 2 pi - 1)/2: the value at w = z + 12 less S
+        # log G(1+z) ~ z (log 2 pi - 1)/2: prefix(z) + E(z, 12) + the series at w = z + 12
         res = certified_eval(z)
         assert abs(res.value) < 1e-12 and log_g_error(res.value, z) <= res.bound
 

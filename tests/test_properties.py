@@ -22,7 +22,8 @@ from barnesg import (
     sector_factor,
     terminant,
 )
-from barnesg.expansion import _certified_shift, _prefix, _roundoff, _shift_count
+from barnesg.expansion import (_certified_shift, _prefix, _roundoff, _shift_bracket,
+                               _shift_count)
 from barnesg.special import _c_branch
 
 pytestmark = pytest.mark.skipif(not HAS_HYPOTHESIS, reason="hypothesis not installed")
@@ -92,26 +93,24 @@ def test_certified_bound_dominates_oracle(r, theta, n):
 )
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 def test_every_log_g_route_counts_the_prefix_roundoff(log_r, theta):
-    # every route's value starts from the prefix at w = z + m, m its shift (0 where
-    # it does not shift), so its reported error includes _roundoff of the prefix's
-    # terms at w and of the value.  certified_eval's unshifted bound is exactly the
-    # truncation bound plus that floor.  The oracle does not shift and counts the
-    # parts of its own sums, whose moduli can add up to less than |value|, so it is
-    # held to _roundoff of the prefix's terms.  No route raises on this range,
-    # except the oracle's AccuracyError near the cut, so the oracle is asked only
-    # up to |arg z| = 0.95 pi.
+    # certified_eval and exp_improved_report start from prefix(z), plus the bracket
+    # E(z, m) where they shift to w = z + m, so their reported error includes
+    # _roundoff of the prefix's terms at z, of E's parts and of the value.
+    # certified_eval's bound is exactly the truncation bound at w plus that floor,
+    # shifted or not.  The oracle counts the parts of its own sums, whose moduli
+    # can add up to less than |value|, so it is held to _roundoff of the prefix's
+    # terms.  No route raises on this range, except the oracle's AccuracyError near
+    # the cut, so the oracle is asked only up to |arg z| = 0.95 pi.
     z = 10.0 ** log_r * cmath.exp(1j * theta)
+
+    def terms(m):
+        return _prefix(z)[1] + (_shift_bracket(z, m)[1] if m else ())
+
     res = certified_eval(z)
     m = _certified_shift(z)
-    w = z + m if m else z
-    truncation = best_bound(w, res.n_trunc).bound
-    floor = _roundoff(*_prefix(w)[1], res.value)
-    if m:
-        assert res.bound >= truncation + floor
-    else:
-        assert res.bound == truncation + floor
-    m = _shift_count(z, 2.0)
+    truncation = best_bound(z + m if m else z, res.n_trunc).bound
+    assert res.bound == truncation + _roundoff(*terms(m), res.value)
     value, est = exp_improved_report(z)
-    assert est >= _roundoff(*_prefix(z + m if m else z)[1], value)
+    assert est >= _roundoff(*terms(_shift_count(z, 2.0)), value)
     if abs(theta) <= 0.95 * PI:
         assert log_barnes_oracle(z).est_error >= _roundoff(*_prefix(z)[1])

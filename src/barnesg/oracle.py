@@ -17,16 +17,30 @@ needs only logarithms.  So every panel is a unit panel far enough from the
 pole, and nothing is refined.  The truncation index is promoted internally
 to M = max(N, 8) through the ladder R_N = c_N w^{-2N} + R_{N+1} (restored
 exactly from series coefficients), which turns the t^{-2N} tail into
-t^{-2M} and keeps the truncation point T small.  So there is one quadrature
-per (z, M), shared by every N <= M; it is memoized with the shift and E for
-a few recent z, and a hit is bit-identical to a miss.
-Neither kernel evaluates a transcendental per node: the periodized
-polynomial takes the same values on every unit panel, so it is tabulated
-once per order at the Gauss nodes of [0, 1]; the wide truncation point is
-solved from its tail bound; and the dilog factor sits at fixed nodes, so it
-too is tabulated once on first use.  The test suite keeps further
-representations (a nested log kernel, a symmetrized Bernoulli kernel) and
-the scanned truncation point as references to compare against.
+t^{-2M} and keeps the truncation point T small.  The wide truncation point is
+solved from its tail bound.
+
+Each quadrature is one z-dependent array and one dot product against weights
+that hold everything else and are tabulated once, on first use:
+  * narrow: the 864 nodes are fixed, so the weights are Gauss weight times
+    panel half-width times Li2(e^{-2 pi t}) times t^{2N-1}, one row per
+    N = 1..8 (_narrow_weights; a larger N forms its one row on a miss); the
+    array is 1/(1 + (t/z)^2);
+  * wide: the periodized polynomial takes the same values on every unit
+    panel, so the weights are half the Gauss weight times B_{2M+1} at the
+    nodes of [0, 1], one vector per (M, order) (_unit_weights); the array is
+    1/(t+w)^{2M} on the unit panels of [0, T].
+Memoized, for a few recent z and keyed by z with the signs of its parts: the
+narrow integrals and sums of moduli of N = 1..8 in one entry per z, and of a
+larger N in one of its own (_narrow_integral); and the wide plan (shift, T,
+tail bound), integral, sum of moduli and E in one entry per (z, M), shared by
+every N <= M (_wide_integral).  An entry holds Python scalars only, so a hit
+does no numpy work and enters no np.errstate, and a hit is bit-identical to a
+miss.
+The test suite keeps further representations (a nested log kernel, a
+symmetrized Bernoulli kernel, both integrands evaluated at every node by
+integrate_panels) and the scanned truncation point as references to compare
+against.
 """
 
 from __future__ import annotations
@@ -44,7 +58,7 @@ from .errors import (AccuracyError, DomainError, RangeError, _check_finite, _che
                      _check_sector)
 from .expansion import (_prefix, _roundoff, _series, _shift_bracket, _shift_count,
                         sector_factor)
-from .quadrature import geometric_breakpoints, integrate_panels, panel_nodes
+from .quadrature import geometric_breakpoints, panel_nodes, panel_weights
 from .special import _MAX_SHIFT, _dilog_exp
 
 __all__ = [
@@ -73,15 +87,21 @@ class OracleValue:
     est_error: float
 
 
+def _range_error(z: complex) -> RangeError:
+    """The error of a kernel whose arithmetic left binary64 at z."""
+    return RangeError(f"the remainder kernel leaves the float range at z = {z}")
+
+
 @contextmanager
 def _binary64(z: complex) -> Iterator[None]:
-    """A float overflow, division by zero or invalid result in the block
-    (Python or numpy) raises RangeError, not a RuntimeWarning or a bare error."""
+    """Array work: a float overflow, division by zero or invalid result in the block
+    raises RangeError, not a RuntimeWarning or a bare error.  Scalar arithmetic
+    catches ArithmeticError itself, so a memo hit enters no np.errstate."""
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             yield
-    except (FloatingPointError, OverflowError, ZeroDivisionError):
-        raise RangeError(f"the remainder kernel leaves the float range at z = {z}") from None
+    except ArithmeticError:
+        raise _range_error(z) from None
 
 
 # the dilog kernel decays like e^{-2 pi t}: unit panels up to
@@ -89,16 +109,37 @@ def _binary64(z: complex) -> Iterator[None]:
 _NARROW_T_STOP = float(math.ceil(max(4.0, math.log(1.0 / _TAIL_TARGET) / TWO_PI + 2.0)))
 _NARROW_BREAKS = tuple(geometric_breakpoints()) + tuple(
     float(m) for m in range(2, int(_NARROW_T_STOP) + 1))
+#: remainder_narrow's orders N <= _NARROW_ROWS share one memo entry per z.
+_NARROW_ROWS = 8
 
 
-@lru_cache(maxsize=1)
-def _narrow_dilog() -> np.ndarray:
-    """Li2(e^{-2 pi t}) at every node of the narrow kernel, computed on first use.
+@lru_cache(maxsize=None)
+def _narrow_weights(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The narrow kernel's nodes t_j, its weights W_j = (panel half-width) (Gauss weight)
+    Li2(e^{-2 pi t_j}) and the rows W_j t_j^{2N-1} for N = 1 .. _NARROW_ROWS: all of
+    the quadrature but 1/(1 + (t/z)^2), computed on first use."""
+    t = panel_nodes(_NARROW_BREAKS, order)
+    weights = panel_weights(_NARROW_BREAKS, order) * _dilog_exp(t)
+    return t, weights, weights * t ** np.arange(1.0, 2 * _NARROW_ROWS, 2.0)[:, None]
 
-    The nodes are fixed and fit in one integrate_panels chunk, so the
-    integrand receives exactly these nodes on every call.
-    """
-    return _dilog_exp(panel_nodes(_NARROW_BREAKS, _GAUSS_ORDER))
+
+@lru_cache(maxsize=16)
+def _narrow_integral(z: complex, signs: tuple[float, float], m_eff: int, order: int
+                     ) -> tuple[tuple[complex, float], ...]:
+    """int_0^T t^{2N-1} Li2(e^{-2 pi t}) / (1 + (t/z)^2) dt and its sum of moduli, by
+    Gauss-Legendre of this order on the narrow panels, for N = 1 .. _NARROW_ROWS where
+    m_eff = _NARROW_ROWS and for N = m_eff alone where it is larger: one array
+    1/(1 + (t/z)^2), and the rows times its parts and its moduli (matrix-vector
+    products; a matrix-matrix product raised the peak RSS).  The entry keeps only
+    these Python scalars.  signs holds the signs of z's parts, which 0.0 == -0.0 hash
+    alike.  A raised error is not memoized."""
+    t, weights, rows = _narrow_weights(order)
+    with _binary64(z):
+        if m_eff > _NARROW_ROWS:
+            rows = (weights * t ** (2 * m_eff - 1))[None, :]
+        g = 1.0 / (1.0 + t * t * (1.0 / (z * z)))
+        sums = [(rows @ part).tolist() for part in (g.real, g.imag, np.abs(g))]
+    return tuple((complex(re, im), ab) for re, im, ab in zip(*sums))
 
 
 def _narrow_tail_bound(t_stop: float, n_trunc: int, ell: float) -> float:
@@ -115,24 +156,28 @@ def remainder_narrow(z: complex, n_trunc: int) -> OracleValue:
 
     The Li2(e^{-2 pi t}) factor decays like e^{-2 pi t}, so truncation at
     T ~ log(1/1e-13)/(2 pi) + 2 leaves an explicitly bounded tail.  The
-    nodes do not depend on z or N, so that factor is tabulated once.
+    nodes do not depend on z or N, so everything but 1/(1 + (t/z)^2) is
+    folded into tabulated weights, and the integrals of N = 1..8 at one z
+    come from one memoized pass (_narrow_integral); a hit is bit-identical
+    to a miss.  est_error is the tail bound plus _roundoff of the quadrature;
+    it has no discretisation term.
     """
     z = _check_sector(z)
-    if abs(math.atan2(z.imag, z.real)) >= 0.5 * math.pi:
+    theta = math.atan2(z.imag, z.real)
+    if abs(theta) >= 0.5 * math.pi:
         raise DomainError("this kernel requires |arg z| < pi/2 strictly")
     n_trunc = _check_order(n_trunc, 1)
     k = 2 * n_trunc
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return t ** (2 * n_trunc - 1) / (1.0 + (t / z) ** 2) * _narrow_dilog()
-
-    with _binary64(z):
+    try:
         pref = (-1) ** n_trunc / (2.0 * math.pi ** 2 * z ** k)
-        ell = sector_factor(math.atan2(z.imag, z.real))
-        tail = _narrow_tail_bound(_NARROW_T_STOP, n_trunc, ell) / abs(z) ** k
-        integral, abs_sum = integrate_panels(integrand, _NARROW_BREAKS, _GAUSS_ORDER)
+        tail = _narrow_tail_bound(_NARROW_T_STOP, n_trunc, sector_factor(theta)) / abs(z) ** k
+        sums = _narrow_integral(z, (math.copysign(1.0, z.real), math.copysign(1.0, z.imag)),
+                                max(n_trunc, _NARROW_ROWS), _GAUSS_ORDER)
+        integral, abs_sum = sums[n_trunc - 1] if n_trunc <= _NARROW_ROWS else sums[0]
         value = pref * integral
-    est = tail + _roundoff(abs_sum * abs(pref))
+        est = tail + _roundoff(abs_sum * abs(pref))
+    except ArithmeticError:
+        raise _range_error(z) from None
     _check_finite(z, value, est)
     return OracleValue(value=value, est_error=est)
 
@@ -181,13 +226,21 @@ def _wide_t_stop(abs_z: float, sec_half: float, m_eff: int, target: float) -> in
 
 
 @lru_cache(maxsize=None)
-def _unit_periodic(n: int, order: int) -> np.ndarray:
-    """B_n(t - floor t) at the Gauss nodes of [0, 1], computed on first use.
+def _unit_weights(n: int, order: int) -> np.ndarray:
+    """Half the Gauss weight times B_n(t - floor t) at the Gauss nodes of [0, 1],
+    computed on first use.
 
-    The factor is 1-periodic, so these are its values at the nodes of every
-    unit panel [m, m+1] (up to the rounding of the nodes themselves).
+    The factor is 1-periodic, so these are its weights on every unit panel
+    [m, m+1] (up to the rounding of the nodes themselves).
     """
-    return DEFAULT_TABLE.poly_periodic(n, panel_nodes([0.0, 1.0], order))
+    return panel_weights([0.0, 1.0], order) * DEFAULT_TABLE.poly_periodic(
+        n, panel_nodes([0.0, 1.0], order))
+
+
+@lru_cache(maxsize=None)
+def _unit_nodes(order: int) -> np.ndarray:
+    """The Gauss nodes of the unit panels [m, m+1], m < _MAX_INTERVALS, one row per panel."""
+    return panel_nodes(range(_MAX_INTERVALS + 1), order).reshape(_MAX_INTERVALS, order)
 
 
 def _power(w: np.ndarray, e: int) -> np.ndarray:
@@ -235,19 +288,18 @@ def _wide_integral(z: complex, signs: tuple[float, float], m_eff: int, order: in
                    ) -> tuple[int, complex, float, complex, float, complex, tuple[complex, ...]]:
     """remainder_wide's N-independent work at a checked z for M = m_eff: _wide_plan's
     m, w and tail bound, int_0^T B_{2M+1}(t - floor t) / (t+w)^{2M} dt and its sum of
-    moduli by Gauss-Legendre of this order on the unit panels of [0, T], and E(z, m)
-    with its parts (0 and none where m = 0).  Pure in its arguments, so every N <= M
-    at one z shares one entry; signs holds the signs of z's parts, because 0.0 == -0.0
-    hash alike.  A raised error is not memoized.
+    moduli by Gauss-Legendre of this order on the unit panels of [0, T] (the array
+    1/(t+w)^{2M} against _unit_weights, panel by panel), and E(z, m) with its parts
+    (0 and none where m = 0), all as Python scalars.  Pure in its arguments, so every
+    N <= M at one z shares one entry; signs holds the signs of z's parts, because
+    0.0 == -0.0 hash alike.  A raised error is not memoized.
     """
     m, w, t_stop, tail = _wide_plan(z, m_eff)
-    table = _unit_periodic(2 * m_eff + 1, order)
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return (table / _power(t + w, 2 * m_eff).reshape(-1, len(table))).ravel()
-
+    weights = _unit_weights(2 * m_eff + 1, order)
     with _binary64(z):
-        integral, abs_sum = integrate_panels(integrand, range(t_stop + 1), order)
+        inv = 1.0 / _power(_unit_nodes(order)[:t_stop] + w, 2 * m_eff)
+        integral = complex(sum((inv @ weights).tolist()))  # panel sums in panel order
+        abs_sum = float(np.abs(inv).sum(axis=0) @ np.abs(weights))
         bracket, parts = _shift_bracket(z, m) if m else (0j, ())
     return m, w, tail, integral, abs_sum, bracket, parts
 
@@ -268,8 +320,8 @@ def remainder_wide(z: complex, n_trunc: int) -> OracleValue:
     repeated calls at one z (as `barnesg bounds` and log_barnes_oracle make)
     reuse the memoized quadrature, shift and bracket (_wide_integral), and a
     hit is bit-identical to a miss.  Every panel is a unit panel, on which
-    the periodized Bernoulli polynomial is read from its table at the Gauss
-    nodes of [0, 1].  T is solved from the analytic tail bound, which is a
+    the periodized Bernoulli polynomial is folded into weights tabulated at
+    the Gauss nodes of [0, 1].  T is solved from the analytic tail bound, which is a
     power of T + |w|.  est_error is that bound plus _roundoff of the
     quadrature and ladder, and where shifted of E's parts and the two sums.
     AccuracyError where no shift of at most 64 reaches the target (Re z < -63
@@ -282,7 +334,7 @@ def remainder_wide(z: complex, n_trunc: int) -> OracleValue:
         z, (math.copysign(1.0, z.real), math.copysign(1.0, z.imag)), m_eff, _GAUSS_ORDER)
     pref = -1.0 / (2 * m_eff * (2 * m_eff + 1))
 
-    with _binary64(z):
+    try:
         ladder = _series(w, n_trunc, m_eff)
         value = ladder + pref * integral
         est = tail + _roundoff(abs_sum * abs(pref), ladder)
@@ -290,6 +342,8 @@ def remainder_wide(z: complex, n_trunc: int) -> OracleValue:
             head_w, head_z = _series(w, 1, n_trunc), _series(z, 1, n_trunc)
             value += bracket + (head_w - head_z)
             est += _roundoff(*parts, head_w, head_z)
+    except ArithmeticError:
+        raise _range_error(z) from None
     _check_finite(z, value, est)
     return OracleValue(value=value, est_error=est)
 

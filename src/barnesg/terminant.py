@@ -69,6 +69,13 @@ MAX_ORDER = 171
 #: Terminant pairs that exp_improved_report sums unless told otherwise.
 K_MAX = 5
 _ORDER_CAP = 40
+#: Above the shift cap (Re z < -62) exp_improved_report runs at z itself, where its
+#: k-th pair is of size e^{-2 pi k |Im z|}.  Against mpmath, the geometric k-tail guess
+#: falls short of the error by up to 2.5x where the first omitted pair,
+#: e^{-2 pi (k_max + 1) |Im z|}, is above about 1e-8, and stays below a quarter of it
+#: where that pair is below 1e-9.  So the route raises where
+#: (k_max + 1) |Im z| < log(1e9) / (2 pi).
+_CAP_K_REACH = math.log(1e9) / TWO_PI
 
 
 class TerminantMethod(enum.Enum):
@@ -298,13 +305,19 @@ def exp_improved_report(z: complex, k_max: int = K_MAX) -> tuple[complex, float]
     k_max >= 1 terminant pairs are summed.  The estimate is the terminant
     k-tail, the pairs' own evaluation error, and _roundoff of the prefix's
     terms at z, E's parts where shifted, the algebraic sum, the pairs and the
-    value.
+    value.  AccuracyError above the shift cap (Re z < -62, where the route
+    runs at z) where |Im z| < (log 1e9)/(2 pi (k_max + 1)): there the k-tail
+    guess cannot be trusted (_CAP_K_REACH).
     """
     k_max = _check_order(k_max, 1)
     z = _check_sector(z)
     m = _shift_count(z, 2.0)
     w = z + m if m else z  # z + 0 would turn an imaginary part -0.0 into 0.0
-    total, terms = _shifted_prefix(z, m)
+    total, terms = _shifted_prefix(z, m)  # RangeError first where the prefix overflows
+    if not m and z.real < 2.0 and k_max + 1 < _CAP_K_REACH / abs(z.imag):  # Im z != 0 here
+        raise AccuracyError(
+            f"the terminant k-tail cannot be bounded at z = {z}: above the shift cap, "
+            f"{k_max} pairs leave a first omitted pair above 1e-9")
     first_k = _order_thresholds(abs(w))  # |w| >= 2: Re w >= 2, or Re w < -62 unshifted
     alg = _algebraic_sum(1.0 / (w * w), first_k)
     total -= alg

@@ -15,6 +15,9 @@ Each computes a quantity the library also computes, by another formula:
   * remainder_wide_per_node -- R_N(z) by remainder_wide's own unit panels
     with the periodized polynomial evaluated at every node and (t+w)^{2M}
     by **, the reference for its unit-panel table and binary powering;
+  * remainder_narrow_per_panel -- R_N(z) by remainder_narrow's panels with
+    the integrand t^{2N-1} Li2(e^{-2 pi t}) / (1 + (t/z)^2) evaluated at every
+    node by integrate_panels, the reference for its folded weights;
   * wide_t_stop_scan -- remainder_wide's truncation point by scanning
     t = 2, 3, ..., the reference for the point solved from the tail bound;
   * ein_one_loop -- Ein(w) by one loop that tests convergence and
@@ -41,6 +44,7 @@ from barnesg import bernoulli_number, oracle, truncated_log_barnes
 from barnesg.bernoulli import DEFAULT_TABLE, EPS, TWO_PI
 from barnesg.expansion import _series, _shift_bracket
 from barnesg.quadrature import integrate_panels
+from barnesg.special import _dilog_exp
 from barnesg.terminant import _scaled_recurrence
 
 
@@ -165,6 +169,19 @@ def remainder_wide_per_node(z, n_trunc):
         return -integral / (2 * m * (2 * m + 1))
 
     return _at_shift(z, n_trunc, remainder_at)
+
+
+def remainder_narrow_per_panel(z, n_trunc):
+    """R_N(z) = z^{-2N} (-1)^N/(2 pi^2) int_0^T t^{2N-1} Li2(e^{-2 pi t}) / (1 + (t/z)^2) dt
+    on remainder_narrow's panels, with the whole integrand evaluated at every node and
+    the panel sums added by integrate_panels."""
+    z = complex(z)
+
+    def integrand(t):
+        return t ** (2 * n_trunc - 1) / (1.0 + (t / z) ** 2) * _dilog_exp(t)
+
+    integral, _ = integrate_panels(integrand, oracle._NARROW_BREAKS, oracle._GAUSS_ORDER)
+    return (-1) ** n_trunc / (2.0 * math.pi ** 2 * z ** (2 * n_trunc)) * integral
 
 
 def wide_t_stop_scan(abs_z, sec_half, m_eff, target):

@@ -163,9 +163,9 @@ class TestBounds:
     SHIFTED_CSV = (
         "z_abs,theta,n,oracle_abs_rn,oracle_err,bound_sector,bound_half_angle,"
         "bound_optimized,phi_star,best_bound,ratio\n"
-        "1,2.8902652413026098,1,0.034954295801749483,1.366574502004055e-14,nan,"
+        "1,2.8902652413026098,1,0.034954295801749476,1.366574502004055e-14,nan,"
         "0.70545411333809815,1.684284101209669,1.3826107569790818,0.70545411333809815,"
-        "20.182186399612426\n"
+        "20.18218639961243\n"
         "1,2.8902652413026098,2,0.035334979232525217,1.3671163035772179e-14,nan,"
         "6.4156142163712602,6.1029093814925224,1.3617886242332256,6.1029093814925224,"
         "172.71580496288797\n"

@@ -10,7 +10,8 @@ shifts across the negative axis, against a form with no principal logarithm
 of G.  A route's rows belong here once its report is a bound; there is no
 tolerance.  remainder_wide's rows for N = 1..4 compare R_N(z) with mpmath's
 log G minus the truncated expansion; near the cut above the oracle's shift
-cap (Re z < -63) the oracle raises AccuracyError instead.
+cap (Re z < -63) the oracle raises AccuracyError instead, and so does the
+improved route above its own cap (Re z < -62) within about 0.55 of the cut.
 """
 
 import cmath
@@ -72,6 +73,30 @@ ABOVE_THE_CAP = 70 * cmath.exp(0.998j * PI)
 def test_oracle_above_the_shift_cap_near_the_cut_raises(route):
     with pytest.raises(AccuracyError):
         route(ABOVE_THE_CAP)
+
+
+#: Re z < -62 within 1e-3 of the cut: the improved route runs at z, above its shift cap,
+#: where its k-tail guess once under-reported (error/estimate 1.1 to 1.9 against mpmath).
+_IMPROVED_CAP_UPPER = [r * cmath.exp(1j * (PI - d))
+                       for r, d in ((70, 1e-3), (66, 1e-3), (100, 1e-3), (200, 1e-3), (70, 1e-4))]
+#: Farther from the cut, or with more pairs, the first omitted pair is below 1e-9.
+_IMPROVED_CAP_KEPT = [(70 * cmath.exp(1j * (PI - 0.01)), 5), (70 * cmath.exp(1j * (PI - 0.05)), 5),
+                      (complex(-70, 0.3), 20)]
+
+
+@pytest.mark.parametrize("z", _IMPROVED_CAP_UPPER + [z.conjugate() for z in _IMPROVED_CAP_UPPER],
+                         ids=repr)
+def test_improved_above_the_shift_cap_near_the_cut_raises(z):
+    with pytest.raises(AccuracyError):
+        exp_improved_report(z)
+
+
+@pytest.mark.parametrize("z,k_max", _IMPROVED_CAP_KEPT + [(z.conjugate(), k)
+                                                         for z, k in _IMPROVED_CAP_KEPT],
+                         ids=repr)
+def test_improved_above_the_shift_cap_off_the_cut_covers_the_error(z, k_max):
+    value, est = exp_improved_report(z, k_max)
+    assert log_g_error(value, z) <= est
 
 
 #: Rows the certified route shifts by 14 to 52 steps, past the negative axis's

@@ -2,7 +2,10 @@
 
 import cmath
 import math
+import tracemalloc
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -20,10 +23,10 @@ from barnesg import (
 )
 from barnesg import oracle
 from barnesg.bernoulli import DEFAULT_TABLE, BernoulliTable
-from barnesg.quadrature import _CHUNK_NODES, gauss_nodes, integrate_panels, panel_nodes
+from barnesg.quadrature import gauss_nodes, integrate_panels, panel_nodes, panel_weights
 from barnesg.special import _dilog_exp
-from _reference import (bernoulli_poly, remainder_symmetrized, remainder_wide_per_node,
-                        wide_t_stop_scan)
+from _reference import (bernoulli_poly, remainder_narrow_per_panel, remainder_symmetrized,
+                        remainder_wide_per_node, wide_t_stop_scan)
 
 PI = math.pi
 
@@ -182,11 +185,10 @@ class TestWideTailCut:
                             == wide_t_stop_scan(abs_z, sec_half, m_eff, oracle._TAIL_TARGET))
 
 
-class TestNarrowDilogTable:
-    def test_narrow_nodes_fit_one_chunk(self):
-        assert (len(oracle._NARROW_BREAKS) - 1) * oracle._GAUSS_ORDER <= _CHUNK_NODES
+class TestNarrowWeights:
+    """remainder_narrow folds everything but 1/(1 + (t/z)^2) into tabulated weights."""
 
-    def test_table_is_dilog_at_the_integrand_nodes(self):
+    def test_nodes_are_the_integrate_panels_nodes(self):
         seen = []
 
         def record(t):
@@ -195,9 +197,31 @@ class TestNarrowDilogTable:
 
         integrate_panels(record, oracle._NARROW_BREAKS, oracle._GAUSS_ORDER)
         assert len(seen) == 1
-        table = oracle._narrow_dilog()
-        assert table.shape == seen[0].shape
-        assert np.array_equal(table, _dilog_exp(seen[0]))
+        assert np.array_equal(oracle._narrow_weights(oracle._GAUSS_ORDER)[0], seen[0])
+
+    def test_weights_hold_the_dilog_factor(self):
+        t, weights, _ = oracle._narrow_weights(oracle._GAUSS_ORDER)
+        assert np.array_equal(
+            weights, panel_weights(oracle._NARROW_BREAKS, oracle._GAUSS_ORDER) * _dilog_exp(t))
+
+    @pytest.mark.parametrize("n", range(1, oracle._NARROW_ROWS + 1))
+    def test_rows_integrate_the_moments(self, n):
+        """int_0^T t^{2n-1} Li2(e^{-2 pi t}) dt = sum_k gamma(2n, 2 pi k T) / ((2 pi k)^{2n} k^2),
+        termwise from Li2(x) = sum_k x^k / k^2 (lower incomplete gamma)."""
+        rows = oracle._narrow_weights(oracle._GAUSS_ORDER)[2]
+        x = 2 * mp.pi * oracle._NARROW_T_STOP
+        exact = float(mp.nsum(lambda k: mp.gammainc(2 * n, 0, k * x)
+                              / ((2 * mp.pi * k) ** (2 * n) * k ** 2), [1, mp.inf]))
+        assert rows[n - 1].sum() == pytest.approx(exact, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 9])
+    @pytest.mark.parametrize("z", [3.0, 5.0 + 2.0j, 0.3 * cmath.exp(0.4j * PI),
+                                   1e-3 * cmath.exp(-0.2j * PI), 40.0 * cmath.exp(0.45j * PI)],
+                             ids=repr)
+    def test_agrees_with_the_per_panel_integrand(self, z, n):
+        """The weights change the order of the sums, not the rule: round-off only."""
+        got = remainder_narrow(z, n)
+        assert abs(got.value - remainder_narrow_per_panel(z, n)) <= got.est_error
 
 
 class TestWideUnitTable:
@@ -209,21 +233,29 @@ class TestWideUnitTable:
     SHIFTED_NEAR_POLE = (complex(-0.5, 1e-3), 4)
 
     @pytest.mark.parametrize("m", [0, 7, 63])
-    def test_table_is_the_periodic_factor_on_every_unit_panel(self, m):
+    def test_weights_hold_the_periodic_factor_on_every_unit_panel(self, m):
         """Each node of [m, m+1] is m plus the matching node of [0, 1] up to about
         ulp(m+1)/2 of rounding; |B_n'| <= 2 pi max_abs_poly(n) prices that
-        shift, and 1e-14 covers poly_periodic's own error."""
+        shift, and 1e-14 covers poly_periodic's own error and the division."""
         t = panel_nodes([float(m), float(m + 1)], oracle._GAUSS_ORDER)
+        gauss = panel_weights([0.0, 1.0], oracle._GAUSS_ORDER)
         for n in range(17, 64, 2):
-            table = oracle._unit_periodic(n, oracle._GAUSS_ORDER)
+            table = oracle._unit_weights(n, oracle._GAUSS_ORDER) / gauss
             tol = DEFAULT_TABLE.max_abs_poly(n) * (1e-14 + PI * math.ulp(m + 1.0))
             assert np.max(np.abs(table - DEFAULT_TABLE.poly_periodic(n, t))) <= tol, n
+
+    def test_unit_nodes_are_the_panel_nodes(self):
+        nodes = oracle._unit_nodes(oracle._GAUSS_ORDER)
+        assert nodes.shape == (oracle._MAX_INTERVALS, oracle._GAUSS_ORDER)
+        for m in range(oracle._MAX_INTERVALS):
+            assert np.array_equal(nodes[m], panel_nodes([m, m + 1], oracle._GAUSS_ORDER))
 
     @pytest.mark.parametrize("z,n,m", [(*UNSHIFTED, 0), (*SHIFTED, 2), (*SHIFTED_NEAR_POLE, 2)])
     def test_shift_count(self, z, n, m):
         assert oracle._wide_plan(z, max(n, 8))[0] == m
 
-    @pytest.mark.parametrize("z,n", [UNSHIFTED, SHIFTED, SHIFTED_NEAR_POLE])
+    @pytest.mark.parametrize("z,n", [UNSHIFTED, SHIFTED, SHIFTED_NEAR_POLE, (3.0, 4), (5 + 2j, 9),
+                                     (1e-8j, 2)])
     def test_agrees_with_the_per_node_kernel(self, z, n):
         got = remainder_wide(z, n)
         assert abs(got.value - remainder_wide_per_node(z, n)) <= got.est_error
@@ -322,12 +354,84 @@ class TestWideIntegralMemo:
         info = oracle._wide_integral.cache_info()
         assert (info.misses, info.hits, info.currsize) == (2, 0, 0)
 
-    def test_memo_is_bounded(self):
+    @pytest.mark.parametrize("kernel,memo", [(remainder_wide, "_wide_integral"),
+                                             (remainder_narrow, "_narrow_integral")])
+    def test_memo_is_bounded(self, kernel, memo):
         for k in range(40):
-            remainder_wide(complex(2.0 + 0.1 * k, 1.0), 1)
-        info = oracle._wide_integral.cache_info()
+            kernel(complex(2.0 + 0.1 * k, 1.0), 1)
+        info = getattr(oracle, memo).cache_info()
         assert isinstance(info.maxsize, int)
         assert info.currsize <= info.maxsize
+
+
+class TestNarrowIntegralMemo:
+    """remainder_narrow's orders N <= 8 at one z share one memoized pass; a hit must
+    give exactly what a fresh pass gives."""
+
+    POINTS = [complex(2.0, 0.0), complex(2.0, -0.0), complex(5.0, 2.0), 0.3 * cmath.exp(0.4j * PI),
+              1e-3 * cmath.exp(-0.2j * PI), 40.0 * cmath.exp(0.45j * PI),
+              1e-160 * cmath.exp(0.3j * PI)]  # RangeError: 1/z^{2N} overflows
+    ORDERS = {"ascending": range(1, 11), "descending": range(10, 0, -1),
+              "interleaved": (1, 9, 2, 8, 3, 10, 4, 5)}
+
+    @staticmethod
+    def fresh(*args):
+        oracle._narrow_integral.cache_clear()
+        return _outcome(remainder_narrow, *args)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("z", POINTS, ids=repr)
+    def test_hits_equal_fresh_calls(self, z, order):
+        calls = [(z, n) for n in self.ORDERS[order]]
+        expected = [self.fresh(*call) for call in calls]
+        oracle._narrow_integral.cache_clear()
+        assert [_outcome(remainder_narrow, *call) for call in calls] == expected
+
+    def test_orders_one_to_four_make_one_miss(self):
+        oracle._narrow_integral.cache_clear()
+        for n in range(1, 5):
+            remainder_narrow(5.0 + 2.0j, n)
+        info = oracle._narrow_integral.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
+    def test_signed_zeros_are_separate_entries(self):
+        oracle._narrow_integral.cache_clear()
+        for z in (complex(2.0, 0.0), complex(2.0, -0.0)):
+            remainder_narrow(z, 1)
+        assert oracle._narrow_integral.cache_info().misses == 2
+
+    @pytest.mark.parametrize("z", [1.0, 0.5, 2.0, cmath.exp(0.3j)], ids=repr)
+    def test_huge_order_raises_range_error_without_rows(self, z):
+        """N = 10^300 ends in RangeError, without a RuntimeWarning and without
+        building a row per order: the calls together allocate less than 1 MB."""
+        signs = (1.0, math.copysign(1.0, complex(z).imag))
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(RangeError):
+                    remainder_narrow(z, 10 ** 300)
+                with pytest.raises(RangeError):
+                    oracle._narrow_integral(complex(z), signs, 10 ** 300, oracle._GAUSS_ORDER)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("z", [3.0, 5.0 + 2.0j, 0.3 * cmath.exp(0.9j * PI), 1e-8j], ids=repr)
+def test_memo_hits_enter_no_errstate(monkeypatch, z):
+    """Once both memos hold z, the kernels and log_barnes_oracle run pure Python."""
+    narrow = abs(cmath.phase(z)) < 0.5 * PI
+    calls = [(log_barnes_oracle, z)] + [(remainder_wide, z, n) for n in range(1, 5)]
+    calls += [(remainder_narrow, z, n) for n in range(1, 5)] if narrow else []
+    warm = [_outcome(*call) for call in calls]
+
+    def no_errstate(**kwargs):
+        raise AssertionError("np.errstate entered on a memo hit")
+
+    monkeypatch.setattr(np, "errstate", no_errstate)
+    assert [_outcome(*call) for call in calls] == warm
 
 
 class TestKernelSignStructure:

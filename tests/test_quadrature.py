@@ -1,5 +1,6 @@
 """Gauss-Legendre nodes against scipy, the vectorised panel sum against the
-panel-at-a-time loop, and the import footprint of the package."""
+panel-at-a-time loop, the flattened panel weights against it, and the import
+footprint of the package."""
 
 import cmath
 import inspect
@@ -17,7 +18,8 @@ from scipy.special import roots_legendre
 import barnesg
 from barnesg.bernoulli import DEFAULT_TABLE
 from barnesg.oracle import _GAUSS_ORDER, _NARROW_BREAKS
-from barnesg.quadrature import _CHUNK_NODES, gauss_nodes, integrate_panels
+from barnesg.quadrature import (_CHUNK_NODES, gauss_nodes, integrate_panels, panel_nodes,
+                                 panel_weights)
 from barnesg.special import _dilog_exp
 
 EPS = np.finfo(float).eps
@@ -126,3 +128,16 @@ def test_memory_stays_bounded_for_many_panels():
         tracemalloc.stop()
     # one pass over all 3.2e6 nodes would hold ~50 MB per complex array
     assert peak < 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_panel_weights_integrate_like_the_panel_loop(case):
+    """One dot product of panel_weights with f at panel_nodes gives integrate_panels'
+    integral to round-off, and the weights are the half-widths times the Gauss weights."""
+    f, breaks = CASES[case]()
+    weights = panel_weights(breaks)
+    _, w = gauss_nodes(32)
+    half = 0.5 * np.diff(np.asarray(breaks, dtype=float))
+    assert np.array_equal(weights, (half[:, None] * w).ravel())
+    value, abs_sum = integrate_panels(f, breaks)
+    assert abs(np.dot(weights, f(panel_nodes(breaks))) - value) <= 64 * EPS * abs_sum

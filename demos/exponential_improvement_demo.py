@@ -4,8 +4,10 @@ On arg z = pi/2 the plain asymptotic series, truncated at its smallest term,
 bottoms out at the scale of the half-switched subdominant exponential
 e^{-2 pi |z|} / (4 pi).  The improved route has no such floor: it moves z to
 w = z + 2 (Re w >= 2, log G(z+1) = log G(w+1) - log Gamma(z+1) - log Gamma(z+2)),
-where one terminant pair already reaches quadrature-oracle accuracy; further
-pairs shrink only the estimate of the omitted ones.
+where one terminant pair already reaches quadrature-oracle accuracy.  k_max is
+the most pairs summed: the route stops once a certified bound on the rest is
+below its round-off, one or two pairs at Re w >= 2, so k_max = 2 and 3 (and at
+|z| >= 2.5 also k_max = 1) print the same row.
 
 Run:  python demos/exponential_improvement_demo.py
 """

@@ -143,11 +143,19 @@ def _narrow_integral(z: complex, signs: tuple[float, float], m_eff: int, order: 
 
 
 def _narrow_tail_bound(t_stop: float, n_trunc: int, ell: float) -> float:
-    """Tail of int_T^inf t^{2N-1} e^{-2 pi t} dt times the kernel prefactors."""
+    """Tail of int_T^inf t^{2N-1} e^{-2 pi t} dt times the kernel prefactors.
+
+    The tail integral is Gamma(2N, x)/(2 pi)^{2N} = sum_{j<2N} (2N-1)!/j! x^j e^{-x}/(2 pi)^{2N},
+    x = 2 pi T, summed from its last term down by t_{j-1} = t_j j/x, so no factorial
+    or power leaves binary64 unless the tail itself does (OverflowError then).
+    """
     k = 2 * n_trunc
     x = TWO_PI * t_stop
-    partial = sum(x ** j / math.factorial(j) for j in range(k))
-    gamma_tail = math.factorial(k - 1) * math.exp(-x) * partial / TWO_PI ** k
+    term = math.exp((k - 1) * math.log(x) - x - k * math.log(TWO_PI))
+    gamma_tail = term
+    for j in range(k - 1, 0, -1):
+        term *= j / x
+        gamma_tail += term
     return ell * (math.pi ** 2 / 6.0) * gamma_tail / (2.0 * math.pi ** 2)
 
 

@@ -20,8 +20,13 @@ log G(z+1) work:
 
 an identity for every sequence of non-negative N_k.  The first double sum
 converges absolutely and is evaluated completely (regrouped over n through
-zeta partial sums); only the terminant sum is truncated, at k_max, leaving
-the exponentially small k-tail that is reported as the error estimate.
+zeta partial sums); only the terminant sum is truncated.  Its k-th pair is
+exactly minus the k-th share of the remainder R_{N_k+1}(z), the dilog kernel
+with Li2(e^{-2 pi t}) replaced by e^{-2 pi k t}/k^2, so the remainder's closed
+bound factors bound each pair too.  Where |arg z| <= pi/2 the sum stops at the
+first K <= k_max whose certified k-tail is below 1/1024 of the value's
+round-off, and that bound is the reported k-tail; elsewhere (above the shift
+cap) k_max pairs are summed and the k-tail is guessed from the last two.
 
 Branch bookkeeping: with z in the slit plane the terminant arguments
 w = +-2 pi k i z sweep arg w across +-pi, so the function is evaluated on the
@@ -51,7 +56,7 @@ from typing import Optional, Sequence
 from .bernoulli import EPS, MAX_INDEX, TWO_PI, bernoulli_number, zeta_even
 from .errors import (AccuracyError, DomainError, RangeError, _check_finite, _check_order,
                      _check_sector)
-from .expansion import _roundoff, _shift_count, _shifted_prefix
+from .expansion import _closed_factor, _roundoff, _shift_count, _shifted_prefix
 from .special import _e1_scaled_continued, _erf_switch
 
 __all__ = [
@@ -76,6 +81,10 @@ _ORDER_CAP = 40
 #: where that pair is below 1e-9.  So the route raises where
 #: (k_max + 1) |Im z| < log(1e9) / (2 pi).
 _CAP_K_REACH = math.log(1e9) / TWO_PI
+#: Below the shift cap the pair sum stops once its certified k-tail is below this share
+#: of the round-off allowance of the prefix, E and the algebraic sum.
+_TAIL_SHARE = 2.0 ** -10
+_LOG_TWO = math.log(2.0)
 
 
 class TerminantMethod(enum.Enum):
@@ -271,9 +280,50 @@ def _algebraic_sum(zinv2: complex, first_k: list[int]) -> complex:
     return total
 
 
-def _terminant_pairs(z: complex, first_k: list[int], k_max: int) -> tuple[complex, float, float]:
-    """Sum of the k <= k_max terminant pairs, their eval-error, and a k-tail estimate."""
+def _pair_bound(k: int, n: int, log_abs_z: float, theta: float) -> float:
+    """Certified bound on |pair_k| at remainder index n = N_k + 1, for |theta| <= pi/2:
+
+        |pair_k| <= factor(theta, n) 2 (2n-1)! / ((2 pi k)^{2n+2} |z|^{2n}),
+
+    factor from expansion._closed_factor.  The pair is minus R_n's share with the
+    kernel e^{-2 pi k t}/k^2, which is positive on [0, inf) and has modulus
+    e^{-2 pi k r cos phi} on a ray rotated by phi.  So the factor 1 (|theta| <= pi/4),
+    csc 2 theta and the half-angle factor hold for it as for R_n; rotating costs it
+    sec^{2n} phi rather than sec^{2n+1} phi, which keeps the sector family's cap
+    sqrt(e (2n + 5/2))/2 above its least rotated factor for n <= 41.
+    """
+    log_term = (_LOG_TWO + math.lgamma(2 * n) - (2 * n + 2) * math.log(TWO_PI * k)
+                - 2 * n * log_abs_z)
+    return _closed_factor(theta, n)[0] * math.exp(log_term)
+
+
+def _k_tail(last: int, log_abs_z: float, theta: float, first_k: list[int]) -> float:
+    """Certified bound on sum_{k > last} |pair_k|, for |theta| <= pi/2.
+
+    The pairs below the order cap are bounded one by one.  From j, the first k at
+    the cap, every pair has index n = cap + 1, so its bound is b_j (j/k)^{2n+2}, and
+    sum_{k >= j} b_k <= b_j (1 + j/(2n+1)) by the integral test.
+    """
+    j = first_k[-1]
+    tail = sum(_pair_bound(k, bisect.bisect_right(first_k, k) + 1, log_abs_z, theta)
+               for k in range(last + 1, j))
+    j = max(j, last + 1)
+    n = len(first_k) + 1
+    return tail + _pair_bound(j, n, log_abs_z, theta) * (1.0 + j / (2 * n + 1))
+
+
+def _terminant_pairs(z: complex, first_k: list[int], k_max: int,
+                     target: float) -> tuple[complex, float, float]:
+    """Sum of the first K <= k_max terminant pairs, their eval-error, and the k-tail.
+
+    Where |arg z| <= pi/2 the sum stops at the first K whose certified k-tail
+    (_k_tail) is at most target, and that bound is the k-tail.  Elsewhere (above
+    the shift cap) all k_max pairs are summed and the k-tail is guessed from the
+    ratio of the last two.
+    """
     theta = math.atan2(z.imag, z.real)
+    certified = abs(theta) <= 0.5 * math.pi
+    log_abs_z = math.log(abs(z))
     total = 0.0 + 0.0j
     eval_err = 0.0
     last_mag = 0.0
@@ -286,13 +336,19 @@ def _terminant_pairs(z: complex, first_k: list[int], k_max: int) -> tuple[comple
         pair = (s_up + s_dn) / (2j * math.pi * k * k)
         total += pair
         eval_err += (e_up + e_dn) / (TWO_PI * k * k)
-        prev_mag, last_mag = last_mag, abs(pair)
+        if not certified:
+            prev_mag, last_mag = last_mag, abs(pair)
+            continue
+        tail = _k_tail(k, log_abs_z, theta, first_k)
+        if tail <= target:
+            break
+    if certified:
+        return total, eval_err, tail
     if prev_mag > 0.0 and last_mag > 0.0:
         ratio = min(0.9, max(1e-6, last_mag / prev_mag))
     else:
         ratio = 0.5
-    tail = last_mag * ratio / (1.0 - ratio)
-    return total, eval_err, tail
+    return total, eval_err, last_mag * ratio / (1.0 - ratio)
 
 
 def exp_improved_report(z: complex, k_max: int = K_MAX) -> tuple[complex, float]:
@@ -301,13 +357,17 @@ def exp_improved_report(z: complex, k_max: int = K_MAX) -> tuple[complex, float]
     Where Re z < 2 (and m <= 64) the expansion runs at w = z + m with Re w >= 2,
     and the value is prefix(z) + E(z, m) less the algebraic sum and the pairs
     at w (expansion._shift_bracket).  At w the k-th exponential's inner series
-    is truncated at N_k = round(pi k |w|), capped at 40 (_order_thresholds);
-    k_max >= 1 terminant pairs are summed.  The estimate is the terminant
-    k-tail, the pairs' own evaluation error, and _roundoff of the prefix's
-    terms at z, E's parts where shifted, the algebraic sum, the pairs and the
-    value.  AccuracyError above the shift cap (Re z < -62, where the route
-    runs at z) where |Im z| < (log 1e9)/(2 pi (k_max + 1)): there the k-tail
-    guess cannot be trusted (_CAP_K_REACH).
+    is truncated at N_k = round(pi k |w|), capped at 40 (_order_thresholds).
+    k_max >= 1 is the most terminant pairs summed: below the shift cap the sum
+    stops at the first K whose certified bound on the pairs k > K is at most
+    2^-10 of the round-off allowance of the prefix, E and the algebraic sum
+    (at |w| >= 2, K is 1 or 2), and that bound is the k-tail.  Above the cap
+    (Re z < -62, where the route runs at z) all k_max pairs are summed and the
+    k-tail is a geometric-ratio guess.  The estimate is the k-tail, the pairs'
+    own evaluation error, and _roundoff of the prefix's terms at z, E's parts
+    where shifted, the algebraic sum, the pairs and the value.  AccuracyError
+    above the shift cap where |Im z| < (log 1e9)/(2 pi (k_max + 1)): there the
+    k-tail guess cannot be trusted (_CAP_K_REACH).
     """
     k_max = _check_order(k_max, 1)
     z = _check_sector(z)
@@ -321,7 +381,8 @@ def exp_improved_report(z: complex, k_max: int = K_MAX) -> tuple[complex, float]
     first_k = _order_thresholds(abs(w))  # |w| >= 2: Re w >= 2, or Re w < -62 unshifted
     alg = _algebraic_sum(1.0 / (w * w), first_k)
     total -= alg
-    pairs, eval_err, tail = _terminant_pairs(w, first_k, k_max)
+    pairs, eval_err, tail = _terminant_pairs(w, first_k, k_max,
+                                             _TAIL_SHARE * _roundoff(*terms, alg))
     total -= pairs
     est = tail + eval_err + _roundoff(*terms, alg, pairs, total)
     _check_finite(z, total, est)

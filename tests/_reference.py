@@ -26,6 +26,8 @@ Each computes a quantity the library also computes, by another formula:
     N_k = n for every k, the reference for exp_improved_report's
     near-optimal orders (the expansion is an identity for every order
     sequence);
+  * terminant_pair -- the k-th terminant pair of the improved expansion from
+    mpmath's incomplete gamma, the reference for the pairs' certified bound;
   * log_g_error -- |value - log G(z+1)| against mpmath's barnesg modulo
     2 pi i, the reference for every log G route;
   * remainder_reference, remainder_error -- R_N(z) as mpmath's log G minus
@@ -228,6 +230,23 @@ def improved_uniform(z, n, k_max):
         s_dn, _ = _scaled_recurrence(2 * n + 1, -w_up, theta - 0.5 * math.pi)
         pairs += (s_up + s_dn) / (2j * math.pi * k * k)
     return truncated_log_barnes(z, n + 1) - pairs
+
+
+def terminant_pair(k, p, z):
+    """(T_p(w) e^{w} + T_p(-w) e^{-w}) / (2 pi i k^2) at w = 2 pi k i z, on the branches
+    arg z +- pi/2, as an mpc: T_p from mpmath's principal Gamma(1-p, w), plus one unit
+    per crossing of the negative axis.  mpmath raises its working precision where the
+    incomplete gamma cancels, so 20 digits suffice."""
+    theta = cmath.phase(z)
+    with mp.workdps(20):
+        total = mp.mpc(0)
+        for w, arg_w in ((TWO_PI * k * 1j * z, theta + 0.5 * math.pi),
+                         (-TWO_PI * k * 1j * z, theta - 0.5 * math.pi)):
+            wm = mp.mpc(w)
+            t_p = (-1) ** p * mp.factorial(p - 1) / (2j * mp.pi) * mp.gammainc(1 - p, wm)
+            t_p += round((arg_w - float(mp.arg(wm))) / TWO_PI)
+            total += t_p * mp.exp(wm)
+        return total / (2j * mp.pi * k * k)
 
 
 def log_g_error(value, z):

@@ -99,6 +99,25 @@ def test_improved_above_the_shift_cap_off_the_cut_covers_the_error(z, k_max):
     assert log_g_error(value, z) <= est
 
 
+#: exp_improved_report's outcomes at _IMPROVED_CAP_KEPT and its conjugates.  Above the cap
+#: the route sums all k_max pairs and guesses the k-tail from their geometric ratio, as it
+#: did before the certified k-tail took over below the cap; these reprs pin that.
+_IMPROVED_CAP_REPRS = {
+    (70 * cmath.exp(1j * (PI - 0.01)), 5): ("(6820.196174355437{}7536.5740204456715j)",
+                                             "8.175416303477295e-11"),
+    (70 * cmath.exp(1j * (PI - 0.05)), 5): ("(7391.585985126268{}6867.259259782473j)",
+                                             "8.126211557192677e-11"),
+    (complex(-70, 0.3), 20): ("(6723.222772784199{}7628.631087918658j)", "8.178848680911251e-11"),
+}
+
+
+@pytest.mark.parametrize("z,k_max", list(_IMPROVED_CAP_REPRS), ids=repr)
+def test_improved_above_the_shift_cap_is_unchanged(z, k_max):
+    value, est = _IMPROVED_CAP_REPRS[z, k_max]
+    for point, sign in ((z, "+"), (z.conjugate(), "-")):
+        assert repr(exp_improved_report(point, k_max)) == f"({value.format(sign)}, {est})"
+
+
 #: Rows the certified route shifts by 14 to 52 steps, past the negative axis's
 #: integers; mpmath's principal log G(z+1) differs from log G by 2 pi i k there.
 _BRANCH_UPPER = [-40 - 1j, -7.5 + 0.001j, 3 * cmath.exp(0.95j * PI), -1.975 + 0.313j]

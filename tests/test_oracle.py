@@ -25,8 +25,8 @@ from barnesg import oracle
 from barnesg.bernoulli import DEFAULT_TABLE, BernoulliTable
 from barnesg.quadrature import gauss_nodes, integrate_panels, panel_nodes, panel_weights
 from barnesg.special import _dilog_exp
-from _reference import (bernoulli_poly, remainder_narrow_per_panel, remainder_symmetrized,
-                        remainder_wide_per_node, wide_t_stop_scan)
+from _reference import (bernoulli_poly, remainder_error, remainder_narrow_per_panel,
+                        remainder_symmetrized, remainder_wide_per_node, wide_t_stop_scan)
 
 PI = math.pi
 
@@ -71,6 +71,14 @@ class TestNarrowKernel:
         a = remainder_narrow(5.0, 2)
         b = remainder_wide(5.0, 2)
         assert abs(a.value - b.value) < 1e-11
+
+    @pytest.mark.parametrize("n", [85, 86])
+    def test_order_past_the_factorial_range(self, n):
+        # the tail bound's (2N-1)! is 169! at N = 85 and 171! at N = 86, past binary64;
+        # taken as a float on its own it once made every N >= 86 raise RangeError
+        res = remainder_narrow(30.0, n)
+        assert cmath.isfinite(res.value) and math.isfinite(res.est_error)
+        assert remainder_error(res.value, 30.0, n) <= res.est_error
 
     def test_domain(self):
         with pytest.raises(DomainError):

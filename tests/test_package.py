@@ -94,7 +94,7 @@ def test_certified_and_improved_routes_load_no_numpy():
 ERF_SHELL_CALLS = (
     "sp.erf_small(3 + 0.5j)",
     "sp.erf_small(4j)",
-    "bg.exp_improved_report(3 * cmath.exp(0.8j))",  # Re z >= 2: not shifted
+    "bg.exp_improved_report(6 * cmath.exp(0.3j * math.pi))",  # Re z >= 2: not shifted
     "bg.stokes_profile(5.0, 2, [math.pi / 2 + 0.02 * j for j in range(-25, 26)])",
 )
 

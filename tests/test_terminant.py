@@ -24,8 +24,8 @@ from barnesg import (
 )
 from barnesg import special
 from barnesg.special import _c_branch, _erf_switch
-from barnesg.terminant import _order_thresholds, _zeta_tail
-from _reference import ein_one_loop, improved_uniform, terminant_quadrature
+from barnesg.terminant import _order_thresholds, _pair_bound, _zeta_tail
+from _reference import ein_one_loop, improved_uniform, terminant_pair, terminant_quadrature
 
 # the package's `terminant` is the function; the module is reached by name
 terminant_module = importlib.import_module("barnesg.terminant")
@@ -292,6 +292,66 @@ class TestImprovedExpansion:
             exp_improved_report(0.0)
         with pytest.raises(DomainError):
             exp_improved_report(-2.0)
+
+
+class TestCertifiedKTail:
+    """Where |arg w| <= pi/2 the improved route sums pairs only until the certified bound
+    on the rest falls below its round-off, and reports that bound as the k-tail."""
+
+    @pytest.mark.parametrize("abs_w", [2.0, 3.0, 6.0, 20.0])
+    def test_pair_bound_covers_the_pair(self, abs_w):
+        # pi/4 is where the bound is tightest (within 1e-4 at |w| = 20, k = 6); at +-pi/2
+        # it takes the sector family's cap
+        first_k = _order_thresholds(abs_w)
+        for a in (-0.5, 0.25, 0.5):
+            w = abs_w * cmath.exp(1j * PI * a)
+            for k in range(1, 7):
+                n_k = bisect.bisect_right(first_k, k)
+                bound = _pair_bound(k, n_k + 1, math.log(abs_w), cmath.phase(w))
+                assert abs(terminant_pair(k, 2 * n_k + 1, w)) <= bound, (a, k)
+
+    def test_sector_cap_holds_for_each_pair(self):
+        # a pair's integral rotated by phi costs sec^{2n} phi; at arg w = pi/2, the worst
+        # angle, its least factor sec^{2n} phi / sin 2 phi is below the cap up to the order cap
+        phi = np.linspace(1e-4, PI / 4, 20001)
+        for n in range(1, 42):
+            assert (np.cos(phi) ** (-2 * n) / np.sin(2 * phi)).min() <= 0.5 * math.sqrt(
+                math.e * (2 * n + 2.5))
+
+    @staticmethod
+    def _route(monkeypatch, z):
+        """exp_improved_report(z)'s point w, its order thresholds, the orders p of its
+        _scaled_recurrence calls and its k-tail."""
+        seen, orders = {}, []
+        pairs, recurrence = terminant_module._terminant_pairs, terminant_module._scaled_recurrence
+
+        def spy_pairs(w, first_k, k_max, target):
+            out = pairs(w, first_k, k_max, target)
+            seen.update(w=w, first_k=first_k, tail=out[2])
+            return out
+
+        def spy_recurrence(p, w, arg_w):
+            orders.append(p)
+            return recurrence(p, w, arg_w)
+
+        monkeypatch.setattr(terminant_module, "_terminant_pairs", spy_pairs)
+        monkeypatch.setattr(terminant_module, "_scaled_recurrence", spy_recurrence)
+        exp_improved_report(z)
+        return seen["w"], seen["first_k"], orders, seen["tail"]
+
+    @pytest.mark.parametrize("z", [3.0, 2 + 4j, 2.5 + 30j, 0.5 - 1j], ids=repr)
+    def test_tail_covers_the_pairs_left_out(self, monkeypatch, z):
+        # the pairs K < k <= 40 at the route's orders, from mpmath, as improved_uniform
+        # sums them with k_max = 40
+        w, first_k, orders, tail = self._route(monkeypatch, z)
+        summed = len(orders) // 2
+        left_out = sum(terminant_pair(k, 2 * bisect.bisect_right(first_k, k) + 1, w)
+                       for k in range(summed + 1, 41))
+        assert abs(left_out) <= tail
+
+    def test_one_pair_at_three(self, monkeypatch):
+        # at w = 3 the pairs k >= 2 are bounded by 2.3e-19, below 1/1024 of the round-off
+        assert self._route(monkeypatch, 3.0)[2] == [19, 19]
 
 
 class TestStokesProfile:

@@ -87,8 +87,11 @@ def cmd_eval(z_re, z_im, z_abs, z_arg, z_arg_pi, method, n_trunc, k_max, fmt) ->
     else:
         value, err = exp_improved_report(z, k_max)
         err_kind, n_used = "est_error", k_max
-    _emit([dict(z_re=z.real, z_im=z.imag, method=method, value_re=value.real,
-                value_im=value.imag, err=err, err_kind=err_kind, n_used=n_used)], fmt)
+    row = dict(z_re=z.real, z_im=z.imag, method=method, value_re=value.real,
+               value_im=value.imag, err=err, err_kind=err_kind, n_used=n_used)
+    if method == "asym":
+        row["shift"] = res.shift  # the m of w = z + m, where n_used is N
+    _emit([row], fmt)
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -184,7 +187,8 @@ def _parser() -> argparse.ArgumentParser:
     ev.add_argument("--z-arg", type=float, help="arg z in radians")
     ev.add_argument("--z-arg-pi", type=float, help="arg z in multiples of pi")
     ev.add_argument("--method", choices=["asym", "oracle", "hyper"], required=True)
-    ev.add_argument("--n", dest="n_trunc", type=int, help="truncation index (asym)")
+    ev.add_argument("--n", dest="n_trunc", type=int,
+                    help="truncation index (asym); an explicit N evaluates at z unshifted")
     ev.add_argument("--k-max", type=int, default=K_MAX,
                     help=f"terminant sum cutoff (hyper; default {K_MAX})")
     bd = command("bounds", cmd_bounds)

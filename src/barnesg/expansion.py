@@ -98,9 +98,9 @@ class ExpansionResult:
 
     bound is the certified truncation bound of bound_kind on |R_N| plus the
     round-off allowance of value's terms (_roundoff), an estimate that covers
-    |value - log G(z+1)| on the rows of tests/test_honesty.py.  Where
-    certified_eval shifts z to w = z + m, n_trunc, bound_kind and weak_bound
-    describe the expansion at w.
+    |value - log G(z+1)| on the rows of tests/test_honesty.py.  shift is the
+    m of w = z + m where certified_eval shifts z (0 where it does not); n_trunc,
+    bound_kind and weak_bound describe the expansion at w.
     """
 
     value: complex
@@ -108,6 +108,7 @@ class ExpansionResult:
     bound: float
     bound_kind: BoundKind
     weak_bound: bool = False
+    shift: int = 0
 
 
 def _roundoff(*parts: complex) -> float:
@@ -459,4 +460,5 @@ def certified_eval(z: complex, n_trunc: Optional[int] = None) -> ExpansionResult
         bound=report.bound + _roundoff(*terms, value),
         bound_kind=report.kind,
         weak_bound=report.factor > _WEAK_FACTOR,
+        shift=m,
     )

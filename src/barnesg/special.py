@@ -5,7 +5,12 @@ whose kernel evaluates a whole array of quadrature nodes in one pass.
 These are the only transcendental building blocks the rest of the library
 needs.  Each has a small validity region chosen for the arguments the
 expansion machinery actually produces, and each is cross-checked in the test
-suite against an independent oracle (series, quadrature, or scipy).
+suite against an independent oracle (series, quadrature, scipy or mpmath).
+
+E1 sums Ein's power series, a fixed-length Horner kernel over a table built
+at import, for |w| <= 4 and near the negative axis up to |w| = 40.  Elsewhere
+it takes the scaled forms: past |w| = 32 with |arg w| > 3 pi/4 the asymptotic
+series with its Stokes switch, and the Lentz continued fraction otherwise.
 
 The module imports no numpy: only the oracle's dilogarithm kernel (_li2,
 _dilog_exp) needs it, and imports it on its first call.
@@ -124,39 +129,50 @@ def _dilog_exp(t: np.ndarray) -> np.ndarray:
 # Exponential integral E1
 # ----------------------------------------------------------------------
 
-def _ein(w: complex) -> complex:
-    """Entire part: Ein(w) = sum_{k>=1} (-1)^{k+1} w^k / (k k!).
+def _ein_tables(r_max: int, tol: float) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """Ein's Horner coefficients and term counts, from running products.
 
-    Summed in two phases split at the peak k ~ |w|, with no fixed cap (near
-    the negative axis the sum needs about |w| + 9 sqrt(|w|) terms):
-
-      * k <= |w|: the terms grow, so the only test is for a term that is not
-        finite; the caller turns that overflow into its log-form fallback;
-      * k > |w|: |w/k| < 1, so the terms only shrink, and the sum stops once
-        a term falls below 1e-18 max(1, |sum|).  A term can turn infinite
-        here only when the peak's modulus already passed binary64 with
-        finite parts; the comparison |term| < inf stops on it.
+    Returns (c_{M-1}, ..., c_1), c_k = (-1)^{k+1}/(k k!), and K(r) for r = 0 .. r_max:
+    the smallest K > r whose term r^K/(K K!) is below tol, the first one omitted, and
+    M = K(r_max).  K(r) is monotone in r, so one pointer serves every r.
     """
-    total = 0.0 + 0.0j
-    term = 1.0 + 0.0j
-    k = 1
-    aw = abs(w)
-    while k <= aw:  # up to the peak
-        term *= w / k
-        add = term / k if (k % 2) else -term / k
-        total += add
-        if not cmath.isfinite(add):
-            return total
+    mags = [0.0]  # mags[k] = 1/(k k!) for k = 1 .. M
+    inv_fact = 1.0
+    k = 0
+    while k <= r_max or float(r_max) ** k * mags[k] >= tol:
         k += 1
-    while True:  # past the peak
-        term *= w / k
-        add = term / k if (k % 2) else -term / k
-        total += add
-        size = abs(add)
-        # size < 1e-18 max(1, |total|) without forming |total| while size < 1e-18
-        if size < 1e-18 or size < 1e-18 * abs(total) or not size < math.inf:
-            return total
-        k += 1
+        inv_fact /= k
+        mags.append(inv_fact / k)
+    counts = []
+    omitted = 1
+    for r in range(r_max + 1):
+        omitted = max(omitted, r + 1)
+        while float(r) ** omitted * mags[omitted] >= tol:
+            omitted += 1
+        counts.append(omitted)
+    coeffs = tuple(mags[j] if j % 2 else -mags[j] for j in range(k - 1, 0, -1))
+    return coeffs, tuple(counts)
+
+
+#: Ein is summed by Horner's rule for |w| <= _EIN_MAX; past it E1 near the negative
+#: axis takes _e1_scaled_continued's asymptotic branch.
+_EIN_MAX = 40
+_EIN_COEFFS, _EIN_TERMS = _ein_tables(_EIN_MAX, 1e-18)
+
+
+def _ein(w: complex) -> complex:
+    """Entire part: Ein(w) = sum_{k>=1} (-1)^{k+1} w^k / (k k!), for |w| <= 40.
+
+    A fixed-length Horner kernel over the tabulated polynomial (_ein_tables):
+    the terms k < K(ceil |w|), 138 at most.  The first omitted term is below
+    1e-18, and the ones after it shrink by a factor below 0.3 each; no term
+    exceeds e^40, so nothing overflows.
+    """
+    acc = 0.0 + 0.0j
+    # c_{K-1}, ..., c_1: the last K - 1 entries of the table
+    for c in _EIN_COEFFS[len(_EIN_COEFFS) + 1 - _EIN_TERMS[math.ceil(abs(w))]:]:
+        acc = acc * w + c
+    return acc * w
 
 
 def _e1_lentz_scaled(w: complex) -> complex:
@@ -186,9 +202,9 @@ def _e1_lentz_scaled(w: complex) -> complex:
 def exp_integral_e1(w: complex) -> complex:
     """Principal-branch exponential integral E1(w) = Gamma(0, w).
 
-    Power series in the small/cancellation-free region, modified Lentz
-    continued fraction elsewhere; relative error <= 1e-12 for |w| >= 0.1.
-    Where e^{-w} or the series terms overflow (Re w < -709), E1 is formed as
+    Power series in the small/cancellation-free region up to |w| = 40, e^{-w}
+    times _e1_scaled_continued's value elsewhere; relative error <= 1e-12 for
+    |w| >= 0.1.  Where e^{-w} overflows (Re w < -709), E1 is formed as
     exp(-w + log(e^{w} E1(w))).  RangeError when the value is not finite in
     binary64.
     """
@@ -198,7 +214,7 @@ def exp_integral_e1(w: complex) -> complex:
         value = _e1_continued(w, arg_w)[0]
     except OverflowError:  # e^{-w} beyond binary64
         value = complex(math.nan)
-    if not cmath.isfinite(value):  # e^{-w} or the series terms overflowed: E1 may still fit
+    if not cmath.isfinite(value):  # the product with e^{-w} overflowed: E1 may still fit
         try:
             value = cmath.exp(cmath.log(_e1_scaled_continued(w, arg_w)[0]) - w)
         except OverflowError:
@@ -211,23 +227,22 @@ def _e1_continued(w: complex, arg_w: float) -> tuple[complex, float]:
     """E1 on the branch reached by arg w = arg_w (may exceed +-pi).
 
     Returns (value, relative error estimate).  Continuation across the cut
-    only shifts the logarithm: each full winding subtracts 2*pi*i.
+    only shifts the logarithm: each full winding subtracts 2*pi*i.  Ein's
+    series cancels like e^{spread}, spread = |w|(1 + cos arg w); it serves where
+    that stays small, for |w| <= 4 and near the negative axis up to |w| = 40,
+    where the continued fraction converges poorly.  Elsewhere E1 is e^{-w}
+    times _e1_scaled_continued's value (OverflowError where e^{-w} overflows).
     """
     w = complex(w)
     ph = math.atan2(w.imag, w.real)
-    windings = round((arg_w - ph) / TWO_PI)
-    # The power series cancels like e^{|w|(1 + cos arg w)}.  It is safe where that
-    # stays small: small |w| and the whole neighbourhood of the negative real axis,
-    # where the continued fraction converges poorly.
-    spread = abs(w) * (1.0 + math.cos(ph))
-    if abs(w) <= 4.0 or spread <= 7.0:
+    abs_w = abs(w)
+    spread = abs_w * (1.0 + math.cos(ph))
+    if abs_w <= _EIN_MAX and (abs_w <= 4.0 or spread <= 7.0):
         val = _ein(w) - EULER_GAMMA - cmath.log(w)
-        cancel = math.exp(min(42.0, spread))
-        rel = 4.0 * EPS * max(4.0, cancel / max(1.0, math.sqrt(abs(w))))
-    else:
-        val = _e1_lentz_scaled(w) * cmath.exp(-w)
-        rel = 1e-12  # continued-fraction plateau near the cut
-    return val - 2j * math.pi * windings, rel
+        rel = 4.0 * EPS * max(4.0, math.exp(spread) / max(1.0, math.sqrt(abs_w)))
+        return val - 2j * math.pi * round((arg_w - ph) / TWO_PI), rel
+    h, rel = _e1_scaled_continued(w, arg_w)
+    return h * cmath.exp(-w), rel
 
 
 def _e1_scaled_continued(w: complex, arg_w: float) -> tuple[complex, float]:
@@ -235,8 +250,9 @@ def _e1_scaled_continued(w: complex, arg_w: float) -> tuple[complex, float]:
 
     Returns (value, relative error estimate).  Three regions:
 
-      * |w| <= 32: the unscaled evaluation times e^{w} (all representable);
-      * |w| > 32 away from the negative axis: the scaled Lentz iterate;
+      * |w| <= 32 where _e1_continued sums Ein: that value times e^{w};
+      * |w| <= 32 outside it, and |w| > 32 with |arg w| <= 3 pi/4: the scaled
+        Lentz iterate, less 2 pi i e^{w} per winding;
       * |w| > 32 near the negative axis: the optimally truncated asymptotic
         series plus the Stokes-switching remainder, which equals
         -2 pi i e^{w} T, approximated by its error-function form.  The
@@ -245,14 +261,15 @@ def _e1_scaled_continued(w: complex, arg_w: float) -> tuple[complex, float]:
     w = complex(w)
     ph = math.atan2(w.imag, w.real)
     windings = round((arg_w - ph) / TWO_PI)
-    if abs(w) <= 32.0:
+    abs_w = abs(w)
+    if abs_w <= 32.0 and (abs_w <= 4.0 or abs_w * (1.0 + math.cos(ph)) <= 7.0):
         val, rel = _e1_continued(w, arg_w)
         return cmath.exp(w) * val, rel
-    if abs(ph) <= 0.75 * math.pi:
+    if abs_w <= 32.0 or abs(ph) <= 0.75 * math.pi:
         h = _e1_lentz_scaled(w)
         if windings:
             h -= 2j * math.pi * windings * cmath.exp(w)
-        return h, 1e-13
+        return h, 1e-12 if abs_w <= 32.0 else 1e-13
     if ph < 0:
         val, rel = _e1_scaled_continued(w.conjugate(), -arg_w)
         return val.conjugate(), rel
@@ -299,13 +316,17 @@ def erf_small(zeta: complex) -> complex:
     if a <= 2.5 or abs(zeta.real) <= 1.5:
         total = zeta
         term = zeta
+        mz2 = -zeta * zeta
         n = 0
         while True:
             n += 1
-            term *= -zeta * zeta / n
+            term *= mz2 / n
             add = term / (2 * n + 1)
             total += add
-            if abs(add) < 1e-18:
+            # stop once |add| <= 2^-53 |sum| (<=: at zeta = 0 all are 0); |sum| < 2^21
+            # on this disc, so that needs |add| < 2^-32, and only then is |sum| formed
+            size = abs(add)
+            if size < 2.0 ** -32 and size <= 0.5 * EPS * abs(total):
                 break
         return 2.0 / math.sqrt(math.pi) * total
     if zeta.real < 0.0:

@@ -354,20 +354,22 @@ class TestOutputContracts:
 
     def test_row_round_trip(self):
         # feed a row's inputs back; 17 significant digits round-trip binary64.
-        # At |z| = 2.7 the automatic N shifts to w = z + 11, and n_used is w's N,
-        # so only the point goes back; at |z| = 27 nothing shifts, and N goes too.
-        for z_abs, with_n in (("2.7", False), ("27", True)):
+        # At |z| = 2.7 the automatic N shifts to w = z + 11, the row says so by
+        # shift = 11, and n_used is w's N, so only the point goes back; at |z| = 27
+        # nothing shifts, and N goes too, which evaluates at z unshifted as well.
+        for z_abs, shift in (("2.7", "11"), ("27", "0")):
             res = invoke(
                 ["eval", "--z-abs", z_abs, "--z-arg", "0.9", "--method", "asym"]
             )
             row = csv_rows(res.output)[0]
+            assert row["shift"] == shift
+            with_n = ["--n", row["n_used"]] if shift == "0" else []
             res2 = invoke(
-                [
-                    "eval", "--z-re", row["z_re"], "--z-im", row["z_im"],
-                    "--method", "asym", *(["--n", row["n_used"]] if with_n else []),
-                ],
+                ["eval", "--z-re", row["z_re"], "--z-im", row["z_im"], "--method", "asym",
+                 *with_n],
             )
             row2 = csv_rows(res2.output)[0]
             assert row2["value_re"] == row["value_re"]
             assert row2["value_im"] == row["value_im"]
             assert row2["err"] == row["err"]
+            assert row2["shift"] == shift

@@ -402,23 +402,23 @@ class TestCertifiedEval:
             assert calls == {"best_bound": MAX_TRUNCATION, "certified_eval": 1}
 
     #: certified_eval(z, N) at points whose automatic N shifts, as printed before the
-    #: shift existed: an explicit N still evaluates at z itself
+    #: shift existed: an explicit N still evaluates at z itself, and says so by shift=0
     EXPLICIT_N = [
         (complex(-40, -1), 20, "ExpansionResult(value=(1837.6176384007024-2404.813405890221j), "
          "n_trunc=20, bound=1.1031171651619252e+18, bound_kind=<BoundKind.OPTIMIZED: "
-         "'optimized_angle'>, weak_bound=True)"),
+         "'optimized_angle'>, weak_bound=True, shift=0)"),
         (complex(-7.5, 0.001), 20, "ExpansionResult(value=(12.45484481759355+88.08812067051826j), "
          "n_trunc=20, bound=3.876905433410816e+142, bound_kind=<BoundKind.OPTIMIZED: "
-         "'optimized_angle'>, weak_bound=True)"),
+         "'optimized_angle'>, weak_bound=True, shift=0)"),
         (3.0 * cmath.exp(0.95j * PI), 6, "ExpansionResult(value=(-0.7087579611617367+"
          "13.500455744313658j), n_trunc=6, bound=3468.3258012111983, bound_kind=<BoundKind."
-         "OPTIMIZED: 'optimized_angle'>, weak_bound=True)"),
+         "OPTIMIZED: 'optimized_angle'>, weak_bound=True, shift=0)"),
         (2.0 * cmath.exp(-0.95j * PI), 3, "ExpansionResult(value=(-2.03097777710157-"
          "6.211083609038734j), n_trunc=3, bound=43.559915846402305, bound_kind=<BoundKind."
-         "OPTIMIZED: 'optimized_angle'>, weak_bound=True)"),
+         "OPTIMIZED: 'optimized_angle'>, weak_bound=True, shift=0)"),
         (complex(-1, 1e-12), 1, "ExpansionResult(value=(-27.629775592962343+1.3089969390235388j), "
          "n_trunc=1, bound=1.1104068579671991e+34, bound_kind=<BoundKind.HALF_ANGLE: "
-         "'half_angle_sec'>, weak_bound=True)"),
+         "'half_angle_sec'>, weak_bound=True, shift=0)"),
     ]
 
     @pytest.mark.parametrize("z,n,text", EXPLICIT_N, ids=[repr(z) for z, _, _ in EXPLICIT_N])

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -21,7 +22,6 @@ from barnesg.bernoulli import TWO_PI
 from barnesg.oracle import _GAUSS_ORDER, _NARROW_BREAKS
 from barnesg.quadrature import gauss_nodes, panel_nodes
 from barnesg.special import _c_branch, _dilog_exp, _li2
-from _reference import ein_one_loop
 
 
 class TestLogGamma:
@@ -178,13 +178,18 @@ class TestExpIntegral:
             oracle = cmath.exp(-complex(w)) * total
             assert abs(exp_integral_e1(w) - oracle) <= 1e-12 * abs(oracle)
 
-    @pytest.mark.parametrize("w", [-709.5 + 1j, -700 + 60j], ids=repr)
-    def test_series_near_the_negative_axis_past_the_peak(self, w):
-        # the series terms peak near k = |w|, and the sum needs about
-        # |w| + 9 sqrt(|w|) of them: some 940 here
+    @pytest.mark.parametrize("w", [-709.5 + 1j, -700 + 60j, -715 + 1j, -716 + 3j], ids=repr)
+    def test_near_the_negative_axis_where_e_to_the_minus_w_overflows(self, w):
+        # past |w| = 40 E1 near the negative axis is the scaled asymptotic value
+        # times e^{-w}; from Re w = -709.8 e^{-w} overflows, and the log form
+        # exp(-w + log(e^{w} E1)) gives E1, which still fits in binary64
         with mp.workdps(30):
             ref = mp.e1(mp.mpc(w))
             assert abs(mp.mpc(exp_integral_e1(w)) - ref) <= 1e-13 * abs(ref)
+
+    def test_past_binary64_raises(self):
+        with pytest.raises(RangeError):  # |E1(-800 + i)| ~ e^800 / 800
+            exp_integral_e1(-800 + 1j)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -193,8 +198,25 @@ class TestExpIntegral:
             exp_integral_e1(-3.0)
 
 
-class TestEinSplitAtThePeak:
-    """_ein, its loop split at k = |w|, against the one loop that tests both stops."""
+class TestEinKernel:
+    """_ein's tabulated Horner kernel, and E1 around it, against mpmath."""
+
+    def test_tables(self):
+        # K(r): the smallest K > r whose term r^K/(K K!) is below 1e-18, the first one
+        # omitted, monotone in r; each coefficient within a few ulps of (-1)^{k+1}/(k k!)
+        counts, coeffs = special._EIN_TERMS, special._EIN_COEFFS[::-1]
+        assert len(counts) == special._EIN_MAX + 1
+        assert list(counts) == sorted(counts) and len(coeffs) == counts[-1] - 1
+
+        def term(r, k):
+            return Fraction(r) ** k / (k * math.factorial(k))
+
+        for r, k in enumerate(counts):
+            assert k > r and term(r, k) < Fraction(1e-18)
+            assert k == r + 1 or term(r, k - 1) >= Fraction(1e-18)
+        for k, c in enumerate(coeffs, start=1):
+            exact = Fraction((-1) ** (k + 1), k * math.factorial(k))
+            assert abs(Fraction(c) - exact) <= 8 * 2.0 ** -53 * abs(exact)
 
     @staticmethod
     def _grid():
@@ -207,39 +229,51 @@ class TestEinSplitAtThePeak:
             r = 1e-3 * 4e4 ** rng.random()
             gap = 1e-12 * 3e11 ** rng.random()  # pi - |arg w| in [1e-12, 0.3]
             grid.append(r * cmath.exp(1j * rng.choice((1, -1)) * (math.pi - gap)))
+        for i in range(19):  # |w| in [4, 40] x pi - |arg w| in [1e-3, 0.9], both signs
+            r = 4.0 * 10.0 ** (i / 18)
+            for gap in (1e-3, 3e-3, 0.01, 0.03, 0.1, 0.2, 0.3, 0.45, 0.6, 0.75, 0.9):
+                grid += [r * cmath.exp(1j * s * (math.pi - gap)) for s in (1, -1)]
         for r in (1e-3, 0.5, 1.0, 4.0, 12.0, 31.999, 32.0, 40.0):  # on the axes, signed zeros
             grid += [complex(r, 0.0), complex(-r, 0.0), complex(-r, -0.0),
                      complex(0.0, r), complex(-0.0, -r)]
-        # the terms overflow before the peak, or just past it from a finite term
-        # whose modulus passed binary64 (the last two)
-        grid += [-720 + 1j, -720 - 1j, -800 + 1j, -709.5 + 1j, -716 + 3j, -400 + 650j,
-                 -713.4075941478213 - 30.89013695998063j, 26.191585745367814 + 713.5877686818183j]
         return grid
 
-    def test_repr_identical_to_the_one_loop_sum(self):
-        mismatched = [w for w in self._grid() if repr(special._ein(w)) != repr(ein_one_loop(w))]
-        assert mismatched == []
+    @pytest.fixture(scope="class")
+    def references(self):
+        refs = []
+        with mp.workdps(30):
+            for w in self._grid():
+                ref = mp.e1(mp.mpc(w))
+                # mpmath reads -r - 0i as -r + 0i, at arg pi; at arg -pi E1 is the conjugate
+                refs.append((w, mp.conj(ref) if math.atan2(w.imag, w.real) == -math.pi else ref))
+        return refs
 
-    @pytest.mark.parametrize("w", [-715 + 1j, -716 + 3j], ids=repr)
-    def test_overflow_still_takes_the_log_form_fallback(self, monkeypatch, w):
-        # the series terms pass binary64 at the peak (|w| > 714), E1 itself does not
-        assert not cmath.isfinite(special._ein(w))
-        scaled = special._e1_scaled_continued
-        calls = []
+    @pytest.mark.parametrize("scaled", [False, True], ids=["e1", "scaled"])
+    def test_error_within_the_estimate(self, references, scaled):
+        """_e1_continued and _e1_scaled_continued on |w| <= 40, where Ein serves
+        near the negative axis: mpmath's error is at most the returned estimate."""
+        fn = special._e1_scaled_continued if scaled else special._e1_continued
+        worst = 0.0
+        with mp.workdps(30):
+            for w, ref in references:
+                if scaled:
+                    ref *= mp.exp(mp.mpc(w))
+                value, rel = fn(w, math.atan2(w.imag, w.real))
+                worst = max(worst, float(abs(mp.mpc(value) - ref) / abs(ref)) / rel)
+        assert worst <= 1.0
 
-        def record(*args):
-            calls.append(args)
-            return scaled(*args)
-
-        monkeypatch.setattr(special, "_e1_scaled_continued", record)
-        value = exp_integral_e1(w)
-        assert len(calls) == 1 and cmath.isfinite(value)
-        monkeypatch.setattr(special, "_ein", ein_one_loop)
-        assert repr(exp_integral_e1(w)) == repr(value)
-
-    def test_past_binary64_still_raises(self):
-        with pytest.raises(RangeError):  # |E1(-800 + i)| ~ e^800 / 800
-            exp_integral_e1(-800 + 1j)
+    def test_handoff_past_forty(self):
+        # |w| > 40 near the negative axis leaves Ein for the asymptotic branch
+        worst = 0.0
+        with mp.workdps(30):
+            for i in range(65):
+                r = 32.0 + 16.0 * (i + 0.5) / 65  # 32 < |w| <= 48
+                for gap in (1e-6, 1e-3, 0.01, 0.1, 0.3, 0.6, 1.0):
+                    for s in (1, -1):
+                        w = r * cmath.exp(1j * s * (math.pi - gap))
+                        ref = mp.e1(mp.mpc(w))
+                        worst = max(worst, abs(mp.mpc(exp_integral_e1(w)) - ref) / abs(ref))
+        assert worst <= 1e-12
 
 
 def erf_path_oracle(zeta, order=48, panels=8):
@@ -297,8 +331,8 @@ class TestErfSmall:
                 worst = max(worst, abs(erf_small(zeta) - ref) / max(1.0, abs(ref)))
         assert worst <= 1e-13
 
-    # erf_small on |zeta| <= 2.5, printed by the Maclaurin loop that served this disc
-    # while 2.5 < |zeta| <= 4 still took a 64-node Gauss rule: the disc keeps its bits
+    # erf_small on |zeta| <= 2.5, printed by the Maclaurin loop with its relative stop
+    # |add| <= 2^-53 |sum|; each value lies within 1e-14 max(1, |erf|) of mpmath
     SERIES_BITS = [
         (0j, 0j),
         (1e-300j, 1.1283791670955126e-300j),
@@ -307,8 +341,8 @@ class TestErfSmall:
         ((1+0j), (0.8427007929497148+0j)),
         (1j, 1.6504257587975424j),
         ((1.2-0.7j), (1.0663700129803377-0.12024336401600978j)),
-        ((-1.9+0.4j), (-1.0010133313322285+0.008290159860182954j)),
-        ((2+1.4j), (0.9713149952686856-0.004019581318358294j)),
+        ((-1.9+0.4j), (-1.0010133313322285+0.008290159860182956j)),
+        ((2+1.4j), (0.9713149952686856-0.004019581318358296j)),
         ((1.5+1.9j), (0.11469904093055215+0.21194451191453295j)),
         ((-0.8-2.3j), (2.329892691331323+25.55586573797967j)),
         ((2.5+0j), (0.99959304798256+0j)),
@@ -322,6 +356,9 @@ class TestErfSmall:
     @pytest.mark.parametrize("zeta,value", SERIES_BITS)
     def test_series_disc_keeps_its_bits(self, zeta, value):
         assert repr(erf_small(zeta)) == repr(value)
+        with mp.workdps(30):
+            ref = complex(mp.erf(mp.mpc(zeta)))
+        assert abs(value - ref) <= 1e-14 * max(1.0, abs(ref))
 
 
 class TestCOfPhi:

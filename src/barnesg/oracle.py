@@ -18,7 +18,7 @@ pole, and nothing is refined.  The truncation index is promoted internally
 to M = max(N, 8) through the ladder R_N = c_N w^{-2N} + R_{N+1} (restored
 exactly from series coefficients), which turns the t^{-2N} tail into
 t^{-2M} and keeps the truncation point T small.  The wide truncation point is
-solved from its tail bound.
+the first unit panel count whose tail bound meets the target, found by bisection.
 
 Each quadrature is one z-dependent array and one dot product against weights
 that hold everything else and are tabulated once, on first use:
@@ -45,6 +45,7 @@ against.
 
 from __future__ import annotations
 
+import bisect
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -210,27 +211,14 @@ def _wide_tail_bound(t_stop: float, abs_z: float, sec_half: float, m_eff: int,
 def _wide_t_stop(abs_z: float, sec_half: float, m_eff: int, target: float) -> int | None:
     """The first t in 2 .. _MAX_INTERVALS with _wide_tail_bound(t) <= target, or None.
 
-    The bound is C (t + |z|)^{1 - 2 m_eff} and falls as t grows, so t is
-    solved from the logarithm of C / target (the power itself overflows) and
-    then settled with the bound's own test, stepping down while the previous
-    t passes or up while this one fails.
+    The bound is C (t + |z|)^{1 - 2 m_eff} and falls as t grows, so the test
+    bound <= target is false and then true along the range: bisection finds t.
     """
-    order = 2 * m_eff
-    max_kernel = DEFAULT_TABLE.max_abs_poly(order + 1)
-    log_c = (math.log(max_kernel / (order * (order + 1) * (order - 1)))
-             + order * math.log(sec_half))
-    log_target = math.log(target) if target > 0.0 else -math.inf
-    reach = math.exp(min((log_c - log_target) / (order - 1), 709.0)) - abs_z
-    t = max(2, math.ceil(min(reach, _MAX_INTERVALS)))
-
-    def passes(u: int) -> bool:
-        return _wide_tail_bound(u, abs_z, sec_half, m_eff, max_kernel) <= target
-
-    if passes(t):
-        while t > 2 and passes(t - 1):
-            t -= 1
-        return t
-    return next((u for u in range(t + 1, _MAX_INTERVALS + 1) if passes(u)), None)
+    max_kernel = DEFAULT_TABLE.max_abs_poly(2 * m_eff + 1)
+    stops = range(2, _MAX_INTERVALS + 1)
+    i = bisect.bisect_left(stops, True, key=lambda t: _wide_tail_bound(
+        t, abs_z, sec_half, m_eff, max_kernel) <= target)
+    return stops[i] if i < len(stops) else None
 
 
 @lru_cache(maxsize=None)
@@ -329,8 +317,8 @@ def remainder_wide(z: complex, n_trunc: int) -> OracleValue:
     reuse the memoized quadrature, shift and bracket (_wide_integral), and a
     hit is bit-identical to a miss.  Every panel is a unit panel, on which
     the periodized Bernoulli polynomial is folded into weights tabulated at
-    the Gauss nodes of [0, 1].  T is solved from the analytic tail bound, which is a
-    power of T + |w|.  est_error is that bound plus _roundoff of the
+    the Gauss nodes of [0, 1].  T is the first unit count whose analytic tail bound,
+    a power of T + |w|, meets the target.  est_error is that bound plus _roundoff of the
     quadrature and ladder, and where shifted of E's parts and the two sums.
     AccuracyError where no shift of at most 64 reaches the target (Re z < -63
     near the cut).

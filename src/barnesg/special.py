@@ -7,10 +7,12 @@ needs.  Each has a small validity region chosen for the arguments the
 expansion machinery actually produces, and each is cross-checked in the test
 suite against an independent oracle (series, quadrature, scipy or mpmath).
 
-E1 sums Ein's power series, a fixed-length Horner kernel over a table built
-at import, for |w| <= 4 and near the negative axis up to |w| = 40.  Elsewhere
-it takes the scaled forms: past |w| = 32 with |arg w| > 3 pi/4 the asymptotic
-series with its Stokes switch, and the Lentz continued fraction otherwise.
+E1 has one kernel, _e1_scaled_continued, for h = e^{w} E1(w), and every other
+form unscales it: E1 = e^{-w} h.  Its one region rule sums Ein's power series,
+a fixed-length Horner kernel over a table built at import, for |w| <= 4 and
+near the negative axis up to |w| = 40; past |w| = 32 with |arg w| > 3 pi/4,
+outside that, it takes the asymptotic series with its Stokes switch, and the
+scaled Lentz continued fraction everywhere else.
 
 The module imports no numpy: only the oracle's dilogarithm kernel (_li2,
 _dilog_exp) needs it, and imports it on its first call.
@@ -200,97 +202,78 @@ def _e1_lentz_scaled(w: complex) -> complex:
 
 
 def exp_integral_e1(w: complex) -> complex:
-    """Principal-branch exponential integral E1(w) = Gamma(0, w).
-
-    Power series in the small/cancellation-free region up to |w| = 40, e^{-w}
-    times _e1_scaled_continued's value elsewhere; relative error <= 1e-12 for
-    |w| >= 0.1.  Where e^{-w} overflows (Re w < -709), E1 is formed as
-    exp(-w + log(e^{w} E1(w))).  RangeError when the value is not finite in
-    binary64.
+    """Principal-branch exponential integral E1(w) = Gamma(0, w), as e^{-w} h
+    (_e1_continued); relative error <= 1e-12 for |w| >= 0.1.  RangeError when
+    the value is not finite in binary64 (from about Re w = -709 - log|w|).
     """
     w = _check_sector(w)
-    arg_w = math.atan2(w.imag, w.real)
-    try:
-        value = _e1_continued(w, arg_w)[0]
-    except OverflowError:  # e^{-w} beyond binary64
-        value = complex(math.nan)
-    if not cmath.isfinite(value):  # the product with e^{-w} overflowed: E1 may still fit
-        try:
-            value = cmath.exp(cmath.log(_e1_scaled_continued(w, arg_w)[0]) - w)
-        except OverflowError:
-            raise RangeError(f"E1 is not finite in binary64 at {w}") from None
+    value = _e1_continued(w, math.atan2(w.imag, w.real))[0]
     _check_finite(w, value)
     return value
 
 
 def _e1_continued(w: complex, arg_w: float) -> tuple[complex, float]:
-    """E1 on the branch reached by arg w = arg_w (may exceed +-pi).
+    """E1 = e^{-w} h on the branch reached by arg w = arg_w (may exceed +-pi), with h
+    and the relative error estimate from _e1_scaled_continued.  Where e^{-w}
+    overflows (Re w < -709) E1 may still fit: it is exp(log h - w), and RangeError
+    where that overflows too.
+    """
+    h, rel = _e1_scaled_continued(w, arg_w)
+    try:
+        return h * cmath.exp(-w), rel  # finite: |h| ~ 1/|w| where e^{-w} nears overflow
+    except OverflowError:  # e^{-w} beyond binary64
+        try:
+            return cmath.exp(cmath.log(h) - w), rel
+        except OverflowError:
+            raise RangeError(f"E1 is not finite in binary64 at {w}") from None
 
-    Returns (value, relative error estimate).  Continuation across the cut
-    only shifts the logarithm: each full winding subtracts 2*pi*i.  Ein's
-    series cancels like e^{spread}, spread = |w|(1 + cos arg w); it serves where
-    that stays small, for |w| <= 4 and near the negative axis up to |w| = 40,
-    where the continued fraction converges poorly.  Elsewhere E1 is e^{-w}
-    times _e1_scaled_continued's value (OverflowError where e^{-w} overflows).
+
+def _e1_scaled_continued(w: complex, arg_w: float) -> tuple[complex, float]:
+    """The one E1 kernel: h = e^{w} E1(w) on the branch reached by arg_w, overflow-safe
+    for Re w << 0.  Returns (value, relative error estimate).
+
+    The principal value comes from one region rule, spread = |w|(1 + cos arg w):
+
+      * |w| <= 4, or |w| <= _EIN_MAX = 40 with spread <= 7: e^{w} times
+        Ein(w) - gamma - log w, whose series cancels like e^{spread};
+      * else |w| <= 32 or |arg w| <= 3 pi/4: the scaled Lentz iterate;
+      * else: the optimally truncated asymptotic series plus the Stokes-switching
+        remainder -2 pi i e^{w} T in its error-function form, summed in the upper
+        half-plane and conjugated below; relative error O(|w|^{3/2} e^{-|w|}).
+
+    Continuation across the cut only shifts log w in E1: each winding of arg_w
+    subtracts 2 pi i e^{w}, once, from the principal value.
     """
     w = complex(w)
     ph = math.atan2(w.imag, w.real)
     abs_w = abs(w)
     spread = abs_w * (1.0 + math.cos(ph))
-    if abs_w <= _EIN_MAX and (abs_w <= 4.0 or spread <= 7.0):
-        val = _ein(w) - EULER_GAMMA - cmath.log(w)
+    if abs_w <= 4.0 or (abs_w <= _EIN_MAX and spread <= 7.0):
+        h = cmath.exp(w) * (_ein(w) - EULER_GAMMA - cmath.log(w))
         rel = 4.0 * EPS * max(4.0, math.exp(spread) / max(1.0, math.sqrt(abs_w)))
-        return val - 2j * math.pi * round((arg_w - ph) / TWO_PI), rel
-    h, rel = _e1_scaled_continued(w, arg_w)
-    return h * cmath.exp(-w), rel
-
-
-def _e1_scaled_continued(w: complex, arg_w: float) -> tuple[complex, float]:
-    """e^{w} E1(w) on the continued branch, overflow-safe for Re w << 0.
-
-    Returns (value, relative error estimate).  Three regions:
-
-      * |w| <= 32 where _e1_continued sums Ein: that value times e^{w};
-      * |w| <= 32 outside it, and |w| > 32 with |arg w| <= 3 pi/4: the scaled
-        Lentz iterate, less 2 pi i e^{w} per winding;
-      * |w| > 32 near the negative axis: the optimally truncated asymptotic
-        series plus the Stokes-switching remainder, which equals
-        -2 pi i e^{w} T, approximated by its error-function form.  The
-        combined relative error is O(|w|^{3/2} e^{-|w|}).
-    """
-    w = complex(w)
-    ph = math.atan2(w.imag, w.real)
+    elif abs_w <= 32.0 or abs(ph) <= 0.75 * math.pi:
+        h, rel = _e1_lentz_scaled(w), 1e-12 if abs_w <= 32.0 else 1e-13
+    else:
+        # truncate near the smallest term, switch the tiny remainder on smoothly
+        u = w if ph >= 0.0 else w.conjugate()
+        total = 0.0 + 0.0j
+        term = 1.0 / u
+        j = 0
+        while True:
+            total += term
+            term *= -(j + 1) / u
+            j += 1
+            # <=, not <: EPS |total| underflows to 0 for |w| > 9e307, and a zero term must stop
+            if abs(term) <= EPS * abs(total) or j > abs_w - 2:
+                break
+        total -= 2j * math.pi * _erf_switch(abs(ph) - math.pi, abs_w) * cmath.exp(u)
+        h = total if ph >= 0.0 else total.conjugate()
+        decay = math.exp(-abs_w)  # 0 from |w| ~ 745; |w|^{3/2} overflows from |w| ~ 1e205
+        rel = 8 * EPS + (abs_w ** 1.5 * decay if decay else 0.0)
     windings = round((arg_w - ph) / TWO_PI)
-    abs_w = abs(w)
-    if abs_w <= 32.0 and (abs_w <= 4.0 or abs_w * (1.0 + math.cos(ph)) <= 7.0):
-        val, rel = _e1_continued(w, arg_w)
-        return cmath.exp(w) * val, rel
-    if abs_w <= 32.0 or abs(ph) <= 0.75 * math.pi:
-        h = _e1_lentz_scaled(w)
-        if windings:
-            h -= 2j * math.pi * windings * cmath.exp(w)
-        return h, 1e-12 if abs_w <= 32.0 else 1e-13
-    if ph < 0:
-        val, rel = _e1_scaled_continued(w.conjugate(), -arg_w)
-        return val.conjugate(), rel
-    # |w| > 32 with arg in (3 pi/4, pi]: truncate the series near its
-    # smallest term and switch the exponentially small remainder on smoothly
-    total = 0.0 + 0.0j
-    term = 1.0 / w
-    j = 0
-    while True:
-        total += term
-        term *= -(j + 1) / w
-        j += 1
-        # <=, not <: EPS |total| underflows to 0 for |w| > 9e307, and a zero term must stop
-        if abs(term) <= EPS * abs(total) or j > abs(w) - 2:
-            break
-    ew = cmath.exp(w)  # Re w < 0 here
-    total -= 2j * math.pi * _erf_switch(ph - math.pi, abs(w)) * ew
     if windings:
-        total -= 2j * math.pi * windings * ew
-    decay = math.exp(-abs(w))  # 0 from |w| ~ 745; |w|^{3/2} overflows from |w| ~ 1e205
-    return total, 8 * EPS + (abs(w) ** 1.5 * decay if decay else 0.0)
+        h -= 2j * math.pi * windings * cmath.exp(w)
+    return h, rel
 
 
 # ----------------------------------------------------------------------

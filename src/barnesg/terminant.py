@@ -163,6 +163,8 @@ def terminant(p: int, w: complex, arg_w: Optional[float] = None) -> TerminantEva
     smaller estimate is returned; a mismatched order keeps the closed form and
     its estimate, however large.  RangeError when the closed form is not finite
     in binary64 and the erf form does not apply, or p > MAX_ORDER.
+    AccuracyError where Re w < -709: e^{-w} overflows, and only the scaled
+    T_p(w) e^{w} is representable there.
     """
     p = _check_order(p, 1, MAX_ORDER, RangeError)
     w, arg_w = _check_branch(w, arg_w)

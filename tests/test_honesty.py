@@ -21,7 +21,7 @@ import mpmath as mp
 import pytest
 
 from barnesg import (AccuracyError, certified_eval, exp_improved_report, log_barnes_oracle,
-                     remainder_wide)
+                     remainder_narrow, remainder_wide)
 from barnesg.expansion import _certified_shift
 from _reference import log_g_error, remainder_error
 
@@ -61,6 +61,20 @@ def test_oracle_estimate_covers_the_error(z):
 def test_wide_remainder_estimate_covers_the_error(z, n):
     res = remainder_wide(z, n)
     assert remainder_error(res.value, z, n) <= res.est_error
+
+
+#: The narrow kernel's est_error has no discretisation term, and where the poles t = +-iz
+#: of 1/(1 + (t/z)^2) approach the path it under-reports; error/estimate for N = 1 is 19,
+#: 5.9e6, 5.1e11 and 52 at these rows.  Strict: a fix shows as XPASS.
+_NARROW_UNDER = [cmath.exp(0.47j * PI), cmath.exp(0.49j * PI),
+                 0.1 * cmath.exp(0.49j * PI), 1e-8 * cmath.exp(0.3j * PI)]
+
+
+@pytest.mark.xfail(strict=True, reason="remainder_narrow under-reports near arg z = pi/2")
+@pytest.mark.parametrize("z", _NARROW_UNDER, ids=repr)
+def test_narrow_remainder_estimate_covers_the_error(z):
+    res = remainder_narrow(z, 1)
+    assert remainder_error(res.value, z, 1) <= res.est_error
 
 
 #: Re z < -63 and 0.006 from the cut: the wide kernel's tail target is out of reach

@@ -182,7 +182,7 @@ class TestWideTailCut:
 
     @pytest.mark.parametrize("scale", [1e-3, 1e3])
     def test_settling_decides_when_the_estimate_is_off(self, monkeypatch, scale):
-        """A bound 1e3 below or above the estimate makes the settling step down or up."""
+        """With the bound scaled 1e3 down or up the bisection still finds the scan's t."""
         bound = oracle._wide_tail_bound
         monkeypatch.setattr(oracle, "_wide_tail_bound", lambda *args: scale * bound(*args))
         for abs_z in self.ABS_Z:

@@ -187,6 +187,20 @@ class TestExpIntegral:
             ref = mp.e1(mp.mpc(w))
             assert abs(mp.mpc(exp_integral_e1(w)) - ref) <= 1e-13 * abs(ref)
 
+    @pytest.mark.parametrize("w", [-715 + 1j, -710 + 100j], ids=repr)
+    def test_one_kernel_call_where_e_to_the_minus_w_overflows(self, monkeypatch, w):
+        # E1 = exp(log h - w) there, from the one h = e^{w} E1(w) already computed
+        calls = []
+        kernel = special._e1_scaled_continued
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(special, "_e1_scaled_continued", counted)
+        exp_integral_e1(w)
+        assert len(calls) == 1
+
     def test_past_binary64_raises(self):
         with pytest.raises(RangeError):  # |E1(-800 + i)| ~ e^800 / 800
             exp_integral_e1(-800 + 1j)

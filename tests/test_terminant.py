@@ -121,7 +121,7 @@ def _terminant_mp(p, w, arg_w):
 
 
 class TestTerminantAgainstMpmath:
-    @pytest.mark.parametrize("abs_w", [0.8, 2.0, 5.0, 12.0, 25.0, 40.0, 79.0])
+    @pytest.mark.parametrize("abs_w", [0.8, 2.0, 5.0, 12.0, 25.0, 33.7, 38.1, 40.0, 79.0])
     def test_near_optimal_order_error_within_estimate(self, abs_w):
         p = 2 * round(abs_w / 2) + 1
         for a in (0.5, -0.5, 0.9, -0.9, 0.0, 1.0, 1.1, -1.1, 1.45, -1.45):
@@ -412,6 +412,21 @@ class TestStokesProfile:
         ref = -_terminant_mp(p, w, PI) / (2j * PI * k * k)
         assert sample.est_error < abs(sample.limit)
         assert abs(sample.multiplier - ref) <= sample.est_error
+
+    @pytest.mark.parametrize("abs_z,k", [(2.685, 2), (3.036, 2), (3.879, 2)])
+    def test_whole_profile_within_estimate(self, abs_z, k):
+        # |w| = 2 pi k |z| = 33.7, 38.1, 48.7: near the negative axis the seed e^{w} E1(w)
+        # sums Ein's series up to |w| = 40 and the asymptotic series past it.  The lower
+        # window mirrors the upper one: its w is conj w, and T_p(conj w) = -conj T_p(w).
+        thetas = [PI / 2 - 0.5 + i / 10 for i in range(11)]
+        p = 2 * bisect.bisect_right(_order_thresholds(abs_z, 86), k) + 1
+        upper = stokes_profile(abs_z, k, thetas)
+        lower = stokes_profile(abs_z, k, [-t for t in thetas])
+        for theta, up, low in zip(thetas, upper, lower, strict=True):
+            w = 2 * PI * k * 1j * abs_z * cmath.exp(1j * theta)
+            t_p = _terminant_mp(p, w, theta + PI / 2)
+            assert abs(up.multiplier + t_p / (2j * PI * k * k)) <= up.est_error, theta
+            assert abs(low.multiplier - t_p.conjugate() / (2j * PI * k * k)) <= low.est_error, theta
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -4,7 +4,8 @@ Crossing arg z = pi/2, the coefficient of the subdominant exponential
 e^{2 pi i z} in the expansion of log G(z+1) does not jump; at optimal
 truncation it follows an error-function profile.  This prints the computed
 normalized multiplier against 1/2 + 1/2 erf((theta - pi/2) sqrt(pi |z|)) as
-an ASCII strip chart.
+an ASCII strip chart, at |z| = 3 and at |z| = 20 (order p = 127), with the
+largest error bound of each profile.
 
 Run:  python demos/stokes_smoothing_demo.py
 """
@@ -18,8 +19,7 @@ from barnesg import stokes_profile
 PI = math.pi
 
 
-def main() -> None:
-    abs_z, k = 3.0, 1
+def strip_chart(abs_z: float, k: int) -> None:
     thetas = np.linspace(PI / 2 - 0.5, PI / 2 + 0.5, 41)
     profile = stokes_profile(abs_z, k, thetas)
     print(f"Stokes multiplier switching at |z| = {abs_z}, k = {k}")
@@ -36,6 +36,13 @@ def main() -> None:
         print(f"{s.theta / PI:9.4f} {got:9.4f} {pred:9.4f}  {''.join(bar)}")
     print(f"\nmax |computed - erf law| = {worst:.4f} "
           f"(error scale (pi k |z|)^(-1/2) = {1 / math.sqrt(PI * k * abs_z):.3f})")
+    largest = max(s.est_error / abs(s.limit) for s in profile)
+    print(f"largest est_error = {largest:.1e} of |limit|\n")
+
+
+def main() -> None:
+    strip_chart(3.0, 1)
+    strip_chart(20.0, 1)
 
 
 if __name__ == "__main__":

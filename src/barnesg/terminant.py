@@ -36,7 +36,10 @@ erf form's lower half is the reflection T_p(conj w) = -conj(T_p(w)), integer p.
 
 terminant, the one entry point for T_p(w), returns the closed form or, at
 near-matched order p ~ |w|, the leading erf form, whichever reports the smaller
-error estimate; the improved route reads the closed form directly.
+error estimate; the improved route reads the closed form directly.  Stokes
+profiles take neither: at fixed |w| they integrate T_p's exact angular
+derivative from a closed-form seed on the imaginary axis, where it does not
+cancel, with a bound on every part of the error.
 
 The zeta tails of the algebraic sum depend only on an exponent and a first
 index, which take few values over a range of |z|; _zeta_tail memoizes them in
@@ -395,15 +398,86 @@ def exp_improved_report(z: complex, k_max: int = K_MAX) -> tuple[complex, float]
 # Stokes multiplier profiles
 # ----------------------------------------------------------------------
 
+#: Four-point Gauss-Legendre rule on [-1, 1] in closed form, as (node, weight).
+_GAUSS4 = tuple((s * math.sqrt((3.0 + t * 2.0 * math.sqrt(1.2)) / 7.0),
+                 (18.0 - t * math.sqrt(30.0)) / 36.0) for t in (-1.0, 1.0) for s in (-1.0, 1.0))
+
+
+def _arc_bound(h: float, r: float, p: int, log_a: float) -> float:
+    """Error bound of _GAUSS4 on a panel of half-width h of the arc integrand dT_p/du.
+
+    On the panel's Bernstein ellipse E_rho, |Im u| <= beta = h (rho - 1/rho)/2, where the
+    integrand's log-modulus, convex in Im u, is at most log M = log A + max(r (e^{-beta} - 1)
+    + (p - 1) beta, r (e^{beta} - 1) - (p - 1) beta).  So n = 4 nodes err by at most
+    (64/15) M rho^{-2(n-1)}/(rho^2 - 1) h (Trefethen, SIAM Rev. 50 (2008) 67-87, Thm 4.5,
+    stated for n + 1 nodes).  rho = sqrt(32/r)/h minimises e^{r beta^2/2} rho^{-8}, the
+    bound at p - 1 = r; it is within 11 % of the best rho for r = 9.4 .. 170.
+    """
+    rho = max(2.0, math.sqrt(32.0 / r) / h)
+    beta = 0.5 * h * (rho - 1.0 / rho)
+    log_m = max(r * math.expm1(-beta) + (p - 1) * beta, r * math.expm1(beta) - (p - 1) * beta)
+    return 64.0 / 15.0 * h * math.exp(log_a + log_m) * rho ** -6 / (rho * rho - 1.0)
+
+
+def _arc_sum(p: int, r: float, log_a: float, lo: float, hi: float,
+             panels: int) -> tuple[complex, float]:
+    """_GAUSS4 on `panels` equal panels of [lo, hi] applied to the arc integrand
+    dT_p/du = exp(log A + r (e^{iu} - 1) + i (1 - p) u): the sum and the sum of moduli."""
+    h = 0.5 * (hi - lo) / panels
+    shift = log_a - r + math.log(h)
+    phase = (1 - p) * 1j
+    total, mass = 0.0 + 0.0j, 0.0
+    for i in range(panels):
+        mid = lo + (2 * i + 1) * h
+        for x, weight in _GAUSS4:
+            u = mid + h * x
+            term = weight * cmath.exp(shift + r * cmath.exp(1j * u) + phase * u)
+            total += term
+            mass += abs(term)
+    return total, mass
+
+
+def _arc_profile(p: int, r: float, us: Sequence[float]) -> list[tuple[complex, float]]:
+    """T_p(W) and a bound on its error at W = r e^{i(pi + u)}, u in the ascending us.
+
+    On the continued branch dT_p/du = exp(log A + r (e^{iu} - 1) + i (1 - p) u) exactly,
+    log A = lgamma(p) + (1 - p) log r + r - log 2 pi: a near-Gaussian bump of width
+    r^{-1/2} and mass 1 at u = 0.  From the seed T_p(i r), where |e^{-W}| = 1 and nothing
+    cancels, each angle adds _arc_sum over panels no wider than min(0.05, 0.3/sqrt r),
+    which keeps the summed panel bounds below about 3e-10 up to r = 170.  The bound is
+    the seed's estimate, plus _arc_bound per panel, plus round-off: each term is good to
+    eps (lgamma(p) + (p - 1)(2 log r + pi) + 5 r + 4) for |u| <= pi/2 (log A, r e^{iu},
+    the phase (1 - p) u, and the node's own rounding times r + p - 1), and each addition
+    to one eps of the running sum.
+    """
+    seed, est = _scaled_recurrence(p, r * 1j, 0.5 * math.pi)
+    total = seed * cmath.exp(-r * 1j)
+    log_a = math.lgamma(p) + (1 - p) * math.log(r) + r - math.log(TWO_PI)
+    rel = EPS * (math.lgamma(p) + (p - 1) * (2.0 * math.log(r) + math.pi) + 5.0 * r + 4.0)
+    width = min(0.05, 0.3 / math.sqrt(r))
+    bounds: dict[float, float] = {}  # one per panel width: the linspace gaps take few
+    lo, mass, terms = -0.5 * math.pi, 0.0, 0
+    out = []
+    for hi in us:
+        panels = math.ceil((hi - lo) / width)
+        h = 0.5 * (hi - lo) / panels
+        if h not in bounds:
+            bounds[h] = _arc_bound(h, r, p, log_a)
+        part, part_mass = _arc_sum(p, r, log_a, lo, hi, panels)
+        total, mass, terms = total + part, mass + part_mass, terms + 4 * panels + 1
+        est += panels * bounds[h]
+        out.append((total, est + rel * mass + terms * EPS * (abs(seed) + mass)))
+        lo = hi
+    return out
+
+
 @dataclass(frozen=True)
 class StokesSample:
     """One point of a Stokes-switching profile.
 
     multiplier is the computed coefficient of the switching exponential and
-    est_error the terminant's error estimate on the same scale.  Once
-    2 pi k |z| passes about 33 the closed form cancels and terminant takes the
-    erf form: multiplier is then the leading-order switch itself, and est_error,
-    a fifth to two fifths of |limit| on the line, says how far to trust it.
+    est_error a bound on its error on the same scale, at most about 3e-10 of
+    |limit| at every |z| within MAX_ORDER's reach (_arc_profile).
     erf_prediction is the smoothing-law prediction on the same scale.  The
     normalized values divide by the far-side limit -+ 1/(2 pi i k^2), so they
     run from ~0 to ~1 across the transition.
@@ -434,12 +508,14 @@ def stokes_profile(
     """Effective Stokes multiplier against the erf smoothing law.
 
     The window must sit inside (pi/2 - 1/2, pi/2 + 1/2) or its mirror image
-    in the lower half-plane.  At each angle the terminant of the dominant
-    switching exponential is evaluated by terminant, which picks the closed
-    or the erf form by their estimates, at near-optimal order
-    N_k = round(pi k |z|) (the improved route's rule, uncapped), and the
-    prediction is 1/2 + 1/2 erf((theta -+ pi/2) sqrt(pi k |z|)) on the
-    corresponding side.  RangeError when the order 2 N_k + 1 exceeds MAX_ORDER.
+    in the lower half-plane.  The terminant T_p(w) of the dominant switching
+    exponential, w = 2 pi k i z, at near-optimal order p = 2 N_k + 1, N_k =
+    round(pi k |z|) (the improved route's rule, uncapped), is integrated along
+    |w| = 2 pi k |z| through the sorted angles (_arc_profile); the lower window
+    mirrors the upper one, T_p(conj w) = -conj T_p(w).  Samples come back in the
+    caller's order and depend only on the set of angles.  The prediction is
+    1/2 + 1/2 erf((theta -+ pi/2) sqrt(pi k |z|)) on the corresponding side.
+    RangeError when the order 2 N_k + 1 exceeds MAX_ORDER.
     """
     if not 1.5 <= abs_z < math.inf:  # false for NaN too
         raise DomainError(f"stokes_profile requires a finite |z| >= 1.5, got {abs_z}")
@@ -459,24 +535,19 @@ def stokes_profile(
     n_k = bisect.bisect_right(_order_thresholds(abs_z, reach), k)
     if n_k == reach:
         raise RangeError(f"the terminant order at |z| = {abs_z}, k = {k} exceeds {MAX_ORDER}")
-    p = 2 * n_k + 1
     rate = math.sqrt(math.pi * k * abs_z)
     # sign = +1 on the upper line, where w = 2 pi k i z; -1 on the lower, where w = -2 pi k i z
     sign = 1.0 if upper else -1.0
     limit = -sign / (2j * math.pi * k * k)
-    samples: list[StokesSample] = []
-    for theta in thetas:
-        z = abs_z * cmath.exp(1j * theta)
-        ev = terminant(p, sign * TWO_PI * k * 1j * z, arg_w=theta + sign * 0.5 * math.pi)
-        x = sign * (theta - sign * 0.5 * math.pi) * rate  # signed distance past the line
-        pred_norm = 0.5 + 0.5 * math.erf(x)
-        samples.append(
-            StokesSample(
-                theta=theta,
-                k=k,
-                multiplier=-ev.value / (2j * math.pi * k * k),
-                erf_prediction=pred_norm * limit,
-                est_error=ev.est_error / (TWO_PI * k * k),
-            )
-        )
+    us = [sign * theta - 0.5 * math.pi for theta in thetas]  # arg w = pi + u, upper window
+    distinct = sorted(set(us))
+    arc = dict(zip(distinct, _arc_profile(2 * n_k + 1, TWO_PI * k * abs_z, distinct)))
+    samples = []
+    for theta, u in zip(thetas, us):  # u sqrt(pi k |z|): the signed distance past the line
+        t_p, est = arc[u]
+        if sign < 0.0:
+            t_p = 0.0 - t_p.conjugate()
+        samples.append(StokesSample(theta, k, -t_p / (2j * math.pi * k * k),
+                                    (0.5 + 0.5 * math.erf(u * rate)) * limit,
+                                    est / (TWO_PI * k * k)))
     return samples

@@ -95,7 +95,7 @@ ERF_SHELL_CALLS = (
     "sp.erf_small(3 + 0.5j)",
     "sp.erf_small(4j)",
     "bg.exp_improved_report(6 * cmath.exp(0.3j * math.pi))",  # Re z >= 2: not shifted
-    "bg.stokes_profile(5.0, 2, [math.pi / 2 + 0.02 * j for j in range(-25, 26)])",
+    "bg.terminant(63, 62.8 * cmath.exp((math.pi + 0.5) * 1j), math.pi + 0.5)",  # |zeta| = 2.79
 )
 
 

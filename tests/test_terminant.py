@@ -402,23 +402,23 @@ class TestStokesProfile:
             for s in stokes_profile(2.0, k, thetas):
                 assert abs(s.multiplier) <= 1.5 / (2 * PI * k * k)
 
-    @pytest.mark.parametrize("abs_z,k", [(7.0, 1), (8.0, 1), (20.0, 1), (3.5, 2)])
+    @pytest.mark.parametrize("abs_z,k", [(7.0, 1), (8.0, 1), (20.0, 1), (26.0, 1), (3.5, 2)])
     def test_multiplier_on_the_line_within_estimate(self, abs_z, k):
-        # past 2 pi k |z| ~ 33 the closed form cancels, so terminant takes the erf
-        # form; its estimate stays below |limit| and covers the error against mpmath
+        # 2 pi k |z| = 44 .. 163, where the closed form cancels: the arc integral's
+        # bound covers the error against mpmath, and the normalized multiplier is
+        # within 1e-4 of mpmath's (the leading-order switch said 1/2 + ~0i there)
         sample = stokes_profile(abs_z, k, [PI / 2])[0]
         p = 2 * bisect.bisect_right(_order_thresholds(abs_z, 86), k) + 1
         w = -2 * PI * k * abs_z + 0j  # w = 2 pi k i z with arg w = pi on the upper line
         ref = -_terminant_mp(p, w, PI) / (2j * PI * k * k)
         assert sample.est_error < abs(sample.limit)
         assert abs(sample.multiplier - ref) <= sample.est_error
+        assert abs(sample.normalized_multiplier - ref / sample.limit) <= 1e-4
 
-    @pytest.mark.parametrize("abs_z,k", [(2.685, 2), (3.036, 2), (3.879, 2)])
-    def test_whole_profile_within_estimate(self, abs_z, k):
-        # |w| = 2 pi k |z| = 33.7, 38.1, 48.7: near the negative axis the seed e^{w} E1(w)
-        # sums Ein's series up to |w| = 40 and the asymptotic series past it.  The lower
-        # window mirrors the upper one: its w is conj w, and T_p(conj w) = -conj T_p(w).
-        thetas = [PI / 2 - 0.5 + i / 10 for i in range(11)]
+    @staticmethod
+    def _within_estimate_of_mpmath(abs_z, k, thetas):
+        """Each upper sample and its mirror below are within est_error of mpmath: the lower
+        window's w is conj w, and T_p(conj w) = -conj T_p(w).  Returns both profiles."""
         p = 2 * bisect.bisect_right(_order_thresholds(abs_z, 86), k) + 1
         upper = stokes_profile(abs_z, k, thetas)
         lower = stokes_profile(abs_z, k, [-t for t in thetas])
@@ -427,6 +427,43 @@ class TestStokesProfile:
             t_p = _terminant_mp(p, w, theta + PI / 2)
             assert abs(up.multiplier + t_p / (2j * PI * k * k)) <= up.est_error, theta
             assert abs(low.multiplier - t_p.conjugate() / (2j * PI * k * k)) <= low.est_error, theta
+        return upper + lower
+
+    @pytest.mark.parametrize("abs_z,k", [(2.685, 2), (3.036, 2), (3.879, 2)])
+    def test_whole_profile_within_estimate(self, abs_z, k):
+        # |w| = 2 pi k |z| = 33.7, 38.1, 48.7, where the closed form at w cancels
+        self._within_estimate_of_mpmath(abs_z, k, [PI / 2 - 0.5 + i / 10 for i in range(11)])
+
+    @pytest.mark.parametrize("abs_z,k", [(1.5, 1), (4.0, 2), (8.0, 2), (20.0, 1), (27.0, 1)])
+    def test_every_sample_within_its_bound(self, abs_z, k):
+        # 2 pi k |z| = 9.4 .. 170, p = 11 .. 171: within est_error of mpmath, and
+        # est_error is at most 1e-9 of |limit|
+        thetas = [PI / 2 - 0.4, PI / 2 - 0.1, PI / 2 + 0.2, PI / 2 + 0.5]
+        samples = self._within_estimate_of_mpmath(abs_z, k, thetas)
+        window = np.linspace(PI / 2 - 0.52, PI / 2 + 0.52, 51)
+        for s in stokes_profile(abs_z, k, window) + samples:
+            assert 0.0 < s.est_error <= 1e-9 * abs(s.limit)
+
+    @pytest.mark.parametrize("abs_z,k,line", [(3.0, 1, PI / 2), (20.0, 1, -PI / 2), (4.0, 2, PI / 2)])
+    def test_samples_depend_only_on_the_set_of_angles(self, abs_z, k, line):
+        thetas = [line - 0.5 + i / 25 for i in range(26)]
+        rng = random.Random(29)
+        shuffled = thetas + rng.sample(thetas, 9)
+        rng.shuffle(shuffled)
+        by_theta = {repr(s.theta): repr(s) for s in stokes_profile(abs_z, k, thetas)}
+        got = stokes_profile(abs_z, k, shuffled)
+        assert [s.theta for s in got] == shuffled
+        assert [repr(s) for s in got] == [by_theta[repr(t)] for t in shuffled]
+
+    @pytest.mark.parametrize("p,r", [(51, 8 * PI * 2.0), (127, 2 * PI * 20.0)])
+    def test_arc_integrand_has_unit_mass_over_one_winding(self, p, r):
+        # dT_p/du integrated over u in [-pi, pi] is the residue of one winding, 1, within
+        # the round-off bound eps (lgamma(p) + (p - 1) log r + 2 r + p) times the sum of moduli
+        log_a = math.lgamma(p) + (1 - p) * math.log(r) + r - math.log(2 * PI)
+        panels = math.ceil(2 * PI / min(0.05, 0.3 / math.sqrt(r)))
+        total, mass = terminant_module._arc_sum(p, r, log_a, -PI, PI, panels)
+        rel = 2.0 ** -53 * (math.lgamma(p) + (p - 1) * math.log(r) + 2 * r + p)
+        assert abs(total - 1.0) <= rel * mass
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -1,6 +1,6 @@
-"""Special-function kernels: log Gamma, dilogarithm, E1, erf, and the
-Stokes-geometry function c(phi).  All are scalar except the dilogarithm,
-whose kernel evaluates a whole array of quadrature nodes in one pass.
+"""Special-function kernels: log Gamma, dilogarithm, E1 and erf.  All are
+scalar except the dilogarithm, whose kernel evaluates a whole array of
+quadrature nodes in one pass.
 
 These are the only transcendental building blocks the rest of the library
 needs.  Each has a small validity region chosen for the arguments the
@@ -11,7 +11,7 @@ E1 has one kernel, _e1_scaled_continued, for h = e^{w} E1(w), and every other
 form unscales it: E1 = e^{-w} h.  Its one region rule sums Ein's power series,
 a fixed-length Horner kernel over a table built at import, for |w| <= 4 and
 near the negative axis up to |w| = 40; past |w| = 32 with |arg w| > 3 pi/4,
-outside that, it takes the asymptotic series with its Stokes switch, and the
+outside that, it takes the optimally truncated asymptotic series, and the
 scaled Lentz continued fraction everywhere else.
 
 The module imports no numpy: only the oracle's dilogarithm kernel (_li2,
@@ -237,9 +237,12 @@ def _e1_scaled_continued(w: complex, arg_w: float) -> tuple[complex, float]:
       * |w| <= 4, or |w| <= _EIN_MAX = 40 with spread <= 7: e^{w} times
         Ein(w) - gamma - log w, whose series cancels like e^{spread};
       * else |w| <= 32 or |arg w| <= 3 pi/4: the scaled Lentz iterate;
-      * else: the optimally truncated asymptotic series plus the Stokes-switching
-        remainder -2 pi i e^{w} T in its error-function form, summed in the upper
-        half-plane and conjugated below; relative error O(|w|^{3/2} e^{-|w|}).
+      * else: the asymptotic series at w, truncated near its smallest term, with
+        relative error 8 eps + |w|^{3/2} e^{-|w|}.  The Stokes term it leaves out,
+        2 pi i T_p(w) e^{w} at p ~ |w|, is of the size of the smallest term, at most
+        about pi |w| e^{-|w|} relative to h ~ 1/w, so the estimate covers it from
+        |w| = pi^2 on; against mpmath at 32 < |w| <= 700 the error stays below half
+        of it.
 
     Continuation across the cut only shifts log w in E1: each winding of arg_w
     subtracts 2 pi i e^{w}, once, from the principal value.
@@ -254,20 +257,16 @@ def _e1_scaled_continued(w: complex, arg_w: float) -> tuple[complex, float]:
     elif abs_w <= 32.0 or abs(ph) <= 0.75 * math.pi:
         h, rel = _e1_lentz_scaled(w), 1e-12 if abs_w <= 32.0 else 1e-13
     else:
-        # truncate near the smallest term, switch the tiny remainder on smoothly
-        u = w if ph >= 0.0 else w.conjugate()
-        total = 0.0 + 0.0j
-        term = 1.0 / u
+        h = 0.0 + 0.0j
+        term = 1.0 / w
         j = 0
         while True:
-            total += term
-            term *= -(j + 1) / u
+            h += term
+            term *= -(j + 1) / w
             j += 1
-            # <=, not <: EPS |total| underflows to 0 for |w| > 9e307, and a zero term must stop
-            if abs(term) <= EPS * abs(total) or j > abs_w - 2:
+            # <=, not <: EPS |h| underflows to 0 for |w| > 9e307, and a zero term must stop
+            if abs(term) <= EPS * abs(h) or j > abs_w - 2:
                 break
-        total -= 2j * math.pi * _erf_switch(abs(ph) - math.pi, abs_w) * cmath.exp(u)
-        h = total if ph >= 0.0 else total.conjugate()
         decay = math.exp(-abs_w)  # 0 from |w| ~ 745; |w|^{3/2} overflows from |w| ~ 1e205
         rel = 8 * EPS + (abs_w ** 1.5 * decay if decay else 0.0)
     windings = round((arg_w - ph) / TWO_PI)
@@ -334,29 +333,3 @@ def _erfc_lentz_scaled(z: complex) -> complex:
         if abs(delta - 1.0) < 2.0 * EPS:
             return 2.0 * z * h
     raise AccuracyError("continued fraction for erfc did not converge")
-
-
-def _erf_switch(u: float, abs_w: float) -> complex:
-    """Smoothed Stokes switch 1/2 + 1/2 erf(zeta), zeta = c(phi) sqrt(|w|/2), taken at
-    u = phi - pi; the erf saturates to sign(Re zeta) outside the disc |zeta| <= 4."""
-    zeta = _c_branch(u) * math.sqrt(0.5 * abs_w)
-    erf = complex(math.copysign(1.0, zeta.real)) if abs(zeta) > 4.0 else erf_small(zeta)
-    return 0.5 + 0.5 * erf
-
-
-# ----------------------------------------------------------------------
-# Stokes-geometry function c(phi)
-# ----------------------------------------------------------------------
-
-def _c_branch(u: float) -> complex:
-    """The transition-zone variable c(phi), taken at u = phi - pi.
-
-    c^2/2 = 1 + i u - e^{i u}, on the branch with c ~ u + (i/6) u^2 near
-    u = 0; continuous on |u| < pi because the defining value stays in the
-    closed right half-plane, so the principal square root never crosses its
-    cut.
-    """
-    if abs(u) < 1e-3:
-        return u + 1j * u * u / 6.0 - u ** 3 / 36.0 - 1j * u ** 4 / 270.0
-    root = cmath.sqrt(2.0 * (1.0 + 1j * u - cmath.exp(1j * u)))
-    return root if u > 0 else -root

@@ -31,15 +31,15 @@ cap) k_max pairs are summed and the k-tail is guessed from the last two.
 Branch bookkeeping: with z in the slit plane the terminant arguments
 w = +-2 pi k i z sweep arg w across +-pi, so the function is evaluated on the
 continued branch.  Crossing arg w = pi upward adds exactly +1 (the residue of
-t^{-p} e^{-t} picked up by the defining contour), crossing -pi downward -1; the
-erf form's lower half is the reflection T_p(conj w) = -conj(T_p(w)), integer p.
+t^{-p} e^{-t} picked up by the defining contour), crossing -pi downward -1; below
+the axis the reflection T_p(conj w) = -conj(T_p(w)), integer p, holds.
 
-terminant, the one entry point for T_p(w), returns the closed form or, at
-near-matched order p ~ |w|, the leading erf form, whichever reports the smaller
-error estimate; the improved route reads the closed form directly.  Stokes
-profiles take neither: at fixed |w| they integrate T_p's exact angular
-derivative from a closed-form seed on the imaginary axis, where it does not
-cancel, with a bound on every part of the error.
+The improved route reads the closed form directly.  Past the imaginary axis the
+closed form cancels, and the Stokes switch is computed in one place, _arc_profile:
+at fixed |w| it integrates T_p's exact angular derivative from a closed-form seed
+on the imaginary axis, where nothing cancels, with a bound on every part of the
+error.  Stokes profiles take it alone; terminant, the one entry point for T_p(w),
+takes it or the closed form, whichever reports the smaller error estimate.
 
 The zeta tails of the algebraic sum depend only on an exponent and a first
 index, which take few values over a range of |z|; _zeta_tail memoizes them in
@@ -60,7 +60,7 @@ from .bernoulli import EPS, MAX_INDEX, TWO_PI, bernoulli_number, zeta_even
 from .errors import (AccuracyError, DomainError, RangeError, _check_finite, _check_order,
                      _check_sector)
 from .expansion import _closed_factor, _roundoff, _shift_count, _shifted_prefix
-from .special import _e1_scaled_continued, _erf_switch
+from .special import _e1_scaled_continued
 
 __all__ = [
     "TerminantMethod",
@@ -95,7 +95,7 @@ class TerminantMethod(enum.Enum):
 
     #: Names the closed form of _scaled_recurrence; the value, which the CLI prints, is kept.
     GAMMA_RECURRENCE = "gamma_recurrence"
-    ERF_ASYMPTOTIC = "erf_asymptotic"
+    ARC_INTEGRAL = "arc_integral"
 
 
 @dataclass(frozen=True)
@@ -106,17 +106,19 @@ class TerminantEval:
 
 
 def _check_branch(w: complex, arg_w: Optional[float]) -> tuple[complex, float]:
-    """w through the slit-plane check without the cut, and its branch angle:
-    arg_w if given (it must equal arg w modulo 2 pi), else the principal phase."""
+    """w through the slit-plane check without the cut, and its branch angle: the
+    principal phase plus the whole windings that arg_w (if given; it must equal
+    arg w modulo 2 pi) adds to it."""
     w = _check_sector(w, cut=False)
+    phase = math.atan2(w.imag, w.real)
     if arg_w is None:
-        return w, math.atan2(w.imag, w.real)
+        return w, phase
     if not math.isfinite(arg_w):
         raise DomainError(f"arg_w must be finite, got {arg_w}")
-    windings = (arg_w - math.atan2(w.imag, w.real)) / TWO_PI
+    windings = (arg_w - phase) / TWO_PI
     if abs(windings - round(windings)) > 1e-6:
         raise DomainError("arg_w must equal arg(w) modulo 2 pi")
-    return w, arg_w
+    return w, phase + TWO_PI * round(windings)
 
 
 def _scaled_recurrence(p: int, w: complex, arg_w: float) -> tuple[complex, float]:
@@ -159,15 +161,13 @@ def terminant(p: int, w: complex, arg_w: Optional[float] = None) -> TerminantEva
     """Scaled terminant T_p(w) for positive integer order p.
 
     arg_w selects the branch (it may exceed +-pi; defaults to the principal
-    phase).  The closed form of _scaled_recurrence always runs.  Where
-    |p - |w|| <= sqrt|w| the erf form applies too: the Stokes switch
-    1/2 + 1/2 erf(c(phi) sqrt(|w|/2)) for arg w >= 0 and its mirror -conj at
-    conj w below, with the estimate (1 + |p - |w||)/sqrt|w|.  The form with the
-    smaller estimate is returned; a mismatched order keeps the closed form and
-    its estimate, however large.  RangeError when the closed form is not finite
-    in binary64 and the erf form does not apply, or p > MAX_ORDER.
-    AccuracyError where Re w < -709: e^{-w} overflows, and only the scaled
-    T_p(w) e^{w} is representable there.
+    phase).  The closed form of _scaled_recurrence always runs.  Past the
+    imaginary axis (|arg w| > pi/2) with 4 <= |w| <= 2 MAX_ORDER, where the
+    closed form cancels, the arc integral (_arc_profile) runs too, at
+    |arg w| - pi and mirrored by -conj below the axis; the form with the smaller
+    estimate is returned.  RangeError when the closed form is not finite in
+    binary64, or p > MAX_ORDER.  AccuracyError where Re w < -709: e^{-w}
+    overflows, and only the scaled T_p(w) e^{w} is representable there.
     """
     p = _check_order(p, 1, MAX_ORDER, RangeError)
     w, arg_w = _check_branch(w, arg_w)
@@ -176,15 +176,15 @@ def terminant(p: int, w: complex, arg_w: Optional[float] = None) -> TerminantEva
     scaled, est = _scaled_recurrence(p, w, arg_w)
     emw = _exp_minus(w)
     value, est = scaled * emw, est * abs(emw)
-    mismatch = abs(p - abs(w))
-    erf_est = (1.0 + mismatch) / math.sqrt(abs(w))
-    if mismatch <= math.sqrt(abs(w)) and erf_est < est:
-        value = _erf_switch(abs(arg_w) - math.pi, abs(w))
-        if arg_w < 0.0:
-            value = 0.0 - value.conjugate()  # not -conj: that turns a saturated 0 into -0
-        return TerminantEval(value, TerminantMethod.ERF_ASYMPTOTIC, erf_est)
+    method = TerminantMethod.GAMMA_RECURRENCE
+    if abs(arg_w) > 0.5 * math.pi and 4.0 <= abs(w) <= 2 * MAX_ORDER:
+        arc, arc_est = _arc_profile(p, abs(w), [abs(arg_w) - math.pi])[0]
+        if arc_est < est:
+            # 0 - conj, not -conj: that would turn a zero part into -0
+            value = arc if arg_w > 0.0 else 0.0 - arc.conjugate()
+            est, method = arc_est, TerminantMethod.ARC_INTEGRAL
     _check_finite(w, value, est)
-    return TerminantEval(value, TerminantMethod.GAMMA_RECURRENCE, est)
+    return TerminantEval(value, method, est)
 
 
 # ----------------------------------------------------------------------
@@ -411,12 +411,16 @@ def _arc_bound(h: float, r: float, p: int, log_a: float) -> float:
     + (p - 1) beta, r (e^{beta} - 1) - (p - 1) beta).  So n = 4 nodes err by at most
     (64/15) M rho^{-2(n-1)}/(rho^2 - 1) h (Trefethen, SIAM Rev. 50 (2008) 67-87, Thm 4.5,
     stated for n + 1 nodes).  rho = sqrt(32/r)/h minimises e^{r beta^2/2} rho^{-8}, the
-    bound at p - 1 = r; it is within 11 % of the best rho for r = 9.4 .. 170.
+    bound at p - 1 = r; it is within 11 % of the best rho for r = 9.4 .. 170.  inf where
+    M overflows binary64 (from p - 1 >> r, e.g. T_171 at r = 4).
     """
     rho = max(2.0, math.sqrt(32.0 / r) / h)
     beta = 0.5 * h * (rho - 1.0 / rho)
     log_m = max(r * math.expm1(-beta) + (p - 1) * beta, r * math.expm1(beta) - (p - 1) * beta)
-    return 64.0 / 15.0 * h * math.exp(log_a + log_m) * rho ** -6 / (rho * rho - 1.0)
+    try:
+        return 64.0 / 15.0 * h * math.exp(log_a + log_m) * rho ** -6 / (rho * rho - 1.0)
+    except OverflowError:
+        return math.inf
 
 
 def _arc_sum(p: int, r: float, log_a: float, lo: float, hi: float,

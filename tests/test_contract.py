@@ -220,7 +220,7 @@ def test_near_the_cut_gives_a_typed_error_or_finite_numbers(route):
     assert values and all(cmath.isfinite(v) for v in values)
 
 
-# (p, w, arg_w); p sits inside the erf form's window p ~ |w| where w is finite
+# (p, w, arg_w); p ~ |w| where w is finite, the order at which the arc integral would run
 OFF_BRANCH = [(60, 60.0, 2.0), (5, 5.0, 2.0), (5, 3.0, NAN), (5, 3.0, INF), (5, 3.0, -INF),
               (5, INF, None), (5, complex(0.0, -INF), None), (5, complex(NAN, 1.0), None),
               (5, 0j, None)]

@@ -24,7 +24,6 @@ from barnesg import (
 )
 from barnesg.expansion import (_certified_shift, _prefix, _roundoff, _shift_bracket,
                                _shift_count)
-from barnesg.special import _c_branch
 
 pytestmark = pytest.mark.skipif(not HAS_HYPOTHESIS, reason="hypothesis not installed")
 
@@ -37,15 +36,6 @@ def test_sector_factor_even_and_at_least_one(theta):
     f = sector_factor(theta)
     assert f >= 1.0
     assert f == sector_factor(-theta)
-
-
-@given(st.floats(min_value=1e-3, max_value=2 * PI - 1e-3))
-@settings(max_examples=300, deadline=None)
-def test_c_of_phi_satisfies_defining_equation(phi):
-    u = phi - PI
-    c = _c_branch(u)
-    residual = 0.5 * c * c - (1.0 + 1j * u - cmath.exp(1j * u))
-    assert abs(residual) <= 1e-12 * max(1.0, abs(c) ** 2)
 
 
 @given(

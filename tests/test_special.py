@@ -21,7 +21,7 @@ from barnesg import special
 from barnesg.bernoulli import TWO_PI
 from barnesg.oracle import _GAUSS_ORDER, _NARROW_BREAKS
 from barnesg.quadrature import gauss_nodes, panel_nodes
-from barnesg.special import _c_branch, _dilog_exp, _li2
+from barnesg.special import _dilog_exp, _li2
 
 
 class TestLogGamma:
@@ -247,6 +247,10 @@ class TestEinKernel:
             r = 4.0 * 10.0 ** (i / 18)
             for gap in (1e-3, 3e-3, 0.01, 0.03, 0.1, 0.2, 0.3, 0.45, 0.6, 0.75, 0.9):
                 grid += [r * cmath.exp(1j * s * (math.pi - gap)) for s in (1, -1)]
+        for i in range(12):  # |w| in (40, 700] x pi - |arg w| in [1e-6, pi/4], both signs
+            r = 40.0 * 17.5 ** ((i + 1) / 12)
+            for gap in (1e-6, 1e-4, 1e-2, 0.1, 0.3, 0.5, 0.7, math.pi / 4):
+                grid += [r * cmath.exp(1j * s * (math.pi - gap)) for s in (1, -1)]
         for r in (1e-3, 0.5, 1.0, 4.0, 12.0, 31.999, 32.0, 40.0):  # on the axes, signed zeros
             grid += [complex(r, 0.0), complex(-r, 0.0), complex(-r, -0.0),
                      complex(0.0, r), complex(-0.0, -r)]
@@ -265,7 +269,8 @@ class TestEinKernel:
     @pytest.mark.parametrize("scaled", [False, True], ids=["e1", "scaled"])
     def test_error_within_the_estimate(self, references, scaled):
         """_e1_continued and _e1_scaled_continued on |w| <= 40, where Ein serves
-        near the negative axis: mpmath's error is at most the returned estimate."""
+        near the negative axis, and past it up to |w| = 700, where the asymptotic
+        series omits the Stokes term: mpmath's error is at most the returned estimate."""
         fn = special._e1_scaled_continued if scaled else special._e1_continued
         worst = 0.0
         with mp.workdps(30):
@@ -373,34 +378,3 @@ class TestErfSmall:
         with mp.workdps(30):
             ref = complex(mp.erf(mp.mpc(zeta)))
         assert abs(value - ref) <= 1e-14 * max(1.0, abs(ref))
-
-
-class TestCOfPhi:
-    """c(phi) through its kernel _c_branch(u), u = phi - pi."""
-
-    def test_at_pi(self):
-        assert _c_branch(0.0) == 0.0
-
-    def test_two_term_series_value(self):
-        # c(pi + 0.1) ~ 0.1 + (i/6) 0.01 from the displayed series
-        got = _c_branch(0.1)
-        assert abs(got - (0.1 + 0.1 ** 2 / 6.0 * 1j)) < 5e-5
-
-    def test_defining_residual(self):
-        for u in (-0.5, 0.5):
-            c = _c_branch(u)
-            residual = 0.5 * c * c - (1.0 + 1j * u - cmath.exp(1j * u))
-            assert abs(residual) <= 1e-14
-
-    def test_branch_continuity(self):
-        grid = np.arange(math.pi - 1.0, math.pi + 1.0 + 1e-9, 1e-3)
-        vals = [_c_branch(p - math.pi) for p in grid]
-        jumps = [abs(b - a) for a, b in zip(vals[:-1], vals[1:])]
-        assert max(jumps) < 5e-3  # ~|c'| * spacing; a sign flip would jump by ~2|c|
-
-    def test_odd_reflection(self):
-        # c(2 pi - phi) relates to c(phi) by reflection through pi
-        a = _c_branch(0.4)
-        b = _c_branch(-0.4)
-        assert abs(a.real + b.real) < 1e-12
-        assert abs(a.imag - b.imag) < 1e-12

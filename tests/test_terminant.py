@@ -15,7 +15,6 @@ from barnesg import (
     DomainError,
     RangeError,
     TerminantMethod,
-    erf_small,
     exp_improved_report,
     log_barnes_oracle,
     stokes_profile,
@@ -23,7 +22,6 @@ from barnesg import (
     truncated_log_barnes,
 )
 from barnesg import special
-from barnesg.special import _c_branch, _erf_switch
 from barnesg.terminant import _order_thresholds, _pair_bound, _zeta_tail
 from _reference import ein_one_loop, improved_uniform, terminant_pair, terminant_quadrature
 
@@ -32,7 +30,7 @@ terminant_module = importlib.import_module("barnesg.terminant")
 
 PI = math.pi
 REC = TerminantMethod.GAMMA_RECURRENCE
-ERF = TerminantMethod.ERF_ASYMPTOTIC
+ARC = TerminantMethod.ARC_INTEGRAL
 
 
 class TestTerminantPaths:
@@ -91,9 +89,9 @@ class TestTerminantPaths:
         down = terminant(9, w_up.conjugate(), arg_w=-(PI + du)).value
         assert abs(down + up.conjugate()) < 1e-12
 
-    def test_auto_prefers_erf_at_large_matched_order(self):
+    def test_auto_prefers_arc_at_large_matched_order(self):
         ev = terminant(61, 60.0 * cmath.exp(1j * PI), arg_w=PI)
-        assert ev.method is ERF
+        assert ev.method is ARC
 
     def test_est_error_reported(self):
         ev = terminant(7, 10.0 * cmath.exp(1j * PI / 3))
@@ -113,11 +111,31 @@ class TestTerminantPaths:
 
 
 def _terminant_mp(p, w, arg_w):
-    """T_p(w) on the branch arg_w from mpmath's principal Gamma(1-p, w), plus one
-    unit per crossing of the negative axis."""
-    with mp.workdps(40):
-        val = (-1) ** p * mp.factorial(p - 1) / (2j * mp.pi) * mp.gammainc(1 - p, mp.mpc(w))
+    """T_p(w) on the branch arg_w from mpmath's principal E1, plus one unit per crossing
+    of the negative axis.
+
+    For integer order, Gamma(1-p, w) = (-1)^{p-1}/(p-1)! [E1(w) - e^{-w} S_{p-1}(w)],
+    S_m(w) = sum_{k<m} (-1)^k k!/w^{k+1}, so T_p(w) = (e^{-w} S_{p-1}(w) - E1(w))/(2 pi i).
+    The 40 + |w|/2.3 + p digits cover the cancellation, up to e^{|w|}, and the growth of k!.
+    """
+    with mp.workdps(40 + int(abs(w) / 2.3) + p):
+        x = mp.mpc(w)
+        partial = mp.fsum((-1) ** k * mp.factorial(k) / x ** (k + 1) for k in range(p - 1))
+        val = (mp.exp(-x) * partial - mp.e1(x)) / (2j * mp.pi)
         return complex(val) + round((arg_w - cmath.phase(w)) / (2 * PI))
+
+
+def _terminant_mp_gammainc(p, w):
+    """Principal T_p(w) from mpmath's Gamma(1-p, w) at 40 digits."""
+    with mp.workdps(40):
+        return complex((-1) ** p * mp.factorial(p - 1) / (2j * mp.pi) * mp.gammainc(1 - p, mp.mpc(w)))
+
+
+@pytest.mark.parametrize("p,w", [(7, 10.0 * cmath.exp(1j * PI / 3)), (39, 38.15 * cmath.exp(2.9j)),
+                                 (171, 1.0)], ids=repr)
+def test_reference_matches_gammainc(p, w):
+    # the E1 form of the mpmath reference against mpmath's incomplete gamma
+    assert _terminant_mp(p, w, cmath.phase(w)) == _terminant_mp_gammainc(p, w)
 
 
 class TestTerminantAgainstMpmath:
@@ -131,14 +149,17 @@ class TestTerminantAgainstMpmath:
             assert abs(ev.value - ref) <= ev.est_error, (p, a)
 
     @pytest.mark.parametrize("p,abs_w,a", [(42, 50.0, 1.0), (42, 50.0, -1.0), (48, 50.0, 1.0),
-                                           (47, 55.0, 1.0)])
-    def test_mismatched_order_on_the_cut_within_estimate(self, p, abs_w, a):
-        # the erf form's error grows with |p - |w||: inside the window sqrt|w| its estimate
-        # (1 + |p - |w||)/sqrt|w| covers it (T_48(50 e^{i pi})), outside it the closed form
-        # is kept with its own, large, estimate (T_42, T_47)
+                                           (47, 55.0, 1.0), (39, 38.15, 1 - 0.2 / PI),
+                                           (39, 38.15, -1 + 0.2 / PI), (39, 38.15, 1 + 0.2 / PI),
+                                           (61, 60.0, 1.0), (171, 170.0, 1.0)])
+    def test_stokes_side_within_a_small_estimate(self, p, abs_w, a):
+        # past |w| ~ 33 near the negative axis the closed form cancels; the arc integral
+        # holds, with a small estimate, at matched (T_39, T_48, T_61, T_171) and mismatched
+        # (T_42, T_47) order.  A leading-order erf switch was off by up to 5e5 of |T| here.
         w = abs_w * cmath.exp(1j * a * PI)
         ev = terminant(p, w, arg_w=a * PI)
-        assert abs(ev.value - _terminant_mp(p, w, a * PI)) <= ev.est_error
+        ref = _terminant_mp(p, w, a * PI)
+        assert abs(ev.value - ref) <= ev.est_error <= 1e-7 * abs(ref)
 
     def test_top_order_at_one(self):
         # T_171(1) is nearly imaginary; a rotation by p * 1.2e-16 rad of the
@@ -164,51 +185,54 @@ def test_zeta_tail_within_four_ulp(s):
             assert abs(mp.mpf(got) - refs[k]) <= 4 * math.ulp(float(refs[k])), k
 
 
-class TestErfForm:
-    def test_exactly_half_on_stokes_line(self):
-        ev = terminant(61, 60.0 * cmath.exp(1j * PI), arg_w=PI)
-        assert ev.value == 0.5
-        assert ev.method is ERF
-
-    def test_against_recurrence_past_the_cut(self):
-        # truth past the cut: principal quadrature plus the unit jump.
-        # The closed form at |w| = 40 with Re w = -38 sits at its binary64
-        # cancellation floor (e^{-Re w} eps scale), so terminant takes the erf
-        # form there, held to its own estimate; the switch itself meets 0.1.
+class TestArcForm:
+    def test_against_quadrature_past_the_cut(self):
+        # truth past the cut: principal quadrature plus the unit jump.  The closed
+        # form at |w| = 40 with Re w = -38 sits at its binary64 cancellation floor
+        # (e^{-Re w} eps scale), so terminant takes the arc integral there
         w = 40.0 * cmath.exp(1j * (PI + 0.3))
         truth = terminant_quadrature(41, w)[0] + 1.0
         ev = terminant(41, w, arg_w=PI + 0.3)
-        assert ev.method is ERF
+        assert ev.method is ARC
         assert abs(ev.value - truth) <= ev.est_error
-        assert abs(_erf_switch(0.3, 40.0) - truth) < 0.1
 
-    def test_lower_mirror_formula(self):
-        # for arg w < 0 the lower form applies:
-        # -1/2 + 1/2 erf(-conj(c(-phi)) sqrt(|w|/2))
-        phi = -PI + 0.3
-        w = 40.0 * cmath.exp(1j * phi)
-        ev = terminant(41, w, arg_w=phi)
-        assert ev.method is ERF
-        zeta = -_c_branch(-phi - PI).conjugate() * math.sqrt(20.0)
-        expected = -0.5 + 0.5 * (
-            erf_small(zeta) if abs(zeta) <= 4 else math.copysign(1.0, zeta.real)
-        )
-        assert abs(ev.value - expected) < 1e-14
-        truth = terminant_quadrature(41, w)[0]
-        assert abs(ev.value - truth) < 0.1
+    def test_branch_angle_is_read_from_w(self):
+        # arg_w only selects the branch: an angle 3e-6 off arg w still walks to w itself
+        w = 38.15 * cmath.exp(1j * (PI - 0.2))
+        ev = terminant(39, w, arg_w=PI - 0.2 + 3e-6)
+        assert ev.method is ARC
+        assert abs(ev.value - _terminant_mp(39, w, PI - 0.2)) <= ev.est_error
 
     def test_saturation(self):
         # far past the transition zone the multiplier has fully switched on
         ev = terminant(95, 100.0 * cmath.exp(1j * (PI + 0.9)), arg_w=PI + 0.9)
-        assert ev.method is ERF
+        assert ev.method is ARC
         assert ev.value == pytest.approx(1.0, abs=1e-12)
 
-    def test_order_mismatch_rejected(self):
-        # p = 5 is far outside the window |p - |w|| <= sqrt|w|: the closed form is kept
+    def test_mismatched_order_keeps_the_closed_form(self):
+        # T_5(30 e^{i pi}) is of size 2e6, and the closed form's estimate is the smaller
         w = 30.0 * cmath.exp(1j * PI)
         ev = terminant(5, w, arg_w=PI)
         assert ev.method is REC
         assert abs(ev.value - _terminant_mp(5, w, PI)) <= ev.est_error
+
+    def test_bound_is_inf_where_it_overflows(self):
+        # T_171 at |w| = 4: the panel bound's e^{log A + log M} leaves binary64, and the
+        # closed form is kept
+        log_a = math.lgamma(171) - 170 * math.log(4.0) + 4.0 - math.log(2 * PI)
+        assert terminant_module._arc_bound(0.025, 4.0, 171, log_a) == math.inf
+        ev = terminant(171, -4.0 + 0j, arg_w=PI)
+        assert ev.method is REC
+        ref = _terminant_mp(171, -4.0 + 0j, PI)
+        assert abs(ev.value - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.xfail(strict=True, reason="the closed form's estimate counts 4 eps per "
+                       "partial sum, but term j of S_{p-1} carries about j eps")
+    def test_closed_form_estimate_at_far_mismatched_order(self):
+        # T_171(2 e^{0.6i}): the error is about 7x the estimate
+        w = 2.0 * cmath.exp(0.6j)
+        ev = terminant(171, w)
+        assert abs(ev.value - _terminant_mp(171, w, 0.6)) <= ev.est_error
 
 
 class TestTruncationOrders:

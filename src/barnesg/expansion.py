@@ -43,8 +43,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .bernoulli import EPS, LOG_GLAISHER, MAX_COEFF, series_coefficient
 from .errors import (AccuracyError, DomainError, RangeError, _check_finite, _check_order,
@@ -82,8 +81,7 @@ class BoundKind(enum.Enum):
     POSITIVE_AXIS = "positive_axis_sign"
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """A certified bound |R_N| <= bound = factor * first-omitted-term magnitude."""
 
     bound: float
@@ -92,8 +90,7 @@ class BoundReport:
     phi_star: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class ExpansionResult:
+class ExpansionResult(NamedTuple):
     """Truncated expansion value together with its error bound.
 
     bound is the certified truncation bound of bound_kind on |R_N| plus the

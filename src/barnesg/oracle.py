@@ -48,9 +48,8 @@ from __future__ import annotations
 import bisect
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -80,8 +79,7 @@ _MAX_INTERVALS = 64
 _POLE_GAP = 0.7
 
 
-@dataclass(frozen=True)
-class OracleValue:
+class OracleValue(NamedTuple):
     """Remainder (or log G) value with an error estimate."""
 
     value: complex

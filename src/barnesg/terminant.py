@@ -52,9 +52,8 @@ import bisect
 import cmath
 import enum
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .bernoulli import EPS, MAX_INDEX, TWO_PI, bernoulli_number, zeta_even
 from .errors import (AccuracyError, DomainError, RangeError, _check_finite, _check_order,
@@ -98,8 +97,7 @@ class TerminantMethod(enum.Enum):
     ARC_INTEGRAL = "arc_integral"
 
 
-@dataclass(frozen=True)
-class TerminantEval:
+class TerminantEval(NamedTuple):
     value: complex
     method: TerminantMethod
     est_error: float
@@ -128,23 +126,30 @@ def _scaled_recurrence(p: int, w: complex, arg_w: float) -> tuple[complex, float
     S_m(w) = sum_{j<m} (-1)^j j! / w^{j+1} is the truncated asymptotic series
     of h = e^{w} E1(w) on the branch arg_w, past +-pi too; the partial sums
     are built forward, one multiply per term.  The error estimate is the seed
-    error seed_rel |h| plus 4 eps for every partial difference |h - S_m|,
-    divided by 2 pi, plus 4 eps of the value.
+    error seed_rel |h| plus the running bound eps sum_m (|S_m| + 4 m |t_m|) of
+    the sum (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    3.3), divided by 2 pi, plus 4 eps of the value: each partial sum S_m is
+    rounded once, and the term t_m = (-1)^{m-1} (m-1)!/w^m added at step m
+    comes from m steps (1/w, then m - 1 products with -j/w) of relative error at
+    most 4 eps each.
     """
     h, seed_rel = _e1_scaled_continued(w, arg_w)
     winv = 1.0 / w
+    inv_abs = abs(winv)
     term = winv
     partial = 0.0 + 0.0j
-    spread = 0.0
+    running = 0.0
+    weight = 4.0  # 4 m |t_m| = 4 m! |w|^-m at step m, a real running product
     try:
         for m in range(1, p):
             partial += term
-            spread += abs(h - partial)
+            weight *= m * inv_abs
+            running += abs(partial) + weight
             term *= -m * winv
-    except OverflowError:  # |h - S_m| beyond binary64
+    except OverflowError:  # |S_m| beyond binary64
         raise RangeError(f"T_{p}(w) e^w overflows binary64 at w = {w}") from None
     value = (partial - h) / (2j * math.pi)
-    est = (seed_rel * abs(h) + 4.0 * EPS * spread) / TWO_PI + 4.0 * EPS * abs(value)
+    est = (seed_rel * abs(h) + EPS * running) / TWO_PI + 4.0 * EPS * abs(value)
     return value, est
 
 
@@ -475,8 +480,7 @@ def _arc_profile(p: int, r: float, us: Sequence[float]) -> list[tuple[complex, f
     return out
 
 
-@dataclass(frozen=True)
-class StokesSample:
+class StokesSample(NamedTuple):
     """One point of a Stokes-switching profile.
 
     multiplier is the computed coefficient of the switching exponential and

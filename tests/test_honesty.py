@@ -118,10 +118,10 @@ def test_improved_above_the_shift_cap_off_the_cut_covers_the_error(z, k_max):
 #: did before the certified k-tail took over below the cap; these reprs pin that.
 _IMPROVED_CAP_REPRS = {
     (70 * cmath.exp(1j * (PI - 0.01)), 5): ("(6820.196174355437{}7536.5740204456715j)",
-                                             "8.175416303477295e-11"),
+                                             "8.175402605611337e-11"),
     (70 * cmath.exp(1j * (PI - 0.05)), 5): ("(7391.585985126268{}6867.259259782473j)",
-                                             "8.126211557192677e-11"),
-    (complex(-70, 0.3), 20): ("(6723.222772784199{}7628.631087918658j)", "8.178848680911251e-11"),
+                                             "8.12621181194183e-11"),
+    (complex(-70, 0.3), 20): ("(6723.222772784199{}7628.631087918658j)", "8.178670234062459e-11"),
 }
 
 

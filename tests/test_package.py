@@ -1,4 +1,5 @@
-"""The package surface: every exported name resolves, and the demos and the
+"""The package surface: every exported name resolves, the result records keep their
+fields, defaults and reprs, the routes load only what they need, and the demos and the
 README's library quick start run."""
 
 import importlib
@@ -108,6 +109,23 @@ def test_erf_past_the_series_disc_loads_no_numpy(call):
     assert _run_child(code) == "True False"
 
 
+def test_scalar_routes_load_no_dataclasses_or_inspect():
+    """The result records are named tuples: one call of each scalar route leaves
+    dataclasses and inspect (and what they import) unloaded."""
+    code = ("import sys, barnesg as bg; "
+            "bg.certified_eval(5 + 1j); bg.exp_improved_report(3 + 2j); "
+            "bg.stokes_profile(2.0, 1, [1.3, 1.5, 1.9]); bg.terminant(3, 2 + 1j); "
+            "print('dataclasses' in sys.modules, 'inspect' in sys.modules)")
+    assert _run_child(code) == "False False"
+
+
+def test_oracle_loads_no_dataclasses():
+    # numpy itself imports inspect, so only dataclasses is checked here
+    code = ("import sys, barnesg as bg; bg.log_barnes_oracle(3 + 1j); "
+            "print('numpy' in sys.modules, 'dataclasses' in sys.modules)")
+    assert _run_child(code) == "True False"
+
+
 def test_cli_asym_eval_loads_no_numpy():
     code = ("import sys; from barnesg.cli import main; "
             "main(['eval', '--z-abs', '8', '--z-arg', '1.0', '--method', 'asym']); "
@@ -192,3 +210,61 @@ def test_readme_quick_start_runs():
     section = text.split("## Library quick start", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md quick start", "exec"), {})
+
+
+#: One record of each type, and its repr as the frozen dataclasses printed it.  The first
+#: BoundReport and ExpansionResult leave their defaults (phi_star=None, weak_bound=False,
+#: shift=0) unset, so their reprs check them.
+RECORD_REPRS = [
+    (barnesg.BoundReport(2.5e-10, 1.0, barnesg.BoundKind.SECTOR),
+     "BoundReport(bound=2.5e-10, factor=1.0, kind=<BoundKind.SECTOR: 'sector_csc'>, "
+     "phi_star=None)"),
+    (barnesg.BoundReport(3.0e-8, 1.75, barnesg.BoundKind.OPTIMIZED, 0.375),
+     "BoundReport(bound=3e-08, factor=1.75, kind=<BoundKind.OPTIMIZED: 'optimized_angle'>, "
+     "phi_star=0.375)"),
+    (barnesg.ExpansionResult(1.5 - 0.25j, 7, 1e-15, barnesg.BoundKind.HALF_ANGLE),
+     "ExpansionResult(value=(1.5-0.25j), n_trunc=7, bound=1e-15, "
+     "bound_kind=<BoundKind.HALF_ANGLE: 'half_angle_sec'>, weak_bound=False, shift=0)"),
+    (barnesg.ExpansionResult(-2 + 3j, 20, 4.5e-12, barnesg.BoundKind.OPTIMIZED, True, 11),
+     "ExpansionResult(value=(-2+3j), n_trunc=20, bound=4.5e-12, "
+     "bound_kind=<BoundKind.OPTIMIZED: 'optimized_angle'>, weak_bound=True, shift=11)"),
+    (barnesg.OracleValue(0.125 + 1j, 3e-14), "OracleValue(value=(0.125+1j), est_error=3e-14)"),
+    (barnesg.TerminantEval(1e-3 - 2e-3j, barnesg.TerminantMethod.GAMMA_RECURRENCE, 1e-17),
+     "TerminantEval(value=(0.001-0.002j), "
+     "method=<TerminantMethod.GAMMA_RECURRENCE: 'gamma_recurrence'>, est_error=1e-17)"),
+    (barnesg.StokesSample(1.25, 2, 0.01 + 0.02j, 0.03 - 0.01j, 1e-12),
+     "StokesSample(theta=1.25, k=2, multiplier=(0.01+0.02j), erf_prediction=(0.03-0.01j), "
+     "est_error=1e-12)"),
+]
+RECORD_IDS = [type(r).__name__ for r, _ in RECORD_REPRS]
+
+
+@pytest.mark.parametrize("record,text", RECORD_REPRS, ids=RECORD_IDS)
+def test_record_repr_is_unchanged(record, text):
+    assert repr(record) == text
+
+
+@pytest.mark.parametrize("record", [r for r, _ in RECORD_REPRS], ids=RECORD_IDS)
+def test_records_are_immutable_hashable_tuples(record):
+    """A record is a named tuple: its fields cannot be set, an equal record hashes
+    alike, and it unpacks and compares equal to the tuple of its fields."""
+    field = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, 0.0)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    copy = type(record)(*record)
+    assert copy == record and hash(copy) == hash(record)
+    assert tuple(record) == record and list(record) == [getattr(record, f) for f in record._fields]
+
+
+def test_stokes_sample_properties_are_unchanged():
+    # the reprs the frozen dataclass gave, on both sides of the line
+    upper = barnesg.StokesSample(1.25, 2, 0.01 + 0.02j, 0.03 - 0.01j, 1e-12)
+    assert repr((upper.limit, upper.normalized_multiplier, upper.normalized_prediction)) == (
+        "(0.039788735772973836j, (0.5026548245743669-0.25132741228718347j), "
+        "(-0.25132741228718347-0.7539822368615503j))")
+    lower = barnesg.StokesSample(-1.25, 1, 0.01 + 0.02j, 0.03 - 0.01j, 1e-12)
+    assert repr((lower.limit, lower.normalized_multiplier, lower.normalized_prediction)) == (
+        "(-0.15915494309189535j, (-0.12566370614359174+0.06283185307179587j), "
+        "(0.06283185307179587+0.18849555921538758j))")

@@ -161,6 +161,17 @@ class TestTerminantAgainstMpmath:
         ref = _terminant_mp(p, w, a * PI)
         assert abs(ev.value - ref) <= ev.est_error <= 1e-7 * abs(ref)
 
+    @pytest.mark.parametrize("p", [101, 131, 151, 171])
+    @pytest.mark.parametrize("abs_w", [1.0, 2.0, 4.0, 8.0])
+    def test_far_above_the_optimal_order_within_estimate(self, p, abs_w):
+        # p >> |w|: the last terms of S_{p-1} dominate, each built by p - 2 products; the
+        # closed form's running bound covers them (an estimate of 4 eps per partial
+        # difference fell short by up to 7x on this grid)
+        for a in (0.6, -1.2, 2.5, -3.0):
+            w = abs_w * cmath.exp(1j * a)
+            ev = terminant(p, w)
+            assert abs(ev.value - _terminant_mp(p, w, a)) <= ev.est_error, a
+
     def test_top_order_at_one(self):
         # T_171(1) is nearly imaginary; a rotation by p * 1.2e-16 rad of the
         # value once put a real part ten times the estimate into it
@@ -226,10 +237,9 @@ class TestArcForm:
         ref = _terminant_mp(171, -4.0 + 0j, PI)
         assert abs(ev.value - ref) <= 1e-13 * abs(ref)
 
-    @pytest.mark.xfail(strict=True, reason="the closed form's estimate counts 4 eps per "
-                       "partial sum, but term j of S_{p-1} carries about j eps")
     def test_closed_form_estimate_at_far_mismatched_order(self):
-        # T_171(2 e^{0.6i}): the error is about 7x the estimate
+        # T_171(2 e^{0.6i}): term j of S_170 carries about j eps; an estimate of 4 eps
+        # per partial difference |h - S_m| was a seventh of the error here
         w = 2.0 * cmath.exp(0.6j)
         ev = terminant(171, w)
         assert abs(ev.value - _terminant_mp(171, w, 0.6)) <= ev.est_error

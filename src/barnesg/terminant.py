@@ -37,9 +37,11 @@ the axis the reflection T_p(conj w) = -conj(T_p(w)), integer p, holds.
 The improved route reads the closed form directly.  Past the imaginary axis the
 closed form cancels, and the Stokes switch is computed in one place, _arc_profile:
 at fixed |w| it integrates T_p's exact angular derivative from a closed-form seed
-on the imaginary axis, where nothing cancels, with a bound on every part of the
-error.  Stokes profiles take it alone; terminant, the one entry point for T_p(w),
-takes it or the closed form, whichever reports the smaller error estimate.
+on the imaginary axis, where nothing cancels, as far as the Stokes line, and takes
+the angles past it by the derivative's mirror symmetry about the line, with a bound
+on every part of the error.  Stokes profiles take it alone; terminant, the one entry
+point for T_p(w), takes it or the closed form, whichever reports the smaller error
+estimate.
 
 The zeta tails of the algebraic sum depend only on an exponent and a first
 index, which take few values over a range of |z|; _zeta_tail memoizes them in
@@ -204,6 +206,18 @@ def _order_thresholds(abs_z: float, cap: int = _ORDER_CAP) -> list[int]:
     improved expansion stays an identity at the ties."""
     unit = math.pi * abs_z
     return [math.ceil((n + 0.5) / unit - 1e-12) or 1 for n in range(cap)]  # or 1: k >= 1
+
+
+def _order(abs_z: float, k: int, cap: int) -> int:
+    """N_k under _order_thresholds' rule, ties included, without building the list: the
+    number of n < cap whose threshold is at most k."""
+    unit = math.pi * abs_z
+    n = round(min(k * unit, cap))  # min first: pi k |z| may overflow to inf
+    while n > 0 and math.ceil((n - 0.5) / unit - 1e-12) > k:  # threshold n - 1 above k
+        n -= 1
+    while n < cap and math.ceil((n + 0.5) / unit - 1e-12) <= k:  # threshold n reached
+        n += 1
+    return n
 
 
 _EM_BASE = tuple(bernoulli_number(2 * j) / math.factorial(2 * j) for j in range(1, 9))
@@ -428,55 +442,94 @@ def _arc_bound(h: float, r: float, p: int, log_a: float) -> float:
         return math.inf
 
 
-def _arc_sum(p: int, r: float, log_a: float, lo: float, hi: float,
-             panels: int) -> tuple[complex, float]:
+def _arc_nodes(p: int, h: float) -> tuple[complex, ...]:
+    """_arc_sum's constants for panels of half-width h: e^{i h x_j} and
+    log(h w_j) + i (1 - p) h x_j for each node x_j and weight w_j of _GAUSS4."""
+    out: list[complex] = []
+    for x, weight in _GAUSS4:
+        out += (cmath.rect(1.0, h * x), complex(math.log(h * weight), (1 - p) * h * x))
+    return tuple(out)
+
+
+def _arc_sum(p: int, r: float, log_a: float, lo: float, hi: float, panels: int,
+             nodes: Optional[tuple[complex, ...]] = None) -> tuple[complex, float]:
     """_GAUSS4 on `panels` equal panels of [lo, hi] applied to the arc integrand
-    dT_p/du = exp(log A + r (e^{iu} - 1) + i (1 - p) u): the sum and the sum of moduli."""
+    dT_p/du = exp(log A + r (e^{iu} - 1) + i (1 - p) u): the sum and the sum of moduli.
+
+    One exp per node: at u = mid + h x_j the term is
+    exp(log A - r + i (1 - p) mid + log(h w_j) + i (1 - p) h x_j + r e^{i mid} e^{i h x_j}),
+    with r e^{i mid} once per panel and the rest per panel width (nodes, from _arc_nodes
+    when not given).
+    """
     h = 0.5 * (hi - lo) / panels
-    shift = log_a - r + math.log(h)
-    phase = (1 - p) * 1j
+    e0, d0, e1, d1, e2, d2, e3, d3 = nodes or _arc_nodes(p, h)
+    shift, phase = log_a - r, float(1 - p)
+    exp, rect = cmath.exp, cmath.rect
     total, mass = 0.0 + 0.0j, 0.0
     for i in range(panels):
         mid = lo + (2 * i + 1) * h
-        for x, weight in _GAUSS4:
-            u = mid + h * x
-            term = weight * cmath.exp(shift + r * cmath.exp(1j * u) + phase * u)
-            total += term
-            mass += abs(term)
+        c = rect(r, mid)
+        base = complex(shift, phase * mid)
+        t0 = exp(base + d0 + c * e0)
+        t1 = exp(base + d1 + c * e1)
+        t2 = exp(base + d2 + c * e2)
+        t3 = exp(base + d3 + c * e3)
+        total += t0 + t1 + t2 + t3
+        mass += abs(t0) + abs(t1) + abs(t2) + abs(t3)
     return total, mass
 
 
 def _arc_profile(p: int, r: float, us: Sequence[float]) -> list[tuple[complex, float]]:
-    """T_p(W) and a bound on its error at W = r e^{i(pi + u)}, u in the ascending us.
+    """T_p(W) and a bound on its error at W = r e^{i(pi + u)} for each u of us, in order.
 
-    On the continued branch dT_p/du = exp(log A + r (e^{iu} - 1) + i (1 - p) u) exactly,
-    log A = lgamma(p) + (1 - p) log r + r - log 2 pi: a near-Gaussian bump of width
-    r^{-1/2} and mass 1 at u = 0.  From the seed T_p(i r), where |e^{-W}| = 1 and nothing
-    cancels, each angle adds _arc_sum over panels no wider than min(0.05, 0.3/sqrt r),
-    which keeps the summed panel bounds below about 3e-10 up to r = 170.  The bound is
-    the seed's estimate, plus _arc_bound per panel, plus round-off: each term is good to
-    eps (lgamma(p) + (p - 1)(2 log r + pi) + 5 r + 4) for |u| <= pi/2 (log A, r e^{iu},
-    the phase (1 - p) u, and the node's own rounding times r + p - 1), and each addition
-    to one eps of the running sum.
+    On the continued branch dT_p/du = F(u) = exp(log A + r (e^{iu} - 1) + i (1 - p) u)
+    exactly, log A = lgamma(p) + (1 - p) log r + r - log 2 pi: a near-Gaussian bump of width
+    r^{-1/2} and mass 1 at u = 0.  From the seed T_p(i r) at u = -pi/2, where |e^{-W}| = 1
+    and nothing cancels, the walk visits only the sorted distinct -|u| (and 0 when some
+    u > 0), adding _arc_sum over panels no wider than min(0.05, 0.3/sqrt r) for each step.
+    log A, r and p are real, so F(-u) = conj F(u), and every u > 0 is the reflection
+    T(u) = T(0) + conj(T(0) - T(-u)) of the walk; a window symmetric about the line costs
+    one walk over its left half.  The bound at u <= 0 is the seed's estimate, plus
+    _arc_bound per panel, plus round-off: each term is good to
+    rel = eps (lgamma(p) + (p - 1)(2 log r + pi) + 8 r + 4) for |u| <= pi/2 (log A;
+    r e^{i mid}, e^{i h x_j} and their product, each good to about eps r per part; the
+    phase (1 - p) u; the rounding of mid times r + p - 1; and the exp), and each addition
+    to one eps of the running sum.  At u > 0 it is the bound at 0 plus the panel bounds,
+    term round-off and additions of the stretch [-u, 0], plus two additions for the
+    reflection.  For |u| <= 0.52 the bound stays below 3.7e-10 up to r = 171.
     """
     seed, est = _scaled_recurrence(p, r * 1j, 0.5 * math.pi)
     total = seed * cmath.exp(-r * 1j)
     log_a = math.lgamma(p) + (1 - p) * math.log(r) + r - math.log(TWO_PI)
-    rel = EPS * (math.lgamma(p) + (p - 1) * (2.0 * math.log(r) + math.pi) + 5.0 * r + 4.0)
+    rel = EPS * (math.lgamma(p) + (p - 1) * (2.0 * math.log(r) + math.pi) + 8.0 * r + 4.0)
     width = min(0.05, 0.3 / math.sqrt(r))
-    bounds: dict[float, float] = {}  # one per panel width: the linspace gaps take few
+    per_width: dict[float, tuple] = {}  # panel bound and nodes: the linspace gaps take few
+    left = {-abs(u) for u in us}
+    if max(us, default=0.0) > 0.0:
+        left.add(0.0)
     lo, mass, terms = -0.5 * math.pi, 0.0, 0
-    out = []
-    for hi in us:
+    walk = {}  # -|u| -> (T, its bound, seed estimate plus panel bounds, mass, additions)
+    for hi in sorted(left):
         panels = math.ceil((hi - lo) / width)
         h = 0.5 * (hi - lo) / panels
-        if h not in bounds:
-            bounds[h] = _arc_bound(h, r, p, log_a)
-        part, part_mass = _arc_sum(p, r, log_a, lo, hi, panels)
+        if h not in per_width:
+            per_width[h] = (_arc_bound(h, r, p, log_a), _arc_nodes(p, h))
+        bound, nodes = per_width[h]
+        part, part_mass = _arc_sum(p, r, log_a, lo, hi, panels, nodes)
         total, mass, terms = total + part, mass + part_mass, terms + 4 * panels + 1
-        est += panels * bounds[h]
-        out.append((total, est + rel * mass + terms * EPS * (abs(seed) + mass)))
+        est += panels * bound
+        walk[hi] = (total, est + rel * mass + terms * EPS * (abs(seed) + mass), est, mass, terms)
         lo = hi
+    out = []
+    for u in us:
+        value, bound, est_u, mass_u, terms_u = walk[-abs(u)]
+        if u > 0.0:
+            t_0, bound_0, est_0, mass_0, terms_0 = walk[0.0]
+            value = t_0 + (t_0 - value).conjugate()
+            if bound < math.inf:  # an infinite panel bound stays so (inf - inf is nan)
+                bound = (bound_0 + (est_0 - est_u) + rel * (mass_0 - mass_u)
+                         + (terms_0 - terms_u + 2) * EPS * (abs(seed) + mass_0))
+        out.append((value, bound))
     return out
 
 
@@ -484,11 +537,11 @@ class StokesSample(NamedTuple):
     """One point of a Stokes-switching profile.
 
     multiplier is the computed coefficient of the switching exponential and
-    est_error a bound on its error on the same scale, at most about 3e-10 of
+    est_error a bound on its error on the same scale, at most about 3.7e-10 of
     |limit| at every |z| within MAX_ORDER's reach (_arc_profile).
     erf_prediction is the smoothing-law prediction on the same scale.  The
     normalized values divide by the far-side limit -+ 1/(2 pi i k^2), so they
-    run from ~0 to ~1 across the transition.
+    run from ~0 to ~1 across the transition.  Every field is a Python scalar.
     """
 
     theta: float
@@ -516,11 +569,13 @@ def stokes_profile(
     """Effective Stokes multiplier against the erf smoothing law.
 
     The window must sit inside (pi/2 - 1/2, pi/2 + 1/2) or its mirror image
-    in the lower half-plane.  The terminant T_p(w) of the dominant switching
-    exponential, w = 2 pi k i z, at near-optimal order p = 2 N_k + 1, N_k =
-    round(pi k |z|) (the improved route's rule, uncapped), is integrated along
-    |w| = 2 pi k |z| through the sorted angles (_arc_profile); the lower window
-    mirrors the upper one, T_p(conj w) = -conj T_p(w).  Samples come back in the
+    in the lower half-plane; each angle is taken as a Python float.  The
+    terminant T_p(w) of the dominant switching exponential, w = 2 pi k i z, at
+    near-optimal order p = 2 N_k + 1, N_k = round(pi k |z|) (the improved
+    route's rule, uncapped: _order), is integrated along |w| = 2 pi k |z| from
+    arg w = pi/2 through the angles left of the Stokes line, and the angles
+    right of it are their reflections (_arc_profile); the lower window mirrors
+    the upper one, T_p(conj w) = -conj T_p(w).  Samples come back in the
     caller's order and depend only on the set of angles.  The prediction is
     1/2 + 1/2 erf((theta -+ pi/2) sqrt(pi k |z|)) on the corresponding side.
     RangeError when the order 2 N_k + 1 exceeds MAX_ORDER.
@@ -528,7 +583,7 @@ def stokes_profile(
     if not 1.5 <= abs_z < math.inf:  # false for NaN too
         raise DomainError(f"stokes_profile requires a finite |z| >= 1.5, got {abs_z}")
     k = _check_order(k, 1, MAX_ORDER, RangeError)
-    thetas = list(thetas)
+    thetas = [float(t) for t in thetas]
     if not thetas:
         return []
     # nominal window is +-1/2 around the line; allow a little slop so that
@@ -540,22 +595,17 @@ def stokes_profile(
             "thetas must lie within 1/2 of a Stokes line (pi/2 or -pi/2)"
         )
     reach = (MAX_ORDER + 1) // 2  # p = 2 N_k + 1 <= MAX_ORDER while N_k < reach
-    n_k = bisect.bisect_right(_order_thresholds(abs_z, reach), k)
+    n_k = _order(abs_z, k, reach)
     if n_k == reach:
         raise RangeError(f"the terminant order at |z| = {abs_z}, k = {k} exceeds {MAX_ORDER}")
     rate = math.sqrt(math.pi * k * abs_z)
     # sign = +1 on the upper line, where w = 2 pi k i z; -1 on the lower, where w = -2 pi k i z
     sign = 1.0 if upper else -1.0
-    limit = -sign / (2j * math.pi * k * k)
+    scale = 2j * math.pi * k * k
+    limit = -sign / scale
     us = [sign * theta - 0.5 * math.pi for theta in thetas]  # arg w = pi + u, upper window
-    distinct = sorted(set(us))
-    arc = dict(zip(distinct, _arc_profile(2 * n_k + 1, TWO_PI * k * abs_z, distinct)))
-    samples = []
-    for theta, u in zip(thetas, us):  # u sqrt(pi k |z|): the signed distance past the line
-        t_p, est = arc[u]
-        if sign < 0.0:
-            t_p = 0.0 - t_p.conjugate()
-        samples.append(StokesSample(theta, k, -t_p / (2j * math.pi * k * k),
-                                    (0.5 + 0.5 * math.erf(u * rate)) * limit,
-                                    est / (TWO_PI * k * k)))
-    return samples
+    arc = _arc_profile(2 * n_k + 1, TWO_PI * k * abs_z, us)
+    # u sqrt(pi k |z|): the signed distance past the line; 0 - conj, not -conj: no -0 parts
+    return [StokesSample(theta, k, -(t_p if upper else 0.0 - t_p.conjugate()) / scale,
+                         (0.5 + 0.5 * math.erf(u * rate)) * limit, est / (TWO_PI * k * k))
+            for theta, u, (t_p, est) in zip(thetas, us, arc)]

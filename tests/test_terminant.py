@@ -22,7 +22,7 @@ from barnesg import (
     truncated_log_barnes,
 )
 from barnesg import special
-from barnesg.terminant import _order_thresholds, _pair_bound, _zeta_tail
+from barnesg.terminant import _order, _order_thresholds, _pair_bound, _zeta_tail
 from _reference import ein_one_loop, improved_uniform, terminant_pair, terminant_quadrature
 
 # the package's `terminant` is the function; the module is reached by name
@@ -256,6 +256,21 @@ class TestTruncationOrders:
         assert bisect.bisect_right(_order_thresholds(2.5), 1) == 8
         assert bisect.bisect_right(_order_thresholds(4.0), 5) == 40  # capped
 
+    def test_order_without_the_list_at_the_ties(self):
+        # stokes_profile's N_k reads the thresholds' rule without the list: the same count
+        # at pi k |z| = n + 1/2, within an ulp or two of it, and where pi k |z| overflows
+        points = [1.5, 26.9, 1e308]
+        for n in range(86):
+            for k in (1, 2, 3):
+                tie = (n + 0.5) / (PI * k)
+                points += [tie, math.nextafter(tie, 0.0), math.nextafter(tie, math.inf),
+                           tie * (1.0 - 4e-16), tie * (1.0 + 4e-16)]
+        for abs_z in points:
+            for cap in (40, 86):
+                thresholds = _order_thresholds(abs_z, cap)
+                for k in (1, 2, 3):
+                    assert _order(abs_z, k, cap) == bisect.bisect_right(thresholds, k), (abs_z, k)
+
 
 class TestImprovedExpansion:
     def test_uniform_reproduces_truncated_plus_remainder_series(self):
@@ -488,6 +503,60 @@ class TestStokesProfile:
         got = stokes_profile(abs_z, k, shuffled)
         assert [s.theta for s in got] == shuffled
         assert [repr(s) for s in got] == [by_theta[repr(t)] for t in shuffled]
+
+    def test_numpy_angles_give_python_scalars(self):
+        # each angle is taken as a float on entry, so an array and a list give the same records
+        thetas = np.linspace(PI / 2 - 0.5, PI / 2 + 0.5, 21)
+        from_array = stokes_profile(3.0, 1, thetas)
+        from_list = stokes_profile(3.0, 1, thetas.tolist())
+        assert [repr(s) for s in from_array] == [repr(s) for s in from_list]
+        for s in from_array:
+            assert [type(v) for v in s] == [float, int, complex, complex, float]
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                stokes_profile(3.0, 1, np.array([PI / 2, bad]))
+
+    @pytest.mark.parametrize("abs_z,k", [(1.5, 1), (3.879, 2), (20.0, 1)])
+    @pytest.mark.parametrize("offsets", [
+        [0.05, 0.21, 0.43],                      # right of the line: every angle reflects
+        [-0.47, -0.2, -0.013],                   # left of it: the walk alone
+        [0.31, -0.17, 0.31, -0.42, 0.08, -0.17, -0.29],  # shuffled, with duplicates
+        [0.3],                                   # one angle: walk to -0.3 and 0, reflect
+    ], ids=["right", "left", "shuffled", "single"])
+    def test_reflected_rows_within_estimate(self, abs_z, k, offsets):
+        # no angle of these windows is the bitwise mirror of another, so each right-hand
+        # row is T(0) + conj(T(0) - T(-u)) from a stretch walked for it alone
+        thetas = [PI / 2 + d for d in offsets]
+        us = {t - PI / 2 for t in thetas}
+        assert not us & {-u for u in us}
+        self._within_estimate_of_mpmath(abs_z, k, thetas)
+
+    @pytest.mark.parametrize("abs_w", [12.0, 50.0])
+    @pytest.mark.parametrize("a", [1.1, 1.3, 1.45, -1.1, -1.3, -1.45])
+    def test_terminant_past_the_axis_reflects_within_estimate(self, abs_w, a):
+        # |arg w| - pi = u > 0: the arc runs to -u and 0 and reflects; both terminant and the
+        # arc row itself lie within their estimates of mpmath
+        p = 2 * round(abs_w / 2) + 1
+        w = abs_w * cmath.exp(1j * a * PI)
+        ref = _terminant_mp(p, w, a * PI)
+        ev = terminant(p, w, arg_w=a * PI)
+        assert abs(ev.value - ref) <= ev.est_error
+        arc, arc_est = terminant_module._arc_profile(p, abs_w, [(abs(a) - 1.0) * PI])[0]
+        if a < 0:
+            arc = 0.0 - arc.conjugate()
+        assert abs(arc - ref) <= arc_est
+
+    def test_berry_law_on_the_line(self):
+        # Berry's law, with no reference: on arg z = pi/2 (arg w = pi) T_p has real part 1/2
+        # exactly, and Im T_p sqrt(2 pi |w|) = rho - 2/3 + O(1/sqrt |w|), rho = p - |w|.
+        # Over this grid the largest residual is 1.86e-3; 2.5e-3 leaves a margin of a third.
+        for abs_z in np.linspace(5.0, 26.9, 200).tolist():
+            s = stokes_profile(abs_z, 1, [PI / 2])[0]
+            m = s.normalized_multiplier
+            abs_w = 2 * PI * abs_z
+            rho = 2 * round(PI * abs_z) + 1 - abs_w
+            assert abs(m.real - 0.5) <= s.est_error / abs(s.limit), abs_z
+            assert abs(m.imag * math.sqrt(2 * PI * abs_w) - (rho - 2 / 3)) <= 2.5e-3, abs_z
 
     @pytest.mark.parametrize("p,r", [(51, 8 * PI * 2.0), (127, 2 * PI * 20.0)])
     def test_arc_integrand_has_unit_mass_over_one_winding(self, p, r):

@@ -64,29 +64,36 @@ def _point(name: str, re: Optional[float], im: Optional[float], abs_: Optional[f
     return abs_ * cmath.exp(1j * arg), arg
 
 
-def _either(name: str, radians: object, pi_multiples: object) -> None:
-    """DomainError when an angle is given both as --{name} and as --{name}-pi."""
-    if radians is not None and pi_multiples is not None:
-        raise DomainError(f"give --{name} or --{name}-pi, not both")
+def _grid(text: str) -> list[float]:
+    """argparse type of a comma-separated list of floats: empty entries are skipped, but a
+    list with none left is a usage error (exit 2), as is a malformed number."""
+    values = [float(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"no number in the grid {text!r}")
+    return values
 
 
-def cmd_eval(z_re, z_im, z_abs, z_arg, z_arg_pi, method, n_trunc, k_max, fmt) -> None:
+def _pi_grid(text: str) -> list[float]:
+    return [t * math.pi for t in _grid(text)]
+
+
+def _pi_multiple(text: str) -> float:
+    return float(text) * math.pi
+
+
+def cmd_eval(z_re, z_im, z_abs, z_arg, method, n_trunc, k_max, fmt) -> None:
     """Evaluate log G(z+1) by the chosen route."""
-    _either("z-arg", z_arg, z_arg_pi)
-    z, arg = _point("z", z_re, z_im, z_abs, z_arg if z_arg_pi is None else z_arg_pi * math.pi)
+    z, arg = _point("z", z_re, z_im, z_abs, z_arg)
     if z_abs is None and arg is not None:
         raise DomainError("--z-arg and --z-arg-pi need --z-abs: the routes take no branch of z")
     if method == "asym":
         res = certified_eval(z, n_trunc)
         value, err, err_kind, n_used = res.value, res.bound, res.bound_kind.value, res.n_trunc
-    elif method == "oracle":
-        from .oracle import log_barnes_oracle  # here, not at the top: the oracle loads numpy
-
-        out = log_barnes_oracle(z)
-        value, err, err_kind, n_used = out.value, out.est_error, "est_error", 1
-    else:
-        value, err = exp_improved_report(z, k_max)
-        err_kind, n_used = "est_error", k_max
+    else:  # the oracle and the improved route both return (value, est_error)
+        if method == "oracle":
+            from .oracle import log_barnes_oracle  # here, not at the top: it loads numpy
+        value, err = log_barnes_oracle(z) if method == "oracle" else exp_improved_report(z, k_max)
+        err_kind, n_used = "est_error", 1 if method == "oracle" else k_max
     row = dict(z_re=z.real, z_im=z.imag, method=method, value_re=value.real,
                value_im=value.imag, err=err, err_kind=err_kind, n_used=n_used)
     if method == "asym":
@@ -94,22 +101,10 @@ def cmd_eval(z_re, z_im, z_abs, z_arg, z_arg_pi, method, n_trunc, k_max, fmt) ->
     _emit([row], fmt)
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-
-
-def cmd_bounds(z_abs_list, theta_list, theta_pi_list, n_min, n_max, fmt) -> None:
+def cmd_bounds(radii, thetas, n_min, n_max, fmt) -> None:
     """Sweep certified bounds against the remainder oracle; exit 3 where they disagree."""
     from .oracle import remainder_wide  # here, not at the top: the oracle loads numpy
 
-    _either("theta", theta_list, theta_pi_list)
-    radii = _parse_floats(z_abs_list)
-    if theta_pi_list is not None:
-        thetas = [t * math.pi for t in _parse_floats(theta_pi_list)]
-    elif theta_list is not None:
-        thetas = _parse_floats(theta_list)
-    else:
-        thetas = [0.0]
     _check_order(n_max, _check_order(n_min, 1))  # 1 <= n-min <= n-max
     rows = []
     disagreement = None
@@ -184,19 +179,23 @@ def _parser() -> argparse.ArgumentParser:
     ev.add_argument("--z-re", type=float, help="Re z")
     ev.add_argument("--z-im", type=float, help="Im z")
     ev.add_argument("--z-abs", type=float, help="|z|")
-    ev.add_argument("--z-arg", type=float, help="arg z in radians")
-    ev.add_argument("--z-arg-pi", type=float, help="arg z in multiples of pi")
+    arg = ev.add_mutually_exclusive_group()
+    arg.add_argument("--z-arg", type=float, help="arg z in radians")
+    arg.add_argument("--z-arg-pi", dest="z_arg", type=_pi_multiple,
+                     help="arg z in multiples of pi")
     ev.add_argument("--method", choices=["asym", "oracle", "hyper"], required=True)
     ev.add_argument("--n", dest="n_trunc", type=int,
                     help="truncation index (asym); an explicit N evaluates at z unshifted")
     ev.add_argument("--k-max", type=int, default=K_MAX,
                     help=f"terminant sum cutoff (hyper; default {K_MAX})")
     bd = command("bounds", cmd_bounds)
-    bd.add_argument("--z-abs", dest="z_abs_list", required=True,
+    bd.add_argument("--z-abs", dest="radii", type=_grid, required=True,
                     help="comma-separated |z| grid, e.g. 2,5,10")
-    bd.add_argument("--theta", dest="theta_list", help="comma-separated arg z grid in radians")
-    bd.add_argument("--theta-pi", dest="theta_pi_list",
-                    help="comma-separated arg z grid in multiples of pi")
+    theta = bd.add_mutually_exclusive_group()
+    theta.add_argument("--theta", dest="thetas", type=_grid, default=[0.0],
+                       help="comma-separated arg z grid in radians (default 0)")
+    theta.add_argument("--theta-pi", dest="thetas", type=_pi_grid,
+                       help="comma-separated arg z grid in multiples of pi")
     bd.add_argument("--n-min", type=int, default=1)
     bd.add_argument("--n-max", type=int, default=4)
     st = command("stokes", cmd_stokes)

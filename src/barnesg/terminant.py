@@ -18,7 +18,10 @@ log G(z+1) work:
                - sum_{k>=1} [T_{2N_k+1}(2 pi k i z) e^{2 pi k i z}
                              + T_{2N_k+1}(-2 pi k i z) e^{-2 pi k i z}] / (2 pi i k^2),
 
-an identity for every sequence of non-negative N_k.  The first double sum
+an identity for every sequence of non-negative N_k that both sums share.  The route
+takes N_k = round(pi k |z|); _order_thresholds writes that rule once, as a list that
+the algebraic sum and the pairs read capped at 40 and stokes_profile capped at
+ceil(pi k |z|) + 1.  The first double sum
 converges absolutely and is evaluated completely (regrouped over n through
 zeta partial sums); only the terminant sum is truncated.  Its k-th pair is
 exactly minus the k-th share of the remainder R_{N_k+1}(z), the dilog kernel
@@ -155,15 +158,6 @@ def _scaled_recurrence(p: int, w: complex, arg_w: float) -> tuple[complex, float
     return value, est
 
 
-def _exp_minus(w: complex) -> complex:
-    if -w.real > 709.0:
-        raise AccuracyError(
-            "unscaled terminant overflows for Re w < -709; "
-            "only the scaled combination T_p(w) e^{w} is representable there"
-        )
-    return cmath.exp(-w)
-
-
 def terminant(p: int, w: complex, arg_w: Optional[float] = None) -> TerminantEval:
     """Scaled terminant T_p(w) for positive integer order p.
 
@@ -181,7 +175,12 @@ def terminant(p: int, w: complex, arg_w: Optional[float] = None) -> TerminantEva
     if not -1.5 * math.pi < arg_w < 1.5 * math.pi:
         raise DomainError("arg_w must lie in (-3 pi/2, 3 pi/2)")
     scaled, est = _scaled_recurrence(p, w, arg_w)
-    emw = _exp_minus(w)
+    if w.real < -709.0:
+        raise AccuracyError(
+            "unscaled terminant overflows for Re w < -709; "
+            "only the scaled combination T_p(w) e^{w} is representable there"
+        )
+    emw = cmath.exp(-w)
     value, est = scaled * emw, est * abs(emw)
     method = TerminantMethod.GAMMA_RECURRENCE
     if abs(arg_w) > 0.5 * math.pi and 4.0 <= abs(w) <= 2 * MAX_ORDER:
@@ -202,22 +201,11 @@ def _order_thresholds(abs_z: float, cap: int = _ORDER_CAP) -> list[int]:
     """The order rule N_k = round(pi k |z|) capped at cap, as thresholds: entry n
     is the least k >= 1 with pi k |z| >= n + 1/2 (ties, and k within 1e-12
     below one, round up), and N_k is the number of entries <= k.  The algebraic
-    sum, the terminant pairs and stokes_profile read only this rule, so the
-    improved expansion stays an identity at the ties."""
+    sum and the terminant pairs read it at cap 40, stokes_profile at
+    min(86, ceil(pi k |z|) + 1): every entry past pi k |z| is above k.  No other
+    code encodes the rule, so the improved expansion stays an identity at the ties."""
     unit = math.pi * abs_z
     return [math.ceil((n + 0.5) / unit - 1e-12) or 1 for n in range(cap)]  # or 1: k >= 1
-
-
-def _order(abs_z: float, k: int, cap: int) -> int:
-    """N_k under _order_thresholds' rule, ties included, without building the list: the
-    number of n < cap whose threshold is at most k."""
-    unit = math.pi * abs_z
-    n = round(min(k * unit, cap))  # min first: pi k |z| may overflow to inf
-    while n > 0 and math.ceil((n - 0.5) / unit - 1e-12) > k:  # threshold n - 1 above k
-        n -= 1
-    while n < cap and math.ceil((n + 0.5) / unit - 1e-12) <= k:  # threshold n reached
-        n += 1
-    return n
 
 
 _EM_BASE = tuple(bernoulli_number(2 * j) / math.factorial(2 * j) for j in range(1, 9))
@@ -572,7 +560,8 @@ def stokes_profile(
     in the lower half-plane; each angle is taken as a Python float.  The
     terminant T_p(w) of the dominant switching exponential, w = 2 pi k i z, at
     near-optimal order p = 2 N_k + 1, N_k = round(pi k |z|) (the improved
-    route's rule, uncapped: _order), is integrated along |w| = 2 pi k |z| from
+    route's rule: the entries <= k of _order_thresholds' list, capped at
+    ceil(pi k |z|) + 1 rather than 40), is integrated along |w| = 2 pi k |z| from
     arg w = pi/2 through the angles left of the Stokes line, and the angles
     right of it are their reflections (_arc_profile); the lower window mirrors
     the upper one, T_p(conj w) = -conj T_p(w).  Samples come back in the
@@ -595,7 +584,9 @@ def stokes_profile(
             "thetas must lie within 1/2 of a Stokes line (pi/2 or -pi/2)"
         )
     reach = (MAX_ORDER + 1) // 2  # p = 2 N_k + 1 <= MAX_ORDER while N_k < reach
-    n_k = _order(abs_z, k, reach)
+    # every threshold past pi k |z| is above k; min first: pi k |z| may overflow to inf
+    cap = min(reach, math.ceil(min(math.pi * k * abs_z, reach)) + 1)
+    n_k = bisect.bisect_right(_order_thresholds(abs_z, cap), k)
     if n_k == reach:
         raise RangeError(f"the terminant order at |z| = {abs_z}, k = {k} exceeds {MAX_ORDER}")
     rate = math.sqrt(math.pi * k * abs_z)

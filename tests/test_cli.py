@@ -127,6 +127,14 @@ class TestBounds:
         assert res.exit_code == 0
         assert len(csv_rows(res.output)) == 1
 
+    @pytest.mark.parametrize("grid", [["--z-abs", ",", "--theta", "0.5"],
+                                      ["--z-abs", "3", "--theta", ","],
+                                      ["--z-abs", "3", "--theta-pi", ""]], ids=repr)
+    def test_empty_grid_is_a_usage_error(self, grid):
+        res = invoke(["bounds", *grid, "--n-min", "1", "--n-max", "1"])
+        assert (res.exit_code, res.output) == (2, "")
+        assert "no number in the grid" in res.stderr
+
     def test_columns_are_family_bounds(self):
         res = invoke(
             ["bounds", "--z-abs", "2,5", "--theta-pi",

@@ -22,7 +22,8 @@ from barnesg import (
     truncated_log_barnes,
 )
 from barnesg import special
-from barnesg.terminant import _order, _order_thresholds, _pair_bound, _zeta_tail
+from barnesg.terminant import (_ALGEBRAIC_COEFFS, _order_thresholds, _pair_bound,
+                               _scaled_recurrence, _zeta_tail)
 from _reference import ein_one_loop, improved_uniform, terminant_pair, terminant_quadrature
 
 # the package's `terminant` is the function; the module is reached by name
@@ -256,20 +257,36 @@ class TestTruncationOrders:
         assert bisect.bisect_right(_order_thresholds(2.5), 1) == 8
         assert bisect.bisect_right(_order_thresholds(4.0), 5) == 40  # capped
 
-    def test_order_without_the_list_at_the_ties(self):
-        # stokes_profile's N_k reads the thresholds' rule without the list: the same count
-        # at pi k |z| = n + 1/2, within an ulp or two of it, and where pi k |z| overflows
-        points = [1.5, 26.9, 1e308]
+    def test_profile_reads_the_order_rule_at_the_ties(self, monkeypatch):
+        # stokes_profile integrates at p = 2 N_k + 1 with N_k counted on the improved route's
+        # thresholds: at pi k |z| = n + 1/2, within an ulp or two of it, and where pi k |z|
+        # overflows.  RangeError exactly where N_k reaches 86, past MAX_ORDER = 171.
+        orders = []
+
+        def spy(p, r, us):
+            orders.append(p)
+            return [(0j, 0.0)] * len(us)
+
+        monkeypatch.setattr(terminant_module, "_arc_profile", spy)
+        points = [1e308]
         for n in range(86):
             for k in (1, 2, 3):
                 tie = (n + 0.5) / (PI * k)
                 points += [tie, math.nextafter(tie, 0.0), math.nextafter(tie, math.inf),
                            tie * (1.0 - 4e-16), tie * (1.0 + 4e-16)]
-        for abs_z in points:
-            for cap in (40, 86):
-                thresholds = _order_thresholds(abs_z, cap)
-                for k in (1, 2, 3):
-                    assert _order(abs_z, k, cap) == bisect.bisect_right(thresholds, k), (abs_z, k)
+        raised = 0
+        for abs_z in (z for z in points if z >= 1.5):
+            thresholds = _order_thresholds(abs_z, 86)
+            for k in (1, 2, 3):
+                n_k = bisect.bisect_right(thresholds, k)
+                if n_k == 86:
+                    with pytest.raises(RangeError):
+                        stokes_profile(abs_z, k, [0.5 * PI])
+                    raised += 1
+                else:
+                    stokes_profile(abs_z, k, [0.5 * PI])
+                    assert orders.pop() == 2 * n_k + 1, (abs_z, k)
+        assert raised and not orders
 
 
 class TestImprovedExpansion:
@@ -335,6 +352,24 @@ class TestImprovedExpansion:
             diff = mp.mpc(value) - mp.log(mp.barnesg(mp.mpc(z) + 1))
             diff -= 2j * mp.pi * mp.nint(diff.imag / (2 * mp.pi))  # modulo 2 pi i
             assert abs(diff) <= est
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("z", [2 + 1j, 2.5, 3 + 2j, 2 + 4j])
+    def test_pair_cancels_its_algebraic_row(self, z, k):
+        # reference-free: the k-th pair's truncated series S_{2N_k}(+-w) is minus the k-th
+        # row A_k of the algebraic sum, so pair_k + A_k = (h(w) + h(-w))/(4 pi^2 k^2),
+        # h = e^w E1(w) on the route's branches, to within the pair's eval-error
+        theta = cmath.phase(z)
+        n_k = bisect.bisect_right(_order_thresholds(abs(z)), k)
+        w = 2 * PI * k * 1j * z
+        s_up, e_up = _scaled_recurrence(2 * n_k + 1, w, theta + 0.5 * PI)
+        s_dn, e_dn = _scaled_recurrence(2 * n_k + 1, -w, theta - 0.5 * PI)
+        pair, eval_err = (s_up + s_dn) / (2j * PI * k * k), (e_up + e_dn) / (2 * PI * k * k)
+        row = sum(c * z ** (-2 * n - 2) * k ** -(2 * n + 4)
+                  for n, c in enumerate(_ALGEBRAIC_COEFFS[:n_k]))
+        h = (special._e1_scaled_continued(w, theta + 0.5 * PI)[0]
+             + special._e1_scaled_continued(-w, theta - 0.5 * PI)[0])
+        assert abs(pair + row - h / (4 * PI * PI * k * k)) <= eval_err
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -86,6 +86,10 @@ def cmd_eval(z_re, z_im, z_abs, z_arg, method, n_trunc, k_max, fmt) -> None:
     z, arg = _point("z", z_re, z_im, z_abs, z_arg)
     if z_abs is None and arg is not None:
         raise DomainError("--z-arg and --z-arg-pi need --z-abs: the routes take no branch of z")
+    for option, given, route in (("--n", n_trunc, "asym"), ("--k-max", k_max, "hyper")):
+        if given is not None and method != route:
+            raise DomainError(f"{option} applies to --method {route} only")
+    k_max = K_MAX if k_max is None else k_max
     if method == "asym":
         res = certified_eval(z, n_trunc)
         value, err, err_kind, n_used = res.value, res.bound, res.bound_kind.value, res.n_trunc
@@ -186,7 +190,7 @@ def _parser() -> argparse.ArgumentParser:
     ev.add_argument("--method", choices=["asym", "oracle", "hyper"], required=True)
     ev.add_argument("--n", dest="n_trunc", type=int,
                     help="truncation index (asym); an explicit N evaluates at z unshifted")
-    ev.add_argument("--k-max", type=int, default=K_MAX,
+    ev.add_argument("--k-max", type=int,
                     help=f"terminant sum cutoff (hyper; default {K_MAX})")
     bd = command("bounds", cmd_bounds)
     bd.add_argument("--z-abs", dest="radii", type=_grid, required=True,

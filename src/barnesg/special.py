@@ -196,7 +196,7 @@ def _e1_lentz_scaled(w: complex) -> complex:
         d = 1.0 / d
         delta = c * d
         h *= delta
-        if abs(delta - 1.0) < 1e-16:
+        if abs(delta - 1.0) <= 2.0 * EPS:  # not tighter: delta can sit at 1 - 2^-53 on every step
             return h
     raise AccuracyError("continued fraction for E1 did not converge")
 

@@ -19,17 +19,17 @@ log G(z+1) work:
                              + T_{2N_k+1}(-2 pi k i z) e^{-2 pi k i z}] / (2 pi i k^2),
 
 an identity for every sequence of non-negative N_k that both sums share.  The route
-takes N_k = round(pi k |z|); _order_thresholds writes that rule once, as a list that
-the algebraic sum and the pairs read capped at 40 and stokes_profile capped at
-ceil(pi k |z|) + 1.  The first double sum
-converges absolutely and is evaluated completely (regrouped over n through
-zeta partial sums); only the terminant sum is truncated.  Its k-th pair is
-exactly minus the k-th share of the remainder R_{N_k+1}(z), the dilog kernel
-with Li2(e^{-2 pi t}) replaced by e^{-2 pi k t}/k^2, so the remainder's closed
-bound factors bound each pair too.  Where |arg z| <= pi/2 the sum stops at the
-first K <= k_max whose certified k-tail is below 1/1024 of the value's
-round-off, and that bound is the reported k-tail; elsewhere (above the shift
-cap) k_max pairs are summed and the k-tail is guessed from the last two.
+sums its first K pairs at N_k = 0, where the k-th is (h(w_k) + h(-w_k))/(4 pi^2 k^2),
+h = e^{w} E1(w), w_k = 2 pi k i z, and has no algebraic row; the rows and pairs k > K
+take N_k = round(pi k |z|), which _order_thresholds writes once, as a list that the
+route reads capped at 40 and stokes_profile capped at ceil(pi k |z|) + 1.  The first
+double sum converges absolutely and its rows are evaluated completely (regrouped over
+n through zeta partial sums); only the terminant sum is truncated.  A pair at N_k is
+exactly minus the k-th share of the remainder R_{N_k+1}(z), the dilog kernel with
+Li2(e^{-2 pi t}) replaced by e^{-2 pi k t}/k^2, so the remainder's closed bound
+factors bound the pairs left out.  Where |arg z| <= pi/2, K is the first k <= k_max
+whose certified k-tail is below 1/1024 of the prefix's round-off, and that bound is
+the reported k-tail; elsewhere (above the shift cap) K = k_max, with a guessed k-tail.
 
 Branch bookkeeping: with z in the slit plane the terminant arguments
 w = +-2 pi k i z sweep arg w across +-pi, so the function is evaluated on the
@@ -89,7 +89,7 @@ _ORDER_CAP = 40
 #: (k_max + 1) |Im z| < log(1e9) / (2 pi).
 _CAP_K_REACH = math.log(1e9) / TWO_PI
 #: Below the shift cap the pair sum stops once its certified k-tail is below this share
-#: of the round-off allowance of the prefix, E and the algebraic sum.
+#: of the round-off allowance of the prefix and E.
 _TAIL_SHARE = 2.0 ** -10
 _LOG_TWO = math.log(2.0)
 
@@ -200,10 +200,10 @@ def terminant(p: int, w: complex, arg_w: Optional[float] = None) -> TerminantEva
 def _order_thresholds(abs_z: float, cap: int = _ORDER_CAP) -> list[int]:
     """The order rule N_k = round(pi k |z|) capped at cap, as thresholds: entry n
     is the least k >= 1 with pi k |z| >= n + 1/2 (ties, and k within 1e-12
-    below one, round up), and N_k is the number of entries <= k.  The algebraic
-    sum and the terminant pairs read it at cap 40, stokes_profile at
-    min(86, ceil(pi k |z|) + 1): every entry past pi k |z| is above k.  No other
-    code encodes the rule, so the improved expansion stays an identity at the ties."""
+    below one, round up), and N_k is the number of entries <= k.  The improved
+    route's algebraic rows and k-tail read it at cap 40, stokes_profile at
+    min(86, ceil(pi k |z|) + 1): every entry past pi k |z| is above k.  No other code
+    encodes the rule, so the k-tail bounds the pairs the rows leave out at the ties."""
     unit = math.pi * abs_z
     return [math.ceil((n + 0.5) / unit - 1e-12) or 1 for n in range(cap)]  # or 1: k >= 1
 
@@ -324,43 +324,39 @@ def _k_tail(last: int, log_abs_z: float, theta: float, first_k: list[int]) -> fl
     return tail + _pair_bound(j, n, log_abs_z, theta) * (1.0 + j / (2 * n + 1))
 
 
-def _terminant_pairs(z: complex, first_k: list[int], k_max: int,
-                     target: float) -> tuple[complex, float, float]:
-    """Sum of the first K <= k_max terminant pairs, their eval-error, and the k-tail.
+def _terminant_pairs(w: complex, first_k: list[int], k_max: int,
+                     roundoff: float) -> tuple[int, complex, float, float]:
+    """K <= k_max, the sum of the first K terminant pairs at N_k = 0, its eval-error,
+    and the k-tail of the pairs k > K at the orders of first_k.
 
-    Where |arg z| <= pi/2 the sum stops at the first K whose certified k-tail
-    (_k_tail) is at most target, and that bound is the k-tail.  Elsewhere (above
-    the shift cap) all k_max pairs are summed and the k-tail is guessed from the
-    ratio of the last two.
+    The k-th pair is (h(w_k) + h(-w_k))/(4 pi^2 k^2), h = _e1_scaled_continued at
+    w_k = 2 pi k i w on the branches arg w +- pi/2.  Where |arg w| <= pi/2, K is the
+    first k whose certified k-tail (_k_tail) is at most _TAIL_SHARE roundoff, and that
+    bound is the k-tail.  Elsewhere (above the shift cap) K = k_max, and the k-tail is
+    guessed from the sizes e^{-2 pi k |Im w|}/(2 pi k^2) of the switched exponentials.
     """
-    theta = math.atan2(z.imag, z.real)
-    certified = abs(theta) <= 0.5 * math.pi
-    log_abs_z = math.log(abs(z))
-    total = 0.0 + 0.0j
-    eval_err = 0.0
-    last_mag = 0.0
-    prev_mag = 0.0
-    for k in range(1, k_max + 1):
-        p = 2 * bisect.bisect_right(first_k, k) + 1
-        w_up = TWO_PI * k * 1j * z
-        s_up, e_up = _scaled_recurrence(p, w_up, theta + 0.5 * math.pi)
-        s_dn, e_dn = _scaled_recurrence(p, -w_up, theta - 0.5 * math.pi)
-        pair = (s_up + s_dn) / (2j * math.pi * k * k)
-        total += pair
-        eval_err += (e_up + e_dn) / (TWO_PI * k * k)
-        if not certified:
-            prev_mag, last_mag = last_mag, abs(pair)
-            continue
-        tail = _k_tail(k, log_abs_z, theta, first_k)
-        if tail <= target:
-            break
-    if certified:
-        return total, eval_err, tail
-    if prev_mag > 0.0 and last_mag > 0.0:
-        ratio = min(0.9, max(1e-6, last_mag / prev_mag))
+    theta = math.atan2(w.imag, w.real)
+    if abs(theta) <= 0.5 * math.pi:
+        log_abs_w = math.log(abs(w))
+        for last in range(1, k_max + 1):
+            tail = _k_tail(last, log_abs_w, theta, first_k)
+            if tail <= _TAIL_SHARE * roundoff:
+                break
     else:
-        ratio = 0.5
-    return total, eval_err, last_mag * ratio / (1.0 - ratio)
+        last = k_max
+        ratio = math.exp(-TWO_PI * abs(w.imag)) * (1.0 - 1.0 / last) ** 2
+        ratio = min(0.9, max(1e-6, ratio)) if last > 1 else 0.5
+        switched = math.exp(-TWO_PI * last * abs(w.imag)) / (TWO_PI * last * last)
+        tail = switched * ratio / (1.0 - ratio)
+    total, eval_err = 0.0 + 0.0j, 0.0
+    for k in range(1, last + 1):
+        w_k = TWO_PI * k * 1j * w
+        h_up, rel_up = _e1_scaled_continued(w_k, theta + 0.5 * math.pi)
+        h_dn, rel_dn = _e1_scaled_continued(-w_k, theta - 0.5 * math.pi)
+        scale = TWO_PI * TWO_PI * k * k
+        total += (h_up + h_dn) / scale
+        eval_err += (rel_up * abs(h_up) + rel_dn * abs(h_dn)) / scale
+    return last, total, eval_err, tail
 
 
 def exp_improved_report(z: complex, k_max: int = K_MAX) -> tuple[complex, float]:
@@ -368,16 +364,17 @@ def exp_improved_report(z: complex, k_max: int = K_MAX) -> tuple[complex, float]
 
     Where Re z < 2 (and m <= 64) the expansion runs at w = z + m with Re w >= 2,
     and the value is prefix(z) + E(z, m) less the algebraic sum and the pairs
-    at w (expansion._shift_bracket).  At w the k-th exponential's inner series
-    is truncated at N_k = round(pi k |w|), capped at 40 (_order_thresholds).
-    k_max >= 1 is the most terminant pairs summed: below the shift cap the sum
-    stops at the first K whose certified bound on the pairs k > K is at most
-    2^-10 of the round-off allowance of the prefix, E and the algebraic sum
-    (at |w| >= 2, K is 1 or 2), and that bound is the k-tail.  Above the cap
-    (Re z < -62, where the route runs at z) all k_max pairs are summed and the
-    k-tail is a geometric-ratio guess.  The estimate is the k-tail, the pairs'
-    own evaluation error, and _roundoff of the prefix's terms at z, E's parts
-    where shifted, the algebraic sum, the pairs and the value.  AccuracyError
+    at w (expansion._shift_bracket).  k_max >= 1 is the most terminant pairs
+    summed, and their number K is chosen first: below the shift cap it is the
+    first K whose certified bound on the pairs k > K is at most 2^-10 of the
+    round-off allowance of the prefix and E (at |w| >= 2, K is 1 or 2), and that
+    bound is the k-tail.  Above the cap (Re z < -62, where the route runs at z)
+    K = k_max and the k-tail is a geometric-ratio guess.  The pairs k <= K are
+    summed at N_k = 0 (_terminant_pairs); the algebraic sum takes the rows k > K,
+    whose inner series are truncated at N_k = round(pi k |w|), capped at 40
+    (_order_thresholds).  The estimate is the k-tail, the pairs' own evaluation
+    error, and _roundoff of the prefix's terms at z, E's parts where shifted,
+    the algebraic sum, the pairs and the value.  AccuracyError
     above the shift cap where |Im z| < (log 1e9)/(2 pi (k_max + 1)): there the
     k-tail guess cannot be trusted (_CAP_K_REACH).
     """
@@ -391,10 +388,9 @@ def exp_improved_report(z: complex, k_max: int = K_MAX) -> tuple[complex, float]
             f"the terminant k-tail cannot be bounded at z = {z}: above the shift cap, "
             f"{k_max} pairs leave a first omitted pair above 1e-9")
     first_k = _order_thresholds(abs(w))  # |w| >= 2: Re w >= 2, or Re w < -62 unshifted
-    alg = _algebraic_sum(1.0 / (w * w), first_k)
+    last, pairs, eval_err, tail = _terminant_pairs(w, first_k, k_max, _roundoff(*terms))
+    alg = _algebraic_sum(1.0 / (w * w), [max(t, last + 1) for t in first_k])
     total -= alg
-    pairs, eval_err, tail = _terminant_pairs(w, first_k, k_max,
-                                             _TAIL_SHARE * _roundoff(*terms, alg))
     total -= pairs
     est = tail + eval_err + _roundoff(*terms, alg, pairs, total)
     _check_finite(z, total, est)

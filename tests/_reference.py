@@ -26,6 +26,10 @@ Each computes a quantity the library also computes, by another formula:
     N_k = n for every k, the reference for exp_improved_report's
     near-optimal orders (the expansion is an identity for every order
     sequence);
+  * improved_route_orders -- log G(z+1) by the improved expansion at
+    exp_improved_report's point and orders N_k = round(pi k |w|) for every k,
+    the pairs it sums by _scaled_recurrence, the reference for the route's
+    summed pairs at N_k = 0;
   * terminant_pair -- the k-th terminant pair of the improved expansion from
     mpmath's incomplete gamma, the reference for the pairs' certified bound;
   * log_g_error -- |value - log G(z+1)| against mpmath's barnesg modulo
@@ -35,6 +39,7 @@ Each computes a quantity the library also computes, by another formula:
     from it, the reference for remainder_wide.
 """
 
+import bisect
 import cmath
 import math
 from fractions import Fraction
@@ -44,10 +49,10 @@ import numpy as np
 
 from barnesg import bernoulli_number, oracle, truncated_log_barnes
 from barnesg.bernoulli import DEFAULT_TABLE, EPS, TWO_PI
-from barnesg.expansion import _series, _shift_bracket
+from barnesg.expansion import _series, _shift_bracket, _shift_count, _shifted_prefix
 from barnesg.quadrature import integrate_panels
 from barnesg.special import _dilog_exp
-from barnesg.terminant import _scaled_recurrence
+from barnesg.terminant import _algebraic_sum, _order_thresholds, _scaled_recurrence
 
 
 def bernoulli_exact(max_index):
@@ -230,6 +235,31 @@ def improved_uniform(z, n, k_max):
         s_dn, _ = _scaled_recurrence(2 * n + 1, -w_up, theta - 0.5 * math.pi)
         pairs += (s_up + s_dn) / (2j * math.pi * k * k)
     return truncated_log_barnes(z, n + 1) - pairs
+
+
+def improved_route_orders(z, pairs):
+    """log G(z+1) by the improved expansion at exp_improved_report's point w = z + m
+    (Re w >= 2, or w = z above the shift cap), with N_k = round(pi k |w|) for every k:
+
+        prefix(z) + E(z, m) - (complete algebraic sum) - sum_{k<=pairs} pair_k,
+
+    each pair_k = (s_up + s_dn) / (2 pi i k^2), s = T_{2N_k+1}(+-2 pi k i w) e^{+-2 pi k i w}
+    by _scaled_recurrence on the branches arg w +- pi/2.  The route sums its pairs at
+    N_k = 0 instead, with no algebraic row; the expansion is an identity for both.
+    """
+    z = complex(z)
+    m = _shift_count(z, 2.0)
+    w = z + m if m else z
+    first_k = _order_thresholds(abs(w))
+    total = _shifted_prefix(z, m)[0] - _algebraic_sum(1.0 / (w * w), first_k)
+    theta = cmath.phase(w)
+    for k in range(1, pairs + 1):
+        p = 2 * bisect.bisect_right(first_k, k) + 1
+        w_up = TWO_PI * k * 1j * w
+        s_up, _ = _scaled_recurrence(p, w_up, theta + 0.5 * math.pi)
+        s_dn, _ = _scaled_recurrence(p, -w_up, theta - 0.5 * math.pi)
+        total -= (s_up + s_dn) / (2j * math.pi * k * k)
+    return total
 
 
 def terminant_pair(k, p, z):

@@ -83,6 +83,14 @@ class TestEval:
                                    "--k-max", k_max])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("method,option", [("oracle", "--n"), ("hyper", "--n"),
+                                               ("oracle", "--k-max"), ("asym", "--k-max")])
+    def test_option_the_route_ignores_exits_2(self, method, option):
+        # --n belongs to asym and --k-max to hyper; elsewhere they would be dropped silently
+        res = invoke(["eval", "--z-re", "2", "--z-im", "1", "--method", method, option, "3"])
+        assert res.exit_code == 2 and res.output == ""
+        assert option in res.stderr
+
     def test_default_k_max(self):
         res = invoke(["eval", "--z-re", "2.5", "--method", "hyper"])
         assert res.exit_code == 0

@@ -18,7 +18,7 @@ from barnesg import (
     log_gamma,
 )
 from barnesg import special
-from barnesg.bernoulli import TWO_PI
+from barnesg.bernoulli import EPS, TWO_PI
 from barnesg.oracle import _GAUSS_ORDER, _NARROW_BREAKS
 from barnesg.quadrature import gauss_nodes, panel_nodes
 from barnesg.special import _dilog_exp, _li2
@@ -200,6 +200,23 @@ class TestExpIntegral:
         monkeypatch.setattr(special, "_e1_scaled_continued", counted)
         exp_integral_e1(w)
         assert len(calls) == 1
+
+    def test_continued_fraction_converges_at_huge_modulus(self):
+        # from |w| ~ 3e16 the Lentz step delta can stay at 1 - 2^-53, half an ulp from 1,
+        # for every step; a stop test below an ulp then raised AccuracyError
+        rng = random.Random(34)
+        for _ in range(2000):
+            w = cmath.rect(10.0 ** rng.uniform(1.5, 300.0), rng.uniform(-0.75, 0.75) * math.pi)
+            special._e1_scaled_continued(w, cmath.phase(w))
+        assert cmath.isfinite(exp_integral_e1(6.283e150j))  # the public entry raised there too
+
+    @pytest.mark.parametrize("w", [6.283e150j, 1e17, 3e40 * cmath.exp(-2j),
+                                   1e300 * cmath.exp(0.7j)], ids=repr)
+    def test_scaled_value_at_huge_modulus(self, w):
+        # e^w E1(w) = 1/w (1 - 1/w + 2/w^2 - ...), and the terms left out are below eps
+        h, _ = special._e1_scaled_continued(w, cmath.phase(w))
+        winv = 1.0 / w
+        assert abs(h - winv * (1.0 - winv + 2.0 * winv * winv)) <= 4.0 * EPS * abs(winv)
 
     def test_past_binary64_raises(self):
         with pytest.raises(RangeError):  # |E1(-800 + i)| ~ e^800 / 800

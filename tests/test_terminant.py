@@ -22,9 +22,10 @@ from barnesg import (
     truncated_log_barnes,
 )
 from barnesg import special
-from barnesg.terminant import (_ALGEBRAIC_COEFFS, _order_thresholds, _pair_bound,
+from barnesg.terminant import (K_MAX, _ALGEBRAIC_COEFFS, _order_thresholds, _pair_bound,
                                _scaled_recurrence, _zeta_tail)
-from _reference import ein_one_loop, improved_uniform, terminant_pair, terminant_quadrature
+from _reference import (ein_one_loop, improved_route_orders, improved_uniform, log_g_error,
+                        terminant_pair, terminant_quadrature)
 
 # the package's `terminant` is the function; the module is reached by name
 terminant_module = importlib.import_module("barnesg.terminant")
@@ -344,8 +345,8 @@ class TestImprovedExpansion:
     @pytest.mark.parametrize("a", [0.3, 0.5])
     @pytest.mark.parametrize("abs_z", [0.47746482927568595, 1.1140846016432673], ids=repr)
     def test_estimate_covers_the_error_at_an_order_tie(self, abs_z, a):
-        # |z| is 1.5/pi and 3.5/pi to an ulp, so pi |z| + 1/2 is an integer to rounding;
-        # the algebraic sum and the terminant pairs must round N_1 alike, or the identity breaks
+        # |z| is 1.5/pi and 3.5/pi to an ulp, so pi |z| + 1/2 is an integer to rounding; the
+        # route shifts these z to Re w >= 2, and ties of |w| itself are in _RETIRED_ROWS
         z = abs_z * cmath.exp(1j * PI * a)
         value, est = exp_improved_report(z)
         with mp.workdps(30):
@@ -370,6 +371,13 @@ class TestImprovedExpansion:
         h = (special._e1_scaled_continued(w, theta + 0.5 * PI)[0]
              + special._e1_scaled_continued(-w, theta - 0.5 * PI)[0])
         assert abs(pair + row - h / (4 * PI * PI * k * k)) <= eval_err
+
+    @pytest.mark.parametrize("z", [1e150, 3e100j], ids=repr)
+    def test_huge_modulus_is_within_its_estimate(self, z):
+        # the pairs' E1 runs the continued fraction at |w| = 2 pi |z|, where its step can
+        # stay half an ulp from 1 (TestExpIntegral)
+        value, est = exp_improved_report(z)
+        assert log_g_error(value, z) <= est
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -403,39 +411,66 @@ class TestCertifiedKTail:
                 math.e * (2 * n + 2.5))
 
     @staticmethod
-    def _route(monkeypatch, z):
-        """exp_improved_report(z)'s point w, its order thresholds, the orders p of its
-        _scaled_recurrence calls and its k-tail."""
-        seen, orders = {}, []
-        pairs, recurrence = terminant_module._terminant_pairs, terminant_module._scaled_recurrence
+    def _route(monkeypatch, z, k_max=K_MAX):
+        """exp_improved_report(z, k_max): its value and estimate, its point w, its order
+        thresholds, the number K of pairs it sums (two E1 calls each) and its k-tail."""
+        seen, e1_args = {}, []
+        pairs, e1 = terminant_module._terminant_pairs, terminant_module._e1_scaled_continued
 
-        def spy_pairs(w, first_k, k_max, target):
-            out = pairs(w, first_k, k_max, target)
-            seen.update(w=w, first_k=first_k, tail=out[2])
+        def spy_pairs(w, first_k, k_max, roundoff):
+            out = pairs(w, first_k, k_max, roundoff)
+            seen.update(w=w, first_k=first_k, tail=out[3])
             return out
 
-        def spy_recurrence(p, w, arg_w):
-            orders.append(p)
-            return recurrence(p, w, arg_w)
+        def spy_e1(w, arg_w):
+            e1_args.append(w)
+            return e1(w, arg_w)
 
         monkeypatch.setattr(terminant_module, "_terminant_pairs", spy_pairs)
-        monkeypatch.setattr(terminant_module, "_scaled_recurrence", spy_recurrence)
-        exp_improved_report(z)
-        return seen["w"], seen["first_k"], orders, seen["tail"]
+        monkeypatch.setattr(terminant_module, "_e1_scaled_continued", spy_e1)
+        value, est = exp_improved_report(z, k_max)
+        assert len(e1_args) % 2 == 0
+        return value, est, seen["w"], seen["first_k"], len(e1_args) // 2, seen["tail"]
 
     @pytest.mark.parametrize("z", [3.0, 2 + 4j, 2.5 + 30j, 0.5 - 1j], ids=repr)
     def test_tail_covers_the_pairs_left_out(self, monkeypatch, z):
         # the pairs K < k <= 40 at the route's orders, from mpmath, as improved_uniform
         # sums them with k_max = 40
-        w, first_k, orders, tail = self._route(monkeypatch, z)
-        summed = len(orders) // 2
+        _, _, w, first_k, summed, tail = self._route(monkeypatch, z)
         left_out = sum(terminant_pair(k, 2 * bisect.bisect_right(first_k, k) + 1, w)
                        for k in range(summed + 1, 41))
         assert abs(left_out) <= tail
 
     def test_one_pair_at_three(self, monkeypatch):
         # at w = 3 the pairs k >= 2 are bounded by 2.3e-19, below 1/1024 of the round-off
-        assert self._route(monkeypatch, 3.0)[2] == [19, 19]
+        assert self._route(monkeypatch, 3.0)[4] == 1
+
+    #: Order ties at Re w >= 2 past the K pairs summed (pi k |w| + 1/2 in Z to an ulp at
+    #: k = 3, 3 and 2; K = 2, 1, 1), the shifted ties of
+    #: test_estimate_covers_the_error_at_an_order_tie, other shifted points, and the rows
+    #: above the shift cap that test_honesty pins, each in both half-planes.
+    _RETIRED_ROWS = [(z, k_max) for z0, k_max in [
+        (6.5 / PI, 5), (10.5 / PI * cmath.exp(0.2j * PI), 5),
+        (21.5 / (2 * PI) * cmath.exp(0.2j * PI), 5),
+        (0.47746482927568595 * cmath.exp(0.3j * PI), 5), (1.1140846016432673j, 5),
+        (0.5 + 1j, 5), (1.5 * cmath.exp(0.9j * PI), 5), (0.1j, 5), (2.5 + 30j, 5),
+        (70 * cmath.exp(1j * (PI - 0.01)), 5), (70 * cmath.exp(1j * (PI - 0.05)), 5),
+        (complex(-70, 0.3), 20)] for z in (z0, complex(z0).conjugate())]
+
+    @pytest.mark.parametrize("z,k_max", _RETIRED_ROWS, ids=repr)
+    def test_pairs_at_order_zero_match_the_route_orders(self, monkeypatch, z, k_max):
+        # the same K pairs at N_k = round(pi k |w|), each via _scaled_recurrence, less the
+        # complete algebraic sum: the route's value within its estimate
+        value, est, _, _, summed, _ = self._route(monkeypatch, z, k_max)
+        assert abs(value - improved_route_orders(z, summed)) <= est
+
+    @pytest.mark.parametrize("z,k_max", _RETIRED_ROWS, ids=repr)
+    def test_route_builds_no_truncated_series(self, monkeypatch, z, k_max):
+        def forbidden(*args):
+            raise AssertionError("exp_improved_report called _scaled_recurrence")
+
+        monkeypatch.setattr(terminant_module, "_scaled_recurrence", forbidden)
+        exp_improved_report(z, k_max)
 
 
 class TestStokesProfile:

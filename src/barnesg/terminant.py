@@ -20,16 +20,16 @@ log G(z+1) work:
 
 an identity for every sequence of non-negative N_k that both sums share.  The route
 sums its first K pairs at N_k = 0, where the k-th is (h(w_k) + h(-w_k))/(4 pi^2 k^2),
-h = e^{w} E1(w), w_k = 2 pi k i z, and has no algebraic row; the rows and pairs k > K
-take N_k = round(pi k |z|), which _order_thresholds writes once, as a list that the
-route reads capped at 40 and stokes_profile capped at ceil(pi k |z|) + 1.  The first
-double sum converges absolutely and its rows are evaluated completely (regrouped over
-n through zeta partial sums); only the terminant sum is truncated.  A pair at N_k is
-exactly minus the k-th share of the remainder R_{N_k+1}(z), the dilog kernel with
-Li2(e^{-2 pi t}) replaced by e^{-2 pi k t}/k^2, so the remainder's closed bound
+h = e^{w} E1(w), w_k = 2 pi k i z, and has no algebraic row; every row and pair k > K
+takes one order N = N_{K+1}, N_k = round(pi k |z|) capped at 31 (_order_thresholds).
+The first double sum converges absolutely and its rows are evaluated completely
+(regrouped over n through zeta tails); only the terminant sum is truncated.  A pair
+at N is exactly minus the k-th share of the remainder R_{N+1}(z), the dilog kernel
+with Li2(e^{-2 pi t}) replaced by e^{-2 pi k t}/k^2, so the remainder's closed bound
 factors bound the pairs left out.  Where |arg z| <= pi/2, K is the first k <= k_max
 whose certified k-tail is below 1/1024 of the prefix's round-off, and that bound is
-the reported k-tail; elsewhere (above the shift cap) K = k_max, with a guessed k-tail.
+the reported k-tail; elsewhere (above the shift cap) K = k_max, and the k-tail sums
+the sizes of the switched exponentials left out.
 
 Branch bookkeeping: with z in the slit plane the terminant arguments
 w = +-2 pi k i z sweep arg w across +-pi, so the function is evaluated on the
@@ -46,9 +46,9 @@ on every part of the error.  Stokes profiles take it alone; terminant, the one e
 point for T_p(w), takes it or the closed form, whichever reports the smaller error
 estimate.
 
-The zeta tails of the algebraic sum depend only on an exponent and a first
-index, which take few values over a range of |z|; _zeta_tail memoizes them in
-a bounded table.  Nothing is kept per z.
+The zeta tails of the algebraic sum depend only on an exponent and the first
+index K + 1, which take few values; _zeta_tail memoizes them in a bounded table.
+Nothing is kept per z.
 """
 
 from __future__ import annotations
@@ -80,13 +80,11 @@ __all__ = [
 MAX_ORDER = 171
 #: Terminant pairs that exp_improved_report sums unless told otherwise.
 K_MAX = 5
-_ORDER_CAP = 40
-#: Above the shift cap (Re z < -62) exp_improved_report runs at z itself, where its
-#: k-th pair is of size e^{-2 pi k |Im z|}.  Against mpmath, the geometric k-tail guess
-#: falls short of the error by up to 2.5x where the first omitted pair,
-#: e^{-2 pi (k_max + 1) |Im z|}, is above about 1e-8, and stays below a quarter of it
-#: where that pair is below 1e-9.  So the route raises where
-#: (k_max + 1) |Im z| < log(1e9) / (2 pi).
+#: Above the shift cap (Re z < -62) exp_improved_report runs at z itself, and its k-tail
+#: sums the pair sizes e^{-2 pi k |Im z|}/(2 pi k^2), k > k_max.  Against mpmath (|z| = 66,
+#: 100; k_max = 1, 2, 3, 5) the error reaches 0.998 of it where e^{-2 pi (k_max + 1) |Im z|}
+#: is near 1e-5, and stays below 0.36 of it where that is below 1e-9, out to twice that
+#: |Im z|.  So the route raises where (k_max + 1) |Im z| < log(1e9) / (2 pi).
 _CAP_K_REACH = math.log(1e9) / TWO_PI
 #: Below the shift cap the pair sum stops once its certified k-tail is below this share
 #: of the round-off allowance of the prefix and E.
@@ -197,13 +195,27 @@ def terminant(p: int, w: complex, arg_w: Optional[float] = None) -> TerminantEva
 # Exponentially improved expansion
 # ----------------------------------------------------------------------
 
+def _algebraic_coeffs() -> tuple[float, ...]:
+    """(-1)^n 2 (2n+1)! / (2 pi)^{2n+4} for the exponents 2n + 4 = 4 .. MAX_INDEX,
+    the Bernoulli table's reach: _algebraic_sum's coefficients."""
+    coeffs, two_fact = [], 2.0  # 2 (2n+1)! at n = 0
+    for n in range(MAX_INDEX // 2 - 1):
+        coeffs.append((-1) ** n * two_fact / TWO_PI ** (2 * n + 4))
+        two_fact *= (2 * n + 2) * (2 * n + 3)
+    return tuple(coeffs)
+
+
+_ALGEBRAIC_COEFFS = _algebraic_coeffs()
+#: The improved route's order cap: its algebraic rows are the table's.
+_ORDER_CAP = len(_ALGEBRAIC_COEFFS)
+
+
 def _order_thresholds(abs_z: float, cap: int = _ORDER_CAP) -> list[int]:
     """The order rule N_k = round(pi k |z|) capped at cap, as thresholds: entry n
     is the least k >= 1 with pi k |z| >= n + 1/2 (ties, and k within 1e-12
     below one, round up), and N_k is the number of entries <= k.  The improved
-    route's algebraic rows and k-tail read it at cap 40, stokes_profile at
-    min(86, ceil(pi k |z|) + 1): every entry past pi k |z| is above k.  No other code
-    encodes the rule, so the k-tail bounds the pairs the rows leave out at the ties."""
+    route reads N_{K+1} at cap 31, stokes_profile N_k at cap min(86, ceil(pi k |z|)
+    + 1): every entry past pi k |z| is above k.  No other code encodes the rule."""
     unit = math.pi * abs_z
     return [math.ceil((n + 0.5) / unit - 1e-12) or 1 for n in range(cap)]  # or 1: k >= 1
 
@@ -228,10 +240,10 @@ _EM_COEFFS = {s: _em_coeffs(s) for s in range(4, MAX_INDEX + 1, 2)}
 def _zeta_tail(exponent: int, k_first: int) -> float:
     """sum_{k >= k_first} k^{-exponent}, accurate relative to its own size.
 
-    A pure function of two integers, memoized on first use: k_first =
-    ceil((n + 1/2)/(pi |z|)) takes few values over a range of |z|, so most
-    calls are hits.  The memo is bounded (least recently used pairs go) and
-    keyed by the integers alone, never by z.
+    A pure function of two integers, memoized on first use: the improved
+    route asks for k_first = K + 1 alone, so most calls are hits.  The memo
+    is bounded (least recently used pairs go) and keyed by the integers
+    alone, never by z.
 
     Subtracting the head from zeta(exponent) is catastrophic once the zeta
     value rounds to 1.  Instead the terms k < a = k_first + max(8, s/2) are
@@ -258,32 +270,18 @@ def _zeta_tail(exponent: int, k_first: int) -> float:
     return math.fsum(parts)
 
 
-def _algebraic_coeffs() -> tuple[float, ...]:
-    """(-1)^n 2 (2n+1)! / (2 pi)^{2n+4} for the exponents 2n + 4 = 4 .. MAX_INDEX,
-    the Bernoulli table's reach: _algebraic_sum's coefficients."""
-    coeffs, two_fact = [], 2.0  # 2 (2n+1)! at n = 0
-    for n in range(MAX_INDEX // 2 - 1):
-        coeffs.append((-1) ** n * two_fact / TWO_PI ** (2 * n + 4))
-        two_fact *= (2 * n + 2) * (2 * n + 3)
-    return tuple(coeffs)
-
-
-_ALGEBRAIC_COEFFS = _algebraic_coeffs()
-
-
-def _algebraic_sum(zinv2: complex, first_k: list[int]) -> complex:
-    """Complete inner double sum, regrouped over n with zeta partial sums.
+def _algebraic_sum(zinv2: complex, n_rows: int, k_first: int) -> complex:
+    """The algebraic double sum over n < n_rows and k >= k_first, regrouped over n.
 
     The (n, k) term is (-1)^n 2 (2n+1)! / ((2 pi k)^{2n+4} z^{2n+2}); for each
-    n the k-sum runs over the k with N_k > n, k >= first_k[n], and equals
-    zeta(2n+4) minus the finitely many excluded leading k.  The double sum is
+    n the k-sum is the zeta tail sum_{k >= k_first} k^{-2n-4}.  The double sum is
     absolutely convergent, so this regrouping changes nothing; it just avoids
     throwing away the algebraic k-tail when the terminant sum is truncated.
     """
     total = 0.0 + 0.0j
     zpow = zinv2
-    for n, coeff in enumerate(_ALGEBRAIC_COEFFS):
-        partial = _zeta_tail(2 * n + 4, first_k[n])
+    for n, coeff in enumerate(_ALGEBRAIC_COEFFS[:n_rows]):
+        partial = _zeta_tail(2 * n + 4, k_first)
         term = coeff * zpow * partial
         total += term
         if abs(term) < 1e-22 * max(1.0, abs(total)):
@@ -302,52 +300,41 @@ def _pair_bound(k: int, n: int, log_abs_z: float, theta: float) -> float:
     e^{-2 pi k r cos phi} on a ray rotated by phi.  So the factor 1 (|theta| <= pi/4),
     csc 2 theta and the half-angle factor hold for it as for R_n; rotating costs it
     sec^{2n} phi rather than sec^{2n+1} phi, which keeps the sector family's cap
-    sqrt(e (2n + 5/2))/2 above its least rotated factor for n <= 41.
+    sqrt(e (2n + 5/2))/2 above its least rotated factor for n <= 41 (the route's n <= 32).
     """
     log_term = (_LOG_TWO + math.lgamma(2 * n) - (2 * n + 2) * math.log(TWO_PI * k)
                 - 2 * n * log_abs_z)
     return _closed_factor(theta, n)[0] * math.exp(log_term)
 
 
-def _k_tail(last: int, log_abs_z: float, theta: float, first_k: list[int]) -> float:
-    """Certified bound on sum_{k > last} |pair_k|, for |theta| <= pi/2.
-
-    The pairs below the order cap are bounded one by one.  From j, the first k at
-    the cap, every pair has index n = cap + 1, so its bound is b_j (j/k)^{2n+2}, and
-    sum_{k >= j} b_k <= b_j (1 + j/(2n+1)) by the integral test.
-    """
-    j = first_k[-1]
-    tail = sum(_pair_bound(k, bisect.bisect_right(first_k, k) + 1, log_abs_z, theta)
-               for k in range(last + 1, j))
-    j = max(j, last + 1)
-    n = len(first_k) + 1
-    return tail + _pair_bound(j, n, log_abs_z, theta) * (1.0 + j / (2 * n + 1))
-
-
-def _terminant_pairs(w: complex, first_k: list[int], k_max: int,
-                     roundoff: float) -> tuple[int, complex, float, float]:
-    """K <= k_max, the sum of the first K terminant pairs at N_k = 0, its eval-error,
-    and the k-tail of the pairs k > K at the orders of first_k.
+def _terminant_pairs(w: complex, k_max: int,
+                     roundoff: float) -> tuple[int, int, complex, float, float]:
+    """K <= k_max, the order N = N_{K+1} of every pair k > K, the sum of the first K
+    terminant pairs at N_k = 0, its eval-error, and the k-tail of the pairs k > K at N.
 
     The k-th pair is (h(w_k) + h(-w_k))/(4 pi^2 k^2), h = _e1_scaled_continued at
     w_k = 2 pi k i w on the branches arg w +- pi/2.  Where |arg w| <= pi/2, K is the
-    first k whose certified k-tail (_k_tail) is at most _TAIL_SHARE roundoff, and that
-    bound is the k-tail.  Elsewhere (above the shift cap) K = k_max, and the k-tail is
-    guessed from the sizes e^{-2 pi k |Im w|}/(2 pi k^2) of the switched exponentials.
+    first k whose certified k-tail is at most _TAIL_SHARE roundoff, and that bound is
+    the k-tail: at index n = N + 1 the _pair_bound b_k is b_{K+1} ((K+1)/k)^{2n+2}, so
+    sum_{k>K} b_k <= b_{K+1} (1 + (K+1)/(2n+1)) by the integral test.  Elsewhere (above
+    the shift cap) K = k_max, and the k-tail is the geometric sum of the switched
+    exponentials' sizes d^k/(2 pi k^2), d = e^{-2 pi |Im w|}: d^{K+1}/(2 pi (K+1)^2 (1-d)).
     """
     theta = math.atan2(w.imag, w.real)
+    thresholds = _order_thresholds(abs(w))
     if abs(theta) <= 0.5 * math.pi:
         log_abs_w = math.log(abs(w))
         for last in range(1, k_max + 1):
-            tail = _k_tail(last, log_abs_w, theta, first_k)
+            order = bisect.bisect_right(thresholds, last + 1)
+            tail = (_pair_bound(last + 1, order + 1, log_abs_w, theta)
+                    * (1.0 + (last + 1) / (2 * order + 3)))
             if tail <= _TAIL_SHARE * roundoff:
                 break
     else:
         last = k_max
-        ratio = math.exp(-TWO_PI * abs(w.imag)) * (1.0 - 1.0 / last) ** 2
-        ratio = min(0.9, max(1e-6, ratio)) if last > 1 else 0.5
-        switched = math.exp(-TWO_PI * last * abs(w.imag)) / (TWO_PI * last * last)
-        tail = switched * ratio / (1.0 - ratio)
+        order = bisect.bisect_right(thresholds, last + 1)
+        y = TWO_PI * abs(w.imag)
+        tail = math.exp(-(last + 1) * y) / (TWO_PI * (last + 1) ** 2 * -math.expm1(-y))
     total, eval_err = 0.0 + 0.0j, 0.0
     for k in range(1, last + 1):
         w_k = TWO_PI * k * 1j * w
@@ -356,7 +343,7 @@ def _terminant_pairs(w: complex, first_k: list[int], k_max: int,
         scale = TWO_PI * TWO_PI * k * k
         total += (h_up + h_dn) / scale
         eval_err += (rel_up * abs(h_up) + rel_dn * abs(h_dn)) / scale
-    return last, total, eval_err, tail
+    return last, order, total, eval_err, tail
 
 
 def exp_improved_report(z: complex, k_max: int = K_MAX) -> tuple[complex, float]:
@@ -369,14 +356,15 @@ def exp_improved_report(z: complex, k_max: int = K_MAX) -> tuple[complex, float]
     first K whose certified bound on the pairs k > K is at most 2^-10 of the
     round-off allowance of the prefix and E (at |w| >= 2, K is 1 or 2), and that
     bound is the k-tail.  Above the cap (Re z < -62, where the route runs at z)
-    K = k_max and the k-tail is a geometric-ratio guess.  The pairs k <= K are
-    summed at N_k = 0 (_terminant_pairs); the algebraic sum takes the rows k > K,
-    whose inner series are truncated at N_k = round(pi k |w|), capped at 40
-    (_order_thresholds).  The estimate is the k-tail, the pairs' own evaluation
+    K = k_max and the k-tail is the sum of the sizes of the switched exponentials
+    k > K.  The pairs k <= K are summed at N_k = 0 (_terminant_pairs); the
+    algebraic sum takes the rows k > K, whose inner series are all truncated at
+    the order N = round(pi (K+1) |w|), capped at 31 (_order_thresholds), of the
+    pairs left out.  The estimate is the k-tail, the pairs' own evaluation
     error, and _roundoff of the prefix's terms at z, E's parts where shifted,
     the algebraic sum, the pairs and the value.  AccuracyError
     above the shift cap where |Im z| < (log 1e9)/(2 pi (k_max + 1)): there the
-    k-tail guess cannot be trusted (_CAP_K_REACH).
+    k-tail, the pairs' sizes rather than a bound, keeps no margin (_CAP_K_REACH).
     """
     k_max = _check_order(k_max, 1)
     z = _check_sector(z)
@@ -387,9 +375,8 @@ def exp_improved_report(z: complex, k_max: int = K_MAX) -> tuple[complex, float]
         raise AccuracyError(
             f"the terminant k-tail cannot be bounded at z = {z}: above the shift cap, "
             f"{k_max} pairs leave a first omitted pair above 1e-9")
-    first_k = _order_thresholds(abs(w))  # |w| >= 2: Re w >= 2, or Re w < -62 unshifted
-    last, pairs, eval_err, tail = _terminant_pairs(w, first_k, k_max, _roundoff(*terms))
-    alg = _algebraic_sum(1.0 / (w * w), [max(t, last + 1) for t in first_k])
+    last, order, pairs, eval_err, tail = _terminant_pairs(w, k_max, _roundoff(*terms))
+    alg = _algebraic_sum(1.0 / (w * w), order, last + 1)
     total -= alg
     total -= pairs
     est = tail + eval_err + _roundoff(*terms, alg, pairs, total)
@@ -557,7 +544,7 @@ def stokes_profile(
     terminant T_p(w) of the dominant switching exponential, w = 2 pi k i z, at
     near-optimal order p = 2 N_k + 1, N_k = round(pi k |z|) (the improved
     route's rule: the entries <= k of _order_thresholds' list, capped at
-    ceil(pi k |z|) + 1 rather than 40), is integrated along |w| = 2 pi k |z| from
+    ceil(pi k |z|) + 1 rather than 31), is integrated along |w| = 2 pi k |z| from
     arg w = pi/2 through the angles left of the Stokes line, and the angles
     right of it are their reflections (_arc_profile); the lower window mirrors
     the upper one, T_p(conj w) = -conj T_p(w).  Samples come back in the

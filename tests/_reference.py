@@ -29,7 +29,7 @@ Each computes a quantity the library also computes, by another formula:
   * improved_route_orders -- log G(z+1) by the improved expansion at
     exp_improved_report's point and orders N_k = round(pi k |w|) for every k,
     the pairs it sums by _scaled_recurrence, the reference for the route's
-    summed pairs at N_k = 0;
+    summed pairs at N_k = 0 and its one order N_{K+1} for the rest;
   * terminant_pair -- the k-th terminant pair of the improved expansion from
     mpmath's incomplete gamma, the reference for the pairs' certified bound;
   * log_g_error -- |value - log G(z+1)| against mpmath's barnesg modulo
@@ -52,7 +52,8 @@ from barnesg.bernoulli import DEFAULT_TABLE, EPS, TWO_PI
 from barnesg.expansion import _series, _shift_bracket, _shift_count, _shifted_prefix
 from barnesg.quadrature import integrate_panels
 from barnesg.special import _dilog_exp
-from barnesg.terminant import _algebraic_sum, _order_thresholds, _scaled_recurrence
+from barnesg.terminant import (_ALGEBRAIC_COEFFS, _order_thresholds, _scaled_recurrence,
+                               _zeta_tail)
 
 
 def bernoulli_exact(max_index):
@@ -244,14 +245,19 @@ def improved_route_orders(z, pairs):
         prefix(z) + E(z, m) - (complete algebraic sum) - sum_{k<=pairs} pair_k,
 
     each pair_k = (s_up + s_dn) / (2 pi i k^2), s = T_{2N_k+1}(+-2 pi k i w) e^{+-2 pi k i w}
-    by _scaled_recurrence on the branches arg w +- pi/2.  The route sums its pairs at
-    N_k = 0 instead, with no algebraic row; the expansion is an identity for both.
+    by _scaled_recurrence on the branches arg w +- pi/2.  Row n of the algebraic sum runs
+    over the k with N_k > n, k >= first_k[n] (_order_thresholds).  The route sums its
+    pairs at N_k = 0 instead, with no algebraic row, and gives every row k > K the one
+    order N_{K+1}; the expansion is an identity for all of these.
     """
     z = complex(z)
     m = _shift_count(z, 2.0)
     w = z + m if m else z
     first_k = _order_thresholds(abs(w))
-    total = _shifted_prefix(z, m)[0] - _algebraic_sum(1.0 / (w * w), first_k)
+    zinv2 = 1.0 / (w * w)
+    rows = sum(c * zinv2 ** (n + 1) * _zeta_tail(2 * n + 4, k_first)
+               for n, (c, k_first) in enumerate(zip(_ALGEBRAIC_COEFFS, first_k, strict=True)))
+    total = _shifted_prefix(z, m)[0] - rows
     theta = cmath.phase(w)
     for k in range(1, pairs + 1):
         p = 2 * bisect.bisect_right(first_k, k) + 1

@@ -113,15 +113,29 @@ def test_improved_above_the_shift_cap_off_the_cut_covers_the_error(z, k_max):
     assert log_g_error(value, z) <= est
 
 
+@pytest.mark.parametrize("k_max", [1, 2, 3])
+@pytest.mark.parametrize("re", [-66.0, -100.0])
+def test_improved_above_the_shift_cap_at_the_boundary(re, k_max):
+    # (k_max + 1) |Im z| = log(1e9)/(2 pi) to a part in 1e4 either side: the route raises
+    # below it, and above it, where error/estimate is largest, its k-tail covers the error
+    edge = math.log(1e9) / (2 * PI * (k_max + 1))
+    for sign in (1.0, -1.0):
+        with pytest.raises(AccuracyError):
+            exp_improved_report(complex(re, sign * 0.9999 * edge), k_max)
+        z = complex(re, sign * 1.0001 * edge)
+        value, est = exp_improved_report(z, k_max)
+        assert log_g_error(value, z) <= est
+
+
 #: exp_improved_report's outcomes at _IMPROVED_CAP_KEPT and its conjugates.  Above the cap
-#: the route sums all k_max pairs and guesses the k-tail from a geometric ratio, as it
-#: did before the certified k-tail took over below the cap; these reprs pin that.
+#: the route sums all k_max pairs and takes the k-tail as the geometric sum of the switched
+#: exponentials' sizes; these reprs pin that.
 _IMPROVED_CAP_REPRS = {
     (70 * cmath.exp(1j * (PI - 0.01)), 5): ("(6820.196174355437{}7536.5740204456715j)",
-                                             "8.175402176379004e-11"),
+                                             "8.175530069080983e-11"),
     (70 * cmath.exp(1j * (PI - 0.05)), 5): ("(7391.585985126268{}6867.259259782473j)",
                                              "8.126211557164529e-11"),
-    (complex(-70, 0.3), 20): ("(6723.222772784199{}7628.631087918658j)", "8.178667742161579e-11"),
+    (complex(-70, 0.3), 20): ("(6723.222772784199{}7628.631087918658j)", "8.178667742167624e-11"),
 }
 
 

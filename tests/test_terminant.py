@@ -256,7 +256,7 @@ class TestTruncationOrders:
     def test_orders(self):
         # N_k is the number of the order rule's thresholds <= k
         assert bisect.bisect_right(_order_thresholds(2.5), 1) == 8
-        assert bisect.bisect_right(_order_thresholds(4.0), 5) == 40  # capped
+        assert bisect.bisect_right(_order_thresholds(4.0), 5) == 31  # capped
 
     def test_profile_reads_the_order_rule_at_the_ties(self, monkeypatch):
         # stokes_profile integrates at p = 2 N_k + 1 with N_k counted on the improved route's
@@ -392,15 +392,17 @@ class TestCertifiedKTail:
 
     @pytest.mark.parametrize("abs_w", [2.0, 3.0, 6.0, 20.0])
     def test_pair_bound_covers_the_pair(self, abs_w):
-        # pi/4 is where the bound is tightest (within 1e-4 at |w| = 20, k = 6); at +-pi/2
-        # it takes the sector family's cap
+        # each pair at its own N_k, and each pair k > K + 1 at the route's one order
+        # N_{K+1}, K = 1, 2.  pi/4 is where the bound is tightest (within 1e-4 at |w| = 20,
+        # k = 6); at +-pi/2 it takes the sector family's cap
         first_k = _order_thresholds(abs_w)
         for a in (-0.5, 0.25, 0.5):
             w = abs_w * cmath.exp(1j * PI * a)
             for k in range(1, 7):
-                n_k = bisect.bisect_right(first_k, k)
-                bound = _pair_bound(k, n_k + 1, math.log(abs_w), cmath.phase(w))
-                assert abs(terminant_pair(k, 2 * n_k + 1, w)) <= bound, (a, k)
+                for j in {k, 2, 3} & set(range(1, k + 1)):
+                    n_j = bisect.bisect_right(first_k, j)
+                    bound = _pair_bound(k, n_j + 1, math.log(abs_w), cmath.phase(w))
+                    assert abs(terminant_pair(k, 2 * n_j + 1, w)) <= bound, (a, k, j)
 
     def test_sector_cap_holds_for_each_pair(self):
         # a pair's integral rotated by phi costs sec^{2n} phi; at arg w = pi/2, the worst
@@ -412,14 +414,15 @@ class TestCertifiedKTail:
 
     @staticmethod
     def _route(monkeypatch, z, k_max=K_MAX):
-        """exp_improved_report(z, k_max): its value and estimate, its point w, its order
-        thresholds, the number K of pairs it sums (two E1 calls each) and its k-tail."""
+        """exp_improved_report(z, k_max): its value and estimate, its point w, the order
+        N of the pairs it leaves out, the number K of pairs it sums (two E1 calls each)
+        and its k-tail."""
         seen, e1_args = {}, []
         pairs, e1 = terminant_module._terminant_pairs, terminant_module._e1_scaled_continued
 
-        def spy_pairs(w, first_k, k_max, roundoff):
-            out = pairs(w, first_k, k_max, roundoff)
-            seen.update(w=w, first_k=first_k, tail=out[3])
+        def spy_pairs(w, k_max, roundoff):
+            out = pairs(w, k_max, roundoff)
+            seen.update(w=w, order=out[1], tail=out[4])
             return out
 
         def spy_e1(w, arg_w):
@@ -430,16 +433,55 @@ class TestCertifiedKTail:
         monkeypatch.setattr(terminant_module, "_e1_scaled_continued", spy_e1)
         value, est = exp_improved_report(z, k_max)
         assert len(e1_args) % 2 == 0
-        return value, est, seen["w"], seen["first_k"], len(e1_args) // 2, seen["tail"]
+        return value, est, seen["w"], seen["order"], len(e1_args) // 2, seen["tail"]
 
     @pytest.mark.parametrize("z", [3.0, 2 + 4j, 2.5 + 30j, 0.5 - 1j], ids=repr)
     def test_tail_covers_the_pairs_left_out(self, monkeypatch, z):
-        # the pairs K < k <= 40 at the route's orders, from mpmath, as improved_uniform
-        # sums them with k_max = 40
-        _, _, w, first_k, summed, tail = self._route(monkeypatch, z)
-        left_out = sum(terminant_pair(k, 2 * bisect.bisect_right(first_k, k) + 1, w)
-                       for k in range(summed + 1, 41))
+        # the pairs K < k <= 40 at the route's one order N, from mpmath, as
+        # improved_uniform sums them with k_max = 40
+        _, _, w, order, summed, tail = self._route(monkeypatch, z)
+        left_out = sum(terminant_pair(k, 2 * order + 1, w) for k in range(summed + 1, 41))
         assert abs(left_out) <= tail
+
+    @pytest.mark.parametrize("j", [2, 3])
+    def test_rows_and_k_tail_share_one_order_at_the_ties(self, monkeypatch, j):
+        # at w = |w| >= 2 with pi j |w| = n + 1/2 to an ulp, k_max = j - 1: the rows k > K
+        # run to N = N_{K+1}, counted on the order rule's thresholds, and the k-tail bounds
+        # the pairs k > K at that N; at K + 1 = j the tie rounds up, N = min(n + 1, 31)
+        rows, bounds, e1_args = [], [], []
+        alg, bound = terminant_module._algebraic_sum, terminant_module._pair_bound
+        e1 = terminant_module._e1_scaled_continued
+
+        def spy_alg(zinv2, n_rows, k_first):
+            rows.append((n_rows, k_first))
+            return alg(zinv2, n_rows, k_first)
+
+        def spy_bound(k, n, log_abs_z, theta):
+            bounds.append((k, n))
+            return bound(k, n, log_abs_z, theta)
+
+        def spy_e1(w, arg_w):
+            e1_args.append(w)
+            return e1(w, arg_w)
+
+        monkeypatch.setattr(terminant_module, "_algebraic_sum", spy_alg)
+        monkeypatch.setattr(terminant_module, "_pair_bound", spy_bound)
+        monkeypatch.setattr(terminant_module, "_e1_scaled_continued", spy_e1)
+        at_j = 0
+        for n in range(math.ceil(2 * PI * j - 0.5), 40):
+            tie = (n + 0.5) / (PI * j)
+            for abs_w in (tie, math.nextafter(tie, 0.0), math.nextafter(tie, math.inf)):
+                for log in (rows, bounds, e1_args):
+                    log.clear()
+                exp_improved_report(abs_w, j - 1)
+                (n_rows, k_first), = rows
+                assert k_first == len(e1_args) // 2 + 1, abs_w
+                assert n_rows == bisect.bisect_right(_order_thresholds(abs_w), k_first), abs_w
+                assert bounds[-1] == (k_first, n_rows + 1), abs_w
+                if k_first == j:
+                    assert n_rows == min(n + 1, len(_ALGEBRAIC_COEFFS)), abs_w
+                    at_j += 1
+        assert at_j
 
     def test_one_pair_at_three(self, monkeypatch):
         # at w = 3 the pairs k >= 2 are bounded by 2.3e-19, below 1/1024 of the round-off

@@ -81,23 +81,21 @@ def _pi_multiple(text: str) -> float:
     return float(text) * math.pi
 
 
-def cmd_eval(z_re, z_im, z_abs, z_arg, method, n_trunc, k_max, fmt) -> None:
+def cmd_eval(z_re, z_im, z_abs, z_arg, method, n_trunc, fmt) -> None:
     """Evaluate log G(z+1) by the chosen route."""
     z, arg = _point("z", z_re, z_im, z_abs, z_arg)
     if z_abs is None and arg is not None:
         raise DomainError("--z-arg and --z-arg-pi need --z-abs: the routes take no branch of z")
-    for option, given, route in (("--n", n_trunc, "asym"), ("--k-max", k_max, "hyper")):
-        if given is not None and method != route:
-            raise DomainError(f"{option} applies to --method {route} only")
-    k_max = K_MAX if k_max is None else k_max
+    if n_trunc is not None and method != "asym":
+        raise DomainError("--n applies to --method asym only")
     if method == "asym":
         res = certified_eval(z, n_trunc)
         value, err, err_kind, n_used = res.value, res.bound, res.bound_kind.value, res.n_trunc
     else:  # the oracle and the improved route both return (value, est_error)
         if method == "oracle":
             from .oracle import log_barnes_oracle  # here, not at the top: it loads numpy
-        value, err = log_barnes_oracle(z) if method == "oracle" else exp_improved_report(z, k_max)
-        err_kind, n_used = "est_error", 1 if method == "oracle" else k_max
+        value, err = log_barnes_oracle(z) if method == "oracle" else exp_improved_report(z)
+        err_kind, n_used = "est_error", 1 if method == "oracle" else K_MAX
     row = dict(z_re=z.real, z_im=z.imag, method=method, value_re=value.real,
                value_im=value.imag, err=err, err_kind=err_kind, n_used=n_used)
     if method == "asym":
@@ -190,8 +188,6 @@ def _parser() -> argparse.ArgumentParser:
     ev.add_argument("--method", choices=["asym", "oracle", "hyper"], required=True)
     ev.add_argument("--n", dest="n_trunc", type=int,
                     help="truncation index (asym); an explicit N evaluates at z unshifted")
-    ev.add_argument("--k-max", type=int,
-                    help=f"terminant sum cutoff (hyper; default {K_MAX})")
     bd = command("bounds", cmd_bounds)
     bd.add_argument("--z-abs", dest="radii", type=_grid, required=True,
                     help="comma-separated |z| grid, e.g. 2,5,10")

@@ -26,10 +26,10 @@ The first double sum converges absolutely and its rows are evaluated completely
 (regrouped over n through zeta tails); only the terminant sum is truncated.  A pair
 at N is exactly minus the k-th share of the remainder R_{N+1}(z), the dilog kernel
 with Li2(e^{-2 pi t}) replaced by e^{-2 pi k t}/k^2, so the remainder's closed bound
-factors bound the pairs left out.  Where |arg z| <= pi/2, K is the first k <= k_max
-whose certified k-tail is below 1/1024 of the prefix's round-off, and that bound is
-the reported k-tail; elsewhere (above the shift cap) K = k_max, and the k-tail sums
-the sizes of the switched exponentials left out.
+factors bound the pairs left out.  K is the first k <= K_MAX whose k-tail is below
+1/1024 of the prefix's round-off: where |arg z| <= pi/2 the k-tail is that certified
+bound, elsewhere (above the shift cap) the sum of the sizes of the switched
+exponentials left out.
 
 Branch bookkeeping: with z in the slit plane the terminant arguments
 w = +-2 pi k i z sweep arg w across +-pi, so the function is evaluated on the
@@ -78,16 +78,10 @@ __all__ = [
 #: Largest terminant order: it keeps every j! of S_{p-1}(w) (j <= p - 2) in binary64,
 #: so the terms j!/w^{j+1} stay finite for |w| >= 1.
 MAX_ORDER = 171
-#: Terminant pairs that exp_improved_report sums unless told otherwise.
-K_MAX = 5
-#: Above the shift cap (Re z < -62) exp_improved_report runs at z itself, and its k-tail
-#: sums the pair sizes e^{-2 pi k |Im z|}/(2 pi k^2), k > k_max.  Against mpmath (|z| = 66,
-#: 100; k_max = 1, 2, 3, 5) the error reaches 0.998 of it where e^{-2 pi (k_max + 1) |Im z|}
-#: is near 1e-5, and stays below 0.36 of it where that is below 1e-9, out to twice that
-#: |Im z|.  So the route raises where (k_max + 1) |Im z| < log(1e9) / (2 pi).
-_CAP_K_REACH = math.log(1e9) / TWO_PI
-#: Below the shift cap the pair sum stops once its certified k-tail is below this share
-#: of the round-off allowance of the prefix and E.
+#: Most terminant pairs exp_improved_report sums: below the shift cap it stops at 1 or 2.
+K_MAX = 1024
+#: The pair sum stops once its k-tail is below this share of the round-off allowance of
+#: the prefix and E.
 _TAIL_SHARE = 2.0 ** -10
 _LOG_TWO = math.log(2.0)
 
@@ -307,34 +301,34 @@ def _pair_bound(k: int, n: int, log_abs_z: float, theta: float) -> float:
     return _closed_factor(theta, n)[0] * math.exp(log_term)
 
 
-def _terminant_pairs(w: complex, k_max: int,
-                     roundoff: float) -> tuple[int, int, complex, float, float]:
-    """K <= k_max, the order N = N_{K+1} of every pair k > K, the sum of the first K
-    terminant pairs at N_k = 0, its eval-error, and the k-tail of the pairs k > K at N.
+def _terminant_pairs(w: complex, roundoff: float) -> tuple[int, int, complex, float, float]:
+    """K, the order N = N_{K+1} of every pair k > K, the sum of the first K terminant
+    pairs at N_k = 0, its eval-error, and the k-tail of the pairs k > K at N.
 
     The k-th pair is (h(w_k) + h(-w_k))/(4 pi^2 k^2), h = _e1_scaled_continued at
-    w_k = 2 pi k i w on the branches arg w +- pi/2.  Where |arg w| <= pi/2, K is the
-    first k whose certified k-tail is at most _TAIL_SHARE roundoff, and that bound is
-    the k-tail: at index n = N + 1 the _pair_bound b_k is b_{K+1} ((K+1)/k)^{2n+2}, so
-    sum_{k>K} b_k <= b_{K+1} (1 + (K+1)/(2n+1)) by the integral test.  Elsewhere (above
-    the shift cap) K = k_max, and the k-tail is the geometric sum of the switched
-    exponentials' sizes d^k/(2 pi k^2), d = e^{-2 pi |Im w|}: d^{K+1}/(2 pi (K+1)^2 (1-d)).
+    w_k = 2 pi k i w on the branches arg w +- pi/2.  K is the first k <= K_MAX whose
+    k-tail is at most _TAIL_SHARE roundoff, and AccuracyError is raised where there is
+    none.  Where |arg w| <= pi/2 the k-tail is certified: at index n = N + 1 the
+    _pair_bound b_k is b_{K+1} ((K+1)/k)^{2n+2}, so sum_{k>K} b_k <= b_{K+1} (1 +
+    (K+1)/(2n+1)) by the integral test.  Elsewhere (above the shift cap) it is the
+    geometric sum of the switched exponentials' sizes d^k/(2 pi k^2), d = e^{-2 pi |Im w|}:
+    d^{K+1}/(2 pi (K+1)^2 (1-d)).
     """
     theta = math.atan2(w.imag, w.real)
     thresholds = _order_thresholds(abs(w))
-    if abs(theta) <= 0.5 * math.pi:
-        log_abs_w = math.log(abs(w))
-        for last in range(1, k_max + 1):
-            order = bisect.bisect_right(thresholds, last + 1)
+    log_abs_w, y = math.log(abs(w)), TWO_PI * abs(w.imag)
+    for last in range(1, K_MAX + 1):
+        order = bisect.bisect_right(thresholds, last + 1)
+        if abs(theta) <= 0.5 * math.pi:
             tail = (_pair_bound(last + 1, order + 1, log_abs_w, theta)
                     * (1.0 + (last + 1) / (2 * order + 3)))
-            if tail <= _TAIL_SHARE * roundoff:
-                break
+        else:
+            tail = math.exp(-(last + 1) * y) / (TWO_PI * (last + 1) ** 2 * -math.expm1(-y))
+        if tail <= _TAIL_SHARE * roundoff:
+            break
     else:
-        last = k_max
-        order = bisect.bisect_right(thresholds, last + 1)
-        y = TWO_PI * abs(w.imag)
-        tail = math.exp(-(last + 1) * y) / (TWO_PI * (last + 1) ** 2 * -math.expm1(-y))
+        raise AccuracyError(f"the terminant k-tail at w = {w} stays above its target "
+                            f"for every K <= {K_MAX}")
     total, eval_err = 0.0 + 0.0j, 0.0
     for k in range(1, last + 1):
         w_k = TWO_PI * k * 1j * w
@@ -346,36 +340,30 @@ def _terminant_pairs(w: complex, k_max: int,
     return last, order, total, eval_err, tail
 
 
-def exp_improved_report(z: complex, k_max: int = K_MAX) -> tuple[complex, float]:
+def exp_improved_report(z: complex) -> tuple[complex, float]:
     """Improved evaluation plus an error estimate.
 
     Where Re z < 2 (and m <= 64) the expansion runs at w = z + m with Re w >= 2,
     and the value is prefix(z) + E(z, m) less the algebraic sum and the pairs
-    at w (expansion._shift_bracket).  k_max >= 1 is the most terminant pairs
-    summed, and their number K is chosen first: below the shift cap it is the
-    first K whose certified bound on the pairs k > K is at most 2^-10 of the
-    round-off allowance of the prefix and E (at |w| >= 2, K is 1 or 2), and that
-    bound is the k-tail.  Above the cap (Re z < -62, where the route runs at z)
-    K = k_max and the k-tail is the sum of the sizes of the switched exponentials
-    k > K.  The pairs k <= K are summed at N_k = 0 (_terminant_pairs); the
-    algebraic sum takes the rows k > K, whose inner series are all truncated at
-    the order N = round(pi (K+1) |w|), capped at 31 (_order_thresholds), of the
-    pairs left out.  The estimate is the k-tail, the pairs' own evaluation
-    error, and _roundoff of the prefix's terms at z, E's parts where shifted,
-    the algebraic sum, the pairs and the value.  AccuracyError
-    above the shift cap where |Im z| < (log 1e9)/(2 pi (k_max + 1)): there the
-    k-tail, the pairs' sizes rather than a bound, keeps no margin (_CAP_K_REACH).
+    at w (expansion._shift_bracket).  The number K of terminant pairs summed is
+    chosen first, as the first K <= K_MAX whose k-tail, the pairs k > K, is at
+    most 2^-10 of the round-off allowance of the prefix and E.  Below the shift
+    cap that k-tail is a certified bound (at |w| >= 2, K is 1 or 2); above it
+    (Re z < -62, where the route runs at z) it is the sum of the sizes of the
+    switched exponentials k > K.  The pairs k <= K are summed at N_k = 0
+    (_terminant_pairs); the algebraic sum takes the rows k > K, whose inner
+    series are all truncated at the order N = round(pi (K+1) |w|), capped at 31
+    (_order_thresholds), of the pairs left out.  The estimate is the k-tail, the
+    pairs' own evaluation error, and _roundoff of the prefix's terms at z, E's
+    parts where shifted, the algebraic sum, the pairs and the value.
+    AccuracyError where no K <= K_MAX meets the target: above the shift cap,
+    where |Im z| is below about 2e-3 to 3e-3.
     """
-    k_max = _check_order(k_max, 1)
     z = _check_sector(z)
     m = _shift_count(z, 2.0)
     w = z + m if m else z  # z + 0 would turn an imaginary part -0.0 into 0.0
     total, terms = _shifted_prefix(z, m)  # RangeError first where the prefix overflows
-    if not m and z.real < 2.0 and k_max + 1 < _CAP_K_REACH / abs(z.imag):  # Im z != 0 here
-        raise AccuracyError(
-            f"the terminant k-tail cannot be bounded at z = {z}: above the shift cap, "
-            f"{k_max} pairs leave a first omitted pair above 1e-9")
-    last, order, pairs, eval_err, tail = _terminant_pairs(w, k_max, _roundoff(*terms))
+    last, order, pairs, eval_err, tail = _terminant_pairs(w, _roundoff(*terms))
     alg = _algebraic_sum(1.0 / (w * w), order, last + 1)
     total -= alg
     total -= pairs

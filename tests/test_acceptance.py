@@ -149,7 +149,7 @@ def test_criterion_06_exact_expansion_identity():
         assert abs(value - oracle.value) <= 1e-9 + oracle.est_error, (
             f"z={z}: {abs(value - oracle.value):.3e}"
         )
-    a = exp_improved_report(2.5, k_max=20)[0]
+    a = exp_improved_report(2.5)[0]
     b = improved_uniform(2.5, 3, k_max=20)
     assert abs(a - b) <= 1e-9, f"scheme dependence {abs(a - b):.3e}"
     report("criterion 6 (expansion identity)", f"scheme gap {abs(a - b):.2e}")
@@ -161,7 +161,7 @@ def test_criterion_07_exponential_improvement_on_stokes_line():
     z = 2.5j
     oracle = log_barnes_oracle(z)
     hyper_err = abs(
-        exp_improved_report(z, 5)[0] - oracle.value
+        exp_improved_report(z)[0] - oracle.value
     )
     plain_err = min(
         abs(truncated_log_barnes(z, n) - oracle.value) for n in range(1, 21)

@@ -9,6 +9,7 @@ import pytest
 import barnesg
 from barnesg import BoundKind, best_bound, family_bounds
 from barnesg.oracle import _wide_integral
+from barnesg.terminant import K_MAX
 from _cli import invoke
 from _reference import (log_g_error, remainder_error, remainder_reference,
                         terminant_quadrature)
@@ -41,7 +42,7 @@ class TestEval:
     def test_hyper_matches_oracle(self):
         args = ["eval", "--z-abs", "2.5", "--z-arg", "1.5707963", "--method"]
         hyper = csv_rows(
-            invoke(args + ["hyper", "--k-max", "3"]).output
+            invoke(args + ["hyper"]).output
         )[0]
         oracle = csv_rows(invoke(args + ["oracle"]).output)[0]
         dv = complex(
@@ -77,24 +78,25 @@ class TestEval:
         value = complex(float(row["value_re"]), float(row["value_im"]))
         assert abs(value) < 1e-12 and log_g_error(value, float(z_re)) <= float(row["err"])
 
-    @pytest.mark.parametrize("k_max", ["0", "-1"])
-    def test_nonpositive_k_max_exits_2(self, k_max):
-        res = invoke(["eval", "--z-re", "2.5", "--method", "hyper",
-                                   "--k-max", k_max])
-        assert res.exit_code == 2
-
-    @pytest.mark.parametrize("method,option", [("oracle", "--n"), ("hyper", "--n"),
-                                               ("oracle", "--k-max"), ("asym", "--k-max")])
-    def test_option_the_route_ignores_exits_2(self, method, option):
-        # --n belongs to asym and --k-max to hyper; elsewhere they would be dropped silently
-        res = invoke(["eval", "--z-re", "2", "--z-im", "1", "--method", method, option, "3"])
+    @pytest.mark.parametrize("method", ["asym", "oracle", "hyper"])
+    def test_k_max_is_no_option(self, method):
+        # the improved route picks its pair count from its error target
+        res = invoke(["eval", "--z-re", "2.5", "--method", method, "--k-max", "3"])
         assert res.exit_code == 2 and res.output == ""
-        assert option in res.stderr
+        assert "unrecognized arguments: --k-max" in res.stderr
 
-    def test_default_k_max(self):
+    @pytest.mark.parametrize("method", ["oracle", "hyper"])
+    def test_option_the_route_ignores_exits_2(self, method):
+        # --n belongs to asym; elsewhere it would be dropped silently
+        res = invoke(["eval", "--z-re", "2", "--z-im", "1", "--method", method, "--n", "3"])
+        assert res.exit_code == 2 and res.output == ""
+        assert "--n" in res.stderr
+
+    def test_hyper_n_used_is_the_most_pairs(self):
+        # the route's own truncation setting, as the oracle prints its N = 1
         res = invoke(["eval", "--z-re", "2.5", "--method", "hyper"])
         assert res.exit_code == 0
-        assert csv_rows(res.output)[0]["n_used"] == "5"
+        assert csv_rows(res.output)[0]["n_used"] == str(K_MAX)
 
     def test_oracle_n_used_is_one(self):
         # log_barnes_oracle is the prefix plus the quadrature of R_1

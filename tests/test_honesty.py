@@ -10,11 +10,13 @@ shifts across the negative axis, against a form with no principal logarithm
 of G.  A route's rows belong here once its report is a bound; there is no
 tolerance.  remainder_wide's rows for N = 1..4 compare R_N(z) with mpmath's
 log G minus the truncated expansion; near the cut above the oracle's shift
-cap (Re z < -63) the oracle raises AccuracyError instead, and so does the
-improved route above its own cap (Re z < -62) within about 0.55 of the cut.
+cap (Re z < -63) the oracle raises AccuracyError instead.  Above its own cap
+(Re z < -62) the improved route runs at z, and it raises only where no K <= 1024
+pairs meet its k-tail target, within about 2e-3 to 3e-3 of the cut.
 """
 
 import cmath
+import importlib
 import math
 
 import mpmath as mp
@@ -22,8 +24,11 @@ import pytest
 
 from barnesg import (AccuracyError, certified_eval, exp_improved_report, log_barnes_oracle,
                      remainder_narrow, remainder_wide)
-from barnesg.expansion import _certified_shift
+from barnesg.expansion import _certified_shift, _roundoff, _shifted_prefix
 from _reference import log_g_error, remainder_error
+
+# the package's `terminant` is the function; the module is reached by name
+terminant_module = importlib.import_module("barnesg.terminant")
 
 PI = math.pi
 
@@ -89,61 +94,90 @@ def test_oracle_above_the_shift_cap_near_the_cut_raises(route):
         route(ABOVE_THE_CAP)
 
 
-#: Re z < -62 within 1e-3 of the cut: the improved route runs at z, above its shift cap,
-#: where its k-tail guess once under-reported (error/estimate 1.1 to 1.9 against mpmath).
-_IMPROVED_CAP_UPPER = [r * cmath.exp(1j * (PI - d))
-                       for r, d in ((70, 1e-3), (66, 1e-3), (100, 1e-3), (200, 1e-3), (70, 1e-4))]
-#: Farther from the cut, or with more pairs, the first omitted pair is below 1e-9.
-_IMPROVED_CAP_KEPT = [(70 * cmath.exp(1j * (PI - 0.01)), 5), (70 * cmath.exp(1j * (PI - 0.05)), 5),
-                      (complex(-70, 0.3), 20)]
+#: Re z < -62: the improved route runs at z, above its shift cap, and its k-tail sums the
+#: sizes of the switched exponentials left out.  The first five rows, arg z within 1e-3
+#: of the cut (|Im z| 0.007 to 0.2), once under-reported (error/estimate 1.1 to 1.9
+#: against mpmath) and then raised under a fixed pair count; the route now picks K from
+#: its target (16 to 443 there).  Then a grid of Re z and |Im z| from 0.005 to 3 (K up
+#: to 618).
+_IMPROVED_CAP_UPPER = [r * cmath.exp(1j * (PI - d)) for r, d in (
+    (70, 1e-3), (66, 1e-3), (100, 1e-3), (200, 1e-3), (70, 1e-4), (70, 0.01), (70, 0.05))] + [
+    complex(-70, 0.3)] + [complex(re, im) for re in (-62.5, -70.0, -300.0, -1000.0)
+                          for im in (3.0, 1.0, 0.55, 0.3, 0.1, 0.03, 0.005)]
 
 
 @pytest.mark.parametrize("z", _IMPROVED_CAP_UPPER + [z.conjugate() for z in _IMPROVED_CAP_UPPER],
+                         ids=repr)
+def test_improved_above_the_shift_cap_covers_the_error(z):
+    value, est = exp_improved_report(z)
+    assert log_g_error(value, z) <= est
+
+
+#: Closer to the cut no K <= K_MAX = 1024 meets the k-tail's target.
+_IMPROVED_CAP_RAISES = [complex(re, im) for re in (-62.5, -70.0, -200.0, -1000.0)
+                        for im in (1e-3, 1e-8)]
+
+
+@pytest.mark.parametrize("z", _IMPROVED_CAP_RAISES + [z.conjugate() for z in _IMPROVED_CAP_RAISES],
                          ids=repr)
 def test_improved_above_the_shift_cap_near_the_cut_raises(z):
     with pytest.raises(AccuracyError):
         exp_improved_report(z)
 
 
-@pytest.mark.parametrize("z,k_max", _IMPROVED_CAP_KEPT + [(z.conjugate(), k)
-                                                         for z, k in _IMPROVED_CAP_KEPT],
-                         ids=repr)
-def test_improved_above_the_shift_cap_off_the_cut_covers_the_error(z, k_max):
-    value, est = exp_improved_report(z, k_max)
-    assert log_g_error(value, z) <= est
+def _reach_edge(re, reach):
+    """The |Im z| at Re z = re, above the shift cap, where the k-tail after `reach` pairs,
+    d^{K+1}/(2 pi (K+1)^2 (1 - d)) with d = e^{-2 pi |Im z|}, meets its target: _TAIL_SHARE
+    of the round-off allowance of the prefix."""
+    lo, hi = 1e-3, 10.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        y = 2 * PI * mid
+        tail = math.exp(-(reach + 1) * y) / (2 * PI * (reach + 1) ** 2 * -math.expm1(-y))
+        lo, hi = (lo, mid) if tail <= terminant_module._TAIL_SHARE * _roundoff(
+            *_shifted_prefix(complex(re, mid), 0)[1]) else (mid, hi)
+    return hi
 
 
-@pytest.mark.parametrize("k_max", [1, 2, 3])
 @pytest.mark.parametrize("re", [-66.0, -100.0])
-def test_improved_above_the_shift_cap_at_the_boundary(re, k_max):
-    # (k_max + 1) |Im z| = log(1e9)/(2 pi) to a part in 1e4 either side: the route raises
-    # below it, and above it, where error/estimate is largest, its k-tail covers the error
-    edge = math.log(1e9) / (2 * PI * (k_max + 1))
+def test_improved_above_the_shift_cap_at_the_reach(monkeypatch, re):
+    # |Im z| a part in 1e3 either side of where the k-tail after 8 pairs meets its target.
+    # With K_MAX = 8 the route raises below it and serves above it with all 8 pairs (7 are
+    # too few there), where the k-tail is the largest share of the estimate; the full reach
+    # serves both points, and each is within its estimate
+    edge = _reach_edge(re, 8)
     for sign in (1.0, -1.0):
-        with pytest.raises(AccuracyError):
-            exp_improved_report(complex(re, sign * 0.9999 * edge), k_max)
-        z = complex(re, sign * 1.0001 * edge)
-        value, est = exp_improved_report(z, k_max)
-        assert log_g_error(value, z) <= est
+        below, above = complex(re, sign * 0.999 * edge), complex(re, sign * 1.001 * edge)
+        full = exp_improved_report(below), exp_improved_report(above)
+        with monkeypatch.context() as patch:
+            patch.setattr(terminant_module, "K_MAX", 8)
+            with pytest.raises(AccuracyError):
+                exp_improved_report(below)
+            assert exp_improved_report(above) == full[1]
+            patch.setattr(terminant_module, "K_MAX", 7)
+            with pytest.raises(AccuracyError):
+                exp_improved_report(above)
+        for z, (value, est) in zip((below, above), full):
+            assert log_g_error(value, z) <= est
 
 
-#: exp_improved_report's outcomes at _IMPROVED_CAP_KEPT and its conjugates.  Above the cap
-#: the route sums all k_max pairs and takes the k-tail as the geometric sum of the switched
-#: exponentials' sizes; these reprs pin that.
+#: exp_improved_report's outcomes at three rows above the cap (K = 5, 1 and 12) and, with
+#: the imaginary part's sign flipped, at their conjugates; these reprs pin the pair count
+#: and the k-tail there.
 _IMPROVED_CAP_REPRS = {
-    (70 * cmath.exp(1j * (PI - 0.01)), 5): ("(6820.196174355437{}7536.5740204456715j)",
-                                             "8.175530069080983e-11"),
-    (70 * cmath.exp(1j * (PI - 0.05)), 5): ("(7391.585985126268{}6867.259259782473j)",
-                                             "8.126211557164529e-11"),
-    (complex(-70, 0.3), 20): ("(6723.222772784199{}7628.631087918658j)", "8.178667742167624e-11"),
+    70 * cmath.exp(1j * (PI - 0.01)): ("(6820.196174355437{}7536.5740204456715j)",
+                                       "8.175530069080983e-11"),
+    70 * cmath.exp(1j * (PI - 0.05)): ("(7391.585985126268{}6867.259259782473j)",
+                                       "8.126211343632756e-11"),
+    complex(-70, 0.3): ("(6723.222772784199{}7628.6310879186585j)", "8.18119888986131e-11"),
 }
 
 
-@pytest.mark.parametrize("z,k_max", list(_IMPROVED_CAP_REPRS), ids=repr)
-def test_improved_above_the_shift_cap_is_unchanged(z, k_max):
-    value, est = _IMPROVED_CAP_REPRS[z, k_max]
+@pytest.mark.parametrize("z", list(_IMPROVED_CAP_REPRS), ids=repr)
+def test_improved_above_the_shift_cap_is_unchanged(z):
+    value, est = _IMPROVED_CAP_REPRS[z]
     for point, sign in ((z, "+"), (z.conjugate(), "-")):
-        assert repr(exp_improved_report(point, k_max)) == f"({value.format(sign)}, {est})"
+        assert repr(exp_improved_report(point)) == f"({value.format(sign)}, {est})"
 
 
 #: Rows the certified route shifts by 14 to 52 steps, past the negative axis's

@@ -204,6 +204,32 @@ def test_demo_runs(demo):
     assert proc.stdout.strip()
 
 
+_FAILING_PROPERTY = '''
+from hypothesis import given, settings, strategies as st
+
+@settings(database=None)
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+def test_passes():
+    pass
+'''
+
+
+def test_a_failing_property_test_ends_no_session(tmp_path):
+    """Under the repo's pytest config a failing hypothesis test is one failure: the
+    session goes on to the next test and exits 1, not 3 with an INTERNALERROR."""
+    (tmp_path / "test_child.py").write_text(_FAILING_PROPERTY)
+    config = Path(__file__).parents[1] / "pyproject.toml"
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "-c", str(config), "--rootdir", str(tmp_path), "test_child.py"],
+                          capture_output=True, text=True, timeout=120, cwd=tmp_path,
+                          env=_child_env())
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout
+
+
 def test_readme_quick_start_runs():
     """The README's "Library quick start" block runs against the current API."""
     text = README.read_text(encoding="utf-8")

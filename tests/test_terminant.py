@@ -3,6 +3,7 @@
 import bisect
 import cmath
 import importlib
+import itertools
 import math
 import random
 
@@ -22,7 +23,7 @@ from barnesg import (
     truncated_log_barnes,
 )
 from barnesg import special
-from barnesg.terminant import (K_MAX, _ALGEBRAIC_COEFFS, _order_thresholds, _pair_bound,
+from barnesg.terminant import (_ALGEBRAIC_COEFFS, _order_thresholds, _pair_bound,
                                _scaled_recurrence, _zeta_tail)
 from _reference import (ein_one_loop, improved_route_orders, improved_uniform, log_g_error,
                         terminant_pair, terminant_quadrature)
@@ -248,10 +249,12 @@ class TestArcForm:
 
 
 class TestTruncationOrders:
-    def test_k_max_validation(self):
-        for k_max in (0, -1):
-            with pytest.raises(DomainError):
-                exp_improved_report(2.0, k_max)
+    def test_pair_count_is_no_option(self):
+        # the route picks K itself from its error target
+        with pytest.raises(TypeError):
+            exp_improved_report(2.0, 3)
+        with pytest.raises(TypeError):
+            exp_improved_report(2.0, k_max=3)
 
     def test_orders(self):
         # N_k is the number of the order rule's thresholds <= k
@@ -319,18 +322,18 @@ class TestImprovedExpansion:
         assert abs(value - oracle.value) <= 1e-9 + oracle.est_error
 
     def test_scheme_independence(self):
-        a = exp_improved_report(2.5, k_max=20)[0]
+        a = exp_improved_report(2.5)[0]
         b = improved_uniform(2.5, 3, k_max=20)
         assert abs(a - b) < 1e-9
 
     def test_real_axis_correction_real(self):
-        value = exp_improved_report(2.5, 3)[0]
+        value = exp_improved_report(2.5)[0]
         assert abs(value.imag) < 1e-14
 
     def test_exponential_improvement_on_stokes_line(self):
         z = 2.5j
         oracle = log_barnes_oracle(z)
-        hyper = exp_improved_report(z, 3)[0]
+        hyper = exp_improved_report(z)[0]
         plain_best = min(
             abs(truncated_log_barnes(z, n) - oracle.value) for n in range(1, 21)
         )
@@ -339,7 +342,7 @@ class TestImprovedExpansion:
     def test_report_estimate_covers_error(self):
         z = 2.0 * cmath.exp(0.45j * PI)
         oracle = log_barnes_oracle(z)
-        value, est = exp_improved_report(z, 4)
+        value, est = exp_improved_report(z)
         assert abs(value - oracle.value) <= est + oracle.est_error + 1e-12
 
     @pytest.mark.parametrize("a", [0.3, 0.5])
@@ -413,16 +416,16 @@ class TestCertifiedKTail:
                 math.e * (2 * n + 2.5))
 
     @staticmethod
-    def _route(monkeypatch, z, k_max=K_MAX):
-        """exp_improved_report(z, k_max): its value and estimate, its point w, the order
-        N of the pairs it leaves out, the number K of pairs it sums (two E1 calls each)
-        and its k-tail."""
+    def _route(monkeypatch, z):
+        """exp_improved_report(z): its value and estimate, its point w, the order N of
+        the pairs it leaves out, the number K of pairs it sums (two E1 calls each) and
+        its k-tail."""
         seen, e1_args = {}, []
         pairs, e1 = terminant_module._terminant_pairs, terminant_module._e1_scaled_continued
 
-        def spy_pairs(w, k_max, roundoff):
-            out = pairs(w, k_max, roundoff)
-            seen.update(w=w, order=out[1], tail=out[4])
+        def spy_pairs(w, roundoff):
+            out = pairs(w, roundoff)
+            seen.update(w=w, last=out[0], order=out[1], tail=out[4])
             return out
 
         def spy_e1(w, arg_w):
@@ -431,9 +434,9 @@ class TestCertifiedKTail:
 
         monkeypatch.setattr(terminant_module, "_terminant_pairs", spy_pairs)
         monkeypatch.setattr(terminant_module, "_e1_scaled_continued", spy_e1)
-        value, est = exp_improved_report(z, k_max)
-        assert len(e1_args) % 2 == 0
-        return value, est, seen["w"], seen["order"], len(e1_args) // 2, seen["tail"]
+        value, est = exp_improved_report(z)
+        assert len(e1_args) == 2 * seen["last"]
+        return value, est, seen["w"], seen["order"], seen["last"], seen["tail"]
 
     @pytest.mark.parametrize("z", [3.0, 2 + 4j, 2.5 + 30j, 0.5 - 1j], ids=repr)
     def test_tail_covers_the_pairs_left_out(self, monkeypatch, z):
@@ -445,9 +448,10 @@ class TestCertifiedKTail:
 
     @pytest.mark.parametrize("j", [2, 3])
     def test_rows_and_k_tail_share_one_order_at_the_ties(self, monkeypatch, j):
-        # at w = |w| >= 2 with pi j |w| = n + 1/2 to an ulp, k_max = j - 1: the rows k > K
-        # run to N = N_{K+1}, counted on the order rule's thresholds, and the k-tail bounds
-        # the pairs k > K at that N; at K + 1 = j the tie rounds up, N = min(n + 1, 31)
+        # at w = |w| >= 2 with pi j |w| = n + 1/2 to an ulp, with the route's own K and
+        # with K = 1 (a target every k-tail meets): the rows k > K run to N = N_{K+1},
+        # counted on the order rule's thresholds, and the k-tail bounds the pairs k > K
+        # at that N; at K + 1 = j the tie rounds up, N = min(n + 1, 31)
         rows, bounds, e1_args = [], [], []
         alg, bound = terminant_module._algebraic_sum, terminant_module._pair_bound
         e1 = terminant_module._e1_scaled_continued
@@ -470,10 +474,14 @@ class TestCertifiedKTail:
         at_j = 0
         for n in range(math.ceil(2 * PI * j - 0.5), 40):
             tie = (n + 0.5) / (PI * j)
-            for abs_w in (tie, math.nextafter(tie, 0.0), math.nextafter(tie, math.inf)):
+            for abs_w, share in itertools.product(
+                    (tie, math.nextafter(tie, 0.0), math.nextafter(tie, math.inf)),
+                    (terminant_module._TAIL_SHARE, math.inf)):
                 for log in (rows, bounds, e1_args):
                     log.clear()
-                exp_improved_report(abs_w, j - 1)
+                with monkeypatch.context() as patch:
+                    patch.setattr(terminant_module, "_TAIL_SHARE", share)
+                    exp_improved_report(abs_w)
                 (n_rows, k_first), = rows
                 assert k_first == len(e1_args) // 2 + 1, abs_w
                 assert n_rows == bisect.bisect_right(_order_thresholds(abs_w), k_first), abs_w
@@ -489,30 +497,30 @@ class TestCertifiedKTail:
 
     #: Order ties at Re w >= 2 past the K pairs summed (pi k |w| + 1/2 in Z to an ulp at
     #: k = 3, 3 and 2; K = 2, 1, 1), the shifted ties of
-    #: test_estimate_covers_the_error_at_an_order_tie, other shifted points, and the rows
-    #: above the shift cap that test_honesty pins, each in both half-planes.
-    _RETIRED_ROWS = [(z, k_max) for z0, k_max in [
-        (6.5 / PI, 5), (10.5 / PI * cmath.exp(0.2j * PI), 5),
-        (21.5 / (2 * PI) * cmath.exp(0.2j * PI), 5),
-        (0.47746482927568595 * cmath.exp(0.3j * PI), 5), (1.1140846016432673j, 5),
-        (0.5 + 1j, 5), (1.5 * cmath.exp(0.9j * PI), 5), (0.1j, 5), (2.5 + 30j, 5),
-        (70 * cmath.exp(1j * (PI - 0.01)), 5), (70 * cmath.exp(1j * (PI - 0.05)), 5),
-        (complex(-70, 0.3), 20)] for z in (z0, complex(z0).conjugate())]
+    #: test_estimate_covers_the_error_at_an_order_tie, other shifted points, and rows
+    #: above the shift cap that test_honesty pins (K = 5, 1 and 12), each in both
+    #: half-planes.
+    _RETIRED_ROWS = [z for z0 in [
+        6.5 / PI, 10.5 / PI * cmath.exp(0.2j * PI), 21.5 / (2 * PI) * cmath.exp(0.2j * PI),
+        0.47746482927568595 * cmath.exp(0.3j * PI), 1.1140846016432673j, 0.5 + 1j,
+        1.5 * cmath.exp(0.9j * PI), 0.1j, 2.5 + 30j, 70 * cmath.exp(1j * (PI - 0.01)),
+        70 * cmath.exp(1j * (PI - 0.05)), complex(-70, 0.3)]
+        for z in (z0, complex(z0).conjugate())]
 
-    @pytest.mark.parametrize("z,k_max", _RETIRED_ROWS, ids=repr)
-    def test_pairs_at_order_zero_match_the_route_orders(self, monkeypatch, z, k_max):
+    @pytest.mark.parametrize("z", _RETIRED_ROWS, ids=repr)
+    def test_pairs_at_order_zero_match_the_route_orders(self, monkeypatch, z):
         # the same K pairs at N_k = round(pi k |w|), each via _scaled_recurrence, less the
         # complete algebraic sum: the route's value within its estimate
-        value, est, _, _, summed, _ = self._route(monkeypatch, z, k_max)
+        value, est, _, _, summed, _ = self._route(monkeypatch, z)
         assert abs(value - improved_route_orders(z, summed)) <= est
 
-    @pytest.mark.parametrize("z,k_max", _RETIRED_ROWS, ids=repr)
-    def test_route_builds_no_truncated_series(self, monkeypatch, z, k_max):
+    @pytest.mark.parametrize("z", _RETIRED_ROWS, ids=repr)
+    def test_route_builds_no_truncated_series(self, monkeypatch, z):
         def forbidden(*args):
             raise AssertionError("exp_improved_report called _scaled_recurrence")
 
         monkeypatch.setattr(terminant_module, "_scaled_recurrence", forbidden)
-        exp_improved_report(z, k_max)
+        exp_improved_report(z)
 
 
 class TestStokesProfile:

@@ -38,7 +38,7 @@ t^{-p} e^{-t} picked up by the defining contour), crossing -pi downward -1; belo
 the axis the reflection T_p(conj w) = -conj(T_p(w)), integer p, holds.
 
 The improved route reads the closed form directly.  Past the imaginary axis the
-closed form cancels, and the Stokes switch is computed in one place, _arc_profile:
+closed form cancels, and the Stokes switch is computed in one place, arc._arc_profile:
 at fixed |w| it integrates T_p's exact angular derivative from a closed-form seed
 on the imaginary axis, where nothing cancels, as far as the Stokes line, and takes
 the angles past it by the derivative's mirror symmetry about the line, with a bound
@@ -156,7 +156,7 @@ def terminant(p: int, w: complex, arg_w: Optional[float] = None) -> TerminantEva
     arg_w selects the branch (it may exceed +-pi; defaults to the principal
     phase).  The closed form of _scaled_recurrence always runs.  Past the
     imaginary axis (|arg w| > pi/2) with 4 <= |w| <= 2 MAX_ORDER, where the
-    closed form cancels, the arc integral (_arc_profile) runs too, at
+    closed form cancels, the arc integral (arc._arc_profile) runs too, at
     |arg w| - pi and mirrored by -conj below the axis; the form with the smaller
     estimate is returned.  RangeError when the closed form is not finite in
     binary64, or p > MAX_ORDER.  AccuracyError where Re w < -709: e^{-w}
@@ -204,14 +204,15 @@ _ALGEBRAIC_COEFFS = _algebraic_coeffs()
 _ORDER_CAP = len(_ALGEBRAIC_COEFFS)
 
 
-def _order_thresholds(abs_z: float, cap: int = _ORDER_CAP) -> list[int]:
-    """The order rule N_k = round(pi k |z|) capped at cap, as thresholds: entry n
-    is the least k >= 1 with pi k |z| >= n + 1/2 (ties, and k within 1e-12
-    below one, round up), and N_k is the number of entries <= k.  The improved
-    route reads N_{K+1} at cap 31, stokes_profile N_k at cap min(86, ceil(pi k |z|)
-    + 1): every entry past pi k |z| is above k.  No other code encodes the rule."""
+def _order_thresholds(abs_z: float, k: int, cap: int = _ORDER_CAP) -> int:
+    """N_k, the order rule round(pi k |z|) capped at cap, counted on its thresholds: that
+    of n is the least k >= 1 with pi k |z| >= n + 1/2 (ties, and k within 1e-12 below
+    one, round up), and N_k is the number of n < cap whose threshold is <= k.  The
+    improved route counts N_{K+1} at cap 31, stokes_profile N_k at cap 86.  No other
+    code encodes the rule."""
     unit = math.pi * abs_z
-    return [math.ceil((n + 0.5) / unit - 1e-12) or 1 for n in range(cap)]  # or 1: k >= 1
+    return bisect.bisect_right(range(cap), k, key=lambda n: math.ceil((n + 0.5) / unit - 1e-12)
+                               or 1)  # or 1: k >= 1
 
 
 _EM_BASE = tuple(bernoulli_number(2 * j) / math.factorial(2 * j) for j in range(1, 9))
@@ -314,11 +315,10 @@ def _terminant_pairs(w: complex, roundoff: float) -> tuple[int, int, complex, fl
     geometric sum of the switched exponentials' sizes d^k/(2 pi k^2), d = e^{-2 pi |Im w|}:
     d^{K+1}/(2 pi (K+1)^2 (1-d)).
     """
-    theta = math.atan2(w.imag, w.real)
-    thresholds = _order_thresholds(abs(w))
-    log_abs_w, y = math.log(abs(w)), TWO_PI * abs(w.imag)
+    theta, abs_w = math.atan2(w.imag, w.real), abs(w)
+    log_abs_w, y = math.log(abs_w), TWO_PI * abs(w.imag)
     for last in range(1, K_MAX + 1):
-        order = bisect.bisect_right(thresholds, last + 1)
+        order = _order_thresholds(abs_w, last + 1)
         if abs(theta) <= 0.5 * math.pi:
             tail = (_pair_bound(last + 1, order + 1, log_abs_w, theta)
                     * (1.0 + (last + 1) / (2 * order + 3)))
@@ -376,128 +376,21 @@ def exp_improved_report(z: complex) -> tuple[complex, float]:
 # Stokes multiplier profiles
 # ----------------------------------------------------------------------
 
-#: Four-point Gauss-Legendre rule on [-1, 1] in closed form, as (node, weight).
-_GAUSS4 = tuple((s * math.sqrt((3.0 + t * 2.0 * math.sqrt(1.2)) / 7.0),
-                 (18.0 - t * math.sqrt(30.0)) / 36.0) for t in (-1.0, 1.0) for s in (-1.0, 1.0))
-
-
-def _arc_bound(h: float, r: float, p: int, log_a: float) -> float:
-    """Error bound of _GAUSS4 on a panel of half-width h of the arc integrand dT_p/du.
-
-    On the panel's Bernstein ellipse E_rho, |Im u| <= beta = h (rho - 1/rho)/2, where the
-    integrand's log-modulus, convex in Im u, is at most log M = log A + max(r (e^{-beta} - 1)
-    + (p - 1) beta, r (e^{beta} - 1) - (p - 1) beta).  So n = 4 nodes err by at most
-    (64/15) M rho^{-2(n-1)}/(rho^2 - 1) h (Trefethen, SIAM Rev. 50 (2008) 67-87, Thm 4.5,
-    stated for n + 1 nodes).  rho = sqrt(32/r)/h minimises e^{r beta^2/2} rho^{-8}, the
-    bound at p - 1 = r; it is within 11 % of the best rho for r = 9.4 .. 170.  inf where
-    M overflows binary64 (from p - 1 >> r, e.g. T_171 at r = 4).
-    """
-    rho = max(2.0, math.sqrt(32.0 / r) / h)
-    beta = 0.5 * h * (rho - 1.0 / rho)
-    log_m = max(r * math.expm1(-beta) + (p - 1) * beta, r * math.expm1(beta) - (p - 1) * beta)
-    try:
-        return 64.0 / 15.0 * h * math.exp(log_a + log_m) * rho ** -6 / (rho * rho - 1.0)
-    except OverflowError:
-        return math.inf
-
-
-def _arc_nodes(p: int, h: float) -> tuple[complex, ...]:
-    """_arc_sum's constants for panels of half-width h: e^{i h x_j} and
-    log(h w_j) + i (1 - p) h x_j for each node x_j and weight w_j of _GAUSS4."""
-    out: list[complex] = []
-    for x, weight in _GAUSS4:
-        out += (cmath.rect(1.0, h * x), complex(math.log(h * weight), (1 - p) * h * x))
-    return tuple(out)
-
-
-def _arc_sum(p: int, r: float, log_a: float, lo: float, hi: float, panels: int,
-             nodes: Optional[tuple[complex, ...]] = None) -> tuple[complex, float]:
-    """_GAUSS4 on `panels` equal panels of [lo, hi] applied to the arc integrand
-    dT_p/du = exp(log A + r (e^{iu} - 1) + i (1 - p) u): the sum and the sum of moduli.
-
-    One exp per node: at u = mid + h x_j the term is
-    exp(log A - r + i (1 - p) mid + log(h w_j) + i (1 - p) h x_j + r e^{i mid} e^{i h x_j}),
-    with r e^{i mid} once per panel and the rest per panel width (nodes, from _arc_nodes
-    when not given).
-    """
-    h = 0.5 * (hi - lo) / panels
-    e0, d0, e1, d1, e2, d2, e3, d3 = nodes or _arc_nodes(p, h)
-    shift, phase = log_a - r, float(1 - p)
-    exp, rect = cmath.exp, cmath.rect
-    total, mass = 0.0 + 0.0j, 0.0
-    for i in range(panels):
-        mid = lo + (2 * i + 1) * h
-        c = rect(r, mid)
-        base = complex(shift, phase * mid)
-        t0 = exp(base + d0 + c * e0)
-        t1 = exp(base + d1 + c * e1)
-        t2 = exp(base + d2 + c * e2)
-        t3 = exp(base + d3 + c * e3)
-        total += t0 + t1 + t2 + t3
-        mass += abs(t0) + abs(t1) + abs(t2) + abs(t3)
-    return total, mass
-
-
 def _arc_profile(p: int, r: float, us: Sequence[float]) -> list[tuple[complex, float]]:
-    """T_p(W) and a bound on its error at W = r e^{i(pi + u)} for each u of us, in order.
-
-    On the continued branch dT_p/du = F(u) = exp(log A + r (e^{iu} - 1) + i (1 - p) u)
-    exactly, log A = lgamma(p) + (1 - p) log r + r - log 2 pi: a near-Gaussian bump of width
-    r^{-1/2} and mass 1 at u = 0.  From the seed T_p(i r) at u = -pi/2, where |e^{-W}| = 1
-    and nothing cancels, the walk visits only the sorted distinct -|u| (and 0 when some
-    u > 0), adding _arc_sum over panels no wider than min(0.05, 0.3/sqrt r) for each step.
-    log A, r and p are real, so F(-u) = conj F(u), and every u > 0 is the reflection
-    T(u) = T(0) + conj(T(0) - T(-u)) of the walk; a window symmetric about the line costs
-    one walk over its left half.  The bound at u <= 0 is the seed's estimate, plus
-    _arc_bound per panel, plus round-off: each term is good to
-    rel = eps (lgamma(p) + (p - 1)(2 log r + pi) + 8 r + 4) for |u| <= pi/2 (log A;
-    r e^{i mid}, e^{i h x_j} and their product, each good to about eps r per part; the
-    phase (1 - p) u; the rounding of mid times r + p - 1; and the exp), and each addition
-    to one eps of the running sum.  At u > 0 it is the bound at 0 plus the panel bounds,
-    term round-off and additions of the stretch [-u, 0], plus two additions for the
-    reflection.  For |u| <= 0.52 the bound stays below 3.7e-10 up to r = 171.
-    """
-    seed, est = _scaled_recurrence(p, r * 1j, 0.5 * math.pi)
-    total = seed * cmath.exp(-r * 1j)
-    log_a = math.lgamma(p) + (1 - p) * math.log(r) + r - math.log(TWO_PI)
-    rel = EPS * (math.lgamma(p) + (p - 1) * (2.0 * math.log(r) + math.pi) + 8.0 * r + 4.0)
-    width = min(0.05, 0.3 / math.sqrt(r))
-    per_width: dict[float, tuple] = {}  # panel bound and nodes: the linspace gaps take few
-    left = {-abs(u) for u in us}
-    if max(us, default=0.0) > 0.0:
-        left.add(0.0)
-    lo, mass, terms = -0.5 * math.pi, 0.0, 0
-    walk = {}  # -|u| -> (T, its bound, seed estimate plus panel bounds, mass, additions)
-    for hi in sorted(left):
-        panels = math.ceil((hi - lo) / width)
-        h = 0.5 * (hi - lo) / panels
-        if h not in per_width:
-            per_width[h] = (_arc_bound(h, r, p, log_a), _arc_nodes(p, h))
-        bound, nodes = per_width[h]
-        part, part_mass = _arc_sum(p, r, log_a, lo, hi, panels, nodes)
-        total, mass, terms = total + part, mass + part_mass, terms + 4 * panels + 1
-        est += panels * bound
-        walk[hi] = (total, est + rel * mass + terms * EPS * (abs(seed) + mass), est, mass, terms)
-        lo = hi
-    out = []
-    for u in us:
-        value, bound, est_u, mass_u, terms_u = walk[-abs(u)]
-        if u > 0.0:
-            t_0, bound_0, est_0, mass_0, terms_0 = walk[0.0]
-            value = t_0 + (t_0 - value).conjugate()
-            if bound < math.inf:  # an infinite panel bound stays so (inf - inf is nan)
-                bound = (bound_0 + (est_0 - est_u) + rel * (mass_0 - mass_u)
-                         + (terms_0 - terms_u + 2) * EPS * (abs(seed) + mass_0))
-        out.append((value, bound))
-    return out
+    """arc._arc_profile, which the first call imports and binds to this name in its
+    place: the walk compiles on first use, not with `import barnesg`."""
+    global _arc_profile
+    from .arc import _arc_profile
+    return _arc_profile(p, r, us)
 
 
 class StokesSample(NamedTuple):
     """One point of a Stokes-switching profile.
 
     multiplier is the computed coefficient of the switching exponential and
-    est_error a bound on its error on the same scale, at most about 3.7e-10 of
-    |limit| at every |z| within MAX_ORDER's reach (_arc_profile).
+    est_error a bound on its error on the same scale, below 1.8e-10 of |limit| for
+    |theta -+ pi/2| <= 0.52 at every |z| within MAX_ORDER's reach (arc._arc_profile; the
+    largest, 1.74e-10, is at the window's edge at |z| = 22.75, k = 1).
     erf_prediction is the smoothing-law prediction on the same scale.  The
     normalized values divide by the far-side limit -+ 1/(2 pi i k^2), so they
     run from ~0 to ~1 across the transition.  Every field is a Python scalar.
@@ -531,10 +424,10 @@ def stokes_profile(
     in the lower half-plane; each angle is taken as a Python float.  The
     terminant T_p(w) of the dominant switching exponential, w = 2 pi k i z, at
     near-optimal order p = 2 N_k + 1, N_k = round(pi k |z|) (the improved
-    route's rule: the entries <= k of _order_thresholds' list, capped at
-    ceil(pi k |z|) + 1 rather than 31), is integrated along |w| = 2 pi k |z| from
+    route's rule, counted by _order_thresholds at the cap 86 rather than 31),
+    is integrated along |w| = 2 pi k |z| from
     arg w = pi/2 through the angles left of the Stokes line, and the angles
-    right of it are their reflections (_arc_profile); the lower window mirrors
+    right of it are their reflections (arc._arc_profile); the lower window mirrors
     the upper one, T_p(conj w) = -conj T_p(w).  Samples come back in the
     caller's order and depend only on the set of angles.  The prediction is
     1/2 + 1/2 erf((theta -+ pi/2) sqrt(pi k |z|)) on the corresponding side.
@@ -549,15 +442,12 @@ def stokes_profile(
     # nominal window is +-1/2 around the line; allow a little slop so that
     # round two-decimal endpoints like 1.07 stay usable
     upper = all(abs(t - 0.5 * math.pi) <= 0.52 for t in thetas)
-    lower = all(abs(t + 0.5 * math.pi) <= 0.52 for t in thetas)
-    if not (upper or lower):
+    if not (upper or all(abs(t + 0.5 * math.pi) <= 0.52 for t in thetas)):
         raise DomainError(
             "thetas must lie within 1/2 of a Stokes line (pi/2 or -pi/2)"
         )
     reach = (MAX_ORDER + 1) // 2  # p = 2 N_k + 1 <= MAX_ORDER while N_k < reach
-    # every threshold past pi k |z| is above k; min first: pi k |z| may overflow to inf
-    cap = min(reach, math.ceil(min(math.pi * k * abs_z, reach)) + 1)
-    n_k = bisect.bisect_right(_order_thresholds(abs_z, cap), k)
+    n_k = _order_thresholds(abs_z, k, reach)
     if n_k == reach:
         raise RangeError(f"the terminant order at |z| = {abs_z}, k = {k} exceeds {MAX_ORDER}")
     rate = math.sqrt(math.pi * k * abs_z)
@@ -567,7 +457,8 @@ def stokes_profile(
     limit = -sign / scale
     us = [sign * theta - 0.5 * math.pi for theta in thetas]  # arg w = pi + u, upper window
     arc = _arc_profile(2 * n_k + 1, TWO_PI * k * abs_z, us)
+    per, erf, make = TWO_PI * k * k, math.erf, StokesSample._make  # _make: half the calls' cost
     # u sqrt(pi k |z|): the signed distance past the line; 0 - conj, not -conj: no -0 parts
-    return [StokesSample(theta, k, -(t_p if upper else 0.0 - t_p.conjugate()) / scale,
-                         (0.5 + 0.5 * math.erf(u * rate)) * limit, est / (TWO_PI * k * k))
+    return [make((theta, k, -(t_p if upper else 0.0 - t_p.conjugate()) / scale,
+                  (0.5 + 0.5 * erf(u * rate)) * limit, est / per))
             for theta, u, (t_p, est) in zip(thetas, us, arc)]

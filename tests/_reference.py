@@ -39,8 +39,8 @@ Each computes a quantity the library also computes, by another formula:
     from it, the reference for remainder_wide.
 """
 
-import bisect
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -253,14 +253,16 @@ def improved_route_orders(z, pairs):
     z = complex(z)
     m = _shift_count(z, 2.0)
     w = z + m if m else z
-    first_k = _order_thresholds(abs(w))
+    abs_w = abs(w)
+    first_k = [next(k for k in itertools.count(1) if _order_thresholds(abs_w, k) > n)
+               for n in range(len(_ALGEBRAIC_COEFFS))]
     zinv2 = 1.0 / (w * w)
     rows = sum(c * zinv2 ** (n + 1) * _zeta_tail(2 * n + 4, k_first)
                for n, (c, k_first) in enumerate(zip(_ALGEBRAIC_COEFFS, first_k, strict=True)))
     total = _shifted_prefix(z, m)[0] - rows
     theta = cmath.phase(w)
     for k in range(1, pairs + 1):
-        p = 2 * bisect.bisect_right(first_k, k) + 1
+        p = 2 * _order_thresholds(abs_w, k) + 1
         w_up = TWO_PI * k * 1j * w
         s_up, _ = _scaled_recurrence(p, w_up, theta + 0.5 * math.pi)
         s_dn, _ = _scaled_recurrence(p, -w_up, theta - 0.5 * math.pi)

@@ -79,6 +79,15 @@ def test_import_leaves_the_cli_and_the_test_oracles_out():
     assert _run_child(code) == "[] 0 0 0 0 0"
 
 
+
+def test_the_arc_walk_loads_on_first_use():
+    """import barnesg and the improved route leave barnesg.arc uncompiled; a Stokes
+    profile loads it."""
+    code = ("import sys, barnesg as bg; bg.exp_improved_report(3 + 2j); "
+            "before = 'barnesg.arc' in sys.modules; bg.stokes_profile(2.0, 1, [1.5]); "
+            "print(before, 'barnesg.arc' in sys.modules)")
+    assert _run_child(code) == "False True"
+
 def test_certified_and_improved_routes_load_no_numpy():
     """One call of each scalar route and kernel leaves numpy unloaded: only the
     oracle and poly_periodic need it."""

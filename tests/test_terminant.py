@@ -1,6 +1,5 @@
 """Terminant paths, branch bookkeeping, improved expansion, Stokes profiles."""
 
-import bisect
 import cmath
 import importlib
 import itertools
@@ -30,6 +29,7 @@ from _reference import (ein_one_loop, improved_route_orders, improved_uniform, l
 
 # the package's `terminant` is the function; the module is reached by name
 terminant_module = importlib.import_module("barnesg.terminant")
+arc_module = importlib.import_module("barnesg.arc")
 
 PI = math.pi
 REC = TerminantMethod.GAMMA_RECURRENCE
@@ -234,7 +234,7 @@ class TestArcForm:
         # T_171 at |w| = 4: the panel bound's e^{log A + log M} leaves binary64, and the
         # closed form is kept
         log_a = math.lgamma(171) - 170 * math.log(4.0) + 4.0 - math.log(2 * PI)
-        assert terminant_module._arc_bound(0.025, 4.0, 171, log_a) == math.inf
+        assert arc_module._arc_bound(0.025, 4.0, 171, log_a, [0.0]) == [math.inf]
         ev = terminant(171, -4.0 + 0j, arg_w=PI)
         assert ev.method is REC
         ref = _terminant_mp(171, -4.0 + 0j, PI)
@@ -258,8 +258,8 @@ class TestTruncationOrders:
 
     def test_orders(self):
         # N_k is the number of the order rule's thresholds <= k
-        assert bisect.bisect_right(_order_thresholds(2.5), 1) == 8
-        assert bisect.bisect_right(_order_thresholds(4.0), 5) == 31  # capped
+        assert _order_thresholds(2.5, 1) == 8
+        assert _order_thresholds(4.0, 5) == 31  # capped
 
     def test_profile_reads_the_order_rule_at_the_ties(self, monkeypatch):
         # stokes_profile integrates at p = 2 N_k + 1 with N_k counted on the improved route's
@@ -280,9 +280,8 @@ class TestTruncationOrders:
                            tie * (1.0 - 4e-16), tie * (1.0 + 4e-16)]
         raised = 0
         for abs_z in (z for z in points if z >= 1.5):
-            thresholds = _order_thresholds(abs_z, 86)
             for k in (1, 2, 3):
-                n_k = bisect.bisect_right(thresholds, k)
+                n_k = _order_thresholds(abs_z, k, 86)
                 if n_k == 86:
                     with pytest.raises(RangeError):
                         stokes_profile(abs_z, k, [0.5 * PI])
@@ -364,7 +363,7 @@ class TestImprovedExpansion:
         # row A_k of the algebraic sum, so pair_k + A_k = (h(w) + h(-w))/(4 pi^2 k^2),
         # h = e^w E1(w) on the route's branches, to within the pair's eval-error
         theta = cmath.phase(z)
-        n_k = bisect.bisect_right(_order_thresholds(abs(z)), k)
+        n_k = _order_thresholds(abs(z), k)
         w = 2 * PI * k * 1j * z
         s_up, e_up = _scaled_recurrence(2 * n_k + 1, w, theta + 0.5 * PI)
         s_dn, e_dn = _scaled_recurrence(2 * n_k + 1, -w, theta - 0.5 * PI)
@@ -398,12 +397,11 @@ class TestCertifiedKTail:
         # each pair at its own N_k, and each pair k > K + 1 at the route's one order
         # N_{K+1}, K = 1, 2.  pi/4 is where the bound is tightest (within 1e-4 at |w| = 20,
         # k = 6); at +-pi/2 it takes the sector family's cap
-        first_k = _order_thresholds(abs_w)
         for a in (-0.5, 0.25, 0.5):
             w = abs_w * cmath.exp(1j * PI * a)
             for k in range(1, 7):
                 for j in {k, 2, 3} & set(range(1, k + 1)):
-                    n_j = bisect.bisect_right(first_k, j)
+                    n_j = _order_thresholds(abs_w, j)
                     bound = _pair_bound(k, n_j + 1, math.log(abs_w), cmath.phase(w))
                     assert abs(terminant_pair(k, 2 * n_j + 1, w)) <= bound, (a, k, j)
 
@@ -484,7 +482,7 @@ class TestCertifiedKTail:
                     exp_improved_report(abs_w)
                 (n_rows, k_first), = rows
                 assert k_first == len(e1_args) // 2 + 1, abs_w
-                assert n_rows == bisect.bisect_right(_order_thresholds(abs_w), k_first), abs_w
+                assert n_rows == _order_thresholds(abs_w, k_first), abs_w
                 assert bounds[-1] == (k_first, n_rows + 1), abs_w
                 if k_first == j:
                     assert n_rows == min(n + 1, len(_ALGEBRAIC_COEFFS)), abs_w
@@ -577,7 +575,7 @@ class TestStokesProfile:
         # bound covers the error against mpmath, and the normalized multiplier is
         # within 1e-4 of mpmath's (the leading-order switch said 1/2 + ~0i there)
         sample = stokes_profile(abs_z, k, [PI / 2])[0]
-        p = 2 * bisect.bisect_right(_order_thresholds(abs_z, 86), k) + 1
+        p = 2 * _order_thresholds(abs_z, k, 86) + 1
         w = -2 * PI * k * abs_z + 0j  # w = 2 pi k i z with arg w = pi on the upper line
         ref = -_terminant_mp(p, w, PI) / (2j * PI * k * k)
         assert sample.est_error < abs(sample.limit)
@@ -588,7 +586,7 @@ class TestStokesProfile:
     def _within_estimate_of_mpmath(abs_z, k, thetas):
         """Each upper sample and its mirror below are within est_error of mpmath: the lower
         window's w is conj w, and T_p(conj w) = -conj T_p(w).  Returns both profiles."""
-        p = 2 * bisect.bisect_right(_order_thresholds(abs_z, 86), k) + 1
+        p = 2 * _order_thresholds(abs_z, k, 86) + 1
         upper = stokes_profile(abs_z, k, thetas)
         lower = stokes_profile(abs_z, k, [-t for t in thetas])
         for theta, up, low in zip(thetas, upper, lower, strict=True):
@@ -684,7 +682,8 @@ class TestStokesProfile:
         # the round-off bound eps (lgamma(p) + (p - 1) log r + 2 r + p) times the sum of moduli
         log_a = math.lgamma(p) + (1 - p) * math.log(r) + r - math.log(2 * PI)
         panels = math.ceil(2 * PI / min(0.05, 0.3 / math.sqrt(r)))
-        total, mass = terminant_module._arc_sum(p, r, log_a, -PI, PI, panels)
+        run = (-PI, panels, PI / panels, arc_module._GAUSS4)
+        total, mass = arc_module._arc_sum(p, r, log_a, [run])[-1]
         rel = 2.0 ** -53 * (math.lgamma(p) + (p - 1) * math.log(r) + 2 * r + p)
         assert abs(total - 1.0) <= rel * mass
 
@@ -697,6 +696,103 @@ class TestStokesProfile:
             stokes_profile(3.0, 1, [0.1])  # not near a Stokes line
         with pytest.raises(DomainError):
             stokes_profile(3.0, 1, [PI / 2, -PI / 2])  # mixed windows
+
+
+
+def _gauss_legendre_mp(n):
+    """The n-point Gauss-Legendre rule at mpmath's working precision: Newton from the
+    library's nodes."""
+    rule = []
+    for x0, _ in arc_module._gauss_legendre(n):
+        x = mp.mpf(x0)
+        for _ in range(5):
+            p0, p1 = mp.mpf(1), x
+            for j in range(2, n + 1):
+                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+            slope = n * (p0 - x * p1) / (1 - x * x)
+            x -= p1 / slope
+        rule.append((x, 2 / ((1 - x * x) * slope ** 2)))
+    return rule
+
+
+def _rule_error_mp(p, r, lo, panels, h, nodes):
+    """|the nodes-point Gauss-Legendre rule on `panels` panels of half-width h from lo - the
+    integral| of the arc integrand dT_p/du = exp(log A + r (e^{iu} - 1) + i (1 - p) u), both
+    at 30 digits: the rule's own error, with no round-off."""
+    with mp.workdps(30):
+        log_a = mp.loggamma(p) + (1 - p) * mp.log(r) + r - mp.log(2 * mp.pi)
+
+        def f(u):
+            return mp.exp(log_a + r * (mp.expj(u) - 1) + 1j * (1 - p) * u)
+
+        rule = _gauss_legendre_mp(nodes)
+        mids = [mp.mpf(lo) + (2 * i + 1) * mp.mpf(h) for i in range(panels)]
+        total = mp.fsum(w * h * f(mid + h * x) for mid in mids for x, w in rule)
+        return float(abs(total - mp.quad(f, [lo] + [mid + h for mid in mids])))
+
+
+def _odd(x):
+    return 2 * round((x - 1) / 2) + 1
+
+
+_PANEL_CASES = [(r, _odd(r + d)) for r in (2 * PI * 1.5, 50.0, 170.0, 342.0) for d in (-5, 1, 20)]
+
+
+class TestArcWalk:
+    """The walk's panel bounds against the integral, and its samples against each other."""
+
+    @pytest.mark.parametrize("r,p", _PANEL_CASES, ids=repr)
+    def test_panel_bound_covers_the_rule(self, r, p):
+        # single _GAUSS4 panels of dT_p/du: on the seed leg, where the bound takes cos Re u
+        # at the ellipse's point nearest u = 0, in the window, and one whose ellipse
+        # reaches past u = 0, where it takes cos Re u <= 1
+        log_a = math.lgamma(p) + (1 - p) * math.log(r) + r - math.log(2 * PI)
+        for mid, h in ((-1.2, 0.05), (-0.9, 0.15), (-0.3, 0.01), (-0.005, 0.01)):
+            bound, = arc_module._arc_bound(h, r, p, log_a, [mid])
+            assert _rule_error_mp(p, r, mid - h, 1, h, 4) <= bound, (mid, h)
+
+    @pytest.mark.parametrize("r,p", _PANEL_CASES, ids=repr)
+    def test_seed_leg_bound_covers_the_rule(self, r, p):
+        # the seed leg to the edge of the +-0.5 window and to a single angle near the line:
+        # one Gauss-Legendre panel up to r = 170, where p is within 20 of r; at r = 342, p
+        # past the order reach, the four-node panels where no panel of 64 nodes meets the
+        # budget
+        log_a = math.lgamma(p) + (1 - p) * math.log(r) + r - math.log(2 * PI)
+        for end in (-0.5, -0.05):
+            (lo, panels, h, rule), bound = arc_module._seed_leg(
+                r, p, log_a, end, min(0.05, 0.3 / math.sqrt(r)))
+            assert lo == -PI / 2 and bound < math.inf and (panels == 1 or r > 170)
+            assert _rule_error_mp(p, r, lo, panels, h, len(rule)) <= bound, end
+
+    @pytest.mark.parametrize("abs_z,k", [(1.5, 1), (1.5, 2), (2.5, 1), (2.5, 2), (4.0, 1),
+                                         (4.0, 2), (20.0, 1)])  # k = 2 at |z| = 20 is past 171
+    @pytest.mark.parametrize("line", [PI / 2, -PI / 2])
+    def test_sample_alone_agrees_with_its_window(self, abs_z, k, line):
+        # reference-free: one angle walked alone takes another layout than the 51-angle
+        # window (its seed leg ends at the angle, and nothing merges or keeps a width), so
+        # the two samples agree within the sum of their estimates
+        window = [line - 0.5 + i / 50 for i in range(51)]
+        for theta, sample in zip(window, stokes_profile(abs_z, k, window), strict=True):
+            alone, = stokes_profile(abs_z, k, [theta])
+            assert abs(alone.multiplier - sample.multiplier) <= alone.est_error + sample.est_error
+
+    @pytest.mark.parametrize("abs_z,k,panels,ratio", [(1.5, 1, 51, 4.65e-13), (4.0, 2, 55, 1.61e-10),
+                                                      (27.0, 1, 76, 2.69e-10)])
+    def test_pinned_window_work_and_estimate(self, monkeypatch, abs_z, k, panels, ratio):
+        # the +-0.52 window of 51 angles at r = 9.4, 50.3, 169.6: at most the panels the
+        # walk of _GAUSS4 panels no wider than min(0.05, 0.3/sqrt r) took, at most four nodes
+        # per such panel, and a largest est_error/|limit| at most that walk's
+        runs, arc_sum = [], arc_module._arc_sum
+
+        def spy(p, r, log_a, walked):
+            runs.extend(walked)
+            return arc_sum(p, r, log_a, walked)
+
+        monkeypatch.setattr(arc_module, "_arc_sum", spy)
+        samples = stokes_profile(abs_z, k, np.linspace(PI / 2 - 0.52, PI / 2 + 0.52, 51))
+        assert sum(n for _, n, _, _ in runs) <= panels
+        assert sum(n * len(rule) for _, n, _, rule in runs) <= 4 * panels
+        assert max(s.est_error / abs(s.limit) for s in samples) <= ratio
 
 
 def _outcome(fn, *args):

@@ -4,9 +4,11 @@ On the continued branch, dT_p/du = exp(log A + r (e^{iu} - 1) + i (1 - p) u) at
 W = r e^{i(pi + u)}, log A = lgamma(p) + (1 - p) log r + r - log 2 pi.  _arc_profile
 integrates it from a closed-form seed on the imaginary axis, where nothing cancels,
 through the angles asked for, and reflects the angles past the Stokes line; every part
-of its error is bounded.  terminant.stokes_profile takes it alone, terminant.terminant
-past the imaginary axis where it reports the smaller estimate.  terminant._arc_profile
-imports this module on first use, so `import barnesg` does not compile it.  The seed
+of its error is bounded.  Its Gauss-Legendre rules are quadrature.gauss_rule's, and
+_arc_sum sums every panel of any rule in one loop.  terminant.stokes_profile takes it
+alone, terminant.terminant past the imaginary axis where it reports the smaller estimate.
+terminant._arc_profile imports this module on first use, so `import barnesg` does not
+compile it.  The seed
 comes from terminant._scaled_recurrence, looked up on the module at each call, where
 perfbench's tracer patches it.
 """
@@ -15,40 +17,18 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
 from importlib import import_module
 from typing import Optional, Sequence
 
 from .bernoulli import EPS, TWO_PI
+from .quadrature import gauss_rule
 
 # the package binds the name terminant to the function; the module is reached by name
 terminant = import_module(".terminant", __package__)
 
 
-@lru_cache(maxsize=64)
-def _gauss_legendre(n: int) -> tuple[tuple[float, float], ...]:
-    """The n-point Gauss-Legendre rule on [-1, 1] as (node, weight) pairs, nodes ascending:
-    quadrature.gauss_nodes' Newton iteration on the three-term recurrence from Tricomi's
-    approximations to the roots of P_n, weights 2 / ((1 - x^2) P_n'(x)^2), in scalars, so
-    numpy stays unloaded.  From guesses good to 1e-4 the sixth step moves x by far less
-    than an ulp.  Against 40-digit roots, for n <= 80 the nodes are within 0.43 eps and
-    the weights, taken at the rounded nodes, within 0.27 n^2 eps (at n = 21); near +-1 a
-    weight's log-derivative is about n^2, so that is what half an ulp of node costs."""
-    rule = []
-    for k in range(n, 0, -1):
-        x = (1.0 - (n - 1) / (8.0 * n ** 3)) * math.cos(math.pi * (4 * k - 1) / (4 * n + 2))
-        for _ in range(6):
-            p0, p1 = 1.0, x
-            for j in range(2, n + 1):
-                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-            slope = n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
-            x -= p1 / slope
-        rule.append((x, 2.0 / ((1.0 - x) * (1.0 + x) * slope * slope)))
-    return tuple(rule)
-
-
 #: The window's rule: four nodes per panel.
-_GAUSS4 = _gauss_legendre(4)
+_GAUSS4 = gauss_rule(4)
 #: Checkpoints of the walk, and the ends of a run of panels of a width already in use,
 #: this close to where the walk stands are taken as reached: u = theta -+ pi/2 is rounded
 #: at |theta| < 2.1 (an ulp is 4.4e-16), so an angle and its mirror land a few ulps apart.
@@ -91,53 +71,32 @@ def _arc_bound(h: float, r: float, p: int, log_a: float, mids: Sequence[float],
     return out
 
 
-def _arc_nodes(p: int, h: float) -> tuple[complex, ...]:
-    """_arc_sum's constants for _GAUSS4 panels of half-width h: e^{i h x_j} and
-    log(h w_j) + i (1 - p) h x_j for each node x_j and weight w_j."""
-    out: list[complex] = []
-    for x, weight in _GAUSS4:
-        out += (cmath.rect(1.0, h * x), complex(math.log(h * weight), (1 - p) * h * x))
-    return tuple(out)
-
-
 def _arc_sum(p: int, r: float, log_a: float,
              runs: Sequence[tuple]) -> list[tuple[complex, float]]:
     """A Gauss-Legendre rule applied to the arc integrand
     dT_p/du = exp(log A + r (e^{iu} - 1) + i (1 - p) u) on consecutive runs (lo, panels, h,
-    rule) of equal panels of half-width h from lo: the running sum and sum of moduli after
-    each panel.
+    rule) of equal panels of half-width h from lo, rule a gauss_rule: the running sum and
+    sum of moduli after each panel.
 
     One exp per node: at u = mid + h x_j the term is
     exp(log A - r + i (1 - p) mid + log(h w_j) + i (1 - p) h x_j + r e^{i mid} e^{i h x_j}),
-    with r e^{i mid} once per panel and the rest (_arc_nodes) once per run, for _GAUSS4
-    panels, the window's.  Any other rule (the seed leg's one panel) takes each node
-    u = mid + h x_j as it comes, as exp(log A - r + log(h w_j) + i (1 - p) u + r e^{iu}).
+    with r e^{i mid} once per panel and e^{i h x_j}, log(h w_j) + i (1 - p) h x_j once per
+    run.
     """
     shift, phase = log_a - r, float(1 - p)
-    exp, rect, log = cmath.exp, cmath.rect, math.log
+    exp, rect = cmath.exp, cmath.rect
     total, mass, out = 0.0 + 0.0j, 0.0, []
     for lo, panels, h, rule in runs:
-        if rule is not _GAUSS4:
-            for i in range(panels):
-                mid = lo + (2 * i + 1) * h
-                for x, weight in rule:
-                    u = mid + h * x
-                    t = exp(complex(shift + log(h * weight), phase * u) + rect(r, u))
-                    total += t
-                    mass += abs(t)
-                out.append((total, mass))
-            continue
-        e0, d0, e1, d1, e2, d2, e3, d3 = _arc_nodes(p, h)
+        nodes = [(rect(1.0, h * x), complex(math.log(h * weight), phase * h * x))
+                 for x, weight in rule]
         for i in range(panels):
             mid = lo + (2 * i + 1) * h
             c = rect(r, mid)
             base = complex(shift, phase * mid)
-            t0 = exp(base + d0 + c * e0)
-            t1 = exp(base + d1 + c * e1)
-            t2 = exp(base + d2 + c * e2)
-            t3 = exp(base + d3 + c * e3)
-            total += t0 + t1 + t2 + t3
-            mass += abs(t0) + abs(t1) + abs(t2) + abs(t3)
+            for e, d in nodes:
+                t = exp(base + d + c * e)
+                total += t
+                mass += abs(t)
             out.append((total, mass))
     return out
 
@@ -163,7 +122,7 @@ def _seed_leg(r: float, p: int, log_a: float, end: float, width: float) -> tuple
             nodes, bound = need, four * rho ** (8 - 2 * need)
     if nodes > 64:
         return (-0.5 * math.pi, most, half / most, _GAUSS4), peak
-    return (-0.5 * math.pi, 1, half, _gauss_legendre(nodes)), bound
+    return (-0.5 * math.pi, 1, half, gauss_rule(nodes)), bound
 
 
 def _arc_profile(p: int, r: float, us: Sequence[float]) -> list[tuple[complex, float]]:
@@ -187,8 +146,8 @@ def _arc_profile(p: int, r: float, us: Sequence[float]) -> list[tuple[complex, f
     rel = eps (lgamma(p) + (p - 1)(2 log r + pi) + 8 r + 8) for |u| <= pi/2 (log A;
     r e^{i mid}, e^{i h x_j} and their product, each good to about eps r per part; the
     phase (1 - p) u; the rounding of mid times r + p - 1; _GAUSS4's nodes and weights;
-    and the exp), n^2 eps more for the seed panel's n weights, and each addition to one
-    eps of the running sum; plus the miss.  At
+    and the exp), n^2 eps more for the seed panel's n weights (gauss_rule's are good to
+    0.28 n^2 eps), and each addition to one eps of the running sum; plus the miss.  At
     u > 0 it is the bound at 0 plus the panel bounds, term round-off and additions of the
     stretch [-u, 0], two additions for the reflection, and the misses at -u and 0.
     """
@@ -236,7 +195,7 @@ def _arc_profile(p: int, r: float, us: Sequence[float]) -> list[tuple[complex, f
         runs.append((start, count, h, _GAUSS4))
     sums = [(0.0 + 0.0j, 0.0)] + _arc_sum(p, r, log_a, runs)
     # round-off of the sums: rel per term, n^2 eps more on the seed panel's n weights
-    # (_gauss_legendre), and one eps per addition
+    # (gauss_rule), and one eps per addition
     size, peak = abs(seed), math.exp(log_a)
     weights = len(runs[0][3]) ** 2 * EPS * sums[1][1] if stands[0][0] == 1 else 0.0
     walked_0, adds_0, est_0 = stands[-1]

@@ -1,10 +1,13 @@
-"""Panel-based Gauss-Legendre quadrature helpers.
+"""Panel-based Gauss-Legendre quadrature helpers, and the package's one Gauss-Legendre rule.
 
 All oracle integrals in this library are smooth on each panel, so fixed-order
 Gauss-Legendre per panel converges spectrally.  Panels are graded
 geometrically toward an endpoint singularity where needed (integrands with
 t^a log t behaviour near 0).
 
+gauss_rule builds every rule in the package, in scalars, so the module imports no
+numpy: the oracle reads the rule as arrays (gauss_nodes, which imports numpy, as
+the other array helpers do), the Stokes walk (barnesg.arc) as (node, weight) pairs.
 The oracle folds everything but its z-dependent factor into a weight vector
 (panel_weights times a tabulated factor at panel_nodes), so each of its
 integrals is one dot product.  integrate_panels, which calls an integrand
@@ -14,12 +17,16 @@ suite's reference integrals and by the benchmark's tracer.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
+from .errors import RangeError, _check_order
 
-__all__ = ["gauss_nodes", "panel_nodes", "panel_weights", "integrate_panels",
+if TYPE_CHECKING:
+    import numpy as np
+
+__all__ = ["gauss_rule", "gauss_nodes", "panel_nodes", "panel_weights", "integrate_panels",
            "geometric_breakpoints"]
 
 #: Most nodes handed to one integrand call: 64 kB per complex temporary, however
@@ -27,36 +34,48 @@ __all__ = ["gauss_nodes", "panel_nodes", "panel_weights", "integrate_panels",
 _CHUNK_NODES = 4096
 
 
-def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _legendre(n: int, x: float) -> tuple[float, float]:
     """P_n(x) and P_n'(x) for |x| < 1 by the three-term recurrence."""
-    p0, p1 = np.ones_like(x), x
+    p0, p1 = 1.0, x
     for j in range(2, n + 1):
         p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
     return p1, n * (p0 - x * p1) / (1.0 - x * x)
 
 
-@lru_cache(maxsize=8)
-def gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cached Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+@lru_cache(maxsize=64, typed=True)
+def gauss_rule(n: int) -> tuple[tuple[float, float], ...]:
+    """The n-point Gauss-Legendre rule on [-1, 1] as (node, weight) pairs, nodes ascending,
+    for n in [1, 64]; the cache is typed, so 4.0 raises even where 4 is cached.
 
-    Newton's method on the three-term recurrence from Tricomi's approximations
-    to the roots of P_n (Hale and Townsend, SIAM J. Sci. Comput. 35, 2013,
-    A652-A674), weights 2 / ((1 - x^2) P_n'(x)^2), both made symmetric.  Against
-    40-digit roots the weights err by under an eps at orders 32 and 64 (numpy's
-    leggauss: 1.8 and 10 eps).  No eigenvalue solver runs and numpy.polynomial is
-    not imported, which lowers an oracle process's peak RSS by about 0.9 MB.
+    Newton's method on the three-term recurrence from Tricomi's approximations to the
+    roots of P_n (Hale and Townsend, SIAM J. Sci. Comput. 35, 2013, A652-A674), all
+    nodes stepped together until the largest step is below 1e-15, weights
+    2 / ((1 - x^2) P_n'(x)^2), both made symmetric.  Against rules refined at 32 digits,
+    for every n the nodes are within 0.43 eps (at n = 58) and the weights within
+    0.28 n^2 eps relative (at n = 3; 25.4 eps at n = 32, 417 eps at n = 64): near +-1 a
+    weight's log-derivative is about n^2, so that is what half an ulp of node costs.
     """
-    k = np.arange(order, 0, -1)
-    x = (1.0 - (order - 1) / (8.0 * order ** 3)) * np.cos(np.pi * (4 * k - 1) / (4 * order + 2))
+    n = _check_order(n, 1, 64, RangeError)
+    xs = [(1.0 - (n - 1) / (8.0 * n ** 3)) * math.cos(math.pi * (4 * k - 1) / (4 * n + 2))
+          for k in range(n, 0, -1)]
     for _ in range(100):
-        p, dp = _legendre(order, x)
-        dx = p / dp
-        x = x - dx
-        if np.max(np.abs(dx)) < 1e-15:  # quadratic convergence: x is settled
+        steps = [p / dp for p, dp in (_legendre(n, x) for x in xs)]
+        xs = [x - dx for x, dx in zip(xs, steps)]
+        if max(map(abs, steps)) < 1e-15:  # quadratic convergence: x is settled
             break
-    _, dp = _legendre(order, x)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+    dps = [_legendre(n, x)[1] for x in xs]
+    ws = [2.0 / ((1.0 - x * x) * dp * dp) for x, dp in zip(xs, dps)]
+    return tuple((0.5 * (x - y), 0.5 * (w + v))
+                 for x, y, w, v in zip(xs, reversed(xs), ws, reversed(ws)))
+
+
+@lru_cache(maxsize=8, typed=True)
+def gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """gauss_rule(order) as arrays: cached nodes (ascending) and weights on [-1, 1]."""
+    import numpy as np
+
+    x, w = zip(*gauss_rule(order))
+    return np.array(x), np.array(w)
 
 
 def panel_nodes(breakpoints: Sequence[float], order: int = 32) -> np.ndarray:
@@ -65,6 +84,8 @@ def panel_nodes(breakpoints: Sequence[float], order: int = 32) -> np.ndarray:
     These are the nodes integrate_panels hands to its integrand, bit for bit,
     for the panels of one chunk.
     """
+    import numpy as np
+
     x, _ = gauss_nodes(order)
     bp = np.asarray(breakpoints, dtype=float)
     a, b = bp[:-1], bp[1:]
@@ -74,6 +95,8 @@ def panel_nodes(breakpoints: Sequence[float], order: int = 32) -> np.ndarray:
 def panel_weights(breakpoints: Sequence[float], order: int = 32) -> np.ndarray:
     """The Gauss-Legendre weights of consecutive panels times their half-widths, flattened
     in panel order: sum(panel_weights * f(panel_nodes)) integrates f over the panels."""
+    import numpy as np
+
     _, w = gauss_nodes(order)
     bp = np.asarray(breakpoints, dtype=float)
     return (0.5 * (bp[1:] - bp[:-1])[:, None] * w).ravel()
@@ -91,8 +114,11 @@ def integrate_panels(
     elementwise.  The panel sums are added in panel order, which keeps the
     result bit-identical to integrating one panel at a time.  The second value
     feeds round-off estimates: the float error of the panel sums is bounded by
-    a small multiple of eps times it.
+    a small multiple of eps times it, plus the weights' own error (gauss_rule:
+    25.4 eps relative at order 32) times it.
     """
+    import numpy as np
+
     _, w = gauss_nodes(order)
     bp = np.asarray(breakpoints, dtype=float)
     per_chunk = max(1, _CHUNK_NODES // order)

@@ -36,7 +36,10 @@ Each computes a quantity the library also computes, by another formula:
     2 pi i, the reference for every log G route;
   * remainder_reference, remainder_error -- R_N(z) as mpmath's log G minus
     the truncated expansion on the analytic branch, and a value's distance
-    from it, the reference for remainder_wide.
+    from it, the reference for remainder_wide;
+  * gauss_legendre_mp -- the n-point Gauss-Legendre rule at mpmath's working
+    precision, the reference for gauss_rule and the exact rule the arc walk's
+    panel bounds are checked with.
 """
 
 import cmath
@@ -50,7 +53,7 @@ import numpy as np
 from barnesg import bernoulli_number, oracle, truncated_log_barnes
 from barnesg.bernoulli import DEFAULT_TABLE, EPS, TWO_PI
 from barnesg.expansion import _series, _shift_bracket, _shift_count, _shifted_prefix
-from barnesg.quadrature import integrate_panels
+from barnesg.quadrature import gauss_rule, integrate_panels
 from barnesg.special import _dilog_exp
 from barnesg.terminant import (_ALGEBRAIC_COEFFS, _order_thresholds, _scaled_recurrence,
                                _zeta_tail)
@@ -317,3 +320,21 @@ def remainder_reference(z, n_trunc):
 def remainder_error(value, z, n_trunc):
     """|value - R_N(z)| against remainder_reference."""
     return float(abs(mp.mpc(value) - remainder_reference(z, n_trunc)))
+
+
+def gauss_legendre_mp(n):
+    """The n-point Gauss-Legendre rule as (node, weight) mpf pairs at mpmath's working
+    precision: three Newton steps on the three-term recurrence from gauss_rule's nodes,
+    each of which doubles the digits (16 to 128), and weights 2 / ((1 - x^2) P_n'(x)^2)
+    at the roots."""
+    rule = []
+    for x0, _ in gauss_rule(n):
+        x = mp.mpf(x0)
+        for _ in range(3):
+            p0, p1 = mp.mpf(1), x
+            for j in range(2, n + 1):
+                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+            slope = n * (p0 - x * p1) / (1 - x * x)
+            x -= p1 / slope
+        rule.append((x, 2 / ((1 - x * x) * slope ** 2)))
+    return rule

@@ -57,6 +57,7 @@ from barnesg import (
 )
 from barnesg.cli import MAX_THETA_STEPS
 from barnesg.expansion import _roundoff
+from barnesg.quadrature import gauss_nodes
 from _reference import log_g_error, remainder_error
 from _cli import invoke
 
@@ -440,6 +441,7 @@ CALLABLES = {
     "series_coefficient": (series_coefficient, st.tuples(_integers(st.integers(-2, 35)))),
     "zeta_even": (zeta_even, st.tuples(_integers(st.integers(-2, 70)))),
     "max_abs_poly": (TABLE.max_abs_poly, st.tuples(_integers(st.integers(0, 200)))),
+    "gauss_nodes": (gauss_nodes, st.tuples(_integers(st.integers(1, 64)))),
     # the nodes t of a quadrature are finite; the order n is the argument under test
     "poly_periodic": (TABLE.poly_periodic, st.tuples(
         _integers(st.integers(5, 200)),

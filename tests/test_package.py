@@ -66,17 +66,18 @@ def _run_child(code: str) -> str:
 def test_import_leaves_the_cli_and_the_test_oracles_out():
     """import barnesg loads no package outside the standard library (numpy is the
     oracle's; scipy and mpmath are the tests'), nor fractions, and fills neither the
-    Gauss node cache, the narrow kernel's weights, the zeta-tail memo nor either
+    Gauss rule and node caches, the narrow kernel's weights, the zeta-tail memo nor either
     kernel's integral memo."""
     code = ("import sys; before = set(sys.modules); import barnesg; "
             "new = {m.partition('.')[0] for m in sys.modules.keys() - before}; "
             "loaded = sorted((new - sys.stdlib_module_names - {'barnesg'}) | (new & {'fractions'})); "
             "print(loaded, barnesg.quadrature.gauss_nodes.cache_info().currsize, "
+            "barnesg.quadrature.gauss_rule.cache_info().currsize, "
             "barnesg.oracle._narrow_weights.cache_info().currsize, "
             "sys.modules['barnesg.terminant']._zeta_tail.cache_info().currsize, "
             "barnesg.oracle._narrow_integral.cache_info().currsize, "
             "barnesg.oracle._wide_integral.cache_info().currsize)")
-    assert _run_child(code) == "[] 0 0 0 0 0"
+    assert _run_child(code) == "[] 0 0 0 0 0 0"
 
 
 
@@ -89,13 +90,14 @@ def test_the_arc_walk_loads_on_first_use():
     assert _run_child(code) == "False True"
 
 def test_certified_and_improved_routes_load_no_numpy():
-    """One call of each scalar route and kernel leaves numpy unloaded: only the
-    oracle and poly_periodic need it."""
+    """One call of each scalar route and kernel, and of the Gauss-Legendre rule, leaves
+    numpy unloaded: only the oracle, poly_periodic and the quadrature module's array
+    helpers need it."""
     code = ("import sys, barnesg as bg; "
             "bg.certified_eval(5 + 1j); bg.best_bound(5 + 1j, 3); bg.family_bounds(5 + 1j, 3); "
             "bg.exp_improved_report(3 + 2j); bg.stokes_profile(2.0, 1, [1.3, 1.5, 1.9]); "
             "bg.terminant(3, 2 + 1j); bg.exp_integral_e1(2 + 1j); bg.log_gamma(3 + 1j); "
-            "bg.erf_small(1 + 1j); "
+            "bg.erf_small(1 + 1j); import barnesg.quadrature; barnesg.quadrature.gauss_rule(17); "
             "print('numpy' in sys.modules)")
     assert _run_child(code) == "False"
 

@@ -1,5 +1,5 @@
-"""Gauss-Legendre nodes against scipy, the vectorised panel sum against the
-panel-at-a-time loop, the flattened panel weights against it, and the import
+"""The Gauss-Legendre rule against mpmath and scipy, the vectorised panel sum against
+the panel-at-a-time loop, the flattened panel weights against it, and the import
 footprint of the package."""
 
 import cmath
@@ -11,27 +11,46 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import roots_legendre
 
 import barnesg
+from barnesg.arc import _GAUSS4
 from barnesg.bernoulli import DEFAULT_TABLE
+from barnesg.errors import DomainError, RangeError
 from barnesg.oracle import _GAUSS_ORDER, _NARROW_BREAKS
-from barnesg.quadrature import (_CHUNK_NODES, gauss_nodes, integrate_panels, panel_nodes,
-                                 panel_weights)
+from barnesg.quadrature import (_CHUNK_NODES, gauss_nodes, gauss_rule, integrate_panels,
+                                 panel_nodes, panel_weights)
 from barnesg.special import _dilog_exp
+from _reference import gauss_legendre_mp
 
 EPS = np.finfo(float).eps
 
 # every order in use: the remainder oracles' fixed order, the integrate_panels
-# default (the reference terminant quadrature) and 64, twice the oracles' order,
-# which tests/test_oracle.py's self-consistency check runs
+# default (the reference terminant quadrature), 64, twice the oracles' order,
+# which tests/test_oracle.py's self-consistency check runs, and the Stokes window's 4
 ORDERS = sorted({
     _GAUSS_ORDER,
     inspect.signature(integrate_panels).parameters["order"].default,
     64,
+    len(_GAUSS4),
 })
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_rule_matches_mpmath(n):
+    # against the rule refined at 32 digits: nodes within half an eps, and weights within
+    # the n^2 eps relative that the Stokes walk charges its seed panel (gauss_rule states
+    # 0.43 eps and 0.28 n^2 eps); the rule is symmetric and its nodes ascend
+    rule = gauss_rule(n)
+    assert [x for x, _ in rule] == sorted(-x for x, _ in rule)
+    assert [w for _, w in rule] == [w for _, w in reversed(rule)]
+    with mp.workdps(32):
+        for (x, w), (xr, wr) in zip(rule, gauss_legendre_mp(n), strict=True):
+            assert abs(x - xr) <= 0.5 * EPS
+            assert abs(w - wr) <= n * n * EPS * wr
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -42,6 +61,18 @@ def test_nodes_and_weights_match_scipy(order):
     assert np.max(np.abs(x - xs)) <= EPS
     assert np.max(np.abs(w - ws)) <= 32 * EPS
     assert abs(w.sum() - 2.0) <= 32 * EPS
+
+
+@pytest.mark.parametrize("order,error", [(0, DomainError), (-3, DomainError),
+                                         (2.5, DomainError), (4.0, DomainError),
+                                         (65, RangeError)])
+def test_bad_order_raises_a_typed_error(order, error):
+    # the rule's cache is typed: a cached order 4 lets no 4.0 through
+    gauss_nodes(4)
+    with pytest.raises(error):
+        gauss_nodes(order)
+    with pytest.raises(error):
+        panel_nodes([0.0, 1.0], order)
 
 
 def test_import_does_not_load_scipy():

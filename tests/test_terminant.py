@@ -24,8 +24,8 @@ from barnesg import (
 from barnesg import special
 from barnesg.terminant import (_ALGEBRAIC_COEFFS, _order_thresholds, _pair_bound,
                                _scaled_recurrence, _zeta_tail)
-from _reference import (ein_one_loop, improved_route_orders, improved_uniform, log_g_error,
-                        terminant_pair, terminant_quadrature)
+from _reference import (ein_one_loop, gauss_legendre_mp, improved_route_orders,
+                        improved_uniform, log_g_error, terminant_pair, terminant_quadrature)
 
 # the package's `terminant` is the function; the module is reached by name
 terminant_module = importlib.import_module("barnesg.terminant")
@@ -699,22 +699,6 @@ class TestStokesProfile:
 
 
 
-def _gauss_legendre_mp(n):
-    """The n-point Gauss-Legendre rule at mpmath's working precision: Newton from the
-    library's nodes."""
-    rule = []
-    for x0, _ in arc_module._gauss_legendre(n):
-        x = mp.mpf(x0)
-        for _ in range(5):
-            p0, p1 = mp.mpf(1), x
-            for j in range(2, n + 1):
-                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-            slope = n * (p0 - x * p1) / (1 - x * x)
-            x -= p1 / slope
-        rule.append((x, 2 / ((1 - x * x) * slope ** 2)))
-    return rule
-
-
 def _rule_error_mp(p, r, lo, panels, h, nodes):
     """|the nodes-point Gauss-Legendre rule on `panels` panels of half-width h from lo - the
     integral| of the arc integrand dT_p/du = exp(log A + r (e^{iu} - 1) + i (1 - p) u), both
@@ -725,7 +709,7 @@ def _rule_error_mp(p, r, lo, panels, h, nodes):
         def f(u):
             return mp.exp(log_a + r * (mp.expj(u) - 1) + 1j * (1 - p) * u)
 
-        rule = _gauss_legendre_mp(nodes)
+        rule = gauss_legendre_mp(nodes)
         mids = [mp.mpf(lo) + (2 * i + 1) * mp.mpf(h) for i in range(panels)]
         total = mp.fsum(w * h * f(mid + h * x) for mid in mids for x, w in rule)
         return float(abs(total - mp.quad(f, [lo] + [mid + h for mid in mids])))

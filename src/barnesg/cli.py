@@ -1,7 +1,8 @@
 """Command-line frontend: evaluation, bound sweeps, Stokes profiles, terminants.
 
 Every subcommand emits machine-readable rows (CSV with a header, or
-JSON-lines) carrying the full input tuple, so any row can be re-run.
+JSON-lines) carrying the full input tuple, so any row can be re-run; every
+route picks its own truncation, and `eval`'s asym rows say what it chose (n_used, shift).
 Numeric values are rendered with 17 significant digits, which round-trips
 binary64 exactly.  Exit codes: 0 success, 2 domain/usage error, 3 accuracy
 failure.
@@ -19,7 +20,7 @@ from typing import Optional
 from . import __version__
 from .errors import AccuracyError, DomainError, RangeError, _check_order
 from .expansion import BoundKind, certified_eval, family_bounds
-from .terminant import K_MAX, exp_improved_report, stokes_profile, terminant
+from .terminant import exp_improved_report, stokes_profile, terminant
 
 EXIT_DOMAIN = 2
 EXIT_ACCURACY = 3
@@ -81,26 +82,22 @@ def _pi_multiple(text: str) -> float:
     return float(text) * math.pi
 
 
-def cmd_eval(z_re, z_im, z_abs, z_arg, method, n_trunc, fmt) -> None:
+def cmd_eval(z_re, z_im, z_abs, z_arg, method, fmt) -> None:
     """Evaluate log G(z+1) by the chosen route."""
     z, arg = _point("z", z_re, z_im, z_abs, z_arg)
     if z_abs is None and arg is not None:
         raise DomainError("--z-arg and --z-arg-pi need --z-abs: the routes take no branch of z")
-    if n_trunc is not None and method != "asym":
-        raise DomainError("--n applies to --method asym only")
     if method == "asym":
-        res = certified_eval(z, n_trunc)
-        value, err, err_kind, n_used = res.value, res.bound, res.bound_kind.value, res.n_trunc
+        res = certified_eval(z)
+        value, err, err_kind = res.value, res.bound, res.bound_kind.value
+        chosen = dict(n_used=res.n_trunc, shift=res.shift)  # the N at w = z + m, and m
     else:  # the oracle and the improved route both return (value, est_error)
         if method == "oracle":
             from .oracle import log_barnes_oracle  # here, not at the top: it loads numpy
         value, err = log_barnes_oracle(z) if method == "oracle" else exp_improved_report(z)
-        err_kind, n_used = "est_error", 1 if method == "oracle" else K_MAX
-    row = dict(z_re=z.real, z_im=z.imag, method=method, value_re=value.real,
-               value_im=value.imag, err=err, err_kind=err_kind, n_used=n_used)
-    if method == "asym":
-        row["shift"] = res.shift  # the m of w = z + m, where n_used is N
-    _emit([row], fmt)
+        err_kind, chosen = "est_error", {}
+    _emit([dict(z_re=z.real, z_im=z.imag, method=method, value_re=value.real,
+                value_im=value.imag, err=err, err_kind=err_kind, **chosen)], fmt)
 
 
 def cmd_bounds(radii, thetas, n_min, n_max, fmt) -> None:
@@ -186,8 +183,6 @@ def _parser() -> argparse.ArgumentParser:
     arg.add_argument("--z-arg-pi", dest="z_arg", type=_pi_multiple,
                      help="arg z in multiples of pi")
     ev.add_argument("--method", choices=["asym", "oracle", "hyper"], required=True)
-    ev.add_argument("--n", dest="n_trunc", type=int,
-                    help="truncation index (asym); an explicit N evaluates at z unshifted")
     bd = command("bounds", cmd_bounds)
     bd.add_argument("--z-abs", dest="radii", type=_grid, required=True,
                     help="comma-separated |z| grid, e.g. 2,5,10")

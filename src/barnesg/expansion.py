@@ -144,10 +144,10 @@ def truncated_log_barnes(z: complex, n_trunc: int) -> complex:
 
     The remainder it omits is exactly R_{n_trunc}(z); see the remainder
     oracle module for its quadrature evaluation and family_bounds/best_bound
-    for certified bounds.
+    for certified bounds; all take n_trunc <= MAX_COEFF = 31, RangeError above.
     """
     z = _check_sector(z)
-    n_trunc = _check_order(n_trunc, 1, MAX_TRUNCATION)
+    n_trunc = _check_order(n_trunc, 1, MAX_COEFF, RangeError)
     value = _series(z, 1, n_trunc, expansion_prefix(z))
     _check_finite(z, value)
     return value
@@ -417,19 +417,19 @@ def _scan(z: complex) -> tuple[int, BoundReport]:
     return chosen, chosen_report
 
 
-def certified_eval(z: complex, n_trunc: Optional[int] = None) -> ExpansionResult:
+def certified_eval(z: complex) -> ExpansionResult:
     """Evaluate the truncated expansion with the best certified bound.
 
-    When n_trunc is omitted the truncation index minimizing the bound over
-    1..20 is chosen (ties toward smaller N); an index whose bound is not a
-    finite positive float is skipped, and RangeError is raised when none is
-    left or the value is not finite.  Where the bound at z is weak (near the
-    cut or at small |z|; _certified_shift) the expansion and the N scan run
-    at w = z + m with Re w >= 12 and m <= 64, and the value is
-    prefix(z) + E(z, m) + sum_{n<N} c_n w^{-2n} (_shift_bracket); n_trunc,
-    bound_kind and weak_bound then describe w.  An explicit n_trunc always
-    evaluates at z.  Bounds with factor above 1e6 (possible only near the
-    cut) are flagged weak rather than suppressed.
+    The truncation index minimizing the bound over 1..20 is chosen (ties
+    toward smaller N); an index whose bound is not a finite positive float is
+    skipped, and RangeError is raised when none is left or the value is not
+    finite.  Where the bound at z is weak (near the cut or at small |z|;
+    _certified_shift) the expansion and the N scan run at w = z + m with
+    Re w >= 12 and m <= 64, and the value is prefix(z) + E(z, m) +
+    sum_{n<N} c_n w^{-2n} (_shift_bracket); n_trunc, bound_kind and
+    weak_bound then describe w.  Bounds with factor above 1e6 (possible only
+    near the cut above the shift cap) are flagged weak rather than suppressed.
+    A value and a bound at a chosen N are truncated_log_barnes and best_bound.
 
     The reported bound is best_bound(w, N).bound plus _roundoff of the
     prefix's four terms at z, of E's parts where shifted, and of the value.
@@ -438,16 +438,10 @@ def certified_eval(z: complex, n_trunc: Optional[int] = None) -> ExpansionResult
     that of E's part (w - q(w)) log w.  On the benchmark's accuracy pass and
     on tests/test_honesty.py the bound covers the error against mpmath.
     """
-    w = z = _check_sector(z)
-    m = 0
-    if n_trunc is not None:
-        chosen = _check_order(n_trunc, 1, MAX_TRUNCATION)
-        report = best_bound(z, chosen)
-    else:
-        m = _certified_shift(z)
-        if m:
-            w = z + m
-        chosen, report = _scan(w)
+    z = _check_sector(z)
+    m = _certified_shift(z)
+    w = z + m if m else z  # z + 0 would turn a part -0.0 into +0.0
+    chosen, report = _scan(w)
     prefix, terms = _shifted_prefix(z, m)
     value = _series(w, 1, chosen, prefix)
     _check_finite(z, value)

@@ -9,7 +9,6 @@ import pytest
 import barnesg
 from barnesg import BoundKind, best_bound, family_bounds
 from barnesg.oracle import _wide_integral
-from barnesg.terminant import K_MAX
 from _cli import invoke
 from _reference import (log_g_error, remainder_error, remainder_reference,
                         terminant_quadrature)
@@ -85,24 +84,24 @@ class TestEval:
         assert res.exit_code == 2 and res.output == ""
         assert "unrecognized arguments: --k-max" in res.stderr
 
-    @pytest.mark.parametrize("method", ["oracle", "hyper"])
-    def test_option_the_route_ignores_exits_2(self, method):
-        # --n belongs to asym; elsewhere it would be dropped silently
+    @pytest.mark.parametrize("method", ["asym", "oracle", "hyper"])
+    def test_n_is_no_option(self, method):
+        # the certified route picks N and the shift from its bound
         res = invoke(["eval", "--z-re", "2", "--z-im", "1", "--method", method, "--n", "3"])
         assert res.exit_code == 2 and res.output == ""
-        assert "--n" in res.stderr
+        assert "unrecognized arguments: --n" in res.stderr
 
-    def test_hyper_n_used_is_the_most_pairs(self):
-        # the route's own truncation setting, as the oracle prints its N = 1
+    def test_hyper_row_has_no_n_used(self):
+        # the improved route's pair count is its own; a constant column would say nothing
         res = invoke(["eval", "--z-re", "2.5", "--method", "hyper"])
         assert res.exit_code == 0
-        assert csv_rows(res.output)[0]["n_used"] == str(K_MAX)
+        assert not {"n_used", "shift"} & set(csv_rows(res.output)[0])
 
-    def test_oracle_n_used_is_one(self):
-        # log_barnes_oracle is the prefix plus the quadrature of R_1
+    def test_oracle_row_has_no_n_used(self):
+        # log_barnes_oracle is always the prefix plus the quadrature of R_1
         res = invoke(["eval", "--z-re", "3", "--method", "oracle"])
         assert res.exit_code == 0
-        assert csv_rows(res.output)[0]["n_used"] == "1"
+        assert not {"n_used", "shift"} & set(csv_rows(res.output)[0])
 
     def test_missing_z_exit(self):
         res = invoke(["eval", "--method", "oracle"])
@@ -181,16 +180,16 @@ class TestBounds:
     SHIFTED_CSV = (
         "z_abs,theta,n,oracle_abs_rn,oracle_err,bound_sector,bound_half_angle,"
         "bound_optimized,phi_star,best_bound,ratio\n"
-        "1,2.8902652413026098,1,0.034954295801749476,1.366574502004055e-14,nan,"
+        "1,2.8902652413026098,1,0.034954295801749476,1.3717100103165245e-14,nan,"
         "0.70545411333809815,1.684284101209669,1.3826107569790818,0.70545411333809815,"
         "20.18218639961243\n"
-        "1,2.8902652413026098,2,0.035334979232525217,1.3671163035772179e-14,nan,"
+        "1,2.8902652413026098,2,0.035334979232525217,1.3722518118896874e-14,nan,"
         "6.4156142163712602,6.1029093814925224,1.3617886242332256,6.1029093814925224,"
         "172.71580496288797\n"
-        "1,2.8902652413026098,3,0.035193021861856404,1.3670398657631919e-14,nan,"
+        "1,2.8902652413026098,3,0.035193021861856404,1.3721753740756616e-14,nan,"
         "204.2094127496068,67.206448249665598,1.3512964740985407,67.206448249665598,"
         "1909.6526724380726\n"
-        "1,2.8902652413026098,4,0.035288569195732838,1.3670604150584906e-14,nan,"
+        "1,2.8902652413026098,4,0.035288569195732838,1.3721959233709601e-14,nan,"
         "13787.876092932996,1458.8164296538396,1.3449735895670312,1458.8164296538396,"
         "41339.631016557127\n"
     )
@@ -371,23 +370,16 @@ class TestOutputContracts:
         assert a == b
 
     def test_row_round_trip(self):
-        # feed a row's inputs back; 17 significant digits round-trip binary64.
-        # At |z| = 2.7 the automatic N shifts to w = z + 11, the row says so by
-        # shift = 11, and n_used is w's N, so only the point goes back; at |z| = 27
-        # nothing shifts, and N goes too, which evaluates at z unshifted as well.
+        # feed a row's point back; 17 significant digits round-trip binary64, and
+        # the route picks N and the shift again (at |z| = 2.7 it shifts to w = z + 11,
+        # at |z| = 27 nothing shifts), so the row comes back whole
         for z_abs, shift in (("2.7", "11"), ("27", "0")):
             res = invoke(
                 ["eval", "--z-abs", z_abs, "--z-arg", "0.9", "--method", "asym"]
             )
             row = csv_rows(res.output)[0]
             assert row["shift"] == shift
-            with_n = ["--n", row["n_used"]] if shift == "0" else []
             res2 = invoke(
-                ["eval", "--z-re", row["z_re"], "--z-im", row["z_im"], "--method", "asym",
-                 *with_n],
+                ["eval", "--z-re", row["z_re"], "--z-im", row["z_im"], "--method", "asym"],
             )
-            row2 = csv_rows(res2.output)[0]
-            assert row2["value_re"] == row["value_re"]
-            assert row2["value_im"] == row["value_im"]
-            assert row2["err"] == row["err"]
-            assert row2["shift"] == shift
+            assert csv_rows(res2.output)[0] == row

@@ -20,6 +20,7 @@ from barnesg import (
     family_bounds,
     log_barnes_oracle,
     remainder_narrow,
+    remainder_wide,
     sector_factor,
     series_coefficient,
     solve_optimal_angle,
@@ -127,8 +128,17 @@ class TestTruncatedExpansion:
             truncated_log_barnes(-4.0, 1)
         with pytest.raises(DomainError):
             truncated_log_barnes(3.0, 0)
-        with pytest.raises(DomainError):
-            truncated_log_barnes(3.0, 21)
+
+    def test_one_n_cap_for_value_bound_and_oracle(self):
+        # the fixed-N value takes every N the Bernoulli table reaches, MAX_COEFF = 31,
+        # as best_bound and remainder_wide do, and raises RangeError above it as they do
+        z = 10.0 + 2.0j
+        value = truncated_log_barnes(z, 25)
+        oracle = log_barnes_oracle(z)
+        assert abs(value - oracle.value) <= best_bound(z, 25).bound + oracle.est_error
+        for call in (truncated_log_barnes, best_bound, remainder_wide):
+            with pytest.raises(RangeError):
+                call(z, 32)
 
 
 class TestBarnesStyleSeries:
@@ -325,27 +335,33 @@ class TestCertifiedEval:
 
     def test_wide_sector_uses_smaller_bound(self):
         z = 2.0 * cmath.exp(0.8j * PI)
-        res = certified_eval(z, 3)
-        bound = min(r.bound for r in family_bounds(z, 3).values())
-        assert res.bound == pytest.approx(bound, rel=1e-14)
-        assert res.bound_kind in (BoundKind.HALF_ANGLE, BoundKind.OPTIMIZED)
+        report = best_bound(z, 3)
+        assert report.bound == min(r.bound for r in family_bounds(z, 3).values())
+        assert report.kind in (BoundKind.HALF_ANGLE, BoundKind.OPTIMIZED)
 
     def test_chosen_bound_no_worse_than_n1(self):
         res = certified_eval(20.0)
-        n1 = certified_eval(20.0, 1)
-        assert res.bound <= n1.bound
+        assert res.bound <= best_bound(20.0, 1).bound
 
     def test_reflection_of_bounds(self):
         for z in (2.0 * cmath.exp(0.3j * PI), 5.0 * cmath.exp(0.77j * PI)):
-            up = certified_eval(z, 4)
-            down = certified_eval(z.conjugate(), 4)
+            up, down = best_bound(z, 4), best_bound(z.conjugate(), 4)
             assert down.bound == pytest.approx(up.bound, rel=1e-15)
-            assert down.value == pytest.approx(up.value.conjugate(), rel=1e-13)
+            assert truncated_log_barnes(z.conjugate(), 4) == pytest.approx(
+                truncated_log_barnes(z, 4).conjugate(), rel=1e-13)
 
     def test_near_cut_weak_flag(self):
-        res = certified_eval(2.0 * cmath.exp(1j * (PI - 5e-3)), 6)
-        assert math.isfinite(res.bound)
+        # above the shift cap (a shift to Re w >= 12 would take 65 steps) the route
+        # runs at z, where the factor near the cut passes 1e6, and the result says so
+        res = certified_eval(53.0 * cmath.exp(1j * (PI - 1e-3)))
+        assert res.shift == 0 and math.isfinite(res.bound)
         assert res.weak_bound
+
+    def test_n_is_no_argument(self):
+        # the route picks N and the shift from its bound; a value and a bound at a
+        # chosen N are truncated_log_barnes and best_bound
+        with pytest.raises(TypeError):
+            certified_eval(3.0, 3)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -401,31 +417,6 @@ class TestCertifiedEval:
             expansion.certified_eval(z)
             assert calls == {"best_bound": MAX_TRUNCATION, "certified_eval": 1}
 
-    #: certified_eval(z, N) at points whose automatic N shifts, as printed before the
-    #: shift existed: an explicit N still evaluates at z itself, and says so by shift=0
-    EXPLICIT_N = [
-        (complex(-40, -1), 20, "ExpansionResult(value=(1837.6176384007024-2404.813405890221j), "
-         "n_trunc=20, bound=1.1031171651619252e+18, bound_kind=<BoundKind.OPTIMIZED: "
-         "'optimized_angle'>, weak_bound=True, shift=0)"),
-        (complex(-7.5, 0.001), 20, "ExpansionResult(value=(12.45484481759355+88.08812067051826j), "
-         "n_trunc=20, bound=3.876905433410816e+142, bound_kind=<BoundKind.OPTIMIZED: "
-         "'optimized_angle'>, weak_bound=True, shift=0)"),
-        (3.0 * cmath.exp(0.95j * PI), 6, "ExpansionResult(value=(-0.7087579611617367+"
-         "13.500455744313658j), n_trunc=6, bound=3468.3258012111983, bound_kind=<BoundKind."
-         "OPTIMIZED: 'optimized_angle'>, weak_bound=True, shift=0)"),
-        (2.0 * cmath.exp(-0.95j * PI), 3, "ExpansionResult(value=(-2.03097777710157-"
-         "6.211083609038734j), n_trunc=3, bound=43.559915846402305, bound_kind=<BoundKind."
-         "OPTIMIZED: 'optimized_angle'>, weak_bound=True, shift=0)"),
-        (complex(-1, 1e-12), 1, "ExpansionResult(value=(-27.629775592962343+1.3089969390235388j), "
-         "n_trunc=1, bound=1.1104068579671991e+34, bound_kind=<BoundKind.HALF_ANGLE: "
-         "'half_angle_sec'>, weak_bound=True, shift=0)"),
-    ]
-
-    @pytest.mark.parametrize("z,n,text", EXPLICIT_N, ids=[repr(z) for z, _, _ in EXPLICIT_N])
-    def test_explicit_n_keeps_its_unshifted_result(self, z, n, text):
-        assert _certified_shift(z) > 0
-        assert repr(certified_eval(z, n)) == text
-
 
 @pytest.mark.parametrize("route,shift", [(certified_eval, _certified_shift),
                                          (exp_improved_report, lambda z: _shift_count(z, 2.0))],
@@ -463,13 +454,13 @@ class TestTypedErrors:
 
     @pytest.mark.parametrize("z", [1e-300, 5e-324, 1e200, complex(1e308, 1e308)])
     def test_no_finite_bound_raises_range_error(self, z):
-        # no N has a finite bound at z itself, so every explicit N raises; past
-        # |z| = 1 the automatic N does not shift (Re z >= 12) and raises too
-        with pytest.raises(RangeError):
-            _scan(z)
+        # no N has a finite bound at z itself, so the scan raises; past |z| = 1 the
+        # route does not shift (Re z >= 12) and raises too
         for n in range(1, MAX_TRUNCATION + 1):
             with pytest.raises(RangeError):
-                certified_eval(z, n)
+                best_bound(z, n)
+        with pytest.raises(RangeError):
+            _scan(z)
         if abs(z) > 1.0:
             with pytest.raises(RangeError):
                 certified_eval(z)
@@ -491,13 +482,13 @@ class TestTypedErrors:
         assert cmath.isfinite(res.value) and 0.0 < res.bound < math.inf
 
     def test_bound_overflow_near_the_cut(self):
-        # sec^{2N+1}(theta/2) overflows for large N within 1e-12 of the cut; an
-        # explicit N keeps its weak bound at z, the automatic N shifts to Re w >= 12
+        # sec^{2N+1}(theta/2) overflows for large N within 1e-12 of the cut; at z
+        # itself N = 1 keeps a finite but weak bound, and the route shifts to Re w >= 12
         z = -1.0 + 1e-12j
         with pytest.raises(RangeError):
             family_bounds(z, 20)
-        res = certified_eval(z, 1)
-        assert 0.0 < res.bound < math.inf and res.weak_bound
+        report = best_bound(z, 1)
+        assert 0.0 < report.bound < math.inf and report.factor > 1e6
         res = certified_eval(z)
         assert not res.weak_bound and log_g_error(res.value, z) <= res.bound
 

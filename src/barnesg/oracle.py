@@ -323,8 +323,9 @@ def remainder_wide(z: complex, n_trunc: int) -> OracleValue:
     hit is bit-identical to a miss.  Every panel is a unit panel, on which
     the periodized Bernoulli polynomial is folded into weights tabulated at
     the Gauss nodes of [0, 1].  T is the first unit count whose analytic tail bound,
-    a power of T + |w|, meets the target.  est_error is that bound plus _gauss_roundoff of
-    the quadrature, and _roundoff of the ladder and where shifted of E's parts and the sums.
+    a power of T + |w|, meets the target.  est_error is that bound, _gauss_roundoff of the
+    quadrature, _roundoff of the ladder and, where shifted, of E's parts, and (N + 8) eps of
+    each series head, whose last power takes N - 2 products (as the node's in _gauss_roundoff).
     AccuracyError where no shift of at most 64 reaches the target (Re z < -63
     near the cut).
     """
@@ -342,7 +343,8 @@ def remainder_wide(z: complex, n_trunc: int) -> OracleValue:
         if m:
             head_w, head_z = _series(w, 1, n_trunc), _series(z, 1, n_trunc)
             value += bracket + (head_w - head_z)
-            est += _roundoff(*parts, head_w, head_z)
+            head_eps = (n_trunc + 8) * EPS
+            est += _roundoff(*parts) + abs(head_eps * head_w) + abs(head_eps * head_z)
     except ArithmeticError:
         raise _range_error(z) from None
     _check_finite(z, value, est)

@@ -46,9 +46,8 @@ on every part of the error.  Stokes profiles take it alone; terminant, the one e
 point for T_p(w), takes it or the closed form, whichever reports the smaller error
 estimate.
 
-The zeta tails of the algebraic sum depend only on an exponent and the first
-index K + 1, which take few values; _zeta_tail memoizes them in a bounded table.
-Nothing is kept per z.
+The algebraic rows k > K depend only on K + 1, which takes few values; _algebraic_rows
+keeps a bounded table of them per K + 1.  Nothing is kept per z.
 """
 
 from __future__ import annotations
@@ -231,14 +230,8 @@ def _em_coeffs(s: int) -> tuple[float, ...]:
 _EM_COEFFS = {s: _em_coeffs(s) for s in range(4, MAX_INDEX + 1, 2)}
 
 
-@lru_cache(maxsize=4096)
 def _zeta_tail(exponent: int, k_first: int) -> float:
     """sum_{k >= k_first} k^{-exponent}, accurate relative to its own size.
-
-    A pure function of two integers, memoized on first use: the improved
-    route asks for k_first = K + 1 alone, so most calls are hits.  The memo
-    is bounded (least recently used pairs go) and keyed by the integers
-    alone, never by z.
 
     Subtracting the head from zeta(exponent) is catastrophic once the zeta
     value rounds to 1.  Instead the terms k < a = k_first + max(8, s/2) are
@@ -265,23 +258,26 @@ def _zeta_tail(exponent: int, k_first: int) -> float:
     return math.fsum(parts)
 
 
+@lru_cache(maxsize=128)
+def _algebraic_rows(k_first: int) -> tuple[float, ...]:
+    """_ALGEBRAIC_COEFFS[n] _zeta_tail(2n + 4, k_first) for every row n, the algebraic sum's
+    coefficients of z^{-2n-2}: built on first use, memoized by k_first alone (LRU)."""
+    return tuple(coeff * _zeta_tail(2 * n + 4, k_first)
+                 for n, coeff in enumerate(_ALGEBRAIC_COEFFS))
+
+
 def _algebraic_sum(zinv2: complex, n_rows: int, k_first: int) -> complex:
     """The algebraic double sum over n < n_rows and k >= k_first, regrouped over n.
 
     The (n, k) term is (-1)^n 2 (2n+1)! / ((2 pi k)^{2n+4} z^{2n+2}); for each
     n the k-sum is the zeta tail sum_{k >= k_first} k^{-2n-4}.  The double sum is
     absolutely convergent, so this regrouping changes nothing; it just avoids
-    throwing away the algebraic k-tail when the terminant sum is truncated.
+    throwing away the algebraic k-tail when the terminant sum is truncated.  The
+    rows are _algebraic_rows' table, summed by Horner in z^{-2}.
     """
     total = 0.0 + 0.0j
-    zpow = zinv2
-    for n, coeff in enumerate(_ALGEBRAIC_COEFFS[:n_rows]):
-        partial = _zeta_tail(2 * n + 4, k_first)
-        term = coeff * zpow * partial
-        total += term
-        if abs(term) < 1e-22 * max(1.0, abs(total)):
-            break
-        zpow *= zinv2
+    for row in reversed(_algebraic_rows(k_first)[:n_rows]):
+        total = (total + row) * zinv2
     return total
 
 

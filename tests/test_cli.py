@@ -183,13 +183,13 @@ class TestBounds:
         "1,2.8902652413026098,1,0.034954295801749476,1.3717100103165245e-14,nan,"
         "0.70545411333809815,1.684284101209669,1.3826107569790818,0.70545411333809815,"
         "20.18218639961243\n"
-        "1,2.8902652413026098,2,0.035334979232525217,1.3722518118896874e-14,nan,"
+        "1,2.8902652413026098,2,0.035334979232525217,1.3723682842713202e-14,nan,"
         "6.4156142163712602,6.1029093814925224,1.3617886242332256,6.1029093814925224,"
         "172.71580496288797\n"
-        "1,2.8902652413026098,3,0.035193021861856404,1.3721753740756616e-14,nan,"
+        "1,2.8902652413026098,3,0.035193021861856404,1.3723296209646827e-14,nan,"
         "204.2094127496068,67.206448249665598,1.3512964740985407,67.206448249665598,"
         "1909.6526724380726\n"
-        "1,2.8902652413026098,4,0.035288569195732838,1.3721959233709601e-14,nan,"
+        "1,2.8902652413026098,4,0.035288569195732838,1.3724093924030582e-14,nan,"
         "13787.876092932996,1458.8164296538396,1.3449735895670312,1458.8164296538396,"
         "41339.631016557127\n"
     )

@@ -66,7 +66,7 @@ def _run_child(code: str) -> str:
 def test_import_leaves_the_cli_and_the_test_oracles_out():
     """import barnesg loads no package outside the standard library (numpy is the
     oracle's; scipy and mpmath are the tests'), nor fractions, and fills neither the
-    Gauss rule and node caches, the narrow kernel's weights, the zeta-tail memo nor either
+    Gauss rule and node caches, the narrow kernel's weights, the algebraic-row memo nor either
     kernel's integral memo."""
     code = ("import sys; before = set(sys.modules); import barnesg; "
             "new = {m.partition('.')[0] for m in sys.modules.keys() - before}; "
@@ -74,7 +74,7 @@ def test_import_leaves_the_cli_and_the_test_oracles_out():
             "print(loaded, barnesg.quadrature.gauss_nodes.cache_info().currsize, "
             "barnesg.quadrature.gauss_rule.cache_info().currsize, "
             "barnesg.oracle._narrow_weights.cache_info().currsize, "
-            "sys.modules['barnesg.terminant']._zeta_tail.cache_info().currsize, "
+            "sys.modules['barnesg.terminant']._algebraic_rows.cache_info().currsize, "
             "barnesg.oracle._narrow_integral.cache_info().currsize, "
             "barnesg.oracle._wide_integral.cache_info().currsize)")
     assert _run_child(code) == "[] 0 0 0 0 0 0"

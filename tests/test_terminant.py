@@ -22,8 +22,9 @@ from barnesg import (
     truncated_log_barnes,
 )
 from barnesg import special
-from barnesg.terminant import (_ALGEBRAIC_COEFFS, _order_thresholds, _pair_bound,
-                               _scaled_recurrence, _zeta_tail)
+from barnesg.bernoulli import EPS
+from barnesg.terminant import (_ALGEBRAIC_COEFFS, _algebraic_rows, _order_thresholds,
+                               _pair_bound, _scaled_recurrence, _zeta_tail)
 from _reference import (ein_one_loop, gauss_legendre_mp, improved_route_orders,
                         improved_uniform, log_g_error, terminant_pair, terminant_quadrature)
 
@@ -788,8 +789,8 @@ def _outcome(fn, *args):
 
 
 class TestMemoizedRoute:
-    """The improved route gives, bit for bit, what it gives with the zeta tails
-    computed afresh on every call, and within its estimates what it gives with
+    """The improved route gives, bit for bit, what it gives with the algebraic rows
+    built afresh on every call, and within its estimates what it gives with
     the one-loop Ein."""
 
     @staticmethod
@@ -811,10 +812,10 @@ class TestMemoizedRoute:
                     for abs_z, k, line in self.PROFILES]
         return improved, profiles
 
-    def test_identical_to_the_unmemoized_tails(self, monkeypatch):
+    def test_identical_to_the_unmemoized_rows(self, monkeypatch):
         shipped = repr(self._run())
-        warm = repr(self._run())  # every zeta tail now comes from the memo
-        monkeypatch.setattr(terminant_module, "_zeta_tail", _zeta_tail.__wrapped__)
+        warm = repr(self._run())  # every table now comes from the memo
+        monkeypatch.setattr(terminant_module, "_algebraic_rows", _algebraic_rows.__wrapped__)
         assert warm == shipped
         assert repr(self._run()) == shipped
 
@@ -837,25 +838,41 @@ class TestMemoizedRoute:
                 assert abs(a.multiplier - b.multiplier) <= a.est_error
         assert any("RangeError" in o for o in profiles if isinstance(o, str))  # |z| = 20, 27, k = 2
 
-    def test_memo_is_bounded_and_returns_the_computed_tails(self, monkeypatch):
+    def test_memo_is_bounded_and_returns_the_computed_rows(self, monkeypatch):
         fresh = {}
         returned = []
 
-        def record(exponent, k_first):
-            key = (exponent, k_first)
-            if key not in fresh:
-                fresh[key] = _zeta_tail.__wrapped__(exponent, k_first)
-            value = _zeta_tail(exponent, k_first)
-            returned.append((key, value))
+        def record(k_first):
+            if k_first not in fresh:
+                fresh[k_first] = _algebraic_rows.__wrapped__(k_first)
+            value = _algebraic_rows(k_first)
+            returned.append((k_first, value))
             return value
 
-        monkeypatch.setattr(terminant_module, "_zeta_tail", record)
+        monkeypatch.setattr(terminant_module, "_algebraic_rows", record)
         rng = random.Random(1617)
-        hits = _zeta_tail.cache_info().hits
+        hits = _algebraic_rows.cache_info().hits
         for _ in range(5000):
             r = 1e-12 * 1e15 ** rng.random()
             exp_improved_report(r * cmath.exp(1j * rng.uniform(-0.95 * PI, 0.95 * PI)))
-        info = _zeta_tail.cache_info()
+        info = _algebraic_rows.cache_info()
         assert isinstance(info.maxsize, int) and info.currsize <= info.maxsize
         assert info.hits > hits
-        assert all(repr(value) == repr(fresh[key]) for key, value in returned)
+        assert all(repr(value) == repr(fresh[k_first]) for k_first, value in returned)
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 13, 31])
+@pytest.mark.parametrize("k_first", [2, 3, 4, 17, 1025])
+def test_algebraic_sum_against_the_double_sum(k_first, n_rows):
+    # the rows n < n_rows of sum_n (-1)^n 2 (2n+1)!/(2 pi)^{2n+4} zeta(2n+4, k_first) z^{-2n-2}
+    # at dps 60, within the 8 eps |alg| that exp_improved_report charges the sum
+    with mp.workdps(60):
+        coeffs = [(-1) ** n * 2 * mp.factorial(2 * n + 1) / (2 * mp.pi) ** (2 * n + 4)
+                  * mp.zeta(2 * n + 4, k_first) for n in range(n_rows)]
+        for abs_w, a in itertools.product((2.0, 2.5, 5.0, 12.0, 70.0, 1000.0),
+                                          (0.0, 0.2, 0.45, 0.5, 0.9, 0.999)):
+            w = abs_w * cmath.exp(1j * a * PI)
+            zinv2 = 1.0 / (w * w)
+            got = terminant_module._algebraic_sum(zinv2, n_rows, k_first)
+            ref = mp.fsum(c * mp.mpc(zinv2) ** (n + 1) for n, c in enumerate(coeffs))
+            assert abs(mp.mpc(got) - ref) <= 8 * EPS * abs(got), (w, got)
